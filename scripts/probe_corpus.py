@@ -18,10 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from dks.cli import _PROBE_COLUMNS
 from dks.generators import GenSpec, gen_planar
 from dks.graph import dump_json, load_graph
-from dks.ptas_probe import ProbeReport, probe
+from dks.ptas_probe import PROBE_COLUMNS, ProbeReport, probe
 
 
 def build_corpus(directory: Path, count: int, n_lo: int, n_hi: int,
@@ -55,14 +54,14 @@ def main(argv=None) -> int:
     paths = build_corpus(Path(ns.corpus_dir), ns.count, ns.n_lo, ns.n_hi,
                          ns.rho, ns.seed)
     report = ProbeReport()
-    print(",".join(["file"] + _PROBE_COLUMNS))
+    print(",".join(("file",) + PROBE_COLUMNS))
     for p in paths:
         g = load_graph(str(p))
         entry = probe(g, min(ns.k, g.n), ns.epsilon, classic=ns.classic)
         report.entries.append(entry)
         row = entry.to_dict()
         row["ratio"] = f"{entry.ratio:.6f}"
-        print(",".join([p.name] + [str(row[c]) for c in _PROBE_COLUMNS]))
+        print(",".join([p.name] + [str(row[c]) for c in PROBE_COLUMNS]))
 
     print(f"# histogram {','.join(str(c) for c in report.histogram())}")
     worst = report.worst()

@@ -16,13 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from dks.errors import (CapExceeded, DksError, KTooLarge, NotOuterplanar,
-                        NotPlanar)
+from dks.errors import DksError, KTooLarge, NotOuterplanar, NotPlanar
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
 from dks.graph import Graph, dump_json, load_graph
 from dks.oracle import brute_force_all_k, brute_force_densest_k
-from dks.ptas_probe import ProbeReport, probe
-from dks.solve import solve
+from dks.ptas_probe import PROBE_COLUMNS, ProbeReport, probe
+from dks.solve import flat_blocks, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,9 +29,6 @@ EXIT_NOT_SOLVABLE = 2
 EXIT_K_TOO_LARGE = 3
 
 ABSENT_MARK = "∅"          # ∅, as in the worked tables
-
-_PROBE_COLUMNS = ["n", "m", "k", "epsilon", "b", "variant", "s", "opt",
-                  "ratio", "best_i", "cert_max_depth", "cert_ok"]
 
 
 @dataclass
@@ -177,13 +173,13 @@ def cmd_probe(cfg: RunConfig, out=None) -> int:
     else:
         results = [_probe_one(*a) for a in args]
 
-    print(",".join(["file"] + _PROBE_COLUMNS), file=out)
+    print(",".join(("file",) + PROBE_COLUMNS), file=out)
     report = ProbeReport()
     for path, entry in results:
         report.entries.append(entry)
         row = entry.to_dict()
         row["ratio"] = f"{entry.ratio:.6f}"
-        print(",".join([path] + [str(row[c]) for c in _PROBE_COLUMNS]),
+        print(",".join([path] + [str(row[c]) for c in PROBE_COLUMNS]),
               file=out)
     if len(results) > 1:
         worst_path, worst = min(results, key=lambda pe: pe[1].ratio)
@@ -236,12 +232,13 @@ def _fmt(cell) -> str:
     return ABSENT_MARK if cell is None else str(cell)
 
 
-def _dump_flat(g: Graph, cfg: RunConfig, k: int, out) -> None:
+def _dump_flat(g: Graph, cfg: RunConfig, k: int, out, blocks) -> None:
     from dks.dp_outerplanar import solve_outerplanar_values
 
     tables: list[tuple[str, object]] = []
     solve_outerplanar_values(g, k, root=_resolve_root(g, cfg.root),
-                             trace=lambda kind, t: tables.append((kind, t)))
+                             trace=lambda kind, t: tables.append((kind, t)),
+                             blocks=blocks)
     for kind, t in tables:
         label = f"({g.name_of(t.x)},{g.name_of(t.y)})"
         cols = len(t.rows[0])
@@ -283,12 +280,9 @@ def _dump_leveled(g: Graph, cfg: RunConfig, k: int, out) -> None:
 
 
 def _dump_tables(g: Graph, cfg: RunConfig, k: int, out) -> None:
-    from dks.dp_outerplanar import is_outerplanar
-
-    flat = (is_outerplanar(g) if cfg.force_solver == "auto"
-            else cfg.force_solver == "outerplanar")
-    if flat:
-        _dump_flat(g, cfg, k, out)
+    blocks = flat_blocks(g, cfg.force_solver)
+    if blocks is not None:
+        _dump_flat(g, cfg, k, out, blocks)
     else:
         _dump_leveled(g, cfg, k, out)
 

@@ -12,10 +12,7 @@ must treat the coincident endpoint as shared whenever both bits are set
 — not only when the middle vertex is also included — and the label edge
 of the two operands is then a single physical edge that both operand
 tables have already counted, so one copy must be subtracted.  Both
-corrections are exercised by unit tests against hand-computed tables;
-`variant="pseudocode"` keeps the weaker size rule for comparison (it can
-leave individual cells undefined but never changes the extracted
-optimum).
+corrections are exercised by unit tests against hand-computed tables.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ def leaf_table(x: int, y: int, k: int) -> EdgeTable:
     return EdgeTable(x, y, 2, rows, True)
 
 
-def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int,
-                 variant: str = "prose") -> EdgeTable:
+def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
     """Combine span tables T_(x,y) and T_(y,z) into T_(x,z).
 
     The spans share vertex y; when x == z the cycle has closed and they
@@ -84,10 +80,7 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int,
             for by in (0, 1):
                 r1 = t1.rows[(bx << 1) | by]
                 r2 = t2.rows[(by << 1) | bz]
-                if variant == "prose":
-                    shared = 1 if (closing and bx) else 0
-                else:  # the weaker size rule; see module docstring
-                    shared = 1 if (closing and bx and by) else 0
+                shared = 1 if (closing and bx) else 0
                 bonus = 1 if (chord_real and bx and bz) else 0
                 if (closing and bx and by
                         and t1.counts_label_edge and t2.counts_label_edge):
@@ -214,18 +207,37 @@ def block_outer_cycle(vertices: list[int], edges: list[tuple[int, int]]) -> list
     return cycle
 
 
-def is_outerplanar(g: Graph) -> bool:
+@dataclass
+class Blocks:
+    """The block decomposition the flat DP folds.
+
+    edges[i] is block i's edge list, vertices[i] its ascending vertex
+    list, and cycles[i] its outer cycle (None for a bridge).
+    """
+
+    edges: list[list[tuple[int, int]]]
+    cutpoints: set[int]
+    vertices: list[list[int]]
+    cycles: list[list[int] | None]
+
+
+def outerplanar_blocks(g: Graph) -> Blocks:
+    """Blocks of g with their outer cycles; raises NotOuterplanar."""
+    blocks, cuts = g.blocks_and_cutpoints()
+    verts = [sorted({u for e in b for u in e}) for b in blocks]
+    cycles = [block_outer_cycle(vs, b) if len(b) > 1 else None
+              for vs, b in zip(verts, blocks)]
+    return Blocks(blocks, cuts, verts, cycles)
+
+
+def is_outerplanar(g: Graph) -> Blocks | None:
+    """g's block decomposition when g is outerplanar, else None."""
     if g.m > max(0, 2 * g.n - 3):
-        return False
-    blocks, _ = g.blocks_and_cutpoints()
+        return None
     try:
-        for b in blocks:
-            if len(b) > 1:
-                vs = sorted({u for e in b for u in e})
-                block_outer_cycle(vs, b)
+        return outerplanar_blocks(g)
     except NotOuterplanar:
-        return False
-    return True
+        return None
 
 
 # -------------------------------------------------------------- span tree
@@ -279,10 +291,16 @@ def build_span_tree(m: int, intervals: list[tuple[int, int]]) -> SpanNode:
     return root
 
 
+def _count(stats: dict | None, tables: int, cells: int, merges: int) -> None:
+    if stats is not None:
+        for key, n in (("tables", tables), ("cells", cells),
+                       ("merges", merges)):
+            stats[key] = stats.get(key, 0) + n
+
+
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                k: int, attach: dict[int, tuple] | None = None,
-               trace=None, variant: str = "prose",
-               stats: dict | None = None) -> EdgeTable:
+               trace=None, stats: dict | None = None) -> EdgeTable:
     """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0])."""
     attach = attach or {}
     m = len(cycle)
@@ -313,20 +331,22 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
         nd = stk.pop()
         order.append(nd)
         stk.extend(nd.children)
+    merges = cells = 0
     for nd in reversed(order):
         if nd.leaf:
             nd.table = leaf_of(nd.start)
             continue
         t = nd.children[0].table
         for ch in nd.children[1:]:
-            t = merge_tables(t, ch.table, g, k, variant)
+            t = merge_tables(t, ch.table, g, k)
             ch.table = None
-            if stats is not None:
-                stats["merges"] = stats.get("merges", 0) + 1
+            merges += 1
+            cells += 4 * len(t.rows[0])
             if trace:
                 trace("merge", t)
         nd.children[0].table = None
         nd.table = t
+    _count(stats, m + merges, m * 4 * (min(k, 2) + 1) + cells, merges)
     return root.table
 
 
@@ -345,17 +365,23 @@ def _combine_hang(parts: list[tuple], k: int) -> tuple:
 
 
 def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
-                             first: int | None = None, trace=None,
-                             variant: str = "prose",
-                             stats: dict | None = None) -> list[int | None]:
+                             trace=None, stats: dict | None = None,
+                             blocks: Blocks | None = None) -> list[int | None]:
     """Optimum edge counts for every k' = 0..min(k, n) on a connected
-    outerplanar graph."""
+    outerplanar graph.
+
+    `blocks` is g's decomposition from is_outerplanar(g); without it, g is
+    decomposed here, which raises NotOuterplanar on other graphs.  Adds
+    the number of blocks, tables, table cells and merges to `stats`.
+    """
     cap = min(k, g.n)
     if g.n <= 1 or g.m == 0:
         return [0] * (cap + 1)
 
-    blocks, cuts = g.blocks_and_cutpoints()
-    bverts = [sorted({u for e in b for u in e}) for b in blocks]
+    if blocks is None:
+        blocks = outerplanar_blocks(g)
+    cuts = blocks.cutpoints
+    bverts = blocks.vertices
     at_vertex: dict[int, list[int]] = defaultdict(list)
     for i, vs in enumerate(bverts):
         for v in vs:
@@ -387,18 +413,19 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 order.append(nb)
 
     if stats is not None:
-        stats["blocks"] = len(blocks)
+        stats["blocks"] = len(blocks.edges)
 
     uvec: dict[int, tuple] = {}
     for bid in reversed(order):
         key = key_of[bid]
         attach = {v: _combine_hang([uvec[c] for c in kids], k)
                   for v, kids in kids_at[bid].items()}
-        b_edges = blocks[bid]
+        b_edges = blocks.edges[bid]
         if len(b_edges) == 1:
             (u, v) = b_edges[0]
             x, y = (u, v) if u == key else (v, u)
             t = leaf_table(x, y, k)
+            _count(stats, 1, 4 * len(t.rows[0]), 0)
             if trace:
                 trace("leaf", t)
             if x in attach:
@@ -413,18 +440,12 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 u1 = vector_max(t.rows[2], t.rows[3])
                 uvec[bid] = (u0, u1, t.vcount)
         else:
-            cycle = block_outer_cycle(bverts[bid], b_edges)
+            cycle = blocks.cycles[bid]
             i = cycle.index(key)
             cycle = cycle[i:] + cycle[:i]
-            want = first if (bid == root_bid and first is not None) else None
-            if want is not None and cycle[-1] == want:
+            if cycle[-1] < cycle[1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            elif want is not None and cycle[1] != want:
-                raise ValueError(f"vertex {want} is not on the outer cycle "
-                                 f"next to {key}")
-            elif want is None and cycle[-1] < cycle[1]:
-                cycle = [cycle[0]] + cycle[:0:-1]
-            t = fold_block(g, cycle, b_edges, k, attach, trace, variant, stats)
+            t = fold_block(g, cycle, b_edges, k, attach, trace, stats)
             if bid == root_bid:
                 values = vector_max(t.rows[0], t.rows[3])
             else:

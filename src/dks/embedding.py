@@ -407,21 +407,3 @@ def embed_and_level(g: Graph, variant: str = "zigzag") -> LeveledEmbedding:
     plane, outer = planar_embed(g)
     le = compute_levels(g, plane, outer)
     return triangulate(le, variant)
-
-
-def to_dot(le: LeveledEmbedding) -> str:
-    """Graphviz view of the leveled, triangulated graph (fakes dashed)."""
-    g = le.graph
-    lines = ["graph leveled {", "  node [shape=circle];"]
-    for v in range(g.n):
-        lines.append(f'  v{v} [label="{g.name_of(v)}\\nL{le.level[v]}"];')
-    for u, v in sorted(g.edges):
-        lines.append(f"  v{u} -- v{v};")
-    seen = {frozenset(e) for e in g.edges}
-    for e in sorted(le.connector_edges | le.fake_edges, key=sorted):
-        if e not in seen:
-            u, v = sorted(e)
-            kind = "connector" if e in le.connector_edges else "fill"
-            lines.append(f'  v{u} -- v{v} [style=dashed, label="{kind}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -8,6 +8,7 @@ with optional human-readable names kept for I/O round-trips.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from dks.errors import FormatError
@@ -76,25 +77,27 @@ class Graph:
 
     # -------------------------------------------------------- components
 
-    def connected_components(self) -> list[int]:
-        """Vertex bitmask per component (isolated vertices included)."""
-        seen = [False] * self.n
-        out: list[int] = []
+    def connected_components(self) -> list[list[int]]:
+        """Ascending vertex list per component, in order of smallest vertex
+        (isolated vertices included), from one labelling pass."""
+        label = [-1] * self.n
+        count = 0
         for s in range(self.n):
-            if seen[s]:
+            if label[s] >= 0:
                 continue
-            mask = 0
+            label[s] = count
             stack = [s]
-            seen[s] = True
             while stack:
                 v = stack.pop()
-                mask |= 1 << v
                 for w in self.adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
+                    if label[w] < 0:
+                        label[w] = count
                         stack.append(w)
-            out.append(mask)
-        return out
+            count += 1
+        comps: list[list[int]] = [[] for _ in range(count)]
+        for v in range(self.n):
+            comps[label[v]].append(v)
+        return comps
 
     def is_connected(self) -> bool:
         return self.n == 0 or len(self.connected_components()) == 1
@@ -163,11 +166,6 @@ class Graph:
                 edge_stack.clear()
         return blocks, cutpoints
 
-    def bridges(self) -> set[tuple[int, int]]:
-        blocks, _ = self.blocks_and_cutpoints()
-        return {b[0] if b[0][0] < b[0][1] else (b[0][1], b[0][0])
-                for b in blocks if len(b) == 1}
-
 
 def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
     """Induced subgraph on `keep`, densely relabelled in list order.
@@ -187,6 +185,43 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
     return Graph(n=len(keep), edges=edges,
                  names=[g.name_of(v) for v in keep],
                  rotation=rot, outer_face=outer)
+
+
+def component_subgraphs(g: Graph, comps: list[list[int]]
+                        ) -> Iterator[tuple[list[int], Graph]]:
+    """(comp, induced_subgraph(g, comp)) for each of g's components.
+
+    `comps` is g.connected_components().  The edges are grouped by
+    component in one stable sort, so each subgraph keeps g's edge order.
+    Subgraphs are built one at a time, when asked for, so a caller that
+    drops each before the next holds only one.
+    """
+    label = [0] * g.n
+    local = [0] * g.n
+    for c, comp in enumerate(comps):
+        for i, v in enumerate(comp):
+            label[v] = c
+            local[v] = i
+    edges = sorted(g.edges, key=lambda e: label[e[0]])
+    owners = None if g.outer_face is None else {label[v] for v in g.outer_face}
+    lo = 0
+    for c, comp in enumerate(comps):
+        hi = lo
+        while hi < len(edges) and label[edges[hi][0]] == c:
+            hi += 1
+        rot = None
+        if g.rotation is not None:
+            rot = [[local[w] for w in g.rotation[v] if label[w] == c]
+                   for v in comp]
+        outer = None
+        if owners is not None and owners <= {c}:
+            outer = [local[v] for v in g.outer_face]
+        yield comp, Graph(n=len(comp),
+                          edges=[(local[u], local[v])
+                                 for u, v in edges[lo:hi]],
+                          names=[g.name_of(v) for v in comp],
+                          rotation=rot, outer_face=outer)
+        lo = hi
 
 
 # ------------------------------------------------------------------ I/O

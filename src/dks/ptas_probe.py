@@ -27,14 +27,18 @@ import networkx as nx
 from dks.dp_outerplanar import is_outerplanar
 from dks.embedding import embed_and_level
 from dks.errors import CapExceeded, DksError, NotPlanar
-from dks.graph import Graph, induced_subgraph
+from dks.graph import Graph, component_subgraphs, induced_subgraph
 from dks.oracle import brute_force_all_k
 from dks.tables import convolve_max_plus
 
-__all__ = ["ProbeEntry", "ProbeReport", "baker_decompose",
+__all__ = ["PROBE_COLUMNS", "ProbeEntry", "ProbeReport", "baker_decompose",
            "combine_components", "probe", "bfs_levels"]
 
 _ORACLE_CAP = 20
+
+# The ProbeEntry fields of a CSV row, in column order.
+PROBE_COLUMNS = ("n", "m", "k", "epsilon", "b", "variant", "s", "opt",
+                 "ratio", "best_i", "cert_max_depth", "cert_ok")
 
 
 def bfs_levels(g: Graph, root: int = 0) -> list[int]:
@@ -112,10 +116,8 @@ def baker_decompose(g: Graph, b: int, *, root: int = 0,
         else:
             keep = [v for v in range(g.n) if lev[v] % b == i]
         gi = induced_subgraph(g, keep)
-        comps = []
-        for mask in gi.connected_components():
-            comps.append(induced_subgraph(
-                gi, [v for v in range(gi.n) if mask >> v & 1]))
+        comps = [c for _, c in
+                 component_subgraphs(gi, gi.connected_components())]
         if not classic and g_planar:
             for c in comps:
                 assert is_outerplanar(c), \
@@ -158,9 +160,7 @@ class ProbeEntry:
     cert_ok: bool                   # every part within the b-1 budget
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in (
-            "n", "m", "k", "epsilon", "b", "variant", "s", "opt",
-            "ratio", "best_i", "cert_max_depth", "cert_ok")}
+        return {f: getattr(self, f) for f in PROBE_COLUMNS}
 
 
 @dataclass

@@ -10,34 +10,37 @@ from __future__ import annotations
 import time
 
 from dks.dp_bouterplanar import solve_bouterplanar_values
-from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
+from dks.dp_outerplanar import (Blocks, is_outerplanar, outerplanar_blocks,
+                                solve_outerplanar_values)
 from dks.errors import KTooLarge
-from dks.graph import Graph, induced_subgraph
+from dks.graph import Graph, component_subgraphs, induced_subgraph
 from dks.report import SolveReport
 from dks.tables import convolve_max_plus
 
 __all__ = ["solve", "solve_outerplanar", "solve_bouterplanar"]
 
 
-def _meter(stats: dict, trace: list | None):
-    """Table-size accounting (and coarse trace rows) for the flat solver."""
-
-    def cb(kind, t):
-        stats["tables"] = stats.get("tables", 0) + 1
-        stats["cells"] = stats.get("cells", 0) + sum(len(r) for r in t.rows)
-        if trace is not None:
-            trace.append({"branch": kind, "label": f"({t.x},{t.y})",
-                          "pivot": None})
-
-    return cb
+def flat_blocks(g: Graph, force_solver: str) -> Blocks | None:
+    """The flat solver's block decomposition of g, or None when g goes to
+    the leveled solver.  Pinning the flat solver raises NotOuterplanar on
+    any other input."""
+    if force_solver == "auto":
+        return is_outerplanar(g)
+    if force_solver == "outerplanar":
+        return outerplanar_blocks(g)
+    return None
 
 
 def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
                       root: int | None, trace: list | None, stats: dict):
-    flat = is_outerplanar(g) if force == "auto" else force == "outerplanar"
-    if flat:
-        vals = solve_outerplanar_values(g, k, root=root,
-                                        trace=_meter(stats, trace), stats=stats)
+    blocks = flat_blocks(g, force)
+    if blocks is not None:
+        rows = None if trace is None else (
+            lambda kind, t: trace.append({"branch": kind,
+                                          "label": f"({t.x},{t.y})",
+                                          "pivot": None}))
+        vals = solve_outerplanar_values(g, k, root=root, trace=rows,
+                                        stats=stats, blocks=blocks)
         return "outerplanar", vals
     vals = solve_bouterplanar_values(g, k, root=root,
                                      triangulation=triangulation,
@@ -58,23 +61,22 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     cap = min(k, g.n)
     if g.n == 0:
         return (force if force != "auto" else "outerplanar"), [0]
-    masks = g.connected_components()
-    if len(masks) == 1:
+    comps = g.connected_components()
+    if len(comps) == 1:
         return _connected_values(g, cap, force=force,
                                  triangulation=triangulation, root=root,
                                  trace=trace, stats=stats)
-    stats["pieces"] = len(masks)
+    stats["pieces"] = len(comps)
     acc: list[int | None] = [0]
     names = set()
-    for mask in masks:
-        keep = [v for v in range(g.n) if (mask >> v) & 1]
-        sub = induced_subgraph(g, keep)
+    for keep, sub in component_subgraphs(g, comps):
         sk = min(cap, sub.n)
         sub_root = keep.index(root) if root in keep else None
         part: dict = {}
         name, vec = _connected_values(sub, sk, force=force,
                                       triangulation=triangulation,
                                       root=sub_root, trace=trace, stats=part)
+        del sub  # so the next component is built with this one gone
         names.add(name)
         for key, val in part.items():
             if isinstance(val, int):

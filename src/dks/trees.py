@@ -14,9 +14,11 @@ a deeper component keeps a pointer to it, and every node of a deeper tree
 carries *window numbers* (lbn, rbn) locating its walk stretch between two
 of the enclosing face node's children, plus *boundary vectors* (lbound,
 rbound) listing one vertex per level from itself outward.  Window numbers
-are found by scanning for a dividing vertex of the enclosing window that
-is drawn inside the wedge between two consecutive walk edges; the fill
-triangulation exists precisely to make such a vertex available.
+come from one sweep around the triangulated ladder between the walk and
+the enclosing face node's children: each triangle advances either the
+window slot or the walk position, so the sweep reads off which stretch of
+slots every walk visit is drawn against.  The fill triangulation exists
+precisely to make that ladder complete.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from itertools import combinations, count
 
 from dks.embedding import LevelComponent, LeveledEmbedding
 from dks.errors import DksError, NoDividingPoint, TriangulationIncomplete
-from dks.graph import Graph
 from dks.plane import HalfEdge
 
 
@@ -244,23 +245,6 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
 # -- window numbers --------------------------------------------------------
 
 
-def is_dividing(le: LeveledEmbedding, apex: int, prev: int, nxt: int,
-                cand: int) -> bool:
-    """Is `cand` drawn strictly inside the outward wedge at `apex`?
-
-    The wedge opens ccw from the walk edge into `prev` around to the walk
-    edge out to `nxt`; a full turn when the apex is a spike tip.
-    """
-    pos = le.plane._pos[apex]
-    if cand not in pos:
-        return False
-    pa, pc, py = pos[prev], pos[nxt], pos[cand]
-    d = len(le.plane.rot[apex])
-    if pa == pc:
-        return py != pa
-    return 0 < (py - pa) % d < (pc - pa) % d
-
-
 def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
                 ) -> list[tuple[int, int]]:
     """Window-index arc [a_i, b_i] of each walk visit's fan of labels.
@@ -380,9 +364,6 @@ def _assign_boundaries(le: LeveledEmbedding, tree: ComponentTree) -> None:
     assert tree.root.rbound == (tree.root.y,) + vf.rbound
 
 
-# -- shared window helpers -------------------------------------------------
-
-
 # -- slice materialization -------------------------------------------------
 
 
@@ -453,24 +434,3 @@ def materialize_slice(forest: Forest, node: TreeNode
         return out
 
     return go(node)
-
-
-def trees_to_dot(forest: Forest) -> str:
-    g = forest.le.graph
-    lines = ["digraph walktrees {", "  node [shape=box, fontsize=9];"]
-    for tree in forest.trees:
-        for n in tree.nodes:
-            lab = f"{g.name_of(n.x)},{g.name_of(n.y)} {n.kind}"
-            if n.lbn or n.rbn:
-                lab += f" [{n.lbn},{n.rbn})"
-            shape = ', style=filled' if forest.enclosed_component(n) is not None else ''
-            lines.append(f'  n{n.uid} [label="{lab}"{shape}];')
-            for c in n.children:
-                lines.append(f"  n{n.uid} -> n{c.uid};")
-        deep = {fi: cid for fi, cid in
-                forest.le.components[tree.comp].enclosures.items()}
-        for fi, cid in deep.items():
-            lines.append(f"  n{tree.face_to_node[fi].uid} -> "
-                         f"n{forest.trees[cid].root.uid} [style=dashed];")
-    lines.append("}")
-    return "\n".join(lines)

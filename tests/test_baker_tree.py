@@ -4,7 +4,7 @@ from dks.embedding import embed_and_level
 from dks.errors import DksError
 from dks.graph import Graph
 from dks.plane import rotations_from_coordinates
-from dks.trees import build_forest, is_dividing, materialize_slice
+from dks.trees import build_forest, materialize_slice
 
 from helpers import FIG_ID, figure_graph, hex_two_pendants, wheel
 
@@ -71,16 +71,6 @@ def test_boundary_vectors(fig_forest):
     assert (t1.root.lbound, t1.root.rbound) == ((a, A), (a, A))
     t2 = fig_forest.trees[2]
     assert (t2.root.lbound, t2.root.rbound) == ((one, b, B), (one, d, E))
-
-
-def test_dividing_predicate(fig_forest):
-    le = fig_forest.le
-    # wedge at b between walk edges (a,b),(b,c) opens toward B only
-    assert is_dividing(le, b, a, c, B)
-    assert not is_dividing(le, b, a, c, A)      # A not drawn at b
-    # wedge at c between (b,c),(c,d) sees the whole chorded-off stretch
-    for cand, want in [(B, True), (C, True), (E, True), (one, False)]:
-        assert is_dividing(le, c, b, d, cand) == want
 
 
 def test_slice_of_center_component(fig_forest):

@@ -46,7 +46,7 @@ EXPECTED_MERGES = {
 EXPECTED_VALUES = [0, 0, 1, 3, 5, 6, 8, 10]
 
 
-def run_fixture(variant="prose"):
+def run_fixture():
     g = parse_edge_list(FIXTURE)
     leaves, merges = {}, {}
 
@@ -59,7 +59,7 @@ def run_fixture(variant="prose"):
             assert key not in merges, f"duplicate merge label {key}"
             merges[key] = rows
 
-    values = solve_outerplanar_values(g, 7, trace=tr, variant=variant)
+    values = solve_outerplanar_values(g, 7, trace=tr)
     return g, leaves, merges, values
 
 
@@ -115,41 +115,10 @@ def test_golden_tables_against_slice_oracle():
                         (xn, yn, bx, by, kp)
 
 
-def test_fixture_pseudocode_variant_loses_cells():
-    # Under the weaker size rule the closing merge misplaces selections
-    # that contain the coincident endpoint but not the middle vertex.
-    # On this fixture the damage is confined to one cell of the final
-    # table; the extracted optima happen to survive.
-    _, _, merges, values = run_fixture(variant="pseudocode")
-    assert values == EXPECTED_VALUES
-    for key in EXPECTED_MERGES:
-        if key == ("c", "c"):
-            continue
-        assert merges[key] == EXPECTED_MERGES[key], f"table {key} mismatch"
-    jrows = merges[("c", "c")]
-    expected = [list(r) for r in EXPECTED_MERGES[("c", "c")]]
-    expected[3][1] = None  # {c} alone is placed at k'=2, not 1
-    assert jrows == expected
-
-
-def test_pseudocode_size_rule_breaks_cutpoint_attachment():
-    # Bowtie: two triangles sharing vertex 0.  Under the weaker rule the
-    # hanging triangle's "only the cutpoint" cell goes missing, so the
-    # other triangle can no longer be assembled: the answer drops below
-    # the true optimum.  This is why the weaker rule is not the default.
-    g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
-    assert brute_force_all_k(g)[3] == 3
-    assert solve_outerplanar_values(g, 3)[3] == 3
-    assert solve_outerplanar_values(g, 3, variant="pseudocode")[3] == 2
-
-
 def test_fixture_explicit_root_orientation():
     g = parse_edge_list(FIXTURE)
     vid = {nm: i for i, nm in enumerate(g.names)}
-    vals = solve_outerplanar_values(g, 7, root=vid["e"], first=vid["f"])
-    assert vals == EXPECTED_VALUES
-    # reversed orientation
-    vals = solve_outerplanar_values(g, 7, root=vid["e"], first=vid["a"])
+    vals = solve_outerplanar_values(g, 7, root=vid["e"])
     assert vals == EXPECTED_VALUES
 
 
@@ -216,6 +185,16 @@ def check_against_oracle(g, kmax=None):
 def test_bowtie():
     g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     check_against_oracle(g)
+
+
+def test_pseudocode_size_rule_breaks_cutpoint_attachment():
+    # Bowtie cut at the root: two triangles sharing vertex 0.  The size
+    # rule must keep the hanging triangle's "only the cutpoint" cell; a
+    # rule that drops it (as the paper's pseudocode does) can no longer
+    # assemble the other triangle and answers 2 instead of 3.
+    g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
+    assert brute_force_all_k(g)[3] == 3
+    assert solve_outerplanar_values(g, 3)[3] == 3
 
 
 def test_two_triangles_joined_by_bridge():
@@ -295,17 +274,3 @@ def test_matches_oracle_on_random_outerplanar(g):
         return
     expected = brute_force_all_k(g)
     assert solve_outerplanar_values(g, g.n) == expected
-
-
-@given(outerplanar_graphs(), st.integers(0, 5))
-@settings(max_examples=40, deadline=None)
-def test_pseudocode_rule_never_overestimates(g, k):
-    # misplaced candidates land at larger k' with values that are
-    # feasible there, so the weaker rule can only lose candidates
-    if g.n > 18:
-        return
-    k = min(k, g.n)
-    a = solve_outerplanar_values(g, k, variant="prose")
-    b = solve_outerplanar_values(g, k, variant="pseudocode")
-    for va, vb in zip(a, b):
-        assert vb is None or vb <= va

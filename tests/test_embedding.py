@@ -1,6 +1,6 @@
 import pytest
 
-from dks.embedding import compute_levels, embed_and_level, planar_embed, to_dot
+from dks.embedding import compute_levels, embed_and_level, planar_embed
 from dks.errors import EmbeddingInconsistent, NotPlanar
 from dks.graph import Graph
 
@@ -114,7 +114,3 @@ def test_nonplanar_rejected():
     with pytest.raises(NotPlanar):
         planar_embed(k5)
 
-
-def test_dot_output_mentions_fakes():
-    dot = to_dot(embed_and_level(figure_graph()))
-    assert "style=dashed" in dot and "L3" in dot and "fill" in dot

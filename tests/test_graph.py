@@ -1,7 +1,9 @@
 import pytest
 
 from dks.errors import FormatError
-from dks.graph import Graph, dump_json, parse_edge_list, parse_json
+from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
+from dks.graph import (Graph, component_subgraphs, dump_json, induced_subgraph,
+                       parse_edge_list, parse_json)
 
 
 def test_dedup_and_adjacency():
@@ -57,9 +59,41 @@ def test_induced_edge_count_and_masks():
 
 def test_connected_components():
     g = Graph(n=5, edges=[(0, 1), (2, 3)])
-    comps = g.connected_components()
-    assert sorted(comps) == sorted([0b00011, 0b01100, 0b10000])
+    assert g.connected_components() == [[0, 1], [2, 3], [4]]
     assert not g.is_connected()
+
+
+def _union(graphs, names=False, outer=None):
+    """Disjoint union with rotation hints, edges interleaved across parts."""
+    edges, rotation, off = [], [], 0
+    for g in graphs:
+        edges.append([(u + off, v + off) for u, v in g.edges])
+        rotation += [[w + off for w in ws] for ws in g.rotation]
+        off += g.n
+    mixed = [e for i in range(max(map(len, edges))) for part in edges
+             for e in part[i:i + 1]]
+    return Graph(off, mixed, rotation=rotation,
+                 names=[f"v{i}" for i in range(off)] if names else None,
+                 outer_face=outer)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_component_subgraphs_match_induced_subgraph(seed):
+    parts = [gen_outerplanar(GenSpec(n=7, rho=0.6, seed=seed)),
+             Graph(1, [], rotation=[[]]),
+             gen_bouterplanar(GenSpec(n=9, b=2, rho=0.6, seed=seed)),
+             Graph(2, [(0, 1)], rotation=[[1], [0]])]
+    first = parts[0].outer_face
+    for g in (_union(parts), _union(parts, names=True, outer=first),
+              _union(parts, outer=[]), _union(parts, outer=[0, 7, 8])):
+        comps = g.connected_components()
+        got = list(component_subgraphs(g, comps))
+        assert [keep for keep, _ in got] == comps
+        for keep, sub in got:
+            want = induced_subgraph(g, keep)
+            assert (sub.n, sub.edges, sub.names, sub.rotation,
+                    sub.outer_face) == (want.n, want.edges, want.names,
+                                        want.rotation, want.outer_face)
 
 
 def test_blocks_and_cutpoints_on_two_triangles_sharing_a_vertex():
@@ -75,7 +109,6 @@ def test_blocks_on_path_are_single_edges():
     blocks, cuts = g.blocks_and_cutpoints()
     assert cuts == {1, 2}
     assert sorted(len(b) for b in blocks) == [1, 1, 1]
-    assert g.bridges() == {(0, 1), (1, 2), (2, 3)}
 
 
 def test_blocks_on_long_path_iterative():

@@ -15,8 +15,7 @@ def star(leaves: int) -> Graph:
 
 
 def biggest_component(g: Graph) -> Graph:
-    big = max(g.connected_components(), key=lambda m: bin(m).count("1"))
-    return induced_subgraph(g, [v for v in range(g.n) if big >> v & 1])
+    return induced_subgraph(g, max(g.connected_components(), key=len))
 
 
 def test_path_levels_alternate():

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dks
+from dks import dp_outerplanar
 from dks.errors import KTooLarge
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
-from dks.graph import Graph, parse_json
+from dks.graph import Graph, parse_edge_list, parse_json
 from dks.oracle import brute_force_all_k
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 
@@ -47,6 +48,41 @@ def test_disconnected_input_is_combined_exactly():
     rep = solve(g, 8)
     assert rep.values == brute_force_all_k(g)
     assert rep.stats["pieces"] == 3
+
+
+def test_outerplanar_input_is_recognised_once(monkeypatch):
+    # two triangles joined by a bridge, plus a pendant edge: two cycle
+    # blocks, two bridges, three cutpoints
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5),
+                  (5, 6)])
+    calls = {"blocks": 0, "cycles": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "blocks_and_cutpoints",
+                        counted("blocks", Graph.blocks_and_cutpoints))
+    monkeypatch.setattr(dp_outerplanar, "block_outer_cycle",
+                        counted("cycles", dp_outerplanar.block_outer_cycle))
+    for force in ("auto", "outerplanar"):
+        calls.update(blocks=0, cycles=0)
+        rep = solve(g, 5, force_solver=force)
+        assert rep.solver == "outerplanar"
+        assert rep.values == brute_force_all_k(g)[:6]
+        assert calls == {"blocks": 1, "cycles": 2}, force
+
+
+def test_flat_stats_count_every_table():
+    # the fixture's seven leaves and six merges at k = 7
+    g = parse_edge_list("c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n")
+    stats = solve(g, 7).stats
+    widths = [4, 5, 6, 4, 7, 8]           # k' columns of each merged table
+    assert stats["merges"] == 6
+    assert stats["tables"] == 7 + 6
+    assert stats["cells"] == 4 * (7 * 3 + sum(widths))
 
 
 def test_k_larger_than_n_raises():
