@@ -21,7 +21,8 @@ from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_plana
 from dks.graph import Graph, dump_json, load_graph
 from dks.oracle import brute_force_all_k, brute_force_densest_k
 from dks.ptas_probe import PROBE_COLUMNS, ProbeReport, probe
-from dks.solve import flat_blocks, solve
+from dks.report import SolveReport
+from dks.solve import solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -93,22 +94,31 @@ def _print_values(values: list[int], lo: int, out) -> None:
 # --------------------------------------------------------------- solve
 
 
+def _solve_traced(g: Graph, cfg: RunConfig, k: int, dump: bool,
+                  out) -> SolveReport:
+    """One solve() call; each of its table events goes to `out` as a TSV
+    block when `dump` is set, and to stderr as one line with --trace."""
+    events: list | None = [] if dump or cfg.trace else None
+    rep = solve(g, k, force_solver=cfg.force_solver,
+                triangulation=cfg.triangulation,
+                root=_resolve_root(g, cfg.root),
+                witness=cfg.witness, trace=events)
+    if dump:
+        for ev in events:
+            _print_table(ev, out)
+    if cfg.trace:
+        for ev in events:
+            pv = "-" if ev["pivot"] is None else ev["pivot"]
+            print(f"trace {ev['branch']} {ev['label']} pivot={pv}",
+                  file=sys.stderr)
+    return rep
+
+
 def cmd_solve(cfg: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
     g = load_graph(cfg.graph)
     k = g.n if cfg.all_k else cfg.k
-    if cfg.dump_tables:
-        _dump_tables(g, cfg, k, out)
-    trace_rows: list | None = [] if cfg.trace else None
-    rep = solve(g, k, force_solver=cfg.force_solver,
-                triangulation=cfg.triangulation,
-                root=_resolve_root(g, cfg.root),
-                witness=cfg.witness, trace=trace_rows)
-    if cfg.trace:
-        for row in trace_rows:
-            pv = "-" if row.get("pivot") is None else row["pivot"]
-            print(f"trace {row['branch']} {row.get('label', '?')} pivot={pv}",
-                  file=sys.stderr)
+    rep = _solve_traced(g, cfg, k, cfg.dump_tables, out)
     _print_values(rep.values, 0 if cfg.all_k else k, out)
     if cfg.witness:
         names = " ".join(g.name_of(v) for v in sorted(rep.witness))
@@ -232,68 +242,37 @@ def _fmt(cell) -> str:
     return ABSENT_MARK if cell is None else str(cell)
 
 
-def _dump_flat(g: Graph, cfg: RunConfig, k: int, out, blocks) -> None:
-    from dks.dp_outerplanar import solve_outerplanar_values
-
-    tables: list[tuple[str, object]] = []
-    solve_outerplanar_values(g, k, root=_resolve_root(g, cfg.root),
-                             trace=lambda kind, t: tables.append((kind, t)),
-                             blocks=blocks)
-    for kind, t in tables:
-        label = f"({g.name_of(t.x)},{g.name_of(t.y)})"
-        cols = len(t.rows[0])
-        print(f"# {kind} {label}", file=out)
-        print("\t".join(["bx", "by"] + [f"k={i}" for i in range(cols)]),
+def _print_table(ev: dict, out) -> None:
+    """One table event as a TSV block: bx/by rows for a flat table,
+    boundary-subset rows for a leveled one."""
+    g, t = ev["graph"], ev["table"]
+    if isinstance(t.rows, list):
+        print(f"# {ev['branch']} ({g.name_of(t.x)},{g.name_of(t.y)})",
+              file=out)
+        print("\t".join(["bx", "by"] + [f"k={i}"
+                                        for i in range(len(t.rows[0]))]),
               file=out)
         for bits in range(4):
             cells = [_fmt(c) for c in t.rows[bits]]
             print("\t".join([str(bits >> 1), str(bits & 1)] + cells),
                   file=out)
-        print(file=out)
-
-
-def _dump_leveled(g: Graph, cfg: RunConfig, k: int, out) -> None:
-    from dks.dp_bouterplanar import evaluate_tables
-    from dks.embedding import embed_and_level
-    from dks.trees import build_forest
-
-    le = embed_and_level(g, variant=cfg.triangulation)
-    forest = build_forest(le, root=_resolve_root(g, cfg.root))
-    trace: list = []
-    memo = evaluate_tables(forest, min(k, g.n), trace=trace)
-    by_uid = {n.uid: n for n in forest.nodes}
-    for row in trace:
-        v = by_uid[row["node"]]
-        label = f"({g.name_of(v.x)},{g.name_of(v.y)})"
-        t = memo[v.uid]
-        cols = t.K + 1
-        print(f"# {row['branch']} {label} boundary "
-              f"L={[g.name_of(u) for u in t.L]} "
+    else:
+        print(f"# {ev['branch']} ({g.name_of(t.L[0])},{g.name_of(t.R[0])}) "
+              f"boundary L={[g.name_of(u) for u in t.L]} "
               f"R={[g.name_of(u) for u in t.R]}", file=out)
-        print("\t".join(["subset"] + [f"k={i}" for i in range(cols)]),
+        print("\t".join(["subset"] + [f"k={i}" for i in range(t.K + 1)]),
               file=out)
         for key in sorted(t.rows, key=lambda a: (len(a), sorted(a))):
             name = "{" + ",".join(g.name_of(v) for v in sorted(key)) + "}"
             cells = [_fmt(c) for c in t.rows[key]]
             print("\t".join([name] + cells), file=out)
-        print(file=out)
-
-
-def _dump_tables(g: Graph, cfg: RunConfig, k: int, out) -> None:
-    blocks = flat_blocks(g, cfg.force_solver)
-    if blocks is not None:
-        _dump_flat(g, cfg, k, out, blocks)
-    else:
-        _dump_leveled(g, cfg, k, out)
+    print(file=out)
 
 
 def cmd_dump_tables(cfg: RunConfig, out=None) -> int:
     out = sys.stdout if out is None else out
     g = load_graph(cfg.graph)
-    k = g.n if cfg.k is None else cfg.k
-    if k > g.n:
-        raise KTooLarge(f"k={k} but the graph has {g.n} vertices")
-    _dump_tables(g, cfg, k, out)
+    _solve_traced(g, cfg, g.n if cfg.k is None else cfg.k, True, out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .embedding import LeveledEmbedding, embed_and_level
-from .errors import BoundaryMismatch
+from .errors import BoundaryMismatch, DksError
 from .graph import Graph
 from .trees import Forest, TreeNode, build_forest
 
@@ -267,22 +267,23 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
             t = merge_tables(extend(g, v.x, memo[u[j - 1].uid], k), t, g, k)
         for j in range(pivot, v.rbn):
             t = merge_tables(t, extend(g, v.y, memo[u[j - 1].uid], k), g, k)
+    if t.L != v.lbound or t.R != v.rbound:
+        raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
+                               f"{v.lbound}/{v.rbound} at node {v.uid}")
     if trace is not None:
-        trace.append({"node": v.uid, "label": f"({v.x},{v.y})",
-                      "branch": br, "pivot": pivot})
-    assert t.L == v.lbound and t.R == v.rbound, (
-        f"table boundaries {t.L}/{t.R} drifted from "
-        f"{v.lbound}/{v.rbound} at node {v.uid}")
+        trace.append({"branch": br, "label": f"({v.x},{v.y})",
+                      "pivot": pivot, "table": t, "graph": g})
     return t
 
 
 def evaluate_tables(forest: Forest, k: int,
                     trace: list | None = None) -> dict:
-    """Tables for every tree node, keyed by node uid.
+    """Tables for every tree node, keyed by node uid; one event per table
+    is appended to `trace`.
 
     Every node except the outermost root is consumed by exactly one
-    other node's computation; that conservation law is asserted because
-    it is what makes each real edge score exactly once."""
+    other node's computation; that conservation law is checked (DksError)
+    because it is what makes each real edge score exactly once."""
     root = forest.trees[0].root
     deps: dict[int, list[TreeNode]] = {}
     consumed: dict[int, int] = {}
@@ -298,10 +299,11 @@ def evaluate_tables(forest: Forest, k: int,
                 seen.add(d.uid)
                 todo.append(d)
     every = {n.uid for n in forest.nodes}
-    assert set(consumed) == every - {root.uid}, "unreachable tree nodes"
-    assert all(c == 1 for c in consumed.values()), "node consumed twice"
+    if set(consumed) != every - {root.uid}:
+        raise DksError("unreachable tree nodes")
+    if any(c != 1 for c in consumed.values()):
+        raise DksError("tree node consumed twice")
 
-    by_uid = {n.uid: n for n in forest.nodes}
     memo: dict[int, BoundaryTable] = {}
     stack = [(root, iter(deps[root.uid]))]
     while stack:
@@ -313,7 +315,8 @@ def evaluate_tables(forest: Forest, k: int,
             continue
         if child.uid not in memo:
             stack.append((child, iter(deps[child.uid])))
-    assert memo.keys() == {u for u in by_uid}
+    if memo.keys() != every:
+        raise DksError("tree nodes left without a table")
     return memo
 
 
@@ -322,7 +325,8 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
                               trace: list | None = None,
                               stats: dict | None = None) -> list[int | None]:
     """Optimum edge counts for every k' = 0..min(k, n) on a connected
-    planar graph, via peeling, component trees, and the table fold."""
+    planar graph, via peeling, component trees, and the table fold.
+    Appends one event per table built to `trace`."""
     cap = min(k, g.n)
     if g.n <= 1:
         return [0] * (cap + 1)
@@ -331,7 +335,8 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     memo = evaluate_tables(forest, cap, trace=trace)
     rt = memo[forest.trees[0].root.uid]
     vals = [rt.best(kp) for kp in range(cap + 1)]
-    assert all(v is not ABSENT for v in vals), "root table has holes"
+    if any(v is ABSENT for v in vals):
+        raise DksError("root table has holes")
     if stats is not None:
         stats["levels"] = le.depth
         stats["components"] = len(le.components)

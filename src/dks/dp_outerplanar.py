@@ -21,7 +21,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from dks.errors import BoundaryMismatch, NotOuterplanar
+from dks.errors import BoundaryMismatch, DksError, NotOuterplanar
 from dks.graph import Graph
 from dks.tables import convolve_max_plus, convolve_shared_vertex, vector_max
 
@@ -298,9 +298,16 @@ def _count(stats: dict | None, tables: int, cells: int, merges: int) -> None:
             stats[key] = stats.get(key, 0) + n
 
 
+def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
+    if trace is not None:
+        trace.append({"branch": branch, "label": f"({t.x},{t.y})",
+                      "pivot": None, "table": t, "graph": g})
+
+
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                k: int, attach: dict[int, tuple] | None = None,
-               trace=None, stats: dict | None = None) -> EdgeTable:
+               trace: list | None = None,
+               stats: dict | None = None) -> EdgeTable:
     """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0])."""
     attach = attach or {}
     m = len(cycle)
@@ -318,8 +325,7 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     def leaf_of(i: int) -> EdgeTable:
         x, y = cycle[i], cycle[(i + 1) % m]
         t = leaf_table(x, y, k)
-        if trace:
-            trace("leaf", t)
+        _emit(trace, g, "leaf", t)
         if x in attach:
             t = attach_hang(t, 0, attach[x], k)
         return t
@@ -342,8 +348,7 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
             ch.table = None
             merges += 1
             cells += 4 * len(t.rows[0])
-            if trace:
-                trace("merge", t)
+            _emit(trace, g, "merge", t)
         nd.children[0].table = None
         nd.table = t
     _count(stats, m + merges, m * 4 * (min(k, 2) + 1) + cells, merges)
@@ -365,14 +370,17 @@ def _combine_hang(parts: list[tuple], k: int) -> tuple:
 
 
 def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
-                             trace=None, stats: dict | None = None,
-                             blocks: Blocks | None = None) -> list[int | None]:
+                             trace: list | None = None,
+                             stats: dict | None = None,
+                             blocks: Blocks | None = None) -> list[int]:
     """Optimum edge counts for every k' = 0..min(k, n) on a connected
     outerplanar graph.
 
     `blocks` is g's decomposition from is_outerplanar(g); without it, g is
-    decomposed here, which raises NotOuterplanar on other graphs.  Adds
-    the number of blocks, tables, table cells and merges to `stats`.
+    decomposed here, which raises NotOuterplanar on other graphs, and a
+    disconnected g raises DksError.  Adds the number of blocks, tables,
+    table cells and merges to `stats`, and one event per table built to
+    `trace`.
     """
     cap = min(k, g.n)
     if g.n <= 1 or g.m == 0:
@@ -411,6 +419,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 key_of[nb] = v
                 kids_at[bid][v].append(nb)
                 order.append(nb)
+    if len(order) < len(blocks.edges) or len(at_vertex) < g.n:
+        raise DksError("graph is disconnected; solve() splits components")
 
     if stats is not None:
         stats["blocks"] = len(blocks.edges)
@@ -426,8 +436,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             x, y = (u, v) if u == key else (v, u)
             t = leaf_table(x, y, k)
             _count(stats, 1, 4 * len(t.rows[0]), 0)
-            if trace:
-                trace("leaf", t)
+            _emit(trace, g, "leaf", t)
             if x in attach:
                 t = attach_hang(t, 0, attach[x], k)
             if y in attach:
@@ -450,7 +459,4 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 values = vector_max(t.rows[0], t.rows[3])
             else:
                 uvec[bid] = (t.rows[0], t.rows[3], t.vcount)
-
-    if len(values) < cap + 1:  # k exceeds this component's size upstream
-        values = values + [None] * (cap + 1 - len(values))
     return values

@@ -99,9 +99,6 @@ class Graph:
             comps[label[v]].append(v)
         return comps
 
-    def is_connected(self) -> bool:
-        return self.n == 0 or len(self.connected_components()) == 1
-
     # ------------------------------------------------ blocks / cutpoints
 
     def blocks_and_cutpoints(self) -> tuple[list[list[tuple[int, int]]], set[int]]:

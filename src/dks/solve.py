@@ -10,9 +10,9 @@ from __future__ import annotations
 import time
 
 from dks.dp_bouterplanar import solve_bouterplanar_values
-from dks.dp_outerplanar import (Blocks, is_outerplanar, outerplanar_blocks,
+from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
-from dks.errors import KTooLarge
+from dks.errors import DksError, KTooLarge
 from dks.graph import Graph, component_subgraphs, induced_subgraph
 from dks.report import SolveReport
 from dks.tables import convolve_max_plus
@@ -20,26 +20,18 @@ from dks.tables import convolve_max_plus
 __all__ = ["solve", "solve_outerplanar", "solve_bouterplanar"]
 
 
-def flat_blocks(g: Graph, force_solver: str) -> Blocks | None:
-    """The flat solver's block decomposition of g, or None when g goes to
-    the leveled solver.  Pinning the flat solver raises NotOuterplanar on
-    any other input."""
-    if force_solver == "auto":
-        return is_outerplanar(g)
-    if force_solver == "outerplanar":
-        return outerplanar_blocks(g)
-    return None
-
-
 def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
                       root: int | None, trace: list | None, stats: dict):
-    blocks = flat_blocks(g, force)
+    """The flat solver when it applies (pinning it raises NotOuterplanar
+    on any other input), else the leveled one."""
+    if force == "auto":
+        blocks = is_outerplanar(g)
+    elif force == "outerplanar":
+        blocks = outerplanar_blocks(g)
+    else:
+        blocks = None
     if blocks is not None:
-        rows = None if trace is None else (
-            lambda kind, t: trace.append({"branch": kind,
-                                          "label": f"({t.x},{t.y})",
-                                          "pivot": None}))
-        vals = solve_outerplanar_values(g, k, root=root, trace=rows,
+        vals = solve_outerplanar_values(g, k, root=root, trace=trace,
                                         stats=stats, blocks=blocks)
         return "outerplanar", vals
     vals = solve_bouterplanar_values(g, k, root=root,
@@ -82,7 +74,8 @@ def _values(g: Graph, k: int, *, force: str = "auto",
             if isinstance(val, int):
                 stats[key] = stats.get(key, 0) + val
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
-    assert len(acc) == cap + 1 and all(v is not None for v in acc)
+    if len(acc) != cap + 1 or None in acc:
+        raise DksError("joined component vectors miss a size")
     return ("outerplanar" if names == {"outerplanar"} else "bouterplanar"), acc
 
 
@@ -94,6 +87,9 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     Auto-detection tries the flat outerplanar program first and falls back
     to the leveled one; `force_solver` pins either path.  Raises KTooLarge
     for k > n and lets NotPlanar/NotOuterplanar bubble up from below.
+    `trace` collects one event per DP table, from every component and
+    either solver: a dict with the table's `branch`, `label` and `pivot`,
+    the `table` itself and the `graph` whose vertex ids it uses.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -140,6 +136,6 @@ def _witness(g: Graph, k: int, target: int, force: str,
                 keep = rest
                 break
         else:
-            raise AssertionError("witness reduction is stuck; no vertex is "
-                                 "removable, which contradicts exactness")
+            raise DksError("witness reduction is stuck; no vertex is "
+                           "removable, which contradicts exactness")
     return keep

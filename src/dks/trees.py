@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from itertools import combinations, count
+from itertools import count
 
 from dks.embedding import LevelComponent, LeveledEmbedding
 from dks.errors import DksError, NoDividingPoint, TriangulationIncomplete
@@ -362,75 +362,3 @@ def _assign_boundaries(le: LeveledEmbedding, tree: ComponentTree) -> None:
         assert a.rbound == b.lbound, "adjacent windows disagree on a seam"
     assert tree.root.lbound == (tree.root.x,) + vf.lbound
     assert tree.root.rbound == (tree.root.y,) + vf.rbound
-
-
-# -- slice materialization -------------------------------------------------
-
-
-def materialize_slice(forest: Forest, node: TreeNode
-                      ) -> tuple[frozenset, frozenset]:
-    """Vertices and countable edges of the subgraph a node's table ranges over.
-
-    Mirrors the dispatch structurally (it must: the table is a function of
-    exactly this subgraph) but uses plain set arithmetic, so a brute-force
-    pass over the result independently checks every table entry.
-    """
-    memo: dict[int, tuple[frozenset, frozenset]] = forest.__dict__.setdefault(
-        "_slice_memo", {})
-
-    def norm(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def go(v: TreeNode) -> tuple[frozenset, frozenset]:
-        if v.uid in memo:
-            return memo[v.uid]
-        g = forest.le.graph
-        lev = forest.le.components[v.comp].level
-        deeper = forest.enclosed_component(v)
-        verts: set[int] = {v.x, v.y}
-        edges: set[tuple[int, int]] = set()
-        if deeper is not None:
-            dv, de = go(forest.trees[deeper].root)
-            verts |= dv
-            edges |= de
-            if v.x != v.y and g.has_edge(v.x, v.y):
-                edges.add(norm(v.x, v.y))
-        elif v.children:
-            for c in v.children:
-                cv, ce = go(c)
-                verts |= cv
-                edges |= ce
-            if v.x != v.y and g.has_edge(v.x, v.y):
-                edges.add(norm(v.x, v.y))
-        elif lev == 1:
-            if v.countable:
-                assert g.has_edge(v.x, v.y)
-                edges.add(norm(v.x, v.y))
-        else:
-            tree = forest.trees[v.comp]
-            u = tree.parent_node.children
-            s = len(u)
-            p = v.pivot
-            bnd = u[p - 1].lbound if p <= s else u[s - 1].rbound
-            verts |= set(bnd)
-            if v.x != v.y and v.countable and g.has_edge(v.x, v.y):
-                edges.add(norm(v.x, v.y))
-            for a, b in combinations(sorted(set(bnd)), 2):
-                if g.has_edge(a, b):
-                    edges.add(norm(a, b))
-            for end in (v.x, v.y):
-                if end != bnd[0] and g.has_edge(end, bnd[0]):
-                    edges.add(norm(end, bnd[0]))
-            for j in range(v.lbn, v.rbn):
-                ext = v.x if j < p else v.y
-                uv, ue = go(u[j - 1])
-                verts |= uv
-                edges |= ue
-                for w in set(u[j - 1].lbound) | set(u[j - 1].rbound):
-                    if ext != w and g.has_edge(ext, w):
-                        edges.add(norm(ext, w))
-        out = (frozenset(verts), frozenset(edges))
-        memo[v.uid] = out
-        return out
-
-    return go(node)

@@ -27,8 +27,8 @@ from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.ptas_probe import probe
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
-from dks.trees import build_forest, materialize_slice
-from helpers import parse_tables, run_cli
+from dks.trees import build_forest
+from helpers import materialize_slice, parse_tables, run_cli
 from test_dp_outerplanar import EXPECTED_MERGES, EXPECTED_VALUES, FIXTURE, LEAF
 
 
@@ -135,9 +135,10 @@ def test_every_intermediate_table_agrees_with_slice_enumeration():
         g = gen_bouterplanar(GenSpec(n=n, b=b, rho=(i % 4) / 3, seed=40 + i))
         forest = build_forest(embed_and_level(g))
         memo = evaluate_tables(forest, g.n)
+        slices: dict = {}
         for node in forest.nodes:
             t = memo[node.uid]
-            verts, edges = materialize_slice(forest, node)
+            verts, edges = materialize_slice(forest, node, slices)
             assert set(t.vset) == verts, (i, node)
             reference = brute_force_slice_table(
                 g, sorted(verts), set(edges), sorted(t.bset), t.K)
@@ -238,7 +239,7 @@ def test_tree_and_boundary_invariants_hold_corpus_wide():
                     assert a.lbn <= b_.lbn, (a, b_)
                     assert a.rbound == b_.lbound, (a, b_)
 
-        verts, edges = materialize_slice(forest, forest.trees[0].root)
+        verts, edges = materialize_slice(forest, forest.trees[0].root, {})
         assert verts == set(range(g.n))
         assert edges == {tuple(sorted(e)) for e in g.edges}
 

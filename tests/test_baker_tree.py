@@ -4,9 +4,10 @@ from dks.embedding import embed_and_level
 from dks.errors import DksError
 from dks.graph import Graph
 from dks.plane import rotations_from_coordinates
-from dks.trees import build_forest, materialize_slice
+from dks.trees import build_forest
 
-from helpers import FIG_ID, figure_graph, hex_two_pendants, wheel
+from helpers import (FIG_ID, figure_graph, hex_two_pendants,
+                     materialize_slice, wheel)
 
 A, B, C, D, E = (FIG_ID[s] for s in "ABCDE")
 a, b, c, d, one = (FIG_ID[s] for s in ("a", "b", "c", "d", "1"))
@@ -76,19 +77,22 @@ def test_boundary_vectors(fig_forest):
 def test_slice_of_center_component(fig_forest):
     # the table at the centre vertex also swallows the outer-ring windows
     # its boundary leaves hang onto, so C and D ride along
-    verts, edges = materialize_slice(fig_forest, fig_forest.trees[2].root)
+    slices: dict = {}
+    verts, edges = materialize_slice(fig_forest, fig_forest.trees[2].root,
+                                     slices)
     assert verts == {one, b, c, d, B, C, D, E}
     assert edges == {tuple(sorted(p)) for p in [
         (one, b), (one, d), (b, c), (c, d), (b, B), (c, B), (c, C),
         (c, E), (d, E), (B, C), (C, D), (D, E), (C, E)]}
     bd = fig_forest.trees[1].root.children[1]
-    v2, e2 = materialize_slice(fig_forest, bd)
+    v2, e2 = materialize_slice(fig_forest, bd, slices)
     assert v2 == verts and e2 == edges | {tuple(sorted((b, d)))}
 
 
 def test_slice_of_root_is_whole_graph(fig_forest):
     g = fig_forest.le.graph
-    verts, edges = materialize_slice(fig_forest, fig_forest.trees[0].root)
+    verts, edges = materialize_slice(fig_forest, fig_forest.trees[0].root,
+                                     {})
     assert verts == set(range(g.n))
     assert edges == {tuple(sorted(e)) for e in g.edges}
 

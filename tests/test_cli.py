@@ -1,9 +1,12 @@
 """The CLI: golden output lines, exit codes, file round-trips."""
 
 import json
+from importlib import import_module
 
 import pytest
 
+import dks.cli
+from dks import dp_outerplanar
 from dks.graph import parse_json
 from helpers import parse_tables, run_cli as run
 
@@ -175,6 +178,46 @@ def test_dump_tables_leveled_has_subset_rows(tmp_path, capsys):
                 or h.startswith("S2"))
     best = max(cells[6] for cells in root.values() if cells[6] is not None)
     assert best == 10
+
+
+def test_dump_tables_covers_every_component(tmp_path, capsys):
+    # two triangles plus a path (flat solver), and K4 + K4 (leveled)
+    cases = {"0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n6 7\n7 8\n": (9, 12),
+             "".join(f"{u + o} {v + o}\n" for o in (0, 4)
+                     for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                  (2, 3))): (8, 10)}
+    for text, (n, blocks) in cases.items():
+        p = tmp_path / "g.edges"
+        p.write_text(text)
+        code, out, _ = run(capsys, "dump-tables", "--graph", str(p))
+        assert code == 0
+        heads = [ln for ln in out.splitlines() if ln.startswith("# ")]
+        assert len(heads) == blocks
+        named = {v for h in heads
+                 for v in h.split()[2].strip("()").split(",")}
+        assert named == {str(v) for v in range(n)}
+
+
+def test_solve_dump_tables_solves_once(fig, capsys, monkeypatch):
+    calls = {"solve": 0, "fold": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dks.cli, "solve", counted("solve", dks.cli.solve))
+    fold = counted("fold", dp_outerplanar.solve_outerplanar_values)
+    monkeypatch.setattr(dp_outerplanar, "solve_outerplanar_values", fold)
+    monkeypatch.setattr(import_module("dks.solve"), "solve_outerplanar_values",
+                        fold)
+    code, out, err = run(capsys, "solve", "--graph", fig, "--k", "7",
+                         "--dump-tables", "--trace")
+    assert code == 0 and out.endswith("7 10 1.4286\n")
+    assert sum(ln.startswith("# ") for ln in out.splitlines()) == 13
+    assert err.count("trace ") == 13
+    assert calls == {"solve": 1, "fold": 1}
 
 
 def test_trace_goes_to_stderr(fig, capsys):

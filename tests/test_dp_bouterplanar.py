@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
+import dks
 from dks.dp_bouterplanar import (ABSENT, BoundaryTable, evaluate_tables,
                                  leaf_template, merge_tables,
                                  solve_bouterplanar_values)
@@ -10,9 +16,10 @@ from dks.graph import Graph
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.dp_outerplanar import solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
-from dks.trees import build_forest, materialize_slice
+from dks.trees import build_forest
 
-from helpers import FIG_ID, figure_graph, hex_two_pendants, wheel
+from helpers import (FIG_ID, figure_graph, hex_two_pendants,
+                     materialize_slice, wheel)
 from test_dp_outerplanar import outerplanar_graphs
 
 
@@ -130,9 +137,10 @@ def test_same_level_pocket_chord():
 def assert_node_tables_match_slice_oracle(g):
     forest = build_forest(embed_and_level(g))
     memo = evaluate_tables(forest, g.n)
+    slices: dict = {}
     for node in forest.nodes:
         t = memo[node.uid]
-        verts, edges = materialize_slice(forest, node)
+        verts, edges = materialize_slice(forest, node, slices)
         assert t.vset == verts
         assert t.eset <= edges
         boundary = list(dict.fromkeys(t.L + t.R))
@@ -244,3 +252,28 @@ def test_trace_names_branch_and_pivot():
     for row in trace:
         assert (row["pivot"] is not None) == (row["branch"] == "S4")
     assert len(trace) == 14
+
+
+def test_boundary_drift_raises_under_python_O():
+    # the drift check must survive `python -O`, which strips asserts
+    script = """
+import sys
+from dks.dp_bouterplanar import evaluate_tables
+from dks.embedding import embed_and_level
+from dks.errors import BoundaryMismatch
+from dks.graph import Graph
+from dks.trees import build_forest
+rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
+forest = build_forest(embed_and_level(Graph(6, rim)))
+root = forest.trees[0].root
+root.lbound = root.lbound + (root.x,)
+try:
+    evaluate_tables(forest, 6)
+except BoundaryMismatch:
+    print("BoundaryMismatch", sys.flags.optimize)
+"""
+    src = Path(dks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "BoundaryMismatch 1\n", out.stderr

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dks.errors import NotOuterplanar
+from dks.errors import DksError, NotOuterplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.dp_outerplanar import (
@@ -49,17 +49,18 @@ EXPECTED_VALUES = [0, 0, 1, 3, 5, 6, 8, 10]
 def run_fixture():
     g = parse_edge_list(FIXTURE)
     leaves, merges = {}, {}
-
-    def tr(event, t):
+    events: list = []
+    values = solve_outerplanar_values(g, 7, trace=events)
+    for ev in events:
+        t = ev["table"]
+        assert ev["graph"] is g and ev["label"] == f"({t.x},{t.y})"
         key = (g.names[t.x], g.names[t.y])
         rows = [list(r) for r in t.rows]
-        if event == "leaf":
+        if ev["branch"] == "leaf":
             leaves[key] = rows
-        elif event == "merge":
+        elif ev["branch"] == "merge":
             assert key not in merges, f"duplicate merge label {key}"
             merges[key] = rows
-
-    values = solve_outerplanar_values(g, 7, trace=tr)
     return g, leaves, merges, values
 
 
@@ -201,6 +202,15 @@ def test_two_triangles_joined_by_bridge():
     g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (2, 3),
                           (3, 4), (4, 5), (3, 5)])
     check_against_oracle(g)
+
+
+def test_disconnected_input_raises():
+    # the flat DP folds one connected graph; solve() splits components
+    two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    triangle_and_vertex = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    for g in (two_triangles, triangle_and_vertex):
+        with pytest.raises(DksError, match="disconnected"):
+            solve_outerplanar_values(g, g.n)
 
 
 def test_star_and_paths():

@@ -60,7 +60,7 @@ def test_induced_edge_count_and_masks():
 def test_connected_components():
     g = Graph(n=5, edges=[(0, 1), (2, 3)])
     assert g.connected_components() == [[0, 1], [2, 3], [4]]
-    assert not g.is_connected()
+    assert len(g.connected_components()) == 3
 
 
 def _union(graphs, names=False, outer=None):

@@ -85,6 +85,24 @@ def test_flat_stats_count_every_table():
     assert stats["cells"] == 4 * (7 * 3 + sum(widths))
 
 
+def test_both_solvers_emit_one_event_shape():
+    # a triangle (flat solver) beside K4 (leveled solver)
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (4, 5),
+                  (4, 6), (5, 6)])
+    events: list = []
+    rep = solve(g, 7, trace=events)
+    assert rep.values == brute_force_all_k(g)
+    assert {ev["branch"] for ev in events} >= {"leaf", "merge", "S2", "S3"}
+    named = set()
+    for ev in events:
+        assert set(ev) == {"branch", "label", "pivot", "table", "graph"}
+        t, sub = ev["table"], ev["graph"]
+        ends = (t.x, t.y) if hasattr(t, "x") else (t.L[0], t.R[0])
+        assert ev["label"] == f"({ends[0]},{ends[1]})"
+        named |= {sub.name_of(v) for v in ends}
+    assert named == {str(v) for v in range(7)}
+
+
 def test_k_larger_than_n_raises():
     with pytest.raises(KTooLarge):
         solve(Graph(3, [(0, 1)]), 4)
