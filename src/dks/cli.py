@@ -109,7 +109,7 @@ def _solve_traced(g: Graph, cfg: RunConfig, k: int, dump: bool,
     if cfg.trace:
         for ev in events:
             pv = "-" if ev["pivot"] is None else ev["pivot"]
-            print(f"trace {ev['branch']} {ev['label']} pivot={pv}",
+            print(f"trace {ev['branch']} {_ends(ev)} pivot={pv}",
                   file=sys.stderr)
     return rep
 
@@ -242,13 +242,19 @@ def _fmt(cell) -> str:
     return ABSENT_MARK if cell is None else str(cell)
 
 
+def _ends(ev: dict) -> str:
+    """The event's table endpoints, in the input's vertex names."""
+    g, t = ev["graph"], ev["table"]
+    x, y = (t.x, t.y) if isinstance(t.rows, list) else (t.L[0], t.R[0])
+    return f"({g.name_of(x)},{g.name_of(y)})"
+
+
 def _print_table(ev: dict, out) -> None:
     """One table event as a TSV block: bx/by rows for a flat table,
     boundary-subset rows for a leveled one."""
     g, t = ev["graph"], ev["table"]
     if isinstance(t.rows, list):
-        print(f"# {ev['branch']} ({g.name_of(t.x)},{g.name_of(t.y)})",
-              file=out)
+        print(f"# {ev['branch']} {_ends(ev)}", file=out)
         print("\t".join(["bx", "by"] + [f"k={i}"
                                         for i in range(len(t.rows[0]))]),
               file=out)
@@ -257,7 +263,7 @@ def _print_table(ev: dict, out) -> None:
             print("\t".join([str(bits >> 1), str(bits & 1)] + cells),
                   file=out)
     else:
-        print(f"# {ev['branch']} ({g.name_of(t.L[0])},{g.name_of(t.R[0])}) "
+        print(f"# {ev['branch']} {_ends(ev)} "
               f"boundary L={[g.name_of(u) for u in t.L]} "
               f"R={[g.name_of(u) for u in t.R]}", file=out)
         print("\t".join(["subset"] + [f"k={i}" for i in range(t.K + 1)]),

@@ -27,6 +27,7 @@ from itertools import combinations
 from .embedding import LeveledEmbedding, embed_and_level
 from .errors import BoundaryMismatch, DksError
 from .graph import Graph
+from .tables import maxplus_into, vector_max
 from .trees import Forest, TreeNode, build_forest
 
 ABSENT = None
@@ -120,7 +121,9 @@ def create(forest: Forest, v: TreeNode, p: int, k: int) -> BoundaryTable:
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     """Push vertex z onto both boundary paths; rows that include z pay
     one vertex and collect z's real edges into the selected boundary."""
-    assert z not in t.vset, "extension vertex already inside the region"
+    if z in t.vset:
+        raise BoundaryMismatch(f"extension vertex {z} is already inside "
+                               "the region")
     vset = t.vset | {z}
     K = min(k, len(vset))
     zn = {w for w in t.bset if g.has_edge(z, w)}
@@ -142,19 +145,15 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
 def contract(t: BoundaryTable) -> BoundaryTable:
     """Drop the shared innermost vertex from both boundaries; each cell
     keeps the better of the vertex-in / vertex-out alternatives."""
-    assert t.L[0] == t.R[0], "contract needs a closed table"
     z = t.L[0]
     L, R = t.L[1:], t.R[1:]
     newb = frozenset(L) | frozenset(R)
-    assert z not in newb
+    if t.R[0] != z or z in newb:
+        raise BoundaryMismatch(f"contract needs a closed table whose top "
+                               f"{z} leaves the boundary: {t.L}/{t.R}")
     rows = {}
     for A in _subsets(newb):
-        keep, drop = t.rows[A | {z}], t.rows[A]
-        cells = []
-        for kp in range(t.K + 1):
-            vals = [w[kp] for w in (keep, drop) if w[kp] is not ABSENT]
-            cells.append(max(vals) if vals else ABSENT)
-        rows[A] = cells
+        rows[A] = vector_max(t.rows[A | {z}], t.rows[A])
     eset = frozenset(e for e in t.eset if z not in e)
     return BoundaryTable(L, R, t.vset, eset, t.K, rows)
 
@@ -165,7 +164,8 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     if x == y or not g.has_edge(x, y):
         return t
     e = _norm(x, y)
-    assert e not in t.eset, "closing edge was already counted"
+    if e in t.eset:
+        raise DksError(f"closing edge {e} was already counted")
     rows = {A: ([v + 1 if v is not ABSENT else ABSENT for v in cells]
                 if x in A and y in A else list(cells))
             for A, cells in t.rows.items()}
@@ -179,7 +179,7 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     Vertices and counted edges claimed by both operands are subtracted
     from the raw sums, so the result again counts everything exactly
     once.  Sound only while the regions overlap nowhere off their
-    shared boundaries, which the construction guarantees (asserted)."""
+    shared boundaries, which the construction guarantees (checked)."""
     if list(t1.R) != list(t2.L):
         raise BoundaryMismatch(
             f"cannot merge: {t1.R} does not meet {t2.L}")
@@ -188,7 +188,8 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     mset = frozenset(t1.R)
     outset = frozenset(L) | frozenset(R)
     vshared = t1.vset & t2.vset
-    assert vshared <= (b1 & b2), "regions overlap off the boundary"
+    if not vshared <= (b1 & b2):
+        raise DksError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
     eshared = t1.eset & t2.eset
@@ -203,19 +204,7 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
             sel = k1set | k2set
             over = len(k1set & vshared)
             m = sum(1 for u, v in eshared if u in sel and v in sel)
-            r1, r2 = t1.rows[k1set], t2.rows[k2set]
-            for k1, v1 in enumerate(r1):
-                if v1 is ABSENT:
-                    continue
-                for k2, v2 in enumerate(r2):
-                    if v2 is ABSENT:
-                        continue
-                    kp = k1 + k2 - over
-                    if kp > K:
-                        continue
-                    val = v1 + v2 - m
-                    if cells[kp] is ABSENT or val > cells[kp]:
-                        cells[kp] = val
+            maxplus_into(cells, t1.rows[k1set], t2.rows[k2set], -over, -m)
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
     return BoundaryTable(L, R, vset, eset, K, rows)
@@ -271,8 +260,7 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
     if trace is not None:
-        trace.append({"branch": br, "label": f"({v.x},{v.y})",
-                      "pivot": pivot, "table": t, "graph": g})
+        trace.append({"branch": br, "pivot": pivot, "table": t, "graph": g})
     return t
 
 

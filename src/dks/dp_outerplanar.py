@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from dks.errors import BoundaryMismatch, DksError, NotOuterplanar
 from dks.graph import Graph
-from dks.tables import convolve_max_plus, convolve_shared_vertex, vector_max
+from dks.tables import convolve_max_plus, maxplus_into, vector_max
 
 
 @dataclass
@@ -78,26 +78,13 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
                 continue
             out = rows[(bx << 1) | bz]
             for by in (0, 1):
-                r1 = t1.rows[(bx << 1) | by]
-                r2 = t2.rows[(by << 1) | bz]
                 shared = 1 if (closing and bx) else 0
                 bonus = 1 if (chord_real and bx and bz) else 0
                 if (closing and bx and by
                         and t1.counts_label_edge and t2.counts_label_edge):
                     bonus -= 1  # both operands counted the same label edge
-                base = -by - shared
-                pairs2 = [(kz, v2) for kz, v2 in enumerate(r2) if v2 is not None]
-                for kx, v1 in enumerate(r1):
-                    if v1 is None:
-                        continue
-                    for kz, v2 in pairs2:
-                        kp = kx + kz + base
-                        if kp < 0 or kp > cap:
-                            continue
-                        val = v1 + v2 + bonus
-                        cur = out[kp]
-                        if cur is None or val > cur:
-                            out[kp] = val
+                maxplus_into(out, t1.rows[(bx << 1) | by],
+                             t2.rows[(by << 1) | bz], -by - shared, bonus)
     return EdgeTable(x, z, vcount, rows, chord_real)
 
 
@@ -114,22 +101,9 @@ def attach_hang(t: EdgeTable, side: int, hang: tuple, k: int) -> EdgeTable:
     rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
     for bx in (0, 1):
         for by in (0, 1):
-            r = t.rows[(bx << 1) | by]
-            out = rows[(bx << 1) | by]
             b_side = bx if side == 0 else by
-            d = d1 if b_side else d0
-            for k1, v1 in enumerate(r):
-                if v1 is None:
-                    continue
-                for k2, v2 in enumerate(d):
-                    if v2 is None:
-                        continue
-                    kp = k1 + k2 - b_side
-                    if kp < 0 or kp > cap:
-                        continue
-                    cur = out[kp]
-                    if cur is None or v1 + v2 > cur:
-                        out[kp] = v1 + v2
+            maxplus_into(rows[(bx << 1) | by], t.rows[(bx << 1) | by],
+                         d1 if b_side else d0, -b_side)
     return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge)
 
 
@@ -300,8 +274,8 @@ def _count(stats: dict | None, tables: int, cells: int, merges: int) -> None:
 
 def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
     if trace is not None:
-        trace.append({"branch": branch, "label": f"({t.x},{t.y})",
-                      "pivot": None, "table": t, "graph": g})
+        trace.append({"branch": branch, "pivot": None, "table": t,
+                      "graph": g})
 
 
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
@@ -365,7 +339,9 @@ def _combine_hang(parts: list[tuple], k: int) -> tuple:
         cnt = cnt + c2 - 1
         cap = min(k, cnt)
         d0 = convolve_max_plus(d0, u0, cap)
-        d1 = convolve_shared_vertex(d1, u1, cap)
+        both: list[int | None] = [None] * (cap + 1)
+        maxplus_into(both, d1, u1, -1)  # the cutpoint is counted once
+        d1 = both
     return d0, d1, cnt
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
+from dks.dp_outerplanar import Blocks, is_outerplanar
 from dks.errors import EmbeddingInconsistent, NotPlanar, TriangulationIncomplete
 from dks.graph import Graph
 from dks.plane import HalfEdge, PlaneGraph
@@ -33,62 +34,64 @@ def ccw_walk_of(orbit: Orbit) -> list[HalfEdge]:
     return [(v, u) for (u, v) in reversed(orbit)]
 
 
-def _flat_embedding(g: Graph) -> tuple[PlaneGraph, int] | None:
-    """All-vertices-on-the-outer-face embedding, when one exists.
+def _outerplanar_rotation(g: Graph, blocks: Blocks) -> list[list[int]]:
+    """Rotation system with every vertex on one face.
 
-    Tested by planarity of the graph plus a universal apex: the apex's
-    faces merge into a single face holding every vertex once it is
-    deleted, which keeps later stages free of filler edges entirely.
-    Returns None when the graph has no such embedding.
+    Each block is drawn as a convex polygon over its outer cycle, so a
+    vertex's neighbours in a block are ordered by cycle offset (walking
+    the cycle backwards, which keeps the worked example's orientation);
+    at a cutpoint each block's neighbours stay in one run, and a bridge
+    is a single entry.
     """
-    probe = nx.Graph(g.edges)
-    apex = g.n
-    probe.add_edges_from((apex, v) for v in range(g.n))
-    ok, emb = nx.check_planarity(probe, counterexample=False)
-    if not ok:
-        return None
-    rot = [[w for w in reversed(list(emb.neighbors_cw_order(v))) if w != apex]
-           for v in range(g.n)]
-    plane = PlaneGraph(rot)
-    plane.euler_check()
-    everything = set(range(g.n))
-    full = [f for f, orbit in enumerate(plane.faces)
-            if {u for u, _ in orbit} == everything]
-    assert full, "apex removal left no face covering all vertices"
-    best = min(full, key=lambda f: (-len(plane.faces[f]),
-                                    min(u for u, _ in plane.faces[f]),
-                                    plane.faces[f]))
-    return plane, best
+    rot: list[list[int]] = [[] for _ in range(g.n)]
+    for edges, cycle in zip(blocks.edges, blocks.cycles):
+        if cycle is None:
+            (u, v), = edges
+            rot[u].append(v)
+            rot[v].append(u)
+            continue
+        pos = {v: i for i, v in enumerate(cycle)}
+        nbrs: dict[int, list[int]] = {v: [] for v in cycle}
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for v, ws in nbrs.items():
+            ws.sort(key=lambda w: (pos[v] - pos[w]) % len(cycle))
+            rot[v] += ws
+    return rot
 
 
 def planar_embed(g: Graph) -> tuple[PlaneGraph, int]:
     """Embed a connected graph; returns (plane, outer face id).
 
     A rotation system supplied with the input is honored (and validated);
-    otherwise one is computed.  Without an explicit outer face the longest
-    face is chosen, ties going to the face containing the smallest vertex.
+    otherwise one is computed: from the flat recognizer's blocks when the
+    graph is outerplanar and no outer face is given, so every vertex lies
+    on the longest face, else by networkx.  Without an explicit outer face
+    the longest face is chosen, ties going to the face containing the
+    smallest vertex.
     """
     if g.n < 2:
         raise EmbeddingInconsistent("embedding needs at least two vertices")
-    if g.rotation is not None:
-        rot = g.rotation
+    rot = g.rotation
+    if rot is not None:
         pairs = {frozenset(e) for e in g.edges}
         listed = {frozenset((v, w)) for v, ns in enumerate(rot) for w in ns}
         if pairs != listed:
             raise EmbeddingInconsistent("rotation does not list the edge set")
-        plane = PlaneGraph(rot)
-        plane.euler_check()
     else:
-        flat = _flat_embedding(g)
-        if flat is not None and g.outer_face is None:
-            return flat
-        ok, emb = nx.check_planarity(nx.Graph(g.edges), counterexample=False)
-        if not ok:
-            raise NotPlanar(f"graph with {g.n} vertices is not planar")
-        plane = PlaneGraph(
-            [list(reversed(list(emb.neighbors_cw_order(v)))) if v in emb else []
-             for v in range(g.n)])
-        plane.euler_check()
+        blocks = is_outerplanar(g) if g.outer_face is None else None
+        if blocks is not None:
+            rot = _outerplanar_rotation(g, blocks)
+        else:
+            ok, emb = nx.check_planarity(nx.Graph(g.edges),
+                                         counterexample=False)
+            if not ok:
+                raise NotPlanar(f"graph with {g.n} vertices is not planar")
+            rot = [list(reversed(list(emb.neighbors_cw_order(v))))
+                   if v in emb else [] for v in range(g.n)]
+    plane = PlaneGraph(rot)
+    plane.euler_check()
 
     if g.outer_face is not None:
         want = list(g.outer_face)

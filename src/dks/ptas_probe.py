@@ -232,7 +232,9 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
         vec = combine_components(vecs, k)
         s_by_class.append(vec[min(k, len(vec) - 1)])
     s = max(s_by_class)
-    assert s <= opt, "an induced-subgraph solution beat the exact optimum"
+    if s > opt:
+        raise DksError(f"an induced-subgraph solution ({s}) beat the exact "
+                       f"optimum ({opt})")
     ratio = 1.0 if opt == 0 else s / opt
     return ProbeEntry(n=g.n, m=g.m, k=k, epsilon=epsilon, b=b,
                       variant="classic" if classic else "keep",

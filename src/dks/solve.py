@@ -88,8 +88,8 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     to the leveled one; `force_solver` pins either path.  Raises KTooLarge
     for k > n and lets NotPlanar/NotOuterplanar bubble up from below.
     `trace` collects one event per DP table, from every component and
-    either solver: a dict with the table's `branch`, `label` and `pivot`,
-    the `table` itself and the `graph` whose vertex ids it uses.
+    either solver: a dict with the table's `branch` and `pivot`, the
+    `table` itself and the `graph` whose vertex ids it uses.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")

@@ -227,6 +227,20 @@ def test_trace_goes_to_stderr(fig, capsys):
     assert "trace leaf" in err or "trace merge" in err
 
 
+def test_trace_names_each_component_apart(tmp_path, capsys):
+    # two disjoint triangles: each split component numbers its vertices
+    # 0, 1, 2, so the trace has to name them through the input graph
+    p = tmp_path / "two.edges"
+    p.write_text("0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
+    code, _, err = run(capsys, "solve", "--graph", str(p), "--all-k",
+                       "--trace")
+    assert code == 0
+    lines = [ln for ln in err.splitlines() if ln.startswith("trace ")]
+    assert len(lines) == 10 and len(set(lines)) == 10
+    named = {v for ln in lines for v in ln.split()[2].strip("()").split(",")}
+    assert named == {str(v) for v in range(6)}
+
+
 def test_probe_jobs_parallel(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

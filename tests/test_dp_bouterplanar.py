@@ -255,17 +255,28 @@ def test_trace_names_branch_and_pivot():
 
 
 def test_boundary_drift_raises_under_python_O():
-    # the drift check must survive `python -O`, which strips asserts
+    # the drift check, and the exactness checks in extend and adjust, must
+    # survive `python -O`, which strips asserts
     script = """
 import sys
-from dks.dp_bouterplanar import evaluate_tables
+from dks.dp_bouterplanar import adjust, evaluate_tables, extend
 from dks.embedding import embed_and_level
-from dks.errors import BoundaryMismatch
+from dks.errors import BoundaryMismatch, DksError
 from dks.graph import Graph
 from dks.trees import build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
-forest = build_forest(embed_and_level(Graph(6, rim)))
+g = Graph(6, rim)
+forest = build_forest(embed_and_level(g))
 root = forest.trees[0].root
+memo = evaluate_tables(forest, 6)
+t = memo[root.uid]
+scored = next(s for s in memo.values()
+              if tuple(sorted((s.L[0], s.R[0]))) in s.eset)
+for step in (lambda: extend(g, t.L[0], t, 6), lambda: adjust(g, scored)):
+    try:
+        step()
+    except DksError as e:
+        print(type(e).__name__, sys.flags.optimize)
 root.lbound = root.lbound + (root.x,)
 try:
     evaluate_tables(forest, 6)
@@ -276,4 +287,5 @@ except BoundaryMismatch:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout == "BoundaryMismatch 1\n", out.stderr
+    assert out.stdout == ("BoundaryMismatch 1\nDksError 1\n"
+                          "BoundaryMismatch 1\n"), out.stderr

@@ -1,8 +1,11 @@
+import networkx as nx
 import pytest
 
 from dks.embedding import compute_levels, embed_and_level, planar_embed
 from dks.errors import EmbeddingInconsistent, NotPlanar
+from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph
+from dks.solve import solve_bouterplanar, solve_outerplanar
 
 from helpers import FIG_ID, figure_graph, hex_two_pendants, nm, wheel
 
@@ -114,3 +117,41 @@ def test_nonplanar_rejected():
     with pytest.raises(NotPlanar):
         planar_embed(k5)
 
+
+
+def _rotationless_outerplanar():
+    for s in range(120):
+        g = gen_outerplanar(GenSpec(n=4 + s % 9, rho=(s % 5) / 4, seed=s))
+        yield Graph(g.n, g.edges)
+    for n in range(2, 9):
+        yield Graph(n, [(i, i + 1) for i in range(n - 1)])        # path
+        yield Graph(n, [(0, i) for i in range(1, n)])             # star
+        if n >= 3:
+            yield Graph(n, [(i, (i + 1) % n) for i in range(n)])  # cycle
+    yield Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # bowtie
+
+
+def test_outerplanar_input_embeds_on_one_level():
+    # the flat recognizer's blocks give an embedding with every vertex on
+    # the outer face, so the leveled solver sees one level and no fakes
+    for g in _rotationless_outerplanar():
+        flat = solve_outerplanar(g, g.n).values
+        for variant in ("zigzag", "zigzag_alt"):
+            le = embed_and_level(g, variant)
+            assert le.depth == 1, g.edges
+            assert not le.fake_edges and not le.connector_edges, g.edges
+            got = solve_bouterplanar(g, g.n, triangulation=variant).values
+            assert got == flat, (variant, g.edges)
+
+
+def test_planarity_test_runs_only_off_outerplanar_inputs(monkeypatch):
+    calls = []
+    real = nx.check_planarity
+    monkeypatch.setattr(nx, "check_planarity",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    planar_embed(Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
+                           (5, 3), (0, 4)]))
+    assert len(calls) == 0
+    k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    planar_embed(k4)
+    assert len(calls) == 1
