@@ -2,8 +2,8 @@
 
 Exit codes are the failure channel: 0 success, 2 the requested solver
 cannot handle the input's graph class, 3 k exceeds the vertex count,
-1 anything else deliberate.  Diagnostics go to stderr; stdout carries
-only the documented output formats.
+1 anything else deliberate, usage errors included.  Diagnostics go to
+stderr; stdout carries only the documented output formats.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +53,6 @@ class RunConfig:
     out: str | None = None
     epsilon: float | None = None
     classic: bool = False
-    jobs: int = 1
     dump_worst: str | None = None
 
     def __post_init__(self) -> None:
@@ -176,12 +173,8 @@ def cmd_probe(cfg: RunConfig, out=None) -> int:
     else:
         files = sorted(str(p) for p in Path(cfg.corpus).iterdir()
                        if p.is_file())
-    args = [(f, cfg.k, cfg.epsilon, cfg.classic, cfg.root) for f in files]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_probe_one, *zip(*args)))
-    else:
-        results = [_probe_one(*a) for a in args]
+    results = [_probe_one(f, cfg.k, cfg.epsilon, cfg.classic, cfg.root)
+               for f in files]
 
     print(",".join(("file",) + PROBE_COLUMNS), file=out)
     report = ProbeReport()
@@ -199,39 +192,6 @@ def cmd_probe(cfg: RunConfig, out=None) -> int:
         if cfg.dump_worst:
             Path(cfg.dump_worst).write_text(
                 dump_json(load_graph(worst_path)) + "\n")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------- bench
-
-
-def _bench_one(path: str, k: int | None):
-    g = load_graph(path)
-    kk = min(10, g.n) if k is None else min(k, g.n)
-    t0 = time.perf_counter()
-    rep = solve(g, kk)
-    wall = time.perf_counter() - t0
-    return (path, g.n, kk, rep.stats.get("levels", 1), rep.solver,
-            wall, rep.stats.get("cells", 0))
-
-
-def cmd_bench(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    files = sorted(str(p) for p in Path(cfg.corpus).iterdir() if p.is_file())
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_bench_one, files, [cfg.k] * len(files)))
-    else:
-        rows = [_bench_one(f, cfg.k) for f in files]
-    sink = open(cfg.out, "w") if cfg.out else out
-    try:
-        print("file,n,k,b,solver,seconds,cells", file=sink)
-        for path, n, k, b, solver, wall, cells in rows:
-            print(f"{path},{n},{k},{b},{solver},{wall:.6f},{cells}",
-                  file=sink)
-    finally:
-        if cfg.out:
-            sink.close()
     return EXIT_OK
 
 
@@ -333,14 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classic", action="store_true",
                    help="delete congruent levels instead of keeping them")
     p.add_argument("--root")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dump-worst", help="write the worst instance here")
-
-    p = sub.add_parser("bench", help="timing CSV over a corpus directory")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
 
     p = sub.add_parser("dump-tables",
                        help="print every intermediate DP table as TSV")
@@ -359,16 +312,18 @@ _COMMANDS = {
     "oracle": cmd_oracle,
     "gen": cmd_gen,
     "probe-ptas": cmd_probe,
-    "bench": cmd_bench,
     "dump-tables": cmd_dump_tables,
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = _build_parser().parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
     try:
+        ns = _build_parser().parse_args(argv)
+    except SystemExit as exc:     # argparse exits 2 on usage errors
+        return EXIT_ERROR if exc.code else EXIT_OK
+    fields = {f for f in RunConfig.__dataclass_fields__}
+    try:
+        cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
         return _COMMANDS[cfg.subcommand](cfg)
     except KTooLarge as exc:
         print(f"K_TOO_LARGE: {exc}", file=sys.stderr)

@@ -22,17 +22,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from dks.dp_outerplanar import is_outerplanar
-from dks.embedding import embed_and_level
 from dks.errors import CapExceeded, DksError, NotPlanar
-from dks.graph import Graph, component_subgraphs, induced_subgraph
+from dks.graph import Graph, induced_subgraph
 from dks.oracle import brute_force_all_k
-from dks.tables import convolve_max_plus
+from dks.solve import solve
 
 __all__ = ["PROBE_COLUMNS", "ProbeEntry", "ProbeReport", "baker_decompose",
-           "combine_components", "probe", "bfs_levels"]
+           "probe", "bfs_levels"]
 
 _ORACLE_CAP = 20
 
@@ -67,78 +63,35 @@ def bfs_levels(g: Graph, root: int = 0) -> list[int]:
     return lev
 
 
-def _as_nx(g: Graph) -> "nx.Graph":
-    h = nx.Graph(g.edges)
-    h.add_nodes_from(range(g.n))
-    return h
-
-
-def _certify(comp: Graph, budget: int) -> tuple[int, bool]:
-    """(realized peeling depth, within budget?) for one component.
-
-    Outerplanarity is decided exactly; deeper claims are checked against
-    the depth our embedder realizes, which only upper-bounds the true
-    outerplanarity index -- a failed check here is a flag, not a proof.
-    A nonplanar component (possible only for nonplanar inputs) fails with
-    an effectively infinite depth.
-    """
-    if comp.n <= 2 or is_outerplanar(comp):
-        return 1, True
-    try:
-        depth = embed_and_level(comp).depth
-    except NotPlanar:
-        return comp.n, False
-    return depth, depth <= budget
-
-
 def baker_decompose(g: Graph, b: int, *, root: int = 0,
-                    classic: bool = False
-                    ) -> list[tuple[int, list[Graph]]]:
-    """Split g into b level-class subgraphs, each as connected components.
+                    classic: bool = False) -> list[tuple[int, Graph]]:
+    """Split g into b level-class subgraphs, one induced subgraph per class.
 
     The keep variant induces class i on BFS levels congruent to i mod b;
     since b >= 2, no edge of g joins two kept levels of the same class,
     so for planar g every component sits inside one BFS level and must be
     outerplanar (contract the levels above it to a point: all the level's
-    vertices end up on one face).  That is asserted when the hypothesis
-    holds, not assumed.  The classic variant deletes the congruent levels
-    instead and checks the pigeonhole count: some class keeps at least a
-    (1 - 1/b) fraction of the vertices.
+    vertices end up on one face).  `probe` checks that on its solves.  The
+    classic variant deletes the congruent levels instead and checks the
+    pigeonhole count: some class keeps at least a (1 - 1/b) fraction of
+    the vertices.
     """
     if b < 2:
         raise DksError(f"need b >= 2 level classes, got {b}")
     lev = bfs_levels(g, root)
-    g_planar = nx.check_planarity(_as_nx(g), counterexample=False)[0]
-    out: list[tuple[int, list[Graph]]] = []
+    out: list[tuple[int, Graph]] = []
     for i in range(b):
         if classic:
             keep = [v for v in range(g.n) if lev[v] % b != i]
         else:
             keep = [v for v in range(g.n) if lev[v] % b == i]
-        gi = induced_subgraph(g, keep)
-        comps = [c for _, c in
-                 component_subgraphs(gi, gi.connected_components())]
-        if not classic and g_planar:
-            for c in comps:
-                assert is_outerplanar(c), \
-                    "a single-BFS-level component of a planar graph is " \
-                    "not outerplanar; either the BFS or the recognizer " \
-                    "is broken"
-        out.append((i, comps))
+        out.append((i, induced_subgraph(g, keep)))
     if classic and g.n:
-        dropped = min(g.n - sum(c.n for c in comps)
-                      for _, comps in out)
-        assert dropped * b <= g.n, "pigeonhole failed: every class drops " \
-                                   "more than n/b vertices"
+        dropped = min(g.n - gi.n for _, gi in out)
+        if dropped * b > g.n:
+            raise DksError("pigeonhole failed: every class drops more "
+                           "than n/b vertices")
     return out
-
-
-def combine_components(vectors: list[list[int]], k: int) -> list[int]:
-    """Best edge totals for 0..k vertices split across disjoint pieces."""
-    acc: list[int] = [0]
-    for vec in vectors:
-        acc = convolve_max_plus(acc, vec, min(k, len(acc) + len(vec) - 2))
-    return acc
 
 
 @dataclass
@@ -188,49 +141,50 @@ def _b_of(epsilon: float) -> int:
     return max(2, math.ceil(1 / epsilon))
 
 
-def _exact_reference(g: Graph, k: int) -> int:
-    from dks.solve import solve
+def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
+          classic: bool = False) -> ProbeEntry:
+    """Run the layering heuristic and score it against the exact optimum.
+
+    The heuristic solves each class subgraph exactly through `solve`,
+    which joins the class's components, and keeps the best class.  A class
+    with fewer than k vertices is scored at its full size: padding its
+    solution with vertices from other levels never removes edges, so the
+    score is a lower bound on what the padded heuristic would return and
+    the ratio stays conservative.  The certified depth of a class is the
+    deepest peeling its solve realized, which only upper-bounds the true
+    outerplanarity index -- a failed check is a flag, not a proof.  A
+    nonplanar input (scored by brute force, so only up to the oracle cap)
+    may have nonplanar classes; those are scored by brute force too and
+    fail certification with an effectively infinite depth.
+    """
+    b = _b_of(epsilon)
     try:
-        return solve(g, k).values[k]
+        opt = solve(g, k).values[k]
+        planar = True
     except NotPlanar:
         if g.n > _ORACLE_CAP:
             raise CapExceeded(
                 f"no exact reference: not planar and n={g.n} exceeds the "
                 f"brute-force cap of {_ORACLE_CAP}") from None
-        return brute_force_all_k(g)[k]
-
-
-def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
-          classic: bool = False) -> ProbeEntry:
-    """Run the layering heuristic and score it against the exact optimum.
-
-    The heuristic solves each class subgraph exactly (components through
-    the b-outerplanar program, joined by max-plus convolution) and keeps
-    the best class.  A class with fewer than k vertices is scored at its
-    full size: padding its solution with vertices from other levels never
-    removes edges, so the score is a lower bound on what the padded
-    heuristic would return and the ratio stays conservative.  Nonplanar
-    components (only seen when the input itself is nonplanar but small
-    enough for a brute-force reference) are scored by brute force, so
-    the measured quantity is always the exact optimum over the class.
-    """
-    from dks.solve import solve
-
-    b = _b_of(epsilon)
-    opt = _exact_reference(g, k)
+        opt = brute_force_all_k(g)[k]
+        planar = False
     s_by_class: list[int] = []
     max_depth, all_ok = 1, True
-    for _, comps in baker_decompose(g, b, root=root, classic=classic):
-        vecs = []
-        for c in comps:
-            depth, ok = _certify(c, b - 1)
-            max_depth, all_ok = max(max_depth, depth), all_ok and ok
-            try:
-                vecs.append(solve(c, min(k, c.n)).values)
-            except NotPlanar:
-                vecs.append(brute_force_all_k(c)[:min(k, c.n) + 1])
-        vec = combine_components(vecs, k)
-        s_by_class.append(vec[min(k, len(vec) - 1)])
+    for _, gi in baker_decompose(g, b, root=root, classic=classic):
+        kk = min(k, gi.n)
+        try:
+            rep = solve(gi, kk)
+            depth = rep.stats.get("levels", 1)
+            ok = depth <= b - 1
+            s_by_class.append(rep.values[kk])
+        except NotPlanar:
+            depth, ok = gi.n, False
+            s_by_class.append(brute_force_all_k(gi)[kk])
+        if planar and not classic and depth != 1:
+            raise DksError("a single-BFS-level component of a planar graph "
+                           "is not outerplanar; either the BFS or the "
+                           "recognizer is broken")
+        max_depth, all_ok = max(max_depth, depth), all_ok and ok
     s = max(s_by_class)
     if s > opt:
         raise DksError(f"an induced-subgraph solution ({s}) beat the exact "

@@ -19,6 +19,9 @@ from dks.tables import convolve_max_plus
 
 __all__ = ["solve", "solve_outerplanar", "solve_bouterplanar"]
 
+# Per-component stats that describe the deepest piece, not a total.
+_DEEPEST = ("levels", "max_rows")
+
 
 def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
                       root: int | None, trace: list | None, stats: dict):
@@ -71,7 +74,9 @@ def _values(g: Graph, k: int, *, force: str = "auto",
         del sub  # so the next component is built with this one gone
         names.add(name)
         for key, val in part.items():
-            if isinstance(val, int):
+            if key in _DEEPEST:
+                stats[key] = max(stats.get(key, 0), val)
+            elif isinstance(val, int):
                 stats[key] = stats.get(key, 0) + val
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
     if len(acc) != cap + 1 or None in acc:

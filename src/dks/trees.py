@@ -23,12 +23,12 @@ precisely to make that ladder complete.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import count
 
 from dks.embedding import LevelComponent, LeveledEmbedding
-from dks.errors import DksError, NoDividingPoint, TriangulationIncomplete
+from dks.errors import (BoundaryMismatch, DksError, NoDividingPoint,
+                        TriangulationIncomplete)
 from dks.plane import HalfEdge
 
 
@@ -77,7 +77,6 @@ class Forest:
 
 
 def build_forest(le: LeveledEmbedding, root: int | None = None) -> Forest:
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * le.graph.n + 1000))
     uid_gen = count()
     trees: list[ComponentTree] = []
     all_nodes: list[TreeNode] = []
@@ -191,44 +190,50 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
         leaves.append(leaf)
         return leaf
 
-    def fill(sides, out: list[TreeNode]) -> None:
+    # fill and parse_hang are generators that yield the subtasks they would
+    # recurse into; `_drive` runs them off an explicit stack, so walk length
+    # never meets the interpreter's recursion limit.
+    def fill(sides, out: list[TreeNode]):
         for s in sides:
             back = (s[1], s[0])
             if back in side_face:
                 child = new_node(s[0], s[1], "face", face=side_face[back])
+                out.append(child)
                 orbit = comp.sub_faces[side_face[back]]
                 k = orbit.index(back)
-                fill(orbit[k + 1:] + orbit[:k], child.children)
-                out.append(child)
+                yield fill(orbit[k + 1:] + orbit[:k], child.children)
             else:
                 while walk[cursor] != s:
-                    out.append(parse_hang(s[0]))
+                    yield parse_hang(s[0], out)
                 out.append(take_leaf(s))
 
-    def parse_hang(v: int) -> TreeNode:
+    def parse_hang(v: int, out: list[TreeNode]):
         h = walk[cursor]
-        assert h[0] == v, "walk detour does not start at the expected corner"
+        if h[0] != v:
+            raise DksError("walk detour does not start at the expected "
+                           "corner")
         if h in side_face:
             node = new_node(v, v, "region", face=side_face[h])
+            out.append(node)
             orbit = comp.sub_faces[side_face[h]]
             k = orbit.index(h)
-            fill(orbit[k:] + orbit[:k], node.children)
-            return node
+            yield fill(orbit[k:] + orbit[:k], node.children)
+            return
         node = new_node(v, v, "bridge")
+        out.append(node)
         node.children.append(take_leaf(h))
         w = h[1]
         while walk[cursor] != (w, v):
-            node.children.append(parse_hang(w))
+            yield parse_hang(w, node.children)
         node.children.append(take_leaf((w, v)))
-        return node
 
     if not walk:
         root = new_node(comp.vertices[0], comp.vertices[0], "single")
     else:
         z = walk[0][0]
-        kids = []
+        kids: list[TreeNode] = []
         while cursor < len(walk):
-            kids.append(parse_hang(z))
+            _drive(parse_hang(z, kids))
         if len(kids) == 1:
             root = kids[0]
         else:
@@ -240,6 +245,17 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
         "parser failed to reach every bounded face"
     return ComponentTree(comp.cid, root, nodes, leaves, face_to_node,
                          parent_node=vf)
+
+
+def _drive(task) -> None:
+    """Run a generator task whose yields are subtasks, depth-first."""
+    stack = [task]
+    while stack:
+        sub = next(stack[-1], None)
+        if sub is None:
+            stack.pop()
+        else:
+            stack.append(sub)
 
 
 # -- window numbers --------------------------------------------------------
@@ -315,7 +331,8 @@ def _assign_windows(le: LeveledEmbedding, tree: ComponentTree) -> None:
     vf = tree.parent_node
     u = vf.children
     s = len(u)
-    assert u, "enclosing face node has no children"
+    if not u:
+        raise NoDividingPoint("enclosing face node has no children")
     tree.zlabels = [None] + [c.x for c in u] + [u[-1].y]
     zl = tree.zlabels
     leaves = tree.leaves
@@ -327,21 +344,25 @@ def _assign_windows(le: LeveledEmbedding, tree: ComponentTree) -> None:
     else:
         tree.root.pivot = arcs[0][1]
 
-    def post(node: TreeNode) -> None:
-        for c in node.children:
-            post(c)
+    order = [tree.root]                   # breadth-first: parents first
+    for node in order:
+        order.extend(node.children)
+    for node in reversed(order):
         if node.children:
             node.lbn = node.children[0].lbn
             node.rbn = node.children[-1].rbn
-
-    post(tree.root)
     if not tree.root.children:
         tree.root.lbn, tree.root.rbn = 1, s + 1
-    assert (tree.root.lbn, tree.root.rbn) == (1, s + 1)
+    if (tree.root.lbn, tree.root.rbn) != (1, s + 1):
+        raise NoDividingPoint(f"component {tree.comp} spans windows "
+                              f"[{tree.root.lbn},{tree.root.rbn}), "
+                              f"not [1,{s + 1})")
     for node in tree.nodes:
-        assert 1 <= node.lbn <= node.rbn <= s + 1
-        if not node.children:
-            assert node.lbn <= node.pivot <= node.rbn
+        if not (1 <= node.lbn <= node.rbn <= s + 1) or (
+                not node.children
+                and not node.lbn <= node.pivot <= node.rbn):
+            raise NoDividingPoint(f"{node!r} has window numbers or a "
+                                  f"pivot ({node.pivot}) out of order")
 
 
 # -- boundary vectors ------------------------------------------------------
@@ -357,8 +378,15 @@ def _assign_boundaries(le: LeveledEmbedding, tree: ComponentTree) -> None:
         right = u[node.rbn - 2].rbound if node.rbn >= 2 else u[0].lbound
         node.lbound = (node.x,) + left
         node.rbound = (node.y,) + right
-        assert len(node.lbound) == len(node.rbound) == lev
+        if not len(node.lbound) == len(node.rbound) == lev:
+            raise BoundaryMismatch(f"{node!r} has boundaries of lengths "
+                                   f"{len(node.lbound)}, {len(node.rbound)} "
+                                   f"at level {lev}")
     for a, b in zip(tree.leaves, tree.leaves[1:]):
-        assert a.rbound == b.lbound, "adjacent windows disagree on a seam"
-    assert tree.root.lbound == (tree.root.x,) + vf.lbound
-    assert tree.root.rbound == (tree.root.y,) + vf.rbound
+        if a.rbound != b.lbound:
+            raise BoundaryMismatch(f"adjacent windows disagree on a seam: "
+                                   f"{a.rbound} vs {b.lbound}")
+    if (tree.root.lbound != (tree.root.x,) + vf.lbound
+            or tree.root.rbound != (tree.root.y,) + vf.rbound):
+        raise BoundaryMismatch(f"component {tree.comp}'s root boundaries "
+                               "do not extend its enclosing face's")

@@ -1,3 +1,6 @@
+import math
+import sys
+
 import pytest
 
 from dks.embedding import embed_and_level
@@ -141,3 +144,28 @@ def test_root_override():
         (B, C), (C, E), (E, A), (A, B)]
     with pytest.raises(DksError):
         build_forest(le, root=a)
+
+
+def test_long_ladder_builds_without_touching_the_recursion_limit():
+    # outer cycle o_0..o_2000, inner path p_0..p_1999, p_i joined to o_i
+    # and o_(i+1): the path's walk nests 1,998 bridge detours, far deeper
+    # than the default recursion limit if the tree parser recursed on each
+    m = 2001
+    o, p = range(m), range(m, 2 * m - 1)
+    edges = ([(o[i], o[(i + 1) % m]) for i in range(m)]
+             + [(p[i], p[i + 1]) for i in range(m - 2)]
+             + [e for i in range(m - 1)
+                for e in ((p[i], o[i]), (p[i], o[i + 1]))])
+    turn = 2 * math.pi / m
+    coords = ([(2 * math.cos(i * turn), 2 * math.sin(i * turn))
+               for i in range(m)]
+              + [(math.cos((i + .5) * turn), math.sin((i + .5) * turn))
+                 for i in range(m - 1)])
+    g = Graph(2 * m - 1, edges, rotation=rotations_from_coordinates(
+        coords, edges), outer_face=list(o))
+    le = embed_and_level(g)
+    limit = sys.getrecursionlimit()
+    forest = build_forest(le)
+    assert sys.getrecursionlimit() == limit
+    assert le.depth == 2 and len(forest.trees) == 2
+    assert len(forest.trees[1].leaves) == 2 * (m - 2)

@@ -255,15 +255,15 @@ def test_trace_names_branch_and_pivot():
 
 
 def test_boundary_drift_raises_under_python_O():
-    # the drift check, and the exactness checks in extend and adjust, must
-    # survive `python -O`, which strips asserts
+    # the drift check, the exactness checks in extend and adjust, and the
+    # forest's seam check must survive `python -O`, which strips asserts
     script = """
 import sys
 from dks.dp_bouterplanar import adjust, evaluate_tables, extend
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, DksError
 from dks.graph import Graph
-from dks.trees import build_forest
+from dks.trees import _assign_boundaries, build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
 g = Graph(6, rim)
 forest = build_forest(embed_and_level(g))
@@ -277,6 +277,13 @@ for step in (lambda: extend(g, t.L[0], t, 6), lambda: adjust(g, scored)):
         step()
     except DksError as e:
         print(type(e).__name__, sys.flags.optimize)
+spare = build_forest(embed_and_level(g))
+hub = spare.trees[1]
+hub.root.lbn = 2                  # the hub claims to start a window late
+try:
+    _assign_boundaries(spare.le, hub)
+except BoundaryMismatch:
+    print("seam", sys.flags.optimize)
 root.lbound = root.lbound + (root.x,)
 try:
     evaluate_tables(forest, 6)
@@ -287,5 +294,5 @@ except BoundaryMismatch:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout == ("BoundaryMismatch 1\nDksError 1\n"
+    assert out.stdout == ("BoundaryMismatch 1\nDksError 1\nseam 1\n"
                           "BoundaryMismatch 1\n"), out.stderr

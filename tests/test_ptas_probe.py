@@ -1,13 +1,17 @@
 """The layering probe: decomposition shape, scoring, failure modes."""
 
+from importlib import import_module
+
+import networkx as nx
 import pytest
 
+import dks.embedding
 from dks.errors import CapExceeded
-from dks.generators import GenSpec, gen_outerplanar, gen_planar
+from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
+                            gen_planar)
 from dks.graph import Graph, induced_subgraph
 from dks.oracle import brute_force_all_k
-from dks.ptas_probe import (ProbeReport, baker_decompose, bfs_levels,
-                            combine_components, probe)
+from dks.ptas_probe import ProbeReport, baker_decompose, bfs_levels, probe
 
 
 def star(leaves: int) -> Graph:
@@ -23,20 +27,15 @@ def test_path_levels_alternate():
     assert bfs_levels(p6, 0) == [0, 1, 2, 3, 4, 5]
     assert bfs_levels(p6, 2) == [2, 1, 0, 1, 2, 3]
     # keep variant, b=2: both classes lose every (cross-level) edge
-    for _, comps in baker_decompose(p6, 2):
-        assert all(c.m == 0 for c in comps)
+    for _, gi in baker_decompose(p6, 2):
+        assert gi.m == 0
 
 
 def test_degenerate_b_beyond_depth():
     tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
     dec = baker_decompose(tri, 5)
-    assert sum(c.n for _, comps in dec for c in comps) == 3
+    assert sum(gi.n for _, gi in dec) == 3
     assert [i for i, _ in dec] == list(range(5))
-
-
-def test_combine_components_contract():
-    assert combine_components([[0, 0, 1]], 2) == [0, 0, 1]
-    assert combine_components([[0, 0, 1], [0, 0, 1]], 4)[4] == 2
 
 
 def test_star_is_the_advertised_failure_mode():
@@ -103,3 +102,29 @@ def test_report_aggregation():
     hist = rep.histogram(bins=4)
     assert sum(hist) == len(rep.entries) == 6
     assert rep.worst().ratio == min(rep.ratios())
+
+
+def test_probe_levels_each_class_once(monkeypatch):
+    # the classes of a rotation-carrying graph are planar by construction:
+    # no planarity test, and one leveling per leveled component solve
+    g = gen_bouterplanar(GenSpec(n=24, b=4, seed=1))
+    calls = {"planarity": 0, "levels": 0, "leveled": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(nx, "check_planarity",
+                        counted("planarity", nx.check_planarity))
+    monkeypatch.setattr(dks.embedding, "compute_levels",
+                        counted("levels", dks.embedding.compute_levels))
+    front = import_module("dks.solve")    # the package shadows it
+    monkeypatch.setattr(front, "solve_bouterplanar_values",
+                        counted("leveled", front.solve_bouterplanar_values))
+    for classic in (False, True):
+        e = probe(g, 6, 1 / 3, classic=classic)
+        assert e.cert_ok and e.cert_max_depth == (2 if classic else 1)
+    assert calls["planarity"] == 0
+    assert calls["levels"] == calls["leveled"] > 2

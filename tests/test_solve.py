@@ -50,6 +50,21 @@ def test_disconnected_input_is_combined_exactly():
     assert rep.stats["pieces"] == 3
 
 
+def test_disconnected_stats_report_the_deepest_piece():
+    # two copies of one 3-level graph: depth and widest table stay those of
+    # one copy, while the counts double
+    one = gen_bouterplanar(GenSpec(n=12, b=3, seed=1))
+    n = one.n
+    two = Graph(2 * n, one.edges + [(u + n, v + n) for u, v in one.edges],
+                rotation=one.rotation + [[w + n for w in r]
+                                         for r in one.rotation])
+    a, b = solve(one, 6).stats, solve(two, 6).stats
+    assert (a["levels"], a["max_rows"]) == (3, 64)
+    assert (b["levels"], b["max_rows"]) == (3, 64)
+    assert b["tree_nodes"] == 2 * a["tree_nodes"]
+    assert b["pieces"] == 2
+
+
 def test_outerplanar_input_is_recognised_once(monkeypatch):
     # two triangles joined by a bridge, plus a pendant edge: two cycle
     # blocks, two bridges, three cutpoints
