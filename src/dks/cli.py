@@ -2,7 +2,8 @@
 
 Exit codes are the failure channel: 0 success, 2 the requested solver
 cannot handle the input's graph class, 3 k exceeds the vertex count,
-1 anything else deliberate, usage errors included.  Diagnostics go to
+4 an internal invariant failed (a bug, not a bad input), 1 anything
+else deliberate, usage errors included.  Diagnostics go to
 stderr; stdout carries only the documented output formats.
 """
 
@@ -14,7 +15,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from dks.errors import DksError, KTooLarge, NotOuterplanar, NotPlanar
+from dks.errors import (DksError, InternalError, KTooLarge, NotOuterplanar,
+                        NotPlanar)
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
 from dks.graph import Graph, dump_json, load_graph
 from dks.oracle import brute_force_all_k, brute_force_densest_k
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_SOLVABLE = 2
 EXIT_K_TOO_LARGE = 3
+EXIT_INTERNAL = 4
 
 ABSENT_MARK = "∅"          # ∅, as in the worked tables
 
@@ -331,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NotPlanar, NotOuterplanar) as exc:
         print(f"NOT_SOLVABLE: {exc}", file=sys.stderr)
         return EXIT_NOT_SOLVABLE
+    except InternalError as exc:
+        print(f"INTERNAL: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -25,65 +25,82 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .embedding import LeveledEmbedding, embed_and_level
-from .errors import BoundaryMismatch, DksError
+from .errors import BoundaryMismatch, InternalError
 from .graph import Graph
-from .tables import maxplus_into, vector_max
+from .tables import NEG, maxplus_rows
 from .trees import Forest, TreeNode, build_forest
 
 ABSENT = None
+
+# Pairs of operand rows stacked per merge block: big enough to amortise
+# numpy's per-call cost, small enough to keep the temporaries small.
+_BLOCK = 512
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _subsets(vs):
-    vs = sorted(vs)
-    for r in range(len(vs) + 1):
-        for comb in combinations(vs, r):
-            yield frozenset(comb)
-
-
 @dataclass
 class BoundaryTable:
     """Optimum edge count per (touched boundary subset, subgraph size).
 
-    L and R list the boundary paths innermost vertex first.  rows maps
-    each subset of the (deduplicated) boundary vertex set to a column
-    vector over k' = 0..K; ABSENT cells mark unrealisable pairs."""
+    L and R list the boundary paths innermost vertex first.  cells is an
+    int64 array of shape (2^|boundary|, K+1): row i holds the subset
+    whose bit j is set when verts[j], the j-th smallest boundary vertex,
+    is in it; column k' is the subgraph size; NEG marks an unrealisable
+    pair."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
     vset: frozenset
     eset: frozenset
     K: int
-    rows: dict
+    cells: object
 
     @property
     def bset(self) -> frozenset:
         return frozenset(self.L) | frozenset(self.R)
 
+    @property
+    def verts(self) -> tuple[int, ...]:
+        return tuple(sorted(self.bset))
+
+    @property
+    def rows(self) -> dict:
+        """Read-only view: boundary subset -> cells, ABSENT for NEG."""
+        verts = self.verts
+        return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
+                [ABSENT if c == NEG else c for c in row]
+                for i, row in enumerate(self.cells.tolist())}
+
     def best(self, kp: int):
-        out = ABSENT
-        for cells in self.rows.values():
-            v = cells[kp] if kp < len(cells) else ABSENT
-            if v is not ABSENT and (out is ABSENT or v > out):
-                out = v
-        return out
+        if kp > self.K:
+            return ABSENT
+        v = int(self.cells[:, kp].max())
+        return ABSENT if v == NEG else v
 
 
 def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
     """Brute-force table for a region whose vertices all lie on the
     boundary; the workhorse behind the leaf template and create."""
+    import numpy as np  # deferred: `import dks` stays numpy-free
+
     core = sorted(set(verts))
     K = min(k, len(core))
     es = sorted(edges)
-    rows = {A: [ABSENT] * (K + 1) for A in _subsets(core)}
-    for A in rows:
-        if len(A) <= K:
-            rows[A][len(A)] = sum(1 for u, v in es if u in A and v in A)
+    bit = {v: 1 << j for j, v in enumerate(core)}
+    pairs = [bit[u] | bit[v] for u, v in es]
+    rows = []
+    for a in range(1 << len(core)):      # a few dozen rows: plain Python
+        row = [NEG] * (K + 1)
+        size = a.bit_count()
+        if size <= K:
+            row[size] = sum(1 for e in pairs if a & e == e)
+        rows.append(row)
+    cells = np.array(rows, dtype=np.int64)
     return BoundaryTable(tuple(L), tuple(R), frozenset(core),
-                         frozenset(es), K, rows)
+                         frozenset(es), K, cells)
 
 
 def leaf_template(le: LeveledEmbedding, v: TreeNode, k: int) -> BoundaryTable:
@@ -121,25 +138,29 @@ def create(forest: Forest, v: TreeNode, p: int, k: int) -> BoundaryTable:
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     """Push vertex z onto both boundary paths; rows that include z pay
     one vertex and collect z's real edges into the selected boundary."""
+    import numpy as np
+
     if z in t.vset:
         raise BoundaryMismatch(f"extension vertex {z} is already inside "
                                "the region")
     vset = t.vset | {z}
     K = min(k, len(vset))
-    zn = {w for w in t.bset if g.has_edge(z, w)}
-    rows = {}
-    for A, cells in t.rows.items():
-        base = [cells[kp] if kp <= t.K else ABSENT for kp in range(K + 1)]
-        rows[A] = base
-        inc = len(zn & A)
-        up = [ABSENT] * (K + 1)
-        for kp in range(1, K + 1):
-            prev = cells[kp - 1] if kp - 1 <= t.K else ABSENT
-            if prev is not ABSENT:
-                up[kp] = prev + inc
-        rows[A | {z}] = up
-    eset = t.eset | {_norm(z, w) for w in zn}
-    return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset, K, rows)
+    verts = t.verts
+    zn = [j for j, w in enumerate(verts) if g.has_edge(z, w)]
+    # z's bit goes just above the bits of the boundary vertices below it,
+    # so each run of `lo` old rows is followed by its copy with z selected
+    lo = 1 << sum(1 for w in verts if w < z)
+    old = t.cells
+    hi = len(old) // lo
+    cells = np.full((hi, 2, lo, K + 1), NEG, dtype=np.int64)
+    cells[:, 0, :, :t.K + 1] = old.reshape(hi, lo, t.K + 1)
+    inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
+    up = old[:, :K]
+    cells[:, 1, :, 1:] = np.where(up == NEG, NEG, up + inc[:, None]
+                                  ).reshape(hi, lo, K)
+    eset = t.eset | {_norm(z, verts[j]) for j in zn}
+    return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset, K,
+                         cells.reshape(2 * len(old), K + 1))
 
 
 def contract(t: BoundaryTable) -> BoundaryTable:
@@ -151,63 +172,95 @@ def contract(t: BoundaryTable) -> BoundaryTable:
     if t.R[0] != z or z in newb:
         raise BoundaryMismatch(f"contract needs a closed table whose top "
                                f"{z} leaves the boundary: {t.L}/{t.R}")
-    rows = {}
-    for A in _subsets(newb):
-        rows[A] = vector_max(t.rows[A | {z}], t.rows[A])
+    lo = 1 << t.verts.index(z)
+    cells = t.cells.reshape(-1, 2, lo, t.K + 1).max(axis=1)
     eset = frozenset(e for e in t.eset if z not in e)
-    return BoundaryTable(L, R, t.vset, eset, t.K, rows)
+    return BoundaryTable(L, R, t.vset, eset, t.K, cells.reshape(-1, t.K + 1))
 
 
 def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     """Score the closing edge between the two boundary tops, if real."""
+    import numpy as np
+
     x, y = t.L[0], t.R[0]
     if x == y or not g.has_edge(x, y):
         return t
     e = _norm(x, y)
     if e in t.eset:
-        raise DksError(f"closing edge {e} was already counted")
-    rows = {A: ([v + 1 if v is not ABSENT else ABSENT for v in cells]
-                if x in A and y in A else list(cells))
-            for A, cells in t.rows.items()}
-    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, rows)
+        raise InternalError(f"closing edge {e} was already counted")
+    verts = t.verts
+    both = (1 << verts.index(x)) | (1 << verts.index(y))
+    sel = (np.arange(len(t.cells)) & both) == both
+    cells = t.cells.copy()
+    cells[sel] += cells[sel] != NEG
+    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
+
+
+def _operand_rows(vs, pos1: dict, pos2: dict) -> list[tuple[int, int]]:
+    """For each subset of the sorted vs (bit j for the j-th vertex), the
+    subset's row bits in two operands whose boundary vertices have the
+    row bits pos1 and pos2; a vertex off a boundary adds nothing."""
+    rows = [(0, 0)]
+    for v in sorted(vs):
+        w1, w2 = pos1.get(v, 0), pos2.get(v, 0)
+        rows += [(r1 + w1, r2 + w2) for r1, r2 in rows]
+    return rows
 
 
 def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
                  k: int) -> BoundaryTable:
     """Glue two tables along t1.R == t2.L.
 
+    A result row A (a subset of the outer boundary L + R) is the best,
+    over the subsets Bx of the middle vertices off that boundary, of
+    the operand rows S = A | Bx cut down to each operand's boundary.
     Vertices and counted edges claimed by both operands are subtracted
     from the raw sums, so the result again counts everything exactly
     once.  Sound only while the regions overlap nowhere off their
-    shared boundaries, which the construction guarantees (checked)."""
+    shared boundaries, which the construction guarantees (checked).
+
+    Every pair is numbered S = A << |free| | Bx, a bitmask over the
+    sorted free middle vertices (low bits) and the sorted result
+    boundary (high bits), so the Bx of one A are consecutive; the pairs
+    are combined in blocks of A rows, and an operand's row for S is the
+    sum of its rows for A and for Bx."""
+    import numpy as np
+
     if list(t1.R) != list(t2.L):
         raise BoundaryMismatch(
             f"cannot merge: {t1.R} does not meet {t2.L}")
     L, R = t1.L, t2.R
-    b1, b2 = t1.bset, t2.bset
-    mset = frozenset(t1.R)
     outset = frozenset(L) | frozenset(R)
     vshared = t1.vset & t2.vset
-    if not vshared <= (b1 & b2):
-        raise DksError("regions overlap off the boundary")
+    if not vshared <= (t1.bset & t2.bset):
+        raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
     eshared = t1.eset & t2.eset
-    free = mset - outset
-    rows = {A: [ABSENT] * (K + 1) for A in _subsets(outset)}
-    for A in rows:
-        cells = rows[A]
-        for Bx in _subsets(free):
-            B = (A & mset) | Bx
-            k1set = (A & b1) | B
-            k2set = (A & b2) | B
-            sel = k1set | k2set
-            over = len(k1set & vshared)
-            m = sum(1 for u, v in eshared if u in sel and v in sel)
-            maxplus_into(cells, t1.rows[k1set], t2.rows[k2set], -over, -m)
+    free = sorted(frozenset(t1.R) - outset)
+    bit = {v: 1 << j for j, v in enumerate(free + sorted(outset))}
+    shared_verts = sum(bit[v] for v in vshared)
+    shared_edges = [bit[u] | bit[v] for u, v in eshared]
+    pos1 = {v: 1 << j for j, v in enumerate(t1.verts)}
+    pos2 = {v: 1 << j for j, v in enumerate(t2.verts)}
+    low = np.array(_operand_rows(free, pos1, pos2), dtype=np.int64)
+    high = np.array(_operand_rows(outset, pos1, pos2), dtype=np.int64)
+    group = len(low)
+    cells = np.empty((len(high), K + 1), dtype=np.int64)
+    step = max(1, _BLOCK // group)
+    for a in range(0, len(high), step):
+        idx = (high[a:a + step, None] + low).reshape(-1, 2)
+        pairs = np.arange(a * group, a * group + len(idx))
+        shift = -np.bitwise_count(pairs & shared_verts).astype(np.int64)
+        add = np.zeros(len(idx), dtype=np.int64)
+        for e in shared_edges:
+            add -= (pairs & e) == e
+        cells[a:a + step] = maxplus_rows(t1.cells[idx[:, 0]],
+                                         t2.cells[idx[:, 1]], shift, add,
+                                         K + 1, group)
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    return BoundaryTable(L, R, vset, eset, K, rows)
+    return BoundaryTable(L, R, vset, eset, K, cells)
 
 
 def _branch(forest: Forest, v: TreeNode) -> str:
@@ -270,8 +323,9 @@ def evaluate_tables(forest: Forest, k: int,
     is appended to `trace`.
 
     Every node except the outermost root is consumed by exactly one
-    other node's computation; that conservation law is checked (DksError)
-    because it is what makes each real edge score exactly once."""
+    other node's computation; that conservation law is checked
+    (InternalError) because it is what makes each real edge score
+    exactly once."""
     root = forest.trees[0].root
     deps: dict[int, list[TreeNode]] = {}
     consumed: dict[int, int] = {}
@@ -288,9 +342,9 @@ def evaluate_tables(forest: Forest, k: int,
                 todo.append(d)
     every = {n.uid for n in forest.nodes}
     if set(consumed) != every - {root.uid}:
-        raise DksError("unreachable tree nodes")
+        raise InternalError("unreachable tree nodes")
     if any(c != 1 for c in consumed.values()):
-        raise DksError("tree node consumed twice")
+        raise InternalError("tree node consumed twice")
 
     memo: dict[int, BoundaryTable] = {}
     stack = [(root, iter(deps[root.uid]))]
@@ -304,7 +358,7 @@ def evaluate_tables(forest: Forest, k: int,
         if child.uid not in memo:
             stack.append((child, iter(deps[child.uid])))
     if memo.keys() != every:
-        raise DksError("tree nodes left without a table")
+        raise InternalError("tree nodes left without a table")
     return memo
 
 
@@ -324,13 +378,12 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     rt = memo[forest.trees[0].root.uid]
     vals = [rt.best(kp) for kp in range(cap + 1)]
     if any(v is ABSENT for v in vals):
-        raise DksError("root table has holes")
+        raise InternalError("root table has holes")
     if stats is not None:
         stats["levels"] = le.depth
         stats["components"] = len(le.components)
         stats["tree_nodes"] = len(forest.nodes)
-        stats["max_rows"] = max(len(t.rows) for t in memo.values())
-        stats["cells"] = sum(len(t.rows) * len(next(iter(t.rows.values())))
-                             for t in memo.values())
+        stats["max_rows"] = max(len(t.cells) for t in memo.values())
+        stats["cells"] = sum(t.cells.size for t in memo.values())
         stats["fake_edges"] = len(le.fake_edges)
     return vals

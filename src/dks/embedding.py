@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from dks.dp_outerplanar import Blocks, is_outerplanar
-from dks.errors import EmbeddingInconsistent, NotPlanar, TriangulationIncomplete
+from dks.errors import (EmbeddingInconsistent, InternalError, NotPlanar,
+                        TriangulationIncomplete)
 from dks.graph import Graph
 from dks.plane import HalfEdge, PlaneGraph
 
@@ -155,13 +156,17 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
         blob, walk, lev, parent = tasks.pop()
         lset = {h[0] for h in walk} if walk else set(blob)
         for v in lset:
-            assert level[v] == 0
+            if level[v]:
+                raise InternalError(f"vertex {v} peeled at levels "
+                                    f"{level[v]} and {lev}")
             level[v] = lev
         orbits = plane.subgraph_faces(lset.__contains__)
         if walk:
             back = (walk[0][1], walk[0][0])
             sub_faces = [o for o in orbits if back not in o]
-            assert len(sub_faces) == len(orbits) - 1
+            if len(sub_faces) != len(orbits) - 1:
+                raise InternalError(f"level-{lev} walk bounds no single "
+                                    "outer face of its component")
         else:
             sub_faces = []
         cid = len(comps)
@@ -180,7 +185,9 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
                         for w in plane.rot[d] if w in lset)
             q = plane.first_cw(w, d, lset.__contains__)
             fi = side2sub.get((w, q))
-            assert fi is not None, "deep component not enclosed by a bounded face"
+            if fi is None:
+                raise InternalError("deep component not enclosed by a "
+                                    "bounded face")
             by_face.setdefault(fi, []).append((piece, (w, d)))
         for fi, group in sorted(by_face.items()):
             members = [p for p, _ in group]
@@ -195,7 +202,8 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
                 sub_walk = ccw_walk_of(_trace_in(plane, (d, x), blobset))
             tasks.append((blobset, sub_walk, lev + 1, (cid, fi)))
 
-    assert all(level[v] > 0 for v in range(g.n))
+    if not all(level):
+        raise InternalError("a vertex was left without a level")
     for u, v in g.edges:
         if abs(level[u] - level[v]) > 1:
             raise EmbeddingInconsistent(
@@ -275,7 +283,8 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
             and len({le.level[h[0]] for h in orbit}) > 1]
     for orbit in todo:
         levs = {le.level[h[0]] for h in orbit}
-        assert max(levs) - min(levs) == 1
+        if max(levs) - min(levs) != 1:
+            raise InternalError(f"a face spans levels {sorted(levs)}")
         chords = _strip_chords(orbit, le.level, variant)
         if chords is not None and not _addable(plane, orbit, chords):
             chords = None
@@ -284,13 +293,16 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
         plane.insert_chords(orbit, chords)
         for a, b in chords:
             e = frozenset((orbit[a][0], orbit[b][0]))
-            assert abs(le.level[orbit[a][0]] - le.level[orbit[b][0]]) <= 1
+            if abs(le.level[orbit[a][0]] - le.level[orbit[b][0]]) > 1:
+                raise InternalError(f"chord {sorted(e)} skips a level")
             le.fake_edges.add(e)
     plane.retrace()
     outer = le.outer_face_id()
     for fid, orbit in enumerate(plane.faces):
         if fid != outer and len({le.level[h[0]] for h in orbit}) > 1:
-            assert len(orbit) == 3, "level-spanning face left untriangulated"
+            if len(orbit) != 3:
+                raise TriangulationIncomplete(
+                    "level-spanning face left untriangulated")
     return le
 
 
@@ -336,7 +348,9 @@ def _strip_chords(orbit: Orbit, level: list[int],
         fan = deeprun[:-1] if a > 1 else deeprun[1:-1]
     chords = [(anchor, j) for j in fan]
     chords += [(other_cap, j) for j in shallow[1:-1]]
-    assert len(chords) == a + dn - 3
+    if len(chords) != a + dn - 3:
+        raise TriangulationIncomplete(f"strip chords {chords} do not "
+                                      f"triangulate a {a + dn}-gon")
     return chords
 
 

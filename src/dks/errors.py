@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Everything raised on purpose derives from DksError so CLI code can map
-failures to exit codes without enumerating causes.
+failures to exit codes without enumerating causes; InternalError marks
+the ones that report a bug rather than a bad input.
 """
 
 
@@ -25,17 +26,22 @@ class EmbeddingInconsistent(DksError):
     """A supplied rotation system / outer face failed validation."""
 
 
-class TriangulationIncomplete(DksError):
+class InternalError(DksError):
+    """Internal: an exactness invariant of the decomposition or the DPs
+    failed.  A bug in this package, not a fault of the input."""
+
+
+class TriangulationIncomplete(InternalError):
     """Internal: augmentation left a face untriangulated where the
     decomposition needs a triangulation edge."""
 
 
-class NoDividingPoint(DksError):
+class NoDividingPoint(InternalError):
     """Internal: no admissible boundary split point exists; indicates a
     broken triangulation invariant."""
 
 
-class BoundaryMismatch(DksError):
+class BoundaryMismatch(InternalError):
     """Internal: two slice tables were merged along unequal boundaries."""
 
 

@@ -15,7 +15,7 @@ construction.
 
 from __future__ import annotations
 
-from dks.errors import EmbeddingInconsistent
+from dks.errors import EmbeddingInconsistent, InternalError
 
 HalfEdge = tuple[int, int]
 
@@ -140,9 +140,12 @@ class PlaneGraph:
                     orbit.append(cur)
                     a, b = cur
                     nxt = self.first_cw(b, a, keep)
-                    assert nxt is not None
+                    if nxt is None:
+                        raise InternalError(f"kept edge ({a},{b}) has no "
+                                            f"kept successor at {b}")
                     cur = (b, nxt)
-                assert cur == (v, w), "subgraph orbit is not closed"
+                if cur != (v, w):
+                    raise InternalError("subgraph orbit is not closed")
                 orbits.append(tuple(orbit))
         return orbits
 

@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from dks.errors import CapExceeded, DksError, NotPlanar
+from dks.errors import CapExceeded, DksError, InternalError, NotPlanar
 from dks.graph import Graph, induced_subgraph
 from dks.oracle import brute_force_all_k
 from dks.solve import solve
@@ -89,8 +89,8 @@ def baker_decompose(g: Graph, b: int, *, root: int = 0,
     if classic and g.n:
         dropped = min(g.n - gi.n for _, gi in out)
         if dropped * b > g.n:
-            raise DksError("pigeonhole failed: every class drops more "
-                           "than n/b vertices")
+            raise InternalError("pigeonhole failed: every class drops "
+                                "more than n/b vertices")
     return out
 
 
@@ -181,14 +181,14 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
             depth, ok = gi.n, False
             s_by_class.append(brute_force_all_k(gi)[kk])
         if planar and not classic and depth != 1:
-            raise DksError("a single-BFS-level component of a planar graph "
-                           "is not outerplanar; either the BFS or the "
-                           "recognizer is broken")
+            raise InternalError("a single-BFS-level component of a planar "
+                                "graph is not outerplanar; either the BFS "
+                                "or the recognizer is broken")
         max_depth, all_ok = max(max_depth, depth), all_ok and ok
     s = max(s_by_class)
     if s > opt:
-        raise DksError(f"an induced-subgraph solution ({s}) beat the exact "
-                       f"optimum ({opt})")
+        raise InternalError(f"an induced-subgraph solution ({s}) beat the "
+                            f"exact optimum ({opt})")
     ratio = 1.0 if opt == 0 else s / opt
     return ProbeEntry(n=g.n, m=g.m, k=k, epsilon=epsilon, b=b,
                       variant="classic" if classic else "keep",

@@ -12,7 +12,7 @@ import time
 from dks.dp_bouterplanar import solve_bouterplanar_values
 from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
-from dks.errors import DksError, KTooLarge
+from dks.errors import InternalError, KTooLarge
 from dks.graph import Graph, component_subgraphs, induced_subgraph
 from dks.report import SolveReport
 from dks.tables import convolve_max_plus
@@ -80,7 +80,7 @@ def _values(g: Graph, k: int, *, force: str = "auto",
                 stats[key] = stats.get(key, 0) + val
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
     if len(acc) != cap + 1 or None in acc:
-        raise DksError("joined component vectors miss a size")
+        raise InternalError("joined component vectors miss a size")
     return ("outerplanar" if names == {"outerplanar"} else "bouterplanar"), acc
 
 
@@ -127,20 +127,48 @@ def _witness(g: Graph, k: int, target: int, force: str,
     """A vertex set achieving the optimum, by greedy self-reduction.
 
     While more than k vertices remain, some vertex lies outside at least
-    one optimal set, so deleting it leaves the optimum intact; scan for
-    such a vertex and recurse on the smaller graph.  Costs O(n^2) extra
-    solves, which is why it is opt-in.
+    one optimal set, so deleting it leaves the optimum intact.  One pass
+    with a cursor finds them: a vertex whose deletion lowered the optimum
+    lies in every optimal set of the graph it was tried on, and every
+    later graph is a subgraph with the same optimum, whose optimal sets
+    are optimal sets of that graph too; so it never needs a second try,
+    and at most n tries are made.  Rescanning from the first vertex after
+    each deletion returns the same set, with up to O(n^2) tries.
+
+    A try re-solves only the components its deletion touched: each
+    component's value vector is kept, keyed by its vertices, and the
+    vectors are joined by max-plus convolution as in `_values`.
     """
+    memo: dict[tuple[int, ...], list[int | None]] = {}
+
+    def optimum(keep: list[int]) -> int:
+        if not keep:
+            return 0
+        h = induced_subgraph(g, keep)
+        acc = None
+        for comp in h.connected_components():
+            key = tuple(keep[v] for v in comp)
+            vec = memo.get(key)
+            if vec is None:
+                sub = h if len(comp) == h.n else induced_subgraph(h, comp)
+                _, vec = _connected_values(
+                    sub, min(k, sub.n), force=force,
+                    triangulation=triangulation, root=None, trace=None,
+                    stats={})
+                memo[key] = vec
+            acc = vec if acc is None else convolve_max_plus(
+                acc, vec, min(k, len(acc) + len(vec) - 2))
+        return acc[k]
+
     keep = list(range(g.n))
+    i = 0
     while len(keep) > k:
-        for i in range(len(keep)):
-            rest = keep[:i] + keep[i + 1:]
-            _, vals = _values(induced_subgraph(g, rest), k, force=force,
-                              triangulation=triangulation)
-            if vals[k] == target:
-                keep = rest
-                break
+        if i == len(keep):
+            raise InternalError("witness reduction is stuck; no vertex is "
+                                "removable, which contradicts exactness")
+        rest = keep[:i] + keep[i + 1:]
+        if optimum(rest) == target:
+            keep = rest
         else:
-            raise DksError("witness reduction is stuck; no vertex is "
-                           "removable, which contradicts exactness")
+            i += 1
     return keep

@@ -2,11 +2,18 @@
 
 Vectors here are "optional max-plus": index = number of picked vertices,
 value = best edge count or None when no selection of that size exists.
-`maxplus_into` is the one cell combine both DPs use; each caller keeps
-its own size, bonus and overlap arithmetic in `shift` and `add`.
+`maxplus_into` is the flat DP's cell combine and the component join's;
+each caller keeps its own size, bonus and overlap arithmetic in `shift`
+and `add`.  `maxplus_rows` is the same combine over stacked int64 rows,
+with the sentinel NEG for None, for the leveled DP's array tables.
 """
 
 from __future__ import annotations
+
+# The None of an int64 table.  A real cell plus NEG stays far below
+# NEG // 2, the line between None and real, and NEG plus NEG stays far
+# inside int64, so sums need no overflow guard.
+NEG = -(1 << 40)
 
 
 def maxplus_into(out: list[int | None], a: list[int | None],
@@ -29,6 +36,39 @@ def maxplus_into(out: list[int | None], a: list[int | None],
                 cur = out[kp]
                 if cur is None or val > cur:
                     out[kp] = val
+
+
+def maxplus_rows(a, b, shift, add, width: int, group: int = 1):
+    """`maxplus_into` on every row pair p of the stacked int64 arrays a
+    and b (rows of at least one cell), each into a fresh row of `width`
+    NEG cells, with shift[p] and add[p]; then each run of `group`
+    consecutive result rows is reduced to its cellwise max.  Returns a
+    (len(a) // group, width) array; a cell is NEG exactly when no pair
+    of defined cells lands on it."""
+    import numpy as np  # deferred: only leveled tables need numpy
+
+    if a.shape[1] < b.shape[1]:
+        a, b = b, a           # the combine is symmetric: loop the narrower
+    rows, wa = a.shape
+    wb = b.shape[1]
+    # a2[p, c] = a[p, c - (wb - 1) - shift[p]], NEG off a's ends, so that
+    # out[p, t] = max over j of a2[p, t - j + wb - 1] + b[p, j]
+    src = np.arange(2 - wb, width + 1) - shift[:, None]
+    np.maximum(src, 0, out=src)
+    np.minimum(src, wa + 1, out=src)
+    pad = np.full((rows, wa + 2), NEG, dtype=np.int64)
+    pad[:, 1:wa + 1] = a
+    a2 = pad[np.arange(rows)[:, None], src]
+    del src, pad              # the loop below holds the peak: keep it low
+    out = a2[:, wb - 1:] + b[:, :1]
+    for j in range(1, wb):
+        np.maximum(out, a2[:, wb - 1 - j:wb - 1 - j + width] + b[:, j:j + 1],
+                   out=out)
+    out += add[:, None]
+    if group > 1:
+        out = out.reshape(-1, group, width).max(axis=1)
+    out[out < NEG // 2] = NEG
+    return out
 
 
 def convolve_max_plus(a: list[int | None], b: list[int | None],

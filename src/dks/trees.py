@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from dks.embedding import LevelComponent, LeveledEmbedding
-from dks.errors import (BoundaryMismatch, DksError, NoDividingPoint,
-                        TriangulationIncomplete)
+from dks.errors import (BoundaryMismatch, DksError, InternalError,
+                        NoDividingPoint, TriangulationIncomplete)
 from dks.plane import HalfEdge
 
 
@@ -210,8 +210,8 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
     def parse_hang(v: int, out: list[TreeNode]):
         h = walk[cursor]
         if h[0] != v:
-            raise DksError("walk detour does not start at the expected "
-                           "corner")
+            raise InternalError("walk detour does not start at the "
+                                "expected corner")
         if h in side_face:
             node = new_node(v, v, "region", face=side_face[h])
             out.append(node)
@@ -239,6 +239,10 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
         else:
             root = new_node(z, z, "root")
             root.children = kids
+    # fill and parse_hang reach each other through their closures; drop
+    # that cycle now so the nodes die with the forest, not at the next
+    # garbage collection
+    del fill, parse_hang
     assert cursor == len(walk)
     assert [(lf.x, lf.y) for lf in leaves] == walk
     assert len(face_to_node) == len(comp.sub_faces), \

@@ -7,6 +7,7 @@ import pytest
 
 import dks.cli
 from dks import dp_outerplanar
+from dks.errors import BoundaryMismatch, InternalError, NoDividingPoint
 from dks.graph import parse_json
 from helpers import parse_tables, run_cli as run
 
@@ -81,6 +82,18 @@ def test_missing_file_exits_1(capsys):
 def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("exc", [InternalError, NoDividingPoint,
+                                 BoundaryMismatch])
+def test_internal_errors_exit_4(fig, capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc("window strip desynced")
+    monkeypatch.setattr(import_module("dks.solve"),
+                        "solve_outerplanar_values", broken)
+    code, out, err = run(capsys, "solve", "--graph", fig, "--k", "3")
+    assert (code, out) == (4, "")
+    assert err == "INTERNAL: window strip desynced\n"
 
 
 def test_help_exits_0(capsys):

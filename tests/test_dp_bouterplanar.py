@@ -255,8 +255,9 @@ def test_trace_names_branch_and_pivot():
 
 
 def test_boundary_drift_raises_under_python_O():
-    # the drift check, the exactness checks in extend and adjust, and the
-    # forest's seam check must survive `python -O`, which strips asserts
+    # the drift check, the exactness checks in extend and adjust, the
+    # forest's seam check and the embedding's triangulation check must
+    # survive `python -O`, which strips asserts
     script = """
 import sys
 from dks.dp_bouterplanar import adjust, evaluate_tables, extend
@@ -289,10 +290,19 @@ try:
     evaluate_tables(forest, 6)
 except BoundaryMismatch:
     print("BoundaryMismatch", sys.flags.optimize)
+from dks import embedding
+from dks.errors import TriangulationIncomplete
+prism = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                  (0, 3), (1, 4), (2, 5)])
+embedding.PlaneGraph.insert_chords = lambda self, orbit, chords: None
+try:
+    embedding.embed_and_level(prism)   # its quad faces stay untriangulated
+except TriangulationIncomplete:
+    print("untriangulated", sys.flags.optimize)
 """
     src = Path(dks.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout == ("BoundaryMismatch 1\nDksError 1\nseam 1\n"
-                          "BoundaryMismatch 1\n"), out.stderr
+    assert out.stdout == ("BoundaryMismatch 1\nInternalError 1\nseam 1\n"
+                          "BoundaryMismatch 1\nuntriangulated 1\n"), out.stderr

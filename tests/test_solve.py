@@ -1,6 +1,11 @@
 """The dispatcher: detection, components, witnesses, error surface."""
 
 import json
+import os
+import subprocess
+import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +15,14 @@ import dks
 from dks import dp_outerplanar
 from dks.errors import KTooLarge
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
-from dks.graph import Graph, parse_edge_list, parse_json
+from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
 from dks.oracle import brute_force_all_k
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 
 from helpers import figure_graph, wheel
+
+
+FIG7 = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
 
 def edges_within(g: Graph, vs: list[int]) -> int:
@@ -92,12 +100,56 @@ def test_outerplanar_input_is_recognised_once(monkeypatch):
 
 def test_flat_stats_count_every_table():
     # the fixture's seven leaves and six merges at k = 7
-    g = parse_edge_list("c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n")
+    g = parse_edge_list(FIG7)
     stats = solve(g, 7).stats
     widths = [4, 5, 6, 4, 7, 8]           # k' columns of each merged table
     assert stats["merges"] == 6
     assert stats["tables"] == 7 + 6
     assert stats["cells"] == 4 * (7 * 3 + sum(widths))
+
+
+# (cells, max_rows, levels) of the leveled solver: the counts of the
+# dict-keyed tables that the array tables replaced, row for row
+LEVELED_STATS = {
+    ("fig7", 7): (168, 4, 1), ("fig10", 10): (878, 32, 3),
+    ((2, 1), 5): (864, 16, 2), ((2, 1), None): (942, 16, 2),
+    ((2, 2), 5): (828, 16, 2), ((2, 2), None): (906, 16, 2),
+    ((3, 1), 5): (2096, 64, 3), ((3, 1), None): (3358, 64, 3),
+    ((3, 2), 5): (2496, 64, 3), ((3, 2), None): (3438, 64, 3),
+    ((4, 1), 5): (6436, 256, 4), ((4, 1), None): (11754, 256, 4),
+    ((4, 2), 5): (9396, 256, 4), ((4, 2), None): (16170, 256, 4),
+}
+
+
+@pytest.mark.parametrize("which,k", list(LEVELED_STATS))
+def test_leveled_table_stats_are_pinned(which, k):
+    if which == "fig7":
+        g = parse_edge_list(FIG7)
+    elif which == "fig10":
+        g = figure_graph()
+    else:
+        b, seed = which
+        g = gen_bouterplanar(GenSpec(n=10 + 4 * b, b=b, rho=0.5, seed=seed))
+    stats = solve_bouterplanar(g, g.n if k is None else k).stats
+    assert (stats["cells"], stats["max_rows"],
+            stats["levels"]) == LEVELED_STATS[which, k]
+
+
+def test_import_and_flat_solve_leave_numpy_unloaded():
+    # numpy costs a noticeable share of a short run's start-up; only the
+    # leveled tables need it
+    script = ("import sys, dks, dks.cli\n"
+              "from dks import Graph, solve\n"
+              "solve(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 3)\n"
+              "print('numpy' in sys.modules)\n"
+              "solve(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
+              "(2, 3)]), 3)\n"
+              "print('numpy' in sys.modules)\n")
+    src = Path(dks.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.stdout == "False\nTrue\n", out.stderr
 
 
 def test_both_solvers_emit_one_event_shape():
@@ -143,6 +195,62 @@ def test_witness_on_disconnected_input():
     rep = solve(g, 4, witness=True)
     assert edges_within(g, rep.witness) == rep.optimum == 5
     assert sorted(rep.witness) == [3, 4, 5, 6]
+
+
+def rescan_witness(g: Graph, k: int) -> list[int]:
+    """Self-reduction that rescans from the first vertex after every
+    deletion, one whole-graph solve per try."""
+    target = solve(g, k).optimum
+    keep = list(range(g.n))
+    while len(keep) > k:
+        keep = next(rest for i in range(len(keep))
+                    for rest in [keep[:i] + keep[i + 1:]]
+                    if solve(induced_subgraph(g, rest), k).optimum == target)
+    return keep
+
+
+def witness_graphs():
+    union = Graph(0, [])
+    for part in (gen_outerplanar(GenSpec(n=6, rho=0.5, seed=3)),
+                 gen_bouterplanar(GenSpec(n=7, b=2, rho=0.5, seed=3)),
+                 wheel(4)):
+        union = Graph(union.n + part.n, union.edges
+                      + [(u + union.n, v + union.n) for u, v in part.edges])
+    return [(gen_outerplanar(GenSpec(n=16, rho=0.5, seed=1)), 6),
+            (gen_bouterplanar(GenSpec(n=14, b=3, rho=0.5, seed=1)), 6),
+            (union, 6)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_witness_tries_each_vertex_at_most_once(case, monkeypatch):
+    # one connected_components call per solve: the value solve, then one
+    # per try; rescanning from the start made 52 and 32 tries on the first
+    # two graphs (n = 16 and 14)
+    g, k = witness_graphs()[case]
+    calls = []
+    real = Graph.connected_components
+    monkeypatch.setattr(Graph, "connected_components",
+                        lambda self: calls.append(self.n) or real(self))
+    rep = solve(g, k, witness=True)
+    assert len(calls) - 1 <= g.n
+    monkeypatch.undo()
+    assert rep.witness == rescan_witness(g, k)
+
+
+def test_witness_resolves_only_the_touched_component(monkeypatch):
+    g, k = witness_graphs()[2]
+    target = solve(g, k).optimum
+    solved = []
+    front = import_module("dks.solve")
+    real = front._connected_values
+    monkeypatch.setattr(front, "_connected_values",
+                        lambda sub, *a, **kw: solved.append(tuple(sub.names))
+                        or real(sub, *a, **kw))
+    keep = front._witness(g, k, target, "auto", "zigzag")
+    assert edges_within(g, keep) == target
+    # every vertex set is solved once: a try re-solves only the pieces
+    # its deletion made, and the 18 tries solve far fewer than 3 each
+    assert len(solved) == len(set(solved)) < 2 * g.n
 
 
 @given(st.integers(0, 500))

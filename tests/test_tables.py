@@ -1,9 +1,10 @@
-"""The max-plus cell kernel both DPs combine their vectors with."""
+"""The max-plus cell kernels the DPs combine their vectors with."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dks.tables import convolve_max_plus, maxplus_into
+from dks.tables import NEG, convolve_max_plus, maxplus_into, maxplus_rows
 
 cells = st.lists(st.one_of(st.none(), st.integers(-3, 9)), max_size=7)
 
@@ -37,3 +38,39 @@ def test_maxplus_into_matches_triple_loop(a, b, shift, add, extra, start):
 def test_convolve_max_plus_is_the_unshifted_kernel(a, b, kmax):
     assert convolve_max_plus(a, b, kmax) == naive([None] * (kmax + 1), a, b,
                                                   0, 0)
+
+
+@st.composite
+def stacked(draw):
+    """Row pairs of two widths (unequal K), each row with its own None
+    pattern, shift and add, plus a result width and a group size."""
+    group = draw(st.sampled_from([1, 2, 3]))
+    rows = group * draw(st.integers(1, 4))
+    wa, wb = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = st.one_of(st.none(), st.integers(-3, 9))
+    a = [draw(st.lists(cell, min_size=wa, max_size=wa)) for _ in range(rows)]
+    b = [draw(st.lists(cell, min_size=wb, max_size=wb)) for _ in range(rows)]
+    shift = draw(st.lists(st.integers(-3, 1), min_size=rows, max_size=rows))
+    add = draw(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows))
+    width = draw(st.integers(1, wa + wb + 2))
+    return a, b, shift, add, width, group
+
+
+def as_array(rows):
+    return np.array([[NEG if c is None else c for c in r] for r in rows],
+                    dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacked())
+def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
+    a, b, shift, add, width, group = case
+    got = maxplus_rows(as_array(a), as_array(b), np.array(shift),
+                       np.array(add), width, group)
+    want = []
+    for p in range(len(a)):
+        if p % group == 0:
+            want.append([None] * width)
+        maxplus_into(want[-1], a[p], b[p], shift[p], add[p])
+    assert [[None if c == NEG else c for c in r]
+            for r in got.tolist()] == want
