@@ -17,6 +17,9 @@ promise through overlapping regions, a table also records the counted
 edges whose endpoints all still sit on its boundary (``eset``) and the
 full vertex set of its region (``vset``); ``merge_tables`` subtracts
 the vertices and edges the two operands both claim.
+
+When a witness is asked for, every table keeps the operands it was built
+from, and ``_traceback`` walks a root cell back down them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from itertools import combinations
 from .embedding import LeveledEmbedding, embed_and_level
 from .errors import BoundaryMismatch, InternalError
 from .graph import Graph
-from .tables import NEG, maxplus_rows
+from .tables import NEG, maxplus_pair, maxplus_rows
 from .trees import Forest, TreeNode, build_forest
 
 ABSENT = None
@@ -49,7 +52,9 @@ class BoundaryTable:
     int64 array of shape (2^|boundary|, K+1): row i holds the subset
     whose bit j is set when verts[j], the j-th smallest boundary vertex,
     is in it; column k' is the subgraph size; NEG marks an unrealisable
-    pair."""
+    pair.  made is () for a table enumerated from its boundary and, when
+    kept for a traceback, (step, operands...) for the extend, contract,
+    adjust or merge_tables call that built it."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -57,6 +62,7 @@ class BoundaryTable:
     eset: frozenset
     K: int
     cells: object
+    made: tuple = ()
 
     @property
     def bset(self) -> frozenset:
@@ -196,6 +202,10 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
 
 
+def _row_bits(t: BoundaryTable) -> dict[int, int]:
+    return {v: 1 << j for j, v in enumerate(t.verts)}
+
+
 def _operand_rows(vs, pos1: dict, pos2: dict) -> list[tuple[int, int]]:
     """For each subset of the sorted vs (bit j for the j-th vertex), the
     subset's row bits in two operands whose boundary vertices have the
@@ -231,18 +241,12 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
             f"cannot merge: {t1.R} does not meet {t2.L}")
     L, R = t1.L, t2.R
     outset = frozenset(L) | frozenset(R)
-    vshared = t1.vset & t2.vset
-    if not vshared <= (t1.bset & t2.bset):
+    if not (t1.vset & t2.vset) <= (t1.bset & t2.bset):
         raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
-    eshared = t1.eset & t2.eset
-    free = sorted(frozenset(t1.R) - outset)
-    bit = {v: 1 << j for j, v in enumerate(free + sorted(outset))}
-    shared_verts = sum(bit[v] for v in vshared)
-    shared_edges = [bit[u] | bit[v] for u, v in eshared]
-    pos1 = {v: 1 << j for j, v in enumerate(t1.verts)}
-    pos2 = {v: 1 << j for j, v in enumerate(t2.verts)}
+    free, shared_verts, shared_edges = _overlap(t1, t2, outset)
+    pos1, pos2 = _row_bits(t1), _row_bits(t2)
     low = np.array(_operand_rows(free, pos1, pos2), dtype=np.int64)
     high = np.array(_operand_rows(outset, pos1, pos2), dtype=np.int64)
     group = len(low)
@@ -261,6 +265,82 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
     return BoundaryTable(L, R, vset, eset, K, cells)
+
+
+def _overlap(t1: BoundaryTable, t2: BoundaryTable, outset: frozenset):
+    """(free, shared_verts, shared_edges) of merge_tables: the sorted
+    middle vertices off the result boundary `outset`, and the bitmasks,
+    in its pair numbering, of the vertices and of each counted edge both
+    operands claim."""
+    free = sorted(frozenset(t1.R) - outset)
+    bit = {v: 1 << j for j, v in enumerate(free + sorted(outset))}
+    shared_verts = sum(bit[v] for v in t1.vset & t2.vset)
+    shared_edges = [bit[u] | bit[v] for u, v in t1.eset & t2.eset]
+    return free, shared_verts, shared_edges
+
+
+def _row(t: BoundaryTable, r: int) -> list[int | None]:
+    return [None if c == NEG else c for c in t.cells[r].tolist()]
+
+
+def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
+    """The operand cells (table, row, size) of a kept merge_tables result
+    t that reach its cell (r, kp): the first Bx, in pair order, whose
+    operand rows for S = r | Bx combine to the cell's value."""
+    t1, t2 = t.made[1:]
+    outset = t.bset
+    free, shared_verts, shared_edges = _overlap(t1, t2, outset)
+    pos1, pos2 = _row_bits(t1), _row_bits(t2)
+    a1 = a2 = 0
+    for j, v in enumerate(t.verts):
+        if r >> j & 1:
+            a1 += pos1.get(v, 0)
+            a2 += pos2.get(v, 0)
+    val = int(t.cells[r, kp])
+    for bx, (b1, b2) in enumerate(_operand_rows(free, pos1, pos2)):
+        s = r << len(free) | bx
+        add = -sum(1 for e in shared_edges if s & e == e)
+        pair = maxplus_pair(_row(t1, a1 + b1), _row(t2, a2 + b2), kp, val,
+                            -(s & shared_verts).bit_count(), add)
+        if pair is not None:
+            return [(t1, a1 + b1, pair[0]), (t2, a2 + b2, pair[1])]
+    raise InternalError(f"traceback: no middle subset reaches {val} at "
+                        f"size {kp}")
+
+
+def _traceback(t: BoundaryTable, kp: int) -> set[int]:
+    """Vertices of a kp-subset that reaches the best cell of column kp of
+    the kept table t.  Each cell is walked back to operand cells that
+    reach it: adjust keeps the row; extend drops z's bit, and one unit of
+    size when z is selected; contract takes the z-out or the z-in row,
+    whichever reaches the cell; merge_tables searches the Bx of the row.
+    The walk ends at enumerated tables, whose rows are the selections."""
+    chosen: set[int] = set()
+    todo = [(t, int(t.cells[:, kp].argmax()), kp)]
+    while todo:
+        t, r, kp = todo.pop()
+        if kp == 0:
+            continue
+        if not t.made:
+            chosen.update(v for j, v in enumerate(t.verts) if r >> j & 1)
+            continue
+        step, src = t.made[0], t.made[1]
+        if step == "merge":
+            todo += _merge_split(t, r, kp)
+            continue
+        if step == "extend":                # drop z's bit j
+            z = t.L[0]
+            j = t.verts.index(z)
+            if r >> j & 1:
+                chosen.add(z)
+                kp -= 1
+            r = ((r >> (j + 1)) << j) | (r & ((1 << j) - 1))
+        elif step == "contract":            # put z's bit j back
+            j = src.verts.index(src.L[0])
+            out = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))
+            r = out if src.cells[out, kp] == t.cells[r, kp] else out | (1 << j)
+        todo.append((src, r, kp))
+    return chosen
 
 
 def _branch(forest: Forest, v: TreeNode) -> str:
@@ -286,8 +366,20 @@ def _deps(forest: Forest, v: TreeNode) -> list[TreeNode]:
 
 
 def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
-              trace: list | None) -> BoundaryTable:
+              trace: list | None, keep: bool = False) -> BoundaryTable:
     g = forest.le.graph
+
+    def kept(out: BoundaryTable, step: str, *ops) -> BoundaryTable:
+        if keep and out is not ops[0]:   # adjust may return its operand
+            out.made = (step, *ops)
+        return out
+
+    def merged(t1: BoundaryTable, t2: BoundaryTable) -> BoundaryTable:
+        return kept(merge_tables(t1, t2, g, k), "merge", t1, t2)
+
+    def extended(z: int, t: BoundaryTable) -> BoundaryTable:
+        return kept(extend(g, z, t, k), "extend", t)
+
     br = _branch(forest, v)
     pivot = None
     if br == "S3":
@@ -295,20 +387,21 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
     elif br == "S1":
         t = memo[v.children[0].uid]
         for ch in v.children[1:]:
-            t = merge_tables(t, memo[ch.uid], g, k)
-        t = adjust(g, t)
+            t = merged(t, memo[ch.uid])
+        t = kept(adjust(g, t), "adjust", t)
     elif br == "S2":
-        inner = forest.trees[forest.enclosed_component(v)].root
-        t = adjust(g, contract(memo[inner.uid]))
+        inner = memo[forest.trees[forest.enclosed_component(v)].root.uid]
+        t = kept(contract(inner), "contract", inner)
+        t = kept(adjust(g, t), "adjust", t)
     else:
         tr = forest.trees[v.comp]
         u = tr.parent_node.children
         pivot = v.pivot
         t = create(forest, v, pivot, k)
         for j in range(pivot - 1, v.lbn - 1, -1):
-            t = merge_tables(extend(g, v.x, memo[u[j - 1].uid], k), t, g, k)
+            t = merged(extended(v.x, memo[u[j - 1].uid]), t)
         for j in range(pivot, v.rbn):
-            t = merge_tables(t, extend(g, v.y, memo[u[j - 1].uid], k), g, k)
+            t = merged(t, extended(v.y, memo[u[j - 1].uid]))
     if t.L != v.lbound or t.R != v.rbound:
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
@@ -317,10 +410,11 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
     return t
 
 
-def evaluate_tables(forest: Forest, k: int,
-                    trace: list | None = None) -> dict:
+def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
+                    keep: bool = False) -> dict:
     """Tables for every tree node, keyed by node uid; one event per table
-    is appended to `trace`.
+    is appended to `trace`.  `keep` records in each table's `made` the
+    operands it was built from, intermediate tables included.
 
     Every node except the outermost root is consumed by exactly one
     other node's computation; that conservation law is checked
@@ -353,7 +447,7 @@ def evaluate_tables(forest: Forest, k: int,
         child = next(it, None)
         if child is None:
             stack.pop()
-            memo[v.uid] = _table_of(forest, v, k, memo, trace)
+            memo[v.uid] = _table_of(forest, v, k, memo, trace, keep)
             continue
         if child.uid not in memo:
             stack.append((child, iter(deps[child.uid])))
@@ -365,16 +459,22 @@ def evaluate_tables(forest: Forest, k: int,
 def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
                               triangulation: str = "zigzag",
                               trace: list | None = None,
-                              stats: dict | None = None) -> list[int | None]:
+                              stats: dict | None = None,
+                              witness: bool = False, recognise: bool = True):
     """Optimum edge counts for every k' = 0..min(k, n) on a connected
     planar graph, via peeling, component trees, and the table fold.
-    Appends one event per table built to `trace`."""
+    Appends one event per table built to `trace`.  With `witness`, every
+    table is kept and the result is (values, pick): pick(k') walks them
+    back to a set of k' vertices that induces values[k'] edges.
+    recognise=False says that g is known not to be outerplanar, so the
+    embedding skips that test."""
     cap = min(k, g.n)
     if g.n <= 1:
-        return [0] * (cap + 1)
-    le = embed_and_level(g, variant=triangulation)
+        values = [0] * (cap + 1)
+        return (values, lambda kp: set(range(kp))) if witness else values
+    le = embed_and_level(g, variant=triangulation, recognise=recognise)
     forest = build_forest(le, root=root)
-    memo = evaluate_tables(forest, cap, trace=trace)
+    memo = evaluate_tables(forest, cap, trace=trace, keep=witness)
     rt = memo[forest.trees[0].root.uid]
     vals = [rt.best(kp) for kp in range(cap + 1)]
     if any(v is ABSENT for v in vals):
@@ -386,4 +486,6 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
         stats["max_rows"] = max(len(t.cells) for t in memo.values())
         stats["cells"] = sum(t.cells.size for t in memo.values())
         stats["fake_edges"] = len(le.fake_edges)
+    if witness:
+        return vals, lambda kp: _traceback(rt, kp)
     return vals

@@ -5,6 +5,8 @@ degree-2 elimination, chords are arranged into a laminar span tree, and
 tables indexed by (endpoint bits, exact subgraph size) are folded from
 the leaves up.  Blocks hanging off cutpoints are collapsed into
 per-cutpoint vectors and attached at the leaf where the cutpoint sits.
+When a witness is asked for, every table and vector keeps the operands
+it was built from, and `_traceback` walks a root cell back down them.
 
 A note on the closing merge (the one that reunites the two ends of the
 cycle, producing a table whose two labels coincide): the size arithmetic
@@ -20,10 +22,12 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
-from dks.errors import BoundaryMismatch, DksError, NotOuterplanar
+from dks.errors import BoundaryMismatch, DksError, InternalError, NotOuterplanar
 from dks.graph import Graph
-from dks.tables import convolve_max_plus, maxplus_into, vector_max
+from dks.tables import convolve_max_plus, maxplus_into, maxplus_pair, vector_max
 
 
 @dataclass
@@ -34,7 +38,9 @@ class EdgeTable:
     the span's vertices with exactly kp vertices where bx/by fix whether
     the two span endpoints are included; None marks impossible cells.
     counts_label_edge is True when row values already include the edge
-    (x, y) itself.
+    (x, y) itself.  made is () for a leaf and, when kept for a traceback,
+    ("merge", t1, t2) or ("hang", t, side, hang) for the call that built
+    the table.
     """
 
     x: int
@@ -42,6 +48,21 @@ class EdgeTable:
     vcount: int
     rows: list[list[int | None]]
     counts_label_edge: bool
+    made: tuple = ()
+
+
+class Hang(NamedTuple):
+    """Best-value vectors over the subtrees hanging off one cutpoint,
+    without (d0) and with (d1) the cutpoint, and their vertex count.
+    made is (), or, when kept for a traceback, ("block", t, groups): the
+    vectors are the cellwise max over the rows groups[0] and groups[1]
+    of one block's final table t; or ("join", h1, h2) of _combine_hang.
+    """
+
+    d0: list[int | None]
+    d1: list[int | None]
+    count: int
+    made: tuple = ()
 
 
 def leaf_table(x: int, y: int, k: int) -> EdgeTable:
@@ -71,31 +92,39 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
     cap = min(k, vcount)
     rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
     chord_real = (not closing) and g.has_edge(x, z)
+    for r, r1, r2, shift, add in _merge_terms(
+            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge):
+        maxplus_into(rows[r], t1.rows[r1], t2.rows[r2], shift, add)
+    return EdgeTable(x, z, vcount, rows, chord_real)
 
+
+@cache
+def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
+                 counted2: bool) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(result row, t1 row, t2 row, shift, add) of every row pair that
+    merge_tables combines: row (bx, by) of t1 with row (by, bz) of t2
+    into row (bx, bz).  The flags say whether the merge closes the
+    cycle, whether the edge (x, z) is real and scored here, and whether
+    each operand counted its own label edge."""
+    terms = []
     for bx in (0, 1):
         for bz in (0, 1):
             if closing and bx != bz:
                 continue
-            out = rows[(bx << 1) | bz]
+            shared = 1 if (closing and bx) else 0
             for by in (0, 1):
-                shared = 1 if (closing and bx) else 0
                 bonus = 1 if (chord_real and bx and bz) else 0
-                if (closing and bx and by
-                        and t1.counts_label_edge and t2.counts_label_edge):
+                if closing and bx and by and counted1 and counted2:
                     bonus -= 1  # both operands counted the same label edge
-                maxplus_into(out, t1.rows[(bx << 1) | by],
-                             t2.rows[(by << 1) | bz], -by - shared, bonus)
-    return EdgeTable(x, z, vcount, rows, chord_real)
+                terms.append(((bx << 1) | bz, (bx << 1) | by, (by << 1) | bz,
+                              -by - shared, bonus))
+    return tuple(terms)
 
 
-def attach_hang(t: EdgeTable, side: int, hang: tuple, k: int) -> EdgeTable:
-    """Fold a cutpoint's hanging vector pair into a leaf table.
-
-    hang = (D0, D1, dcount): best-value vectors over the subtrees hanging
-    off the cutpoint, without/with the cutpoint itself, and their total
-    vertex count.  side 0 attaches at label x, side 1 at label y.
-    """
-    d0, d1, dcount = hang
+def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int) -> EdgeTable:
+    """Fold a cutpoint's hanging vector pair into a leaf table; side 0
+    attaches at label x, side 1 at label y."""
+    d0, d1, dcount = hang[:3]
     vcount = t.vcount + dcount - 1
     cap = min(k, vcount)
     rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
@@ -279,10 +308,11 @@ def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
 
 
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
-               k: int, attach: dict[int, tuple] | None = None,
-               trace: list | None = None,
-               stats: dict | None = None) -> EdgeTable:
-    """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0])."""
+               k: int, attach: dict[int, Hang] | None = None,
+               trace: list | None = None, stats: dict | None = None,
+               keep: bool = False) -> EdgeTable:
+    """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0]);
+    `keep` records each table's operands in its `made`."""
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -301,7 +331,7 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
         t = leaf_table(x, y, k)
         _emit(trace, g, "leaf", t)
         if x in attach:
-            t = attach_hang(t, 0, attach[x], k)
+            t = _attach(t, 0, attach[x], k, keep)
         return t
 
     # bottom-up over a pre-order listing (parents precede children)
@@ -318,7 +348,9 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
             continue
         t = nd.children[0].table
         for ch in nd.children[1:]:
-            t = merge_tables(t, ch.table, g, k)
+            t1, t = t, merge_tables(t, ch.table, g, k)
+            if keep:
+                t.made = ("merge", t1, ch.table)
             ch.table = None
             merges += 1
             cells += 4 * len(t.rows[0])
@@ -332,23 +364,93 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
 # ------------------------------------------------------------- block-cut
 
 
-def _combine_hang(parts: list[tuple], k: int) -> tuple:
+def _attach(t: EdgeTable, side: int, hang: Hang, k: int,
+            keep: bool) -> EdgeTable:
+    out = attach_hang(t, side, hang, k)
+    if keep:
+        out.made = ("hang", t, side, hang)
+    return out
+
+
+def _combine_hang(parts: list[Hang], k: int, keep: bool = False) -> Hang:
     """Join sibling subtrees that share only their common cutpoint."""
-    d0, d1, cnt = parts[0]
-    for u0, u1, c2 in parts[1:]:
-        cnt = cnt + c2 - 1
+    h = parts[0]
+    for u in parts[1:]:
+        cnt = h.count + u.count - 1
         cap = min(k, cnt)
-        d0 = convolve_max_plus(d0, u0, cap)
-        both: list[int | None] = [None] * (cap + 1)
-        maxplus_into(both, d1, u1, -1)  # the cutpoint is counted once
-        d1 = both
-    return d0, d1, cnt
+        d0 = convolve_max_plus(h.d0, u.d0, cap)
+        d1: list[int | None] = [None] * (cap + 1)
+        maxplus_into(d1, h.d1, u.d1, -1)  # the cutpoint is counted once
+        h = Hang(d0, d1, cnt, ("join", h, u) if keep else ())
+    return h
+
+
+def _row_reaching(t: EdgeTable, group: tuple[int, ...], kp: int,
+                  val: int) -> int:
+    for r in group:
+        if t.rows[r][kp] == val:
+            return r
+    raise InternalError(f"traceback: no row of T_({t.x},{t.y}) reaches "
+                        f"{val} at size {kp}")
+
+
+def _cells(item: EdgeTable | Hang, r: int) -> list[int | None]:
+    """Row r of a table, or the vector with cutpoint bit r of a hang."""
+    return item[r] if isinstance(item, Hang) else item.rows[r]
+
+
+def _traceback(t: EdgeTable, group: tuple[int, ...], kp: int,
+               val: int) -> set[int]:
+    """Vertices of a kp-subset that reaches val in one of the rows
+    `group` of the kept table t.  Each cell is walked back to operand
+    cells that reach it, down to the leaves, whose rows select their
+    endpoints.  A cell of size 0 selects nothing."""
+    chosen: set[int] = set()
+    todo: list[tuple] = [(t, _row_reaching(t, group, kp, val), kp)]
+    while todo:
+        item, r, kp = todo.pop()
+        if kp == 0:
+            continue
+        made = item.made
+        if not made:                        # a leaf
+            chosen.update(v for v, bit in ((item.x, 2), (item.y, 1))
+                          if r & bit)
+            continue
+        val = _cells(item, r)[kp]
+        if made[0] == "block":              # r is the cutpoint's bit
+            todo.append((made[1], _row_reaching(made[1], made[2][r], kp,
+                                                val), kp))
+            continue
+        if made[0] == "join":
+            terms = [(made[1], r, made[2], r, -r, 0)]
+        elif made[0] == "merge":
+            t1, t2 = made[1:]
+            terms = [(t1, r1, t2, r2, shift, add)
+                     for out, r1, r2, shift, add in _merge_terms(
+                         t1.x == t2.y, item.counts_label_edge,
+                         t1.counts_label_edge, t2.counts_label_edge)
+                     if out == r]
+        else:
+            t0, side, hang = made[1:]
+            b = r >> 1 if side == 0 else r & 1
+            terms = [(t0, r, hang, b, -b, 0)]
+        for o1, r1, o2, r2, shift, add in terms:
+            pair = maxplus_pair(_cells(o1, r1), _cells(o2, r2), kp, val,
+                                shift, add)
+            if pair is not None:
+                todo += [(o1, r1, pair[0]), (o2, r2, pair[1])]
+                break
+        else:
+            raise InternalError(f"traceback: no operand cells reach {val} "
+                                f"at size {kp}")
+    return chosen
 
 
 def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                              trace: list | None = None,
                              stats: dict | None = None,
-                             blocks: Blocks | None = None) -> list[int]:
+                             blocks: Blocks | None = None,
+                             witness: bool = False):
     """Optimum edge counts for every k' = 0..min(k, n) on a connected
     outerplanar graph.
 
@@ -356,11 +458,14 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     decomposed here, which raises NotOuterplanar on other graphs, and a
     disconnected g raises DksError.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
-    `trace`.
+    `trace`.  With `witness`, every table is kept and the result is
+    (values, pick): pick(k') walks them back to a set of k' vertices
+    that induces values[k'] edges.
     """
     cap = min(k, g.n)
     if g.n <= 1 or g.m == 0:
-        return [0] * (cap + 1)
+        values = [0] * (cap + 1)
+        return (values, lambda kp: set(range(kp))) if witness else values
 
     if blocks is None:
         blocks = outerplanar_blocks(g)
@@ -401,10 +506,10 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     if stats is not None:
         stats["blocks"] = len(blocks.edges)
 
-    uvec: dict[int, tuple] = {}
+    uvec: dict[int, Hang] = {}
     for bid in reversed(order):
         key = key_of[bid]
-        attach = {v: _combine_hang([uvec[c] for c in kids], k)
+        attach = {v: _combine_hang([uvec[c] for c in kids], k, witness)
                   for v, kids in kids_at[bid].items()}
         b_edges = blocks.edges[bid]
         if len(b_edges) == 1:
@@ -414,25 +519,32 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             _count(stats, 1, 4 * len(t.rows[0]), 0)
             _emit(trace, g, "leaf", t)
             if x in attach:
-                t = attach_hang(t, 0, attach[x], k)
+                t = _attach(t, 0, attach[x], k, witness)
             if y in attach:
-                t = attach_hang(t, 1, attach[y], k)
+                t = _attach(t, 1, attach[y], k, witness)
+            groups = ((0, 1), (2, 3))
             if bid == root_bid:
                 values = vector_max(vector_max(t.rows[0], t.rows[1]),
                                     vector_max(t.rows[2], t.rows[3]))
             else:
                 u0 = vector_max(t.rows[0], t.rows[1])
                 u1 = vector_max(t.rows[2], t.rows[3])
-                uvec[bid] = (u0, u1, t.vcount)
         else:
             cycle = blocks.cycles[bid]
             i = cycle.index(key)
             cycle = cycle[i:] + cycle[:i]
             if cycle[-1] < cycle[1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            t = fold_block(g, cycle, b_edges, k, attach, trace, stats)
+            t = fold_block(g, cycle, b_edges, k, attach, trace, stats,
+                           witness)
+            groups = ((0,), (3,))
             if bid == root_bid:
                 values = vector_max(t.rows[0], t.rows[3])
             else:
-                uvec[bid] = (t.rows[0], t.rows[3], t.vcount)
-    return values
+                u0, u1 = t.rows[0], t.rows[3]
+        if bid != root_bid:             # the root block comes last
+            uvec[bid] = Hang(u0, u1, t.vcount,
+                             ("block", t, groups) if witness else ())
+    if not witness:
+        return values
+    return values, lambda kp: _traceback(t, sum(groups, ()), kp, values[kp])

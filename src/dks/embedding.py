@@ -62,15 +62,16 @@ def _outerplanar_rotation(g: Graph, blocks: Blocks) -> list[list[int]]:
     return rot
 
 
-def planar_embed(g: Graph) -> tuple[PlaneGraph, int]:
+def planar_embed(g: Graph, recognise: bool = True) -> tuple[PlaneGraph, int]:
     """Embed a connected graph; returns (plane, outer face id).
 
     A rotation system supplied with the input is honored (and validated);
     otherwise one is computed: from the flat recognizer's blocks when the
     graph is outerplanar and no outer face is given, so every vertex lies
-    on the longest face, else by networkx.  Without an explicit outer face
-    the longest face is chosen, ties going to the face containing the
-    smallest vertex.
+    on the longest face, else by networkx.  recognise=False skips the
+    flat recognizer, for a caller that has already found g not
+    outerplanar.  Without an explicit outer face the longest face is
+    chosen, ties going to the face containing the smallest vertex.
     """
     if g.n < 2:
         raise EmbeddingInconsistent("embedding needs at least two vertices")
@@ -81,7 +82,8 @@ def planar_embed(g: Graph) -> tuple[PlaneGraph, int]:
         if pairs != listed:
             raise EmbeddingInconsistent("rotation does not list the edge set")
     else:
-        blocks = is_outerplanar(g) if g.outer_face is None else None
+        blocks = (is_outerplanar(g) if recognise and g.outer_face is None
+                  else None)
         if blocks is not None:
             rot = _outerplanar_rotation(g, blocks)
         else:
@@ -420,7 +422,8 @@ def _fallback_chords(plane: PlaneGraph, orbit: Orbit,
         f"face of size {m} admits no simple triangulation")
 
 
-def embed_and_level(g: Graph, variant: str = "zigzag") -> LeveledEmbedding:
-    plane, outer = planar_embed(g)
+def embed_and_level(g: Graph, variant: str = "zigzag",
+                    recognise: bool = True) -> LeveledEmbedding:
+    plane, outer = planar_embed(g, recognise)
     le = compute_levels(g, plane, outer)
     return triangulate(le, variant)

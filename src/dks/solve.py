@@ -2,7 +2,9 @@
 
 The two dynamic programs are written for connected inputs of their own
 class.  This module owns the boring reality around them: class detection,
-disconnected inputs, size guards, timing, and optional witness recovery.
+disconnected inputs, size guards, timing, and the optional witness: a
+traceback through the tables of the value solve, certified before it is
+returned.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from dks.dp_bouterplanar import solve_bouterplanar_values
 from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
 from dks.errors import InternalError, KTooLarge
-from dks.graph import Graph, component_subgraphs, induced_subgraph
+from dks.graph import Graph, component_subgraphs
+from dks.graph import induced_subgraph  # noqa: F401  (perfbench hooks it here)
 from dks.report import SolveReport
-from dks.tables import convolve_max_plus
+from dks.tables import convolve_max_plus, maxplus_pair
 
 __all__ = ["solve", "solve_outerplanar", "solve_bouterplanar"]
 
@@ -24,9 +27,11 @@ _DEEPEST = ("levels", "max_rows")
 
 
 def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
-                      root: int | None, trace: list | None, stats: dict):
-    """The flat solver when it applies (pinning it raises NotOuterplanar
-    on any other input), else the leveled one."""
+                      root: int | None, trace: list | None, stats: dict,
+                      witness: bool):
+    """(solver name, values, pick) from the flat solver when it applies
+    (pinning it raises NotOuterplanar on any other input), else the
+    leveled one; pick is None unless a witness is asked for."""
     if force == "auto":
         blocks = is_outerplanar(g)
     elif force == "outerplanar":
@@ -34,43 +39,50 @@ def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
     else:
         blocks = None
     if blocks is not None:
-        vals = solve_outerplanar_values(g, k, root=root, trace=trace,
-                                        stats=stats, blocks=blocks)
-        return "outerplanar", vals
-    vals = solve_bouterplanar_values(g, k, root=root,
-                                     triangulation=triangulation,
-                                     trace=trace, stats=stats)
-    return "bouterplanar", vals
+        name, out = "outerplanar", solve_outerplanar_values(
+            g, k, root=root, trace=trace, stats=stats, blocks=blocks,
+            witness=witness)
+    else:
+        name, out = "bouterplanar", solve_bouterplanar_values(
+            g, k, root=root, triangulation=triangulation, trace=trace,
+            stats=stats, witness=witness, recognise=force != "auto")
+    return (name, *out) if witness else (name, out, None)
 
 
 def _values(g: Graph, k: int, *, force: str = "auto",
             triangulation: str = "zigzag", root: int | None = None,
-            trace: list | None = None, stats: dict | None = None):
-    """(solver name, exact optimum vector for k' = 0..min(k, n)).
+            trace: list | None = None, stats: dict | None = None,
+            witness: bool = False):
+    """(solver name, exact optimum vector for k' = 0..min(k, n), pick).
 
     Any vertex count, any number of components; per-component vectors are
-    joined by max-plus convolution, which preserves exactness.
+    joined by max-plus convolution, which preserves exactness.  With
+    `witness`, pick(k') is a set of k' vertices that the tables of every
+    component claim induces values[k'] edges: each join is split back
+    into the sizes its two vectors contribute.  Else pick is None.
     """
     if stats is None:
         stats = {}
     cap = min(k, g.n)
     if g.n == 0:
-        return (force if force != "auto" else "outerplanar"), [0]
+        return ((force if force != "auto" else "outerplanar"), [0],
+                (lambda kp: set()) if witness else None)
     comps = g.connected_components()
     if len(comps) == 1:
         return _connected_values(g, cap, force=force,
                                  triangulation=triangulation, root=root,
-                                 trace=trace, stats=stats)
+                                 trace=trace, stats=stats, witness=witness)
     stats["pieces"] = len(comps)
     acc: list[int | None] = [0]
+    joins = []
     names = set()
     for keep, sub in component_subgraphs(g, comps):
         sk = min(cap, sub.n)
         sub_root = keep.index(root) if root in keep else None
         part: dict = {}
-        name, vec = _connected_values(sub, sk, force=force,
-                                      triangulation=triangulation,
-                                      root=sub_root, trace=trace, stats=part)
+        name, vec, pick = _connected_values(
+            sub, sk, force=force, triangulation=triangulation, root=sub_root,
+            trace=trace, stats=part, witness=witness)
         del sub  # so the next component is built with this one gone
         names.add(name)
         for key, val in part.items():
@@ -78,10 +90,27 @@ def _values(g: Graph, k: int, *, force: str = "auto",
                 stats[key] = max(stats.get(key, 0), val)
             elif isinstance(val, int):
                 stats[key] = stats.get(key, 0) + val
+        if witness:
+            joins.append((acc, vec, keep, pick))
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
     if len(acc) != cap + 1 or None in acc:
         raise InternalError("joined component vectors miss a size")
-    return ("outerplanar" if names == {"outerplanar"} else "bouterplanar"), acc
+
+    def pick_joined(kp: int) -> set[int]:
+        chosen: set[int] = set()
+        val = acc[kp]
+        for prev, vec, keep, pick in reversed(joins):
+            pair = maxplus_pair(prev, vec, kp, val)
+            if pair is None:
+                raise InternalError(f"traceback: no split of size {kp} "
+                                    f"over the components reaches {val}")
+            kp, k2 = pair
+            chosen.update(keep[v] for v in pick(k2))
+            val = prev[kp]
+        return chosen
+
+    name = "outerplanar" if names == {"outerplanar"} else "bouterplanar"
+    return name, acc, pick_joined if witness else None
 
 
 def solve(g: Graph, k: int, *, force_solver: str = "auto",
@@ -95,6 +124,12 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     `trace` collects one event per DP table, from every component and
     either solver: a dict with the table's `branch` and `pivot`, the
     `table` itself and the `graph` whose vertex ids it uses.
+
+    With `witness`, the value solve keeps its tables, and the witness, k
+    vertices in ascending order, is found by walking the optimum's cell
+    back down them: through both DPs' merges and the component join.  It
+    is checked before it is returned: k distinct vertices that induce
+    exactly values[k] edges, or InternalError.
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
@@ -102,14 +137,30 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
         raise KTooLarge(f"k={k} but the graph has only {g.n} vertices")
     t0 = time.perf_counter()
     stats: dict = {}
-    name, values = _values(g, k, force=force_solver,
-                           triangulation=triangulation, root=root,
-                           trace=trace, stats=stats)
+    name, values, pick = _values(g, k, force=force_solver,
+                                 triangulation=triangulation, root=root,
+                                 trace=trace, stats=stats, witness=witness)
     rep = SolveReport(k=k, values=values, solver=name,
                       seconds=time.perf_counter() - t0, stats=stats)
     if witness:
-        rep.witness = _witness(g, k, values[k], force_solver, triangulation)
+        rep.witness = _certified(g, k, sorted(pick(k)), values[k])
     return rep
+
+
+def _certified(g: Graph, k: int, chosen: list[int],
+               target: int) -> list[int]:
+    """chosen, once it is k distinct vertices of g, ascending, inducing
+    exactly `target` edges; InternalError otherwise."""
+    sel = set(chosen)
+    if (len(sel) != k or len(chosen) != k
+            or not all(0 <= v < g.n for v in chosen)):
+        raise InternalError(f"witness {chosen} is not a set of {k} "
+                            f"vertices")
+    got = sum(1 for u, v in g.edges if u in sel and v in sel)
+    if got != target:
+        raise InternalError(f"witness {chosen} induces {got} edges, the "
+                            f"optimum is {target}")
+    return chosen
 
 
 def solve_outerplanar(g: Graph, k: int, **kwargs) -> SolveReport:
@@ -120,55 +171,3 @@ def solve_outerplanar(g: Graph, k: int, **kwargs) -> SolveReport:
 def solve_bouterplanar(g: Graph, k: int, **kwargs) -> SolveReport:
     """solve() pinned to the leveled program (works on any planar input)."""
     return solve(g, k, force_solver="bouterplanar", **kwargs)
-
-
-def _witness(g: Graph, k: int, target: int, force: str,
-             triangulation: str) -> list[int]:
-    """A vertex set achieving the optimum, by greedy self-reduction.
-
-    While more than k vertices remain, some vertex lies outside at least
-    one optimal set, so deleting it leaves the optimum intact.  One pass
-    with a cursor finds them: a vertex whose deletion lowered the optimum
-    lies in every optimal set of the graph it was tried on, and every
-    later graph is a subgraph with the same optimum, whose optimal sets
-    are optimal sets of that graph too; so it never needs a second try,
-    and at most n tries are made.  Rescanning from the first vertex after
-    each deletion returns the same set, with up to O(n^2) tries.
-
-    A try re-solves only the components its deletion touched: each
-    component's value vector is kept, keyed by its vertices, and the
-    vectors are joined by max-plus convolution as in `_values`.
-    """
-    memo: dict[tuple[int, ...], list[int | None]] = {}
-
-    def optimum(keep: list[int]) -> int:
-        if not keep:
-            return 0
-        h = induced_subgraph(g, keep)
-        acc = None
-        for comp in h.connected_components():
-            key = tuple(keep[v] for v in comp)
-            vec = memo.get(key)
-            if vec is None:
-                sub = h if len(comp) == h.n else induced_subgraph(h, comp)
-                _, vec = _connected_values(
-                    sub, min(k, sub.n), force=force,
-                    triangulation=triangulation, root=None, trace=None,
-                    stats={})
-                memo[key] = vec
-            acc = vec if acc is None else convolve_max_plus(
-                acc, vec, min(k, len(acc) + len(vec) - 2))
-        return acc[k]
-
-    keep = list(range(g.n))
-    i = 0
-    while len(keep) > k:
-        if i == len(keep):
-            raise InternalError("witness reduction is stuck; no vertex is "
-                                "removable, which contradicts exactness")
-        rest = keep[:i] + keep[i + 1:]
-        if optimum(rest) == target:
-            keep = rest
-        else:
-            i += 1
-    return keep

@@ -6,6 +6,8 @@ value = best edge count or None when no selection of that size exists.
 each caller keeps its own size, bonus and overlap arithmetic in `shift`
 and `add`.  `maxplus_rows` is the same combine over stacked int64 rows,
 with the sentinel NEG for None, for the leveled DP's array tables.
+`maxplus_pair` inverts one cell of either: every witness traceback step
+asks it which operand cells a result cell came from.
 """
 
 from __future__ import annotations
@@ -36,6 +38,23 @@ def maxplus_into(out: list[int | None], a: list[int | None],
                 cur = out[kp]
                 if cur is None or val > cur:
                     out[kp] = val
+
+
+def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
+                 val: int, shift: int = 0,
+                 add: int = 0) -> tuple[int, int] | None:
+    """A pair (k1, k2) with k1 + k2 + shift == kp and a[k1] + b[k2] + add
+    == val, both cells defined: a pair `maxplus_into` with the same a, b,
+    shift and add combines into out[kp] with value val.  None when no
+    pair reaches val."""
+    for k1, v1 in enumerate(a):
+        k2 = kp - shift - k1
+        if k2 < 0:
+            break
+        if (v1 is not None and k2 < len(b) and b[k2] is not None
+                and v1 + b[k2] + add == val):
+            return k1, k2
+    return None
 
 
 def maxplus_rows(a, b, shift, add, width: int, group: int = 1):

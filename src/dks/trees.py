@@ -85,7 +85,9 @@ def build_forest(le: LeveledEmbedding, root: int | None = None) -> Forest:
             tree = _build_tree(le, comp, _orient_outermost(le, comp, root),
                                None, uid_gen)
             for leaf in tree.leaves:
-                assert le.graph.has_edge(leaf.x, leaf.y)
+                if not le.graph.has_edge(leaf.x, leaf.y):
+                    raise InternalError(f"outermost walk edge ({leaf.x},"
+                                        f"{leaf.y}) is not in the graph")
             for node in tree.nodes:
                 node.lbound, node.rbound = (node.x,), (node.y,)
         else:
@@ -149,10 +151,12 @@ def _orient_deeper(le: LeveledEmbedding, comp: LevelComponent,
         return []
     z = _deep_root_vertex(le, comp, vf)
     sources = {h[0] for h in comp.walk}
-    assert z in sources, "deeper root fell off its component's walk"
+    if z not in sources:
+        raise InternalError(f"deeper root {z} fell off its component's walk")
     wedge = set(comp.walk)
     u = le.plane.first_ccw(z, vf.x, lambda w: (z, w) in wedge)
-    assert u is not None
+    if u is None:
+        raise InternalError(f"deeper root {z} has no walk edge out")
     occ = comp.walk.index((z, u))
     return comp.walk[occ:] + comp.walk[:occ]
 
@@ -175,13 +179,16 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
                         uid=next(uid_gen))
         nodes.append(node)
         if face is not None:
-            assert face not in face_to_node
+            if face in face_to_node:
+                raise InternalError(f"face {face} parsed twice")
             face_to_node[face] = node
         return node
 
     def take_leaf(exp: HalfEdge) -> TreeNode:
         nonlocal cursor
-        assert walk[cursor] == exp
+        if walk[cursor] != exp:
+            raise InternalError(f"walk desynced: {walk[cursor]} where the "
+                                f"parser expects {exp}")
         cursor += 1
         leaf = new_node(exp[0], exp[1], "leaf")
         pair = frozenset(exp)
@@ -243,10 +250,10 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
     # that cycle now so the nodes die with the forest, not at the next
     # garbage collection
     del fill, parse_hang
-    assert cursor == len(walk)
-    assert [(lf.x, lf.y) for lf in leaves] == walk
-    assert len(face_to_node) == len(comp.sub_faces), \
-        "parser failed to reach every bounded face"
+    if cursor != len(walk) or [(lf.x, lf.y) for lf in leaves] != walk:
+        raise InternalError("parser leaves do not retrace the walk")
+    if len(face_to_node) != len(comp.sub_faces):
+        raise InternalError("parser failed to reach every bounded face")
     return ComponentTree(comp.cid, root, nodes, leaves, face_to_node,
                          parent_node=vf)
 

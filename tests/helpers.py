@@ -1,4 +1,5 @@
-"""Shared hand-drawn fixtures for the leveling and table tests.
+"""Shared hand-drawn fixtures for the leveling and table tests, and the
+self-reduction oracle for witnesses.
 
 The main fixture is a three-level plane graph: a pentagon with one chord,
 a square with one chord nested inside it, and a single vertex inside the
@@ -11,8 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from dks.graph import Graph
+from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
+from dks.solve import solve
+from dks.tables import convolve_max_plus
 
 FIG_NAMES = ["A", "B", "C", "D", "E", "a", "b", "c", "d", "1"]
 FIG_ID = {s: i for i, s in enumerate(FIG_NAMES)}
@@ -55,6 +58,10 @@ def figure_graph(with_rotation: bool = True) -> Graph:
 def nm(*names: str) -> frozenset[int]:
     """Vertex-id set from fixture names."""
     return frozenset(FIG_ID[s] for s in names)
+
+
+def biggest_component(g: Graph) -> Graph:
+    return induced_subgraph(g, max(g.connected_components(), key=len))
 
 
 def wheel(rim: int) -> Graph:
@@ -167,3 +174,51 @@ def materialize_slice(forest, node, memo: dict) -> tuple[frozenset, frozenset]:
         return out
 
     return go(node)
+
+
+def self_reduction_witness(g: Graph, k: int, **opts) -> list[int]:
+    """A k-set achieving the optimum by greedy self-reduction: the oracle
+    that solve()'s traceback witness is tested against.
+
+    While more than k vertices remain, some vertex lies outside at least
+    one optimal set, so deleting it leaves the optimum intact.  One pass
+    with a cursor finds them: a vertex whose deletion lowered the optimum
+    lies in every optimal set of the graph it was tried on, and every
+    later graph is a subgraph with the same optimum, whose optimal sets
+    are optimal sets of that graph too; so it never needs a second try,
+    and at most n tries are made.  Rescanning from the first vertex after
+    each deletion returns the same set, with up to O(n^2) tries.
+
+    A try solves (with `opts` passed to solve()) only the components its
+    deletion made: each component's value vector is kept, keyed by its
+    vertices, and the vectors are joined by max-plus convolution.
+    """
+    memo: dict[tuple[int, ...], list[int | None]] = {}
+
+    def optimum(keep: list[int]) -> int:
+        if not keep:
+            return 0
+        h = induced_subgraph(g, keep)
+        acc = [0]
+        for comp in h.connected_components():
+            key = tuple(keep[v] for v in comp)
+            vec = memo.get(key)
+            if vec is None:
+                sub = h if len(comp) == h.n else induced_subgraph(h, comp)
+                vec = memo[key] = solve(sub, min(k, sub.n), **opts).values
+            acc = convolve_max_plus(acc, vec,
+                                    min(k, len(acc) + len(vec) - 2))
+        return acc[k]
+
+    keep = list(range(g.n))
+    target = optimum(keep)
+    i = 0
+    while len(keep) > k:
+        if i == len(keep):
+            raise AssertionError("no vertex is removable")
+        rest = keep[:i] + keep[i + 1:]
+        if optimum(rest) == target:
+            keep = rest
+        else:
+            i += 1
+    return keep

@@ -256,13 +256,13 @@ def test_trace_names_branch_and_pivot():
 
 def test_boundary_drift_raises_under_python_O():
     # the drift check, the exactness checks in extend and adjust, the
-    # forest's seam check and the embedding's triangulation check must
-    # survive `python -O`, which strips asserts
+    # forest's seam and walk checks and the embedding's triangulation
+    # check must survive `python -O`, which strips asserts
     script = """
 import sys
 from dks.dp_bouterplanar import adjust, evaluate_tables, extend
 from dks.embedding import embed_and_level
-from dks.errors import BoundaryMismatch, DksError
+from dks.errors import BoundaryMismatch, DksError, InternalError
 from dks.graph import Graph
 from dks.trees import _assign_boundaries, build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
@@ -285,6 +285,12 @@ try:
     _assign_boundaries(spare.le, hub)
 except BoundaryMismatch:
     print("seam", sys.flags.optimize)
+lost = embed_and_level(g)
+lost.graph = Graph(6, rim[1:])    # the outer walk edge (0, 1) is gone
+try:
+    build_forest(lost)
+except InternalError:
+    print("walk", sys.flags.optimize)
 root.lbound = root.lbound + (root.x,)
 try:
     evaluate_tables(forest, 6)
@@ -305,4 +311,5 @@ except TriangulationIncomplete:
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout == ("BoundaryMismatch 1\nInternalError 1\nseam 1\n"
-                          "BoundaryMismatch 1\nuntriangulated 1\n"), out.stderr
+                          "walk 1\nBoundaryMismatch 1\nuntriangulated 1\n"
+                          ), out.stderr

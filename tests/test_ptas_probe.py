@@ -13,13 +13,11 @@ from dks.graph import Graph, induced_subgraph
 from dks.oracle import brute_force_all_k
 from dks.ptas_probe import ProbeReport, baker_decompose, bfs_levels, probe
 
+from helpers import biggest_component
+
 
 def star(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def biggest_component(g: Graph) -> Graph:
-    return induced_subgraph(g, max(g.connected_components(), key=len))
 
 
 def test_path_levels_alternate():

@@ -12,14 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dks
-from dks import dp_outerplanar
-from dks.errors import KTooLarge
-from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
+import helpers
+from dks import dp_bouterplanar, dp_outerplanar
+from dks.embedding import embed_and_level
+from dks.errors import InternalError, KTooLarge
+from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
+                            gen_planar)
 from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
 from dks.oracle import brute_force_all_k
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 
-from helpers import figure_graph, wheel
+from helpers import (biggest_component, figure_graph, self_reduction_witness,
+                     wheel)
 
 
 FIG7 = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
@@ -141,7 +145,9 @@ def test_import_and_flat_solve_leave_numpy_unloaded():
     script = ("import sys, dks, dks.cli\n"
               "from dks import Graph, solve\n"
               "solve(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 3)\n"
-              "print('numpy' in sys.modules)\n"
+              "w = solve(Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), "
+              "(4, 5), (5, 3), (5, 6)]), 4, witness=True).witness\n"
+              "print('numpy' in sys.modules, len(w))\n"
               "solve(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
               "(2, 3)]), 3)\n"
               "print('numpy' in sys.modules)\n")
@@ -149,7 +155,7 @@ def test_import_and_flat_solve_leave_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                          timeout=120)
-    assert out.stdout == "False\nTrue\n", out.stderr
+    assert out.stdout == "False 4\nTrue\n", out.stderr
 
 
 def test_both_solvers_emit_one_event_shape():
@@ -209,13 +215,18 @@ def rescan_witness(g: Graph, k: int) -> list[int]:
     return keep
 
 
+def _union(*parts: Graph) -> Graph:
+    g = Graph(0, [])
+    for part in parts:
+        g = Graph(g.n + part.n, g.edges
+                  + [(u + g.n, v + g.n) for u, v in part.edges])
+    return g
+
+
 def witness_graphs():
-    union = Graph(0, [])
-    for part in (gen_outerplanar(GenSpec(n=6, rho=0.5, seed=3)),
-                 gen_bouterplanar(GenSpec(n=7, b=2, rho=0.5, seed=3)),
-                 wheel(4)):
-        union = Graph(union.n + part.n, union.edges
-                      + [(u + union.n, v + union.n) for u, v in part.edges])
+    union = _union(gen_outerplanar(GenSpec(n=6, rho=0.5, seed=3)),
+                   gen_bouterplanar(GenSpec(n=7, b=2, rho=0.5, seed=3)),
+                   wheel(4))
     return [(gen_outerplanar(GenSpec(n=16, rho=0.5, seed=1)), 6),
             (gen_bouterplanar(GenSpec(n=14, b=3, rho=0.5, seed=1)), 6),
             (union, 6)]
@@ -223,34 +234,131 @@ def witness_graphs():
 
 @pytest.mark.parametrize("case", range(3))
 def test_witness_tries_each_vertex_at_most_once(case, monkeypatch):
-    # one connected_components call per solve: the value solve, then one
-    # per try; rescanning from the start made 52 and 32 tries on the first
-    # two graphs (n = 16 and 14)
+    # the self-reduction oracle builds one subgraph of g for the optimum and
+    # one per try; rescanning from the start made 52 and 32 tries on the
+    # first two graphs (n = 16 and 14)
     g, k = witness_graphs()[case]
+    tries = []
+    real = helpers.induced_subgraph
+    monkeypatch.setattr(helpers, "induced_subgraph",
+                        lambda h, keep: tries.append(h is g) or real(h, keep))
+    oracle = self_reduction_witness(g, k)
+    assert sum(tries) - 1 <= g.n
+    monkeypatch.undo()
+    assert oracle == rescan_witness(g, k)
+    rep = solve(g, k, witness=True)
+    assert len(set(rep.witness)) == k and rep.witness == sorted(rep.witness)
+    assert edges_within(g, rep.witness) == edges_within(g, oracle)
+
+
+def test_witness_resolves_only_the_touched_component(monkeypatch):
+    g, k = witness_graphs()[2]
+    solved = []
+    real = helpers.solve
+    monkeypatch.setattr(helpers, "solve",
+                        lambda sub, *a, **kw: solved.append(tuple(sub.names))
+                        or real(sub, *a, **kw))
+    keep = self_reduction_witness(g, k)
+    assert edges_within(g, keep) == solve(g, k).optimum
+    # every vertex set is solved once: a try re-solves only the pieces
+    # its deletion made, and the 18 tries solve far fewer than 3 each
+    assert len(solved) == len(set(solved)) < 2 * g.n
+
+
+def test_witness_is_one_traceback_after_one_value_solve(monkeypatch):
+    # no re-solve: the witness costs no second pass over the components
+    g, k = witness_graphs()[2]
     calls = []
     real = Graph.connected_components
     monkeypatch.setattr(Graph, "connected_components",
                         lambda self: calls.append(self.n) or real(self))
     rep = solve(g, k, witness=True)
-    assert len(calls) - 1 <= g.n
-    monkeypatch.undo()
-    assert rep.witness == rescan_witness(g, k)
+    assert calls == [g.n]
+    assert edges_within(g, rep.witness) == rep.optimum
 
 
-def test_witness_resolves_only_the_touched_component(monkeypatch):
-    g, k = witness_graphs()[2]
-    target = solve(g, k).optimum
-    solved = []
+def family_graph(family: str, seed: int) -> Graph:
+    """A small graph of one generator family; n <= 16."""
+    if family == "outerplanar":
+        return gen_outerplanar(GenSpec(n=6 + seed % 9, rho=0.6, seed=seed))
+    if family in ("b2", "b3", "b4"):
+        b = int(family[1])
+        return gen_bouterplanar(GenSpec(n=3 * b + 1 + seed % (14 - 3 * b),
+                                        b=b, rho=0.5, seed=seed))
+    if family == "planar":
+        return biggest_component(
+            gen_planar(GenSpec(n=8 + seed % 7, rho=0.8, seed=seed)))
+    return _union(gen_outerplanar(GenSpec(n=5, rho=0.5, seed=seed)),
+                  gen_bouterplanar(GenSpec(n=7, b=2, rho=0.5, seed=seed)),
+                  gen_planar(GenSpec(n=4, rho=0.9, seed=seed)))
+
+
+@given(st.sampled_from(["outerplanar", "b2", "b3", "b4", "planar", "union"]),
+       st.integers(0, 10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_witness_is_certified_and_as_dense_as_the_oracle(family, seed,
+                                                         data):
+    g = family_graph(family, seed)
+    k = data.draw(st.integers(0, g.n), label="k")
+    flat = solve(g, 0).solver == "outerplanar"
+    force = data.draw(st.sampled_from(
+        ["auto", "bouterplanar"] + (["outerplanar"] if flat else [])),
+        label="solver")
+    tri = data.draw(st.sampled_from(["zigzag", "zigzag_alt"]),
+                    label="triangulation")
+    root = None
+    if family != "union" and g.m:
+        # admissible roots sit on the outermost walk
+        outer = sorted({u for u, _ in embed_and_level(g).components[0].walk})
+        root = data.draw(st.sampled_from([None] + outer), label="root")
+    rep = solve(g, k, force_solver=force, triangulation=tri, root=root,
+                witness=True)
+    assert len(set(rep.witness)) == k and rep.witness == sorted(rep.witness)
+    assert edges_within(g, rep.witness) == rep.values[k]
+    assert rep.values[k] == edges_within(g, self_reduction_witness(g, k))
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_corrupted_traceback_raises(case, monkeypatch):
+    # an inverse kernel that settles for one edge less wherever it can
+    # walks to a set that misses the optimum: the certificate refuses it.
+    # The third input is a wheel, a triangle and a path at k = 3, where the
+    # last component join can settle for the path's two edges
+    wheel_tri_path = _union(wheel(4), Graph(3, [(0, 1), (1, 2), (0, 2)]),
+                            Graph(3, [(0, 1), (1, 2)]))
+    g, k = witness_graphs()[case] if case < 2 else (wheel_tri_path, 3)
+    want = solve(g, k).values
+    real = dp_outerplanar.maxplus_pair
+
+    def short(a, b, kp, val, shift=0, add=0):
+        return (real(a, b, kp, val - 1, shift, add)
+                or real(a, b, kp, val, shift, add))
+
     front = import_module("dks.solve")
-    real = front._connected_values
-    monkeypatch.setattr(front, "_connected_values",
-                        lambda sub, *a, **kw: solved.append(tuple(sub.names))
-                        or real(sub, *a, **kw))
-    keep = front._witness(g, k, target, "auto", "zigzag")
-    assert edges_within(g, keep) == target
-    # every vertex set is solved once: a try re-solves only the pieces
-    # its deletion made, and the 18 tries solve far fewer than 3 each
-    assert len(solved) == len(set(solved)) < 2 * g.n
+    for mod in (dp_outerplanar, dp_bouterplanar, front):
+        monkeypatch.setattr(mod, "maxplus_pair", short)
+    with pytest.raises(InternalError):
+        solve(g, k, witness=True)
+    assert solve(g, k).values == want     # no witness, no traceback
+
+
+def test_auto_path_recognises_once(monkeypatch):
+    # K2,3 as a bare edge list: not outerplanar, so the auto path embeds
+    # it without recognising it a second time
+    k23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    calls = []
+    real = Graph.blocks_and_cutpoints
+    monkeypatch.setattr(Graph, "blocks_and_cutpoints",
+                        lambda self: calls.append(self.n) or real(self))
+    rep = solve(k23, 5)
+    assert rep.solver == "bouterplanar" and calls == [5]
+    assert rep.values == brute_force_all_k(k23)
+    # a pinned leveled solve still draws an outerplanar input as a convex
+    # polygon: one level
+    calls.clear()
+    hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    assert solve_bouterplanar(hexagon, 6).stats["levels"] == 1
+    assert calls == [6]
 
 
 @given(st.integers(0, 500))

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dks.tables import NEG, convolve_max_plus, maxplus_into, maxplus_rows
+from dks.tables import (NEG, convolve_max_plus, maxplus_into, maxplus_pair,
+                        maxplus_rows)
 
 cells = st.lists(st.one_of(st.none(), st.integers(-3, 9)), max_size=7)
 
@@ -32,6 +33,24 @@ def test_maxplus_into_matches_triple_loop(a, b, shift, add, extra, start):
     want = naive(out, a, b, shift, add)
     maxplus_into(out, a, b, shift, add)
     assert out == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=cells, b=cells, shift=st.integers(-2, 1), add=st.integers(-2, 2),
+       width=st.integers(0, 12))
+def test_maxplus_pair_inverts_every_cell(a, b, shift, add, width):
+    # each defined cell of a fresh result splits into a pair that reaches
+    # it; an undefined cell, or a value above the cell's, splits into none
+    out = [None] * width
+    maxplus_into(out, a, b, shift, add)
+    for kp, val in enumerate(out):
+        if val is None:
+            assert all(maxplus_pair(a, b, kp, v, shift, add) is None
+                       for v in range(-10, 22))
+            continue
+        k1, k2 = maxplus_pair(a, b, kp, val, shift, add)
+        assert k1 + k2 + shift == kp and a[k1] + b[k2] + add == val
+        assert maxplus_pair(a, b, kp, val + 1, shift, add) is None
 
 
 @given(a=cells, b=cells, kmax=st.integers(0, 14))
