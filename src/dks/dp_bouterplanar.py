@@ -24,7 +24,7 @@ from, and ``_traceback`` walks a root cell back down them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .embedding import LeveledEmbedding, embed_and_level
@@ -48,13 +48,14 @@ def _norm(u: int, v: int) -> tuple[int, int]:
 class BoundaryTable:
     """Optimum edge count per (touched boundary subset, subgraph size).
 
-    L and R list the boundary paths innermost vertex first.  cells is an
-    int64 array of shape (2^|boundary|, K+1): row i holds the subset
-    whose bit j is set when verts[j], the j-th smallest boundary vertex,
-    is in it; column k' is the subgraph size; NEG marks an unrealisable
-    pair.  made is () for a table enumerated from its boundary and, when
-    kept for a traceback, (step, operands...) for the extend, contract,
-    adjust or merge_tables call that built it."""
+    L and R list the boundary paths innermost vertex first; bset, their
+    union, and verts, bset ascending, are set once at construction.
+    cells is an int64 array of shape (2^|boundary|, K+1): row i holds the
+    subset whose bit j is set when verts[j], the j-th smallest boundary
+    vertex, is in it; column k' is the subgraph size; NEG marks an
+    unrealisable pair.  made is () for a table enumerated from its
+    boundary and, when kept for a traceback, (step, operands...) for the
+    extend, contract, adjust or merge_tables call that built it."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -63,14 +64,12 @@ class BoundaryTable:
     K: int
     cells: object
     made: tuple = ()
+    bset: frozenset = field(init=False, compare=False, repr=False)
+    verts: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
-    @property
-    def bset(self) -> frozenset:
-        return frozenset(self.L) | frozenset(self.R)
-
-    @property
-    def verts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.bset))
+    def __post_init__(self) -> None:
+        self.bset = frozenset(self.L) | frozenset(self.R)
+        self.verts = tuple(sorted(self.bset))
 
     @property
     def rows(self) -> dict:
@@ -343,35 +342,30 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
     return chosen
 
 
-def _branch(forest: Forest, v: TreeNode) -> str:
-    if forest.enclosed_component(v) is not None:
-        return "S2"
+def _plan(forest: Forest, v: TreeNode) -> tuple[str, list[TreeNode]]:
+    """v's branch, and the nodes whose tables it consumes in the order
+    its fold reads them."""
+    inner = forest.enclosed_component(v)
+    if inner is not None:
+        return "S2", [forest.trees[inner].root]
     if v.children:
-        return "S1"
+        return "S1", list(v.children)
     if forest.le.components[v.comp].level == 1:
-        return "S3"
-    return "S4"
+        return "S3", []
+    windows = forest.trees[v.comp].parent_node.children
+    return "S4", windows[v.lbn - 1:v.rbn - 1]
 
 
-def _deps(forest: Forest, v: TreeNode) -> list[TreeNode]:
-    br = _branch(forest, v)
-    if br == "S1":
-        return list(v.children)
-    if br == "S2":
-        return [forest.trees[forest.enclosed_component(v)].root]
-    if br == "S4":
-        u = forest.trees[v.comp].parent_node.children
-        return [u[j - 1] for j in range(v.lbn, v.rbn)]
-    return []
-
-
-def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
-              trace: list | None, keep: bool = False) -> BoundaryTable:
+def _table_of(forest: Forest, v: TreeNode, br: str, ops: list,
+              k: int, trace: list | None,
+              keep: bool = False) -> BoundaryTable:
+    """v's table, built by branch br from ops, the tables of the nodes
+    that _plan lists for v, in that order."""
     g = forest.le.graph
 
-    def kept(out: BoundaryTable, step: str, *ops) -> BoundaryTable:
-        if keep and out is not ops[0]:   # adjust may return its operand
-            out.made = (step, *ops)
+    def kept(out: BoundaryTable, step: str, *srcs) -> BoundaryTable:
+        if keep and out is not srcs[0]:  # adjust may return its operand
+            out.made = (step, *srcs)
         return out
 
     def merged(t1: BoundaryTable, t2: BoundaryTable) -> BoundaryTable:
@@ -380,28 +374,24 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
     def extended(z: int, t: BoundaryTable) -> BoundaryTable:
         return kept(extend(g, z, t, k), "extend", t)
 
-    br = _branch(forest, v)
     pivot = None
     if br == "S3":
         t = leaf_template(forest.le, v, k)
     elif br == "S1":
-        t = memo[v.children[0].uid]
-        for ch in v.children[1:]:
-            t = merged(t, memo[ch.uid])
+        t = ops[0]
+        for t2 in ops[1:]:
+            t = merged(t, t2)
         t = kept(adjust(g, t), "adjust", t)
     elif br == "S2":
-        inner = memo[forest.trees[forest.enclosed_component(v)].root.uid]
-        t = kept(contract(inner), "contract", inner)
+        t = kept(contract(ops[0]), "contract", ops[0])
         t = kept(adjust(g, t), "adjust", t)
-    else:
-        tr = forest.trees[v.comp]
-        u = tr.parent_node.children
+    else:                       # ops[i] is the table of window v.lbn + i
         pivot = v.pivot
         t = create(forest, v, pivot, k)
-        for j in range(pivot - 1, v.lbn - 1, -1):
-            t = merged(extended(v.x, memo[u[j - 1].uid]), t)
-        for j in range(pivot, v.rbn):
-            t = merged(t, extended(v.y, memo[u[j - 1].uid]))
+        for i in range(pivot - v.lbn - 1, -1, -1):
+            t = merged(extended(v.x, ops[i]), t)
+        for i in range(pivot - v.lbn, len(ops)):
+            t = merged(t, extended(v.y, ops[i]))
     if t.L != v.lbound or t.R != v.rbound:
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
@@ -412,47 +402,40 @@ def _table_of(forest: Forest, v: TreeNode, k: int, memo: dict,
 
 def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
                     keep: bool = False) -> dict:
-    """Tables for every tree node, keyed by node uid; one event per table
-    is appended to `trace`.  `keep` records in each table's `made` the
-    operands it was built from, intermediate tables included.
+    """Tables for every tree node, keyed by node uid, from one post-order
+    walk down from the outermost root; one event per table is appended
+    to `trace`.  `keep` records in each table's `made` the operands it
+    was built from, intermediate tables included.
 
     Every node except the outermost root is consumed by exactly one
-    other node's computation; that conservation law is checked
-    (InternalError) because it is what makes each real edge score
-    exactly once."""
-    root = forest.trees[0].root
-    deps: dict[int, list[TreeNode]] = {}
-    consumed: dict[int, int] = {}
-    todo = [root]
-    seen = {root.uid}
-    while todo:
-        v = todo.pop()
-        dv = _deps(forest, v)
-        deps[v.uid] = dv
-        for d in dv:
-            consumed[d.uid] = consumed.get(d.uid, 0) + 1
-            if d.uid not in seen:
-                seen.add(d.uid)
-                todo.append(d)
-    every = {n.uid for n in forest.nodes}
-    if set(consumed) != every - {root.uid}:
-        raise InternalError("unreachable tree nodes")
-    if any(c != 1 for c in consumed.values()):
-        raise InternalError("tree node consumed twice")
+    other node's computation.  The walk checks that conservation law as
+    it consumes (InternalError on a node consumed twice, and on nodes
+    left unreached), because it is what makes each real edge score
+    exactly once; each table is built from exactly the tables counted."""
+    def enter(v: TreeNode) -> tuple:
+        br, deps = _plan(forest, v)
+        return v, br, deps, iter(deps)
 
+    root = forest.trees[0].root
+    consumed = {root.uid}
     memo: dict[int, BoundaryTable] = {}
-    stack = [(root, iter(deps[root.uid]))]
+    stack = [enter(root)]
     while stack:
-        v, it = stack[-1]
-        child = next(it, None)
-        if child is None:
+        v, br, deps, it = stack[-1]
+        d = next(it, None)
+        if d is None:
             stack.pop()
-            memo[v.uid] = _table_of(forest, v, k, memo, trace, keep)
-            continue
-        if child.uid not in memo:
-            stack.append((child, iter(deps[child.uid])))
-    if memo.keys() != every:
-        raise InternalError("tree nodes left without a table")
+            memo[v.uid] = _table_of(forest, v, br,
+                                    [memo[c.uid] for c in deps], k, trace,
+                                    keep)
+        elif d.uid in consumed:
+            raise InternalError(f"tree node {d.uid} consumed twice")
+        else:
+            consumed.add(d.uid)
+            stack.append(enter(d))
+    if memo.keys() != {n.uid for n in forest.nodes}:
+        raise InternalError("tree nodes unreachable from the root, left "
+                            "without a table")
     return memo
 
 

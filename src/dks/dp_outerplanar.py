@@ -1,10 +1,11 @@
 """Exact densest-k-subgraph DP for outerplanar graphs.
 
 Per 2-connected block, the unique outer (Hamiltonian) cycle is found by
-degree-2 elimination, chords are arranged into a laminar span tree, and
-tables indexed by (endpoint bits, exact subgraph size) are folded from
-the leaves up.  Blocks hanging off cutpoints are collapsed into
-per-cutpoint vectors and attached at the leaf where the cutpoint sits.
+degree-2 elimination, and tables indexed by (endpoint bits, exact
+subgraph size) are folded in one sweep around it: each chord's span of
+cycle edges is merged when the sweep leaves it, nested spans first.
+Blocks hanging off cutpoints are collapsed into per-cutpoint vectors and
+attached at the leaf where the cutpoint sits.
 When a witness is asked for, every table and vector keeps the operands
 it was built from, and `_traceback` walks a root cell back down them.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -243,55 +244,7 @@ def is_outerplanar(g: Graph) -> Blocks | None:
         return None
 
 
-# -------------------------------------------------------------- span tree
-
-
-@dataclass
-class SpanNode:
-    start: int
-    end: int  # covers exterior edges start .. end-1 (cycle positions)
-    children: list["SpanNode"] = field(default_factory=list)
-    leaf: bool = False
-    table: EdgeTable | None = None
-
-
-def build_span_tree(m: int, intervals: list[tuple[int, int]]) -> SpanNode:
-    """Laminar tree over cycle positions; intervals are chord spans with
-    0 < start < end <= m (a chord through position 0 is flipped to the
-    complementary arc first)."""
-    root = SpanNode(0, m)
-    stack = [root]
-    for s, e in sorted(intervals, key=lambda se: (se[0], se[0] - se[1])):
-        while stack[-1].end <= s:
-            stack.pop()
-        top = stack[-1]
-        if not (top.start <= s and e <= top.end):
-            raise NotOuterplanar(f"crossing chords at span [{s},{e})")
-        node = SpanNode(s, e)
-        top.children.append(node)
-        stack.append(node)
-    # second sweep drops each exterior edge into its innermost span
-    def place_leaves(node: SpanNode) -> None:
-        merged: list[SpanNode] = []
-        pos = node.start
-        for ch in node.children:
-            while pos < ch.start:
-                merged.append(SpanNode(pos, pos + 1, leaf=True))
-                pos += 1
-            merged.append(ch)
-            pos = ch.end
-        while pos < node.end:
-            merged.append(SpanNode(pos, pos + 1, leaf=True))
-            pos += 1
-        node.children = merged
-
-    stack = [root]
-    while stack:
-        nd = stack.pop()
-        kids = nd.children[:]
-        place_leaves(nd)
-        stack.extend(kids)
-    return root
+# ------------------------------------------------------------------ fold
 
 
 def _count(stats: dict | None, tables: int, cells: int, merges: int) -> None:
@@ -311,54 +264,51 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                k: int, attach: dict[int, Hang] | None = None,
                trace: list | None = None, stats: dict | None = None,
                keep: bool = False) -> EdgeTable:
-    """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0]);
-    `keep` records each table's operands in its `made`."""
+    """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0]).
+
+    One sweep over the cycle edges 0..m-1 keeps a stack of open spans,
+    the whole cycle at the bottom.  A chord spans the edges s..e-1 between
+    its endpoints (one through position 0 spans the complementary arc);
+    its span opens at edge s, outermost first.  Each edge's leaf table,
+    with the hang of its first vertex attached, goes onto the innermost
+    open span.  A span closes after its last edge: its pieces are merged
+    left to right, and the result goes onto the enclosing span.  `keep`
+    records each table's operands in its `made`."""
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
-    on_cycle = {(cycle[i], cycle[(i + 1) % m]) for i in range(m)}
-    on_cycle |= {(b, a) for a, b in on_cycle}
-    intervals = []
+    opens: dict[int, list[int]] = defaultdict(list)
     for u, v in edges:
-        if (u, v) in on_cycle:
-            continue
         pa, pb = sorted((pos[u], pos[v]))
-        intervals.append((pa, pb) if pa > 0 else (pb, m))
-    root = build_span_tree(m, intervals)
-
-    def leaf_of(i: int) -> EdgeTable:
+        if 1 < pb - pa < m - 1:                 # a chord, not a cycle edge
+            s, e = (pa, pb) if pa > 0 else (pb, m)
+            opens[s].append(e)
+    stack: list[tuple[int, list[EdgeTable]]] = [(m, [])]  # (end, pieces)
+    cells = 0
+    for i in range(m + 1):
+        while stack[-1][0] <= i:       # close the spans ending at edge i-1
+            t, *rest = stack.pop()[1]
+            for t2 in rest:
+                t1, t = t, merge_tables(t, t2, g, k)
+                if keep:
+                    t.made = ("merge", t1, t2)
+                cells += 4 * len(t.rows[0])
+                _emit(trace, g, "merge", t)
+            if not stack:              # the cycle's own span, at i == m
+                _count(stats, 2 * m - 1, m * 4 * (min(k, 2) + 1) + cells,
+                       m - 1)
+                return t
+            stack[-1][1].append(t)
+        for e in sorted(opens[i], reverse=True):
+            if e > stack[-1][0]:
+                raise NotOuterplanar(f"crossing chords at span [{i},{e})")
+            stack.append((e, []))
         x, y = cycle[i], cycle[(i + 1) % m]
         t = leaf_table(x, y, k)
         _emit(trace, g, "leaf", t)
         if x in attach:
             t = _attach(t, 0, attach[x], k, keep)
-        return t
-
-    # bottom-up over a pre-order listing (parents precede children)
-    order: list[SpanNode] = []
-    stk = [root]
-    while stk:
-        nd = stk.pop()
-        order.append(nd)
-        stk.extend(nd.children)
-    merges = cells = 0
-    for nd in reversed(order):
-        if nd.leaf:
-            nd.table = leaf_of(nd.start)
-            continue
-        t = nd.children[0].table
-        for ch in nd.children[1:]:
-            t1, t = t, merge_tables(t, ch.table, g, k)
-            if keep:
-                t.made = ("merge", t1, ch.table)
-            ch.table = None
-            merges += 1
-            cells += 4 * len(t.rows[0])
-            _emit(trace, g, "merge", t)
-        nd.children[0].table = None
-        nd.table = t
-    _count(stats, m + merges, m * 4 * (min(k, 2) + 1) + cells, merges)
-    return root.table
+        stack[-1][1].append(t)
 
 
 # ------------------------------------------------------------- block-cut

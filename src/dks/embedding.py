@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from dks.dp_outerplanar import Blocks, is_outerplanar
 from dks.errors import (EmbeddingInconsistent, InternalError, NotPlanar,
                         TriangulationIncomplete)
@@ -87,6 +85,7 @@ def planar_embed(g: Graph, recognise: bool = True) -> tuple[PlaneGraph, int]:
         if blocks is not None:
             rot = _outerplanar_rotation(g, blocks)
         else:
+            import networkx as nx  # deferred: `import dks` stays light
             ok, emb = nx.check_planarity(nx.Graph(g.edges),
                                          counterexample=False)
             if not ok:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from dks.dp_outerplanar import is_outerplanar
 from dks.embedding import embed_and_level
-from dks.errors import InfeasibleSpec
+from dks.errors import InfeasibleSpec, InternalError
 from dks.graph import Graph
 from dks.plane import rotations_from_coordinates
 
@@ -79,14 +79,17 @@ def gen_outerplanar(spec: GenSpec) -> Graph:
         if hi - mid > 1:
             chords.append((mid, hi))
         stack += [(lo, mid), (mid, hi)]
-    assert len(chords) == n - 3
+    if len(chords) != n - 3:
+        raise InternalError(f"{len(chords)} chords in a cycle of {n}, "
+                            f"not {n - 3}")
     kept = sorted(rng.sample(sorted(chords), round(spec.rho * len(chords))))
     coords = _circle_coords(n)
     all_edges = edges + kept
     g = Graph(n, all_edges,
               rotation=rotations_from_coordinates(coords, all_edges),
               outer_face=list(range(n)))
-    assert is_outerplanar(g)
+    if not is_outerplanar(g):
+        raise InternalError("generated graph is not outerplanar")
     return g
 
 
@@ -196,9 +199,11 @@ def gen_bouterplanar(spec: GenSpec) -> Graph:
               rotation=rotations_from_coordinates(coords, edges),
               outer_face=rings[0])
     le = embed_and_level(g)
-    assert le.depth == spec.b, f"built {le.depth} levels, wanted {spec.b}"
+    if le.depth != spec.b:
+        raise InternalError(f"built {le.depth} levels, wanted {spec.b}")
     for i, ring in enumerate(rings):
-        assert all(le.level[v] == i + 1 for v in ring)
+        if any(le.level[v] != i + 1 for v in ring):
+            raise InternalError(f"ring {i + 1} is not one level")
     return g
 
 
@@ -223,5 +228,6 @@ def gen_planar(spec: GenSpec) -> Graph:
         vs = sorted(int(v) for v in simplex)
         full.update([(vs[0], vs[1]), (vs[0], vs[2]), (vs[1], vs[2])])
     edges = [e for e in sorted(full) if rng.random() < spec.rho]
-    assert len(full) <= 3 * n - 6
+    if len(full) > 3 * n - 6:
+        raise InternalError(f"{len(full)} Delaunay edges on {n} points")
     return Graph(n, edges)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from dks.errors import CapExceeded, KTooLarge
+from dks.errors import CapExceeded, InternalError, KTooLarge
 from dks.graph import Graph
 
 ORACLE_VERTEX_CAP = 20
@@ -101,8 +101,10 @@ def brute_force_slice_table(
 
 
 def oracle_self_check(g: Graph) -> None:
-    """The two oracles must agree; raises AssertionError on mismatch."""
+    """The two oracles must agree; raises InternalError on mismatch."""
     allk = brute_force_all_k(g)
     for k in range(g.n + 1):
         v, _ = brute_force_densest_k(g, k)
-        assert v == allk[k], f"oracle disagreement at k={k}: {v} vs {allk[k]}"
+        if v != allk[k]:
+            raise InternalError(f"oracle disagreement at k={k}: {v} vs "
+                                f"{allk[k]}")

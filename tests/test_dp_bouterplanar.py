@@ -1,3 +1,4 @@
+import copy
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from dks.dp_bouterplanar import (ABSENT, BoundaryTable, evaluate_tables,
                                  leaf_template, merge_tables,
                                  solve_bouterplanar_values)
 from dks.embedding import embed_and_level
-from dks.errors import BoundaryMismatch
+from dks.errors import BoundaryMismatch, InternalError
 from dks.graph import Graph
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.dp_outerplanar import solve_outerplanar_values
@@ -160,6 +161,25 @@ def test_every_node_table_matches_slice_oracle(make):
     assert_node_tables_match_slice_oracle(make())
 
 
+def test_evaluate_tables_checks_conservation():
+    # W5: the root encloses the hub, whose S4 sweep consumes the five
+    # leaf windows in order.  The last leaf claiming the first as a child
+    # makes the first consumed twice, which is caught before the last
+    # leaf's table is built; a node no table reads is unreachable.
+    # Either would break "each real edge scores once".
+    forest = build_forest(embed_and_level(wheel(5)))
+    leaves = forest.trees[0].root.children
+    leaves[-1].children = [leaves[0]]
+    with pytest.raises(InternalError, match="consumed twice"):
+        evaluate_tables(forest, 6)
+    forest = build_forest(embed_and_level(wheel(5)))
+    stray = copy.copy(forest.trees[0].root.children[0])
+    stray.uid = len(forest.nodes)
+    forest.nodes.append(stray)
+    with pytest.raises(InternalError, match="unreachable"):
+        evaluate_tables(forest, 6)
+
+
 def test_table_shape_invariants():
     g = figure_graph()
     forest = build_forest(embed_and_level(g))
@@ -256,8 +276,9 @@ def test_trace_names_branch_and_pivot():
 
 def test_boundary_drift_raises_under_python_O():
     # the drift check, the exactness checks in extend and adjust, the
-    # forest's seam and walk checks and the embedding's triangulation
-    # check must survive `python -O`, which strips asserts
+    # forest's seam and walk checks, the embedding's triangulation check
+    # and the oracle's and generators' self-checks must survive
+    # `python -O`, which strips asserts
     script = """
 import sys
 from dks.dp_bouterplanar import adjust, evaluate_tables, extend
@@ -305,6 +326,18 @@ try:
     embedding.embed_and_level(prism)   # its quad faces stay untriangulated
 except TriangulationIncomplete:
     print("untriangulated", sys.flags.optimize)
+from dks import generators, oracle
+real = oracle.brute_force_densest_k
+oracle.brute_force_densest_k = lambda g, k: (real(g, k)[0] + 1, [])
+try:
+    oracle.oracle_self_check(Graph(3, [(0, 1)]))   # a corrupted oracle
+except InternalError:
+    print("oracle", sys.flags.optimize)
+generators.is_outerplanar = lambda g: None
+try:
+    generators.gen_outerplanar(generators.GenSpec(n=5))
+except InternalError:
+    print("generator", sys.flags.optimize)
 """
     src = Path(dks.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -312,4 +345,4 @@ except TriangulationIncomplete:
                          capture_output=True, text=True, timeout=120)
     assert out.stdout == ("BoundaryMismatch 1\nInternalError 1\nseam 1\n"
                           "walk 1\nBoundaryMismatch 1\nuntriangulated 1\n"
-                          ), out.stderr
+                          "oracle 1\ngenerator 1\n"), out.stderr

@@ -13,13 +13,17 @@ from hypothesis import strategies as st
 from dks.errors import DksError, NotOuterplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k, brute_force_slice_table
+from dks import dp_outerplanar
 from dks.dp_outerplanar import (
+    Hang,
     block_outer_cycle,
+    fold_block,
     is_outerplanar,
     leaf_table,
     merge_tables,
     solve_outerplanar_values,
 )
+from dks.solve import solve_outerplanar
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
@@ -202,6 +206,42 @@ def test_two_triangles_joined_by_bridge():
     g = Graph(n=6, edges=[(0, 1), (1, 2), (0, 2), (2, 3),
                           (3, 4), (4, 5), (3, 5)])
     check_against_oracle(g)
+
+
+def test_traceback_splits_a_hang_join(monkeypatch):
+    # two triangles hang off cutpoint 2 of the root block (0, 1, 2), so
+    # their vectors are joined; the traceback must split the join back
+    # into both sibling blocks, and only its "join" step reads them
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 5),
+                  (5, 6), (2, 6)])
+    read = []
+    real = dp_outerplanar._cells
+    monkeypatch.setattr(dp_outerplanar, "_cells",
+                        lambda item, r: read.append(item) or real(item, r))
+    want = brute_force_all_k(g)
+    for k in range(g.n + 1):
+        rep = solve_outerplanar(g, k, root=0, witness=True)
+        chosen = set(rep.witness)
+        assert rep.values == want[:k + 1]
+        assert len(chosen) == k
+        assert sum(u in chosen and v in chosen for u, v in g.edges) == want[k]
+    joins = [h for h in read
+             if isinstance(h, Hang) and h.made and h.made[0] == "join"]
+    assert joins
+    assert any(any(h is j.made[1] for h in read)
+               and any(h is j.made[2] for h in read) for j in joins)
+
+
+@pytest.mark.parametrize("chords", [[(0, 2), (1, 3)], [(0, 3), (1, 4)],
+                                    [(1, 4), (2, 5)],
+                                    [(0, 2), (2, 4), (1, 5)]])
+def test_fold_block_rejects_crossing_chords(chords):
+    # the recogniser never hands such a block to the fold, so the sweep's
+    # own check is driven directly, chords through position 0 included
+    cycle = list(range(6))
+    edges = [(i, (i + 1) % 6) for i in range(6)] + chords
+    with pytest.raises(NotOuterplanar, match="crossing chords"):
+        fold_block(Graph(6, edges), cycle, edges, 6)
 
 
 def test_disconnected_input_raises():

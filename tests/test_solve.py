@@ -140,22 +140,30 @@ def test_leveled_table_stats_are_pinned(which, k):
 
 
 def test_import_and_flat_solve_leave_numpy_unloaded():
-    # numpy costs a noticeable share of a short run's start-up; only the
-    # leveled tables need it
+    # numpy and networkx cost a noticeable share of a short run's
+    # start-up; only the leveled tables need numpy, and only a
+    # rotation-less input that is not outerplanar needs networkx
     script = ("import sys, dks, dks.cli\n"
               "from dks import Graph, solve\n"
+              "from dks.generators import GenSpec, gen_bouterplanar\n"
+              "def loaded(): return ('numpy' in sys.modules, "
+              "'networkx' in sys.modules)\n"
               "solve(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), 3)\n"
               "w = solve(Graph(7, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), "
               "(4, 5), (5, 3), (5, 6)]), 4, witness=True).witness\n"
-              "print('numpy' in sys.modules, len(w))\n"
+              "print(*loaded(), len(w))\n"
+              "g = gen_bouterplanar(GenSpec(n=12, b=2, seed=1))\n"
+              "assert g.rotation is not None\n"
+              "print(solve(g, 4).solver, *loaded())\n"
               "solve(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), "
               "(2, 3)]), 3)\n"
-              "print('numpy' in sys.modules)\n")
+              "print(*loaded())\n")
     src = Path(dks.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                          timeout=120)
-    assert out.stdout == "False 4\nTrue\n", out.stderr
+    assert out.stdout == ("False False 4\nbouterplanar True False\n"
+                          "True True\n"), out.stderr
 
 
 def test_both_solvers_emit_one_event_shape():
