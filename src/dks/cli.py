@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from dks.dp_outerplanar import EdgeTable
 from dks.errors import (DksError, InternalError, KTooLarge, NotOuterplanar,
                         NotPlanar)
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
@@ -208,7 +209,7 @@ def _fmt(cell) -> str:
 def _ends(ev: dict) -> str:
     """The event's table endpoints, in the input's vertex names."""
     g, t = ev["graph"], ev["table"]
-    x, y = (t.x, t.y) if isinstance(t.rows, list) else (t.L[0], t.R[0])
+    x, y = (t.x, t.y) if isinstance(t, EdgeTable) else (t.L[0], t.R[0])
     return f"({g.name_of(x)},{g.name_of(y)})"
 
 
@@ -216,7 +217,7 @@ def _print_table(ev: dict, out) -> None:
     """One table event as a TSV block: bx/by rows for a flat table,
     boundary-subset rows for a leveled one."""
     g, t = ev["graph"], ev["table"]
-    if isinstance(t.rows, list):
+    if isinstance(t, EdgeTable):
         print(f"# {ev['branch']} {_ends(ev)}", file=out)
         print("\t".join(["bx", "by"] + [f"k={i}"
                                         for i in range(len(t.rows[0]))]),
@@ -231,9 +232,10 @@ def _print_table(ev: dict, out) -> None:
               f"R={[g.name_of(u) for u in t.R]}", file=out)
         print("\t".join(["subset"] + [f"k={i}" for i in range(t.K + 1)]),
               file=out)
-        for key in sorted(t.rows, key=lambda a: (len(a), sorted(a))):
+        rows = t.rows
+        for key in sorted(rows, key=lambda a: (len(a), sorted(a))):
             name = "{" + ",".join(g.name_of(v) for v in sorted(key)) + "}"
-            cells = [_fmt(c) for c in t.rows[key]]
+            cells = [_fmt(c) for c in rows[key]]
             print("\t".join([name] + cells), file=out)
     print(file=out)
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .dp_outerplanar import Blocks
 from .embedding import LeveledEmbedding, embed_and_level
 from .errors import BoundaryMismatch, InternalError
 from .graph import Graph
@@ -443,19 +444,17 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
                               triangulation: str = "zigzag",
                               trace: list | None = None,
                               stats: dict | None = None,
-                              witness: bool = False, recognise: bool = True):
-    """Optimum edge counts for every k' = 0..min(k, n) on a connected
-    planar graph, via peeling, component trees, and the table fold.
+                              witness: bool = False,
+                              blocks: Blocks | None = None):
+    """(values, pick): optimum edge counts for every k' = 0..min(k, n) on
+    a connected planar graph with n >= 2, via peeling, component trees,
+    and the table fold.  `blocks`, g's decomposition when g is
+    outerplanar, lets the embedding draw a rotation-less g on one face.
     Appends one event per table built to `trace`.  With `witness`, every
-    table is kept and the result is (values, pick): pick(k') walks them
-    back to a set of k' vertices that induces values[k'] edges.
-    recognise=False says that g is known not to be outerplanar, so the
-    embedding skips that test."""
+    table is kept and pick(k') walks them back to a set of k' vertices
+    that induces values[k'] edges; else pick is None."""
     cap = min(k, g.n)
-    if g.n <= 1:
-        values = [0] * (cap + 1)
-        return (values, lambda kp: set(range(kp))) if witness else values
-    le = embed_and_level(g, variant=triangulation, recognise=recognise)
+    le = embed_and_level(g, variant=triangulation, blocks=blocks)
     forest = build_forest(le, root=root)
     memo = evaluate_tables(forest, cap, trace=trace, keep=witness)
     rt = memo[forest.trees[0].root.uid]
@@ -469,6 +468,4 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
         stats["max_rows"] = max(len(t.cells) for t in memo.values())
         stats["cells"] = sum(t.cells.size for t in memo.values())
         stats["fake_edges"] = len(le.fake_edges)
-    if witness:
-        return vals, lambda kp: _traceback(rt, kp)
-    return vals
+    return vals, (lambda kp: _traceback(rt, kp)) if witness else None

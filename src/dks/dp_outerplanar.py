@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from typing import NamedTuple
 
 from dks.errors import BoundaryMismatch, DksError, InternalError, NotOuterplanar
@@ -401,22 +401,17 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                              stats: dict | None = None,
                              blocks: Blocks | None = None,
                              witness: bool = False):
-    """Optimum edge counts for every k' = 0..min(k, n) on a connected
-    outerplanar graph.
+    """(values, pick): optimum edge counts for every k' = 0..min(k, n) on
+    a connected outerplanar graph with n >= 2.
 
     `blocks` is g's decomposition from is_outerplanar(g); without it, g is
     decomposed here, which raises NotOuterplanar on other graphs, and a
     disconnected g raises DksError.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
-    `trace`.  With `witness`, every table is kept and the result is
-    (values, pick): pick(k') walks them back to a set of k' vertices
-    that induces values[k'] edges.
+    `trace`.  With `witness`, every table is kept and pick(k') walks them
+    back to a set of k' vertices that induces values[k'] edges; else pick
+    is None.
     """
-    cap = min(k, g.n)
-    if g.n <= 1 or g.m == 0:
-        values = [0] * (cap + 1)
-        return (values, lambda kp: set(range(kp))) if witness else values
-
     if blocks is None:
         blocks = outerplanar_blocks(g)
     cuts = blocks.cutpoints
@@ -457,7 +452,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         stats["blocks"] = len(blocks.edges)
 
     uvec: dict[int, Hang] = {}
-    for bid in reversed(order):
+    for bid in reversed(order):         # the root block comes last
         key = key_of[bid]
         attach = {v: _combine_hang([uvec[c] for c in kids], k, witness)
                   for v, kids in kids_at[bid].items()}
@@ -473,12 +468,6 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             if y in attach:
                 t = _attach(t, 1, attach[y], k, witness)
             groups = ((0, 1), (2, 3))
-            if bid == root_bid:
-                values = vector_max(vector_max(t.rows[0], t.rows[1]),
-                                    vector_max(t.rows[2], t.rows[3]))
-            else:
-                u0 = vector_max(t.rows[0], t.rows[1])
-                u1 = vector_max(t.rows[2], t.rows[3])
         else:
             cycle = blocks.cycles[bid]
             i = cycle.index(key)
@@ -488,13 +477,14 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             t = fold_block(g, cycle, b_edges, k, attach, trace, stats,
                            witness)
             groups = ((0,), (3,))
-            if bid == root_bid:
-                values = vector_max(t.rows[0], t.rows[3])
-            else:
-                u0, u1 = t.rows[0], t.rows[3]
-        if bid != root_bid:             # the root block comes last
+        # the best over the rows without (u0) and with (u1) the key vertex
+        u0, u1 = (reduce(vector_max, [t.rows[r] for r in group])
+                  for group in groups)
+        if bid == root_bid:
+            values = vector_max(u0, u1)
+        else:
             uvec[bid] = Hang(u0, u1, t.vcount,
                              ("block", t, groups) if witness else ())
     if not witness:
-        return values
+        return values, None
     return values, lambda kp: _traceback(t, sum(groups, ()), kp, values[kp])

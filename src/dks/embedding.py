@@ -1,5 +1,11 @@
 """Planar embedding, vertex leveling, and annulus triangulation.
 
+The embedding is the input's rotation system when it carries one.  A
+rotation-less outerplanar graph is drawn from the blocks its caller's
+recognition found, each block a convex polygon, so it lands on one
+level; any other graph is embedded by networkx.  Nothing here decides
+the graph class.
+
 The leveling peels a connected plane graph from the outside in: vertices on
 the outer face get level 1, and each run of the peel hands every bounded
 face of the current layer's induced plane subgraph its enclosed blob of
@@ -18,12 +24,15 @@ keeps real edges only, so edge counting downstream never sees them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from dks.dp_outerplanar import Blocks, is_outerplanar
 from dks.errors import (EmbeddingInconsistent, InternalError, NotPlanar,
                         TriangulationIncomplete)
 from dks.graph import Graph
 from dks.plane import HalfEdge, PlaneGraph
+
+if TYPE_CHECKING:
+    from dks.dp_outerplanar import Blocks
 
 Orbit = tuple[HalfEdge, ...]
 
@@ -60,16 +69,17 @@ def _outerplanar_rotation(g: Graph, blocks: Blocks) -> list[list[int]]:
     return rot
 
 
-def planar_embed(g: Graph, recognise: bool = True) -> tuple[PlaneGraph, int]:
+def planar_embed(g: Graph,
+                 blocks: Blocks | None = None) -> tuple[PlaneGraph, int]:
     """Embed a connected graph; returns (plane, outer face id).
 
-    A rotation system supplied with the input is honored (and validated);
-    otherwise one is computed: from the flat recognizer's blocks when the
-    graph is outerplanar and no outer face is given, so every vertex lies
-    on the longest face, else by networkx.  recognise=False skips the
-    flat recognizer, for a caller that has already found g not
-    outerplanar.  Without an explicit outer face the longest face is
-    chosen, ties going to the face containing the smallest vertex.
+    A rotation system supplied with the input is honored (and validated).
+    Otherwise `blocks`, g's decomposition from the flat recognizer when
+    the caller found g outerplanar, draws each block as a convex polygon
+    when no outer face is given, so every vertex lies on the longest
+    face; else networkx computes one.  Nothing is recognised here.
+    Without an explicit outer face the longest face is chosen, ties going
+    to the face containing the smallest vertex.
     """
     if g.n < 2:
         raise EmbeddingInconsistent("embedding needs at least two vertices")
@@ -79,19 +89,15 @@ def planar_embed(g: Graph, recognise: bool = True) -> tuple[PlaneGraph, int]:
         listed = {frozenset((v, w)) for v, ns in enumerate(rot) for w in ns}
         if pairs != listed:
             raise EmbeddingInconsistent("rotation does not list the edge set")
+    elif blocks is not None and g.outer_face is None:
+        rot = _outerplanar_rotation(g, blocks)
     else:
-        blocks = (is_outerplanar(g) if recognise and g.outer_face is None
-                  else None)
-        if blocks is not None:
-            rot = _outerplanar_rotation(g, blocks)
-        else:
-            import networkx as nx  # deferred: `import dks` stays light
-            ok, emb = nx.check_planarity(nx.Graph(g.edges),
-                                         counterexample=False)
-            if not ok:
-                raise NotPlanar(f"graph with {g.n} vertices is not planar")
-            rot = [list(reversed(list(emb.neighbors_cw_order(v))))
-                   if v in emb else [] for v in range(g.n)]
+        import networkx as nx  # deferred: `import dks` stays light
+        ok, emb = nx.check_planarity(nx.Graph(g.edges), counterexample=False)
+        if not ok:
+            raise NotPlanar(f"graph with {g.n} vertices is not planar")
+        rot = [list(reversed(list(emb.neighbors_cw_order(v))))
+               if v in emb else [] for v in range(g.n)]
     plane = PlaneGraph(rot)
     plane.euler_check()
 
@@ -422,7 +428,7 @@ def _fallback_chords(plane: PlaneGraph, orbit: Orbit,
 
 
 def embed_and_level(g: Graph, variant: str = "zigzag",
-                    recognise: bool = True) -> LeveledEmbedding:
-    plane, outer = planar_embed(g, recognise)
+                    blocks: Blocks | None = None) -> LeveledEmbedding:
+    plane, outer = planar_embed(g, blocks)
     le = compute_levels(g, plane, outer)
     return triangulate(le, variant)

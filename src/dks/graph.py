@@ -49,9 +49,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def name_of(self, v: int) -> str:
         if self.names is not None:
             return self.names[v]
@@ -66,14 +63,6 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
-
-    def induced_edge_count(self, mask: int) -> int:
-        """Number of edges with both endpoints in the vertex bitmask."""
-        total = 0
-        for u, v in self.edges:
-            if (mask >> u) & 1 and (mask >> v) & 1:
-                total += 1
-        return total
 
     # -------------------------------------------------------- components
 
@@ -188,11 +177,15 @@ def component_subgraphs(g: Graph, comps: list[list[int]]
                         ) -> Iterator[tuple[list[int], Graph]]:
     """(comp, induced_subgraph(g, comp)) for each of g's components.
 
-    `comps` is g.connected_components().  The edges are grouped by
-    component in one stable sort, so each subgraph keeps g's edge order.
-    Subgraphs are built one at a time, when asked for, so a caller that
-    drops each before the next holds only one.
+    `comps` is g.connected_components().  A connected g is yielded
+    itself, with no copy.  Otherwise the edges are grouped by component
+    in one stable sort, so each subgraph keeps g's edge order.  Subgraphs
+    are built one at a time, when asked for, so a caller that drops each
+    before the next holds only one.
     """
+    if len(comps) == 1:
+        yield comps[0], g
+        return
     label = [0] * g.n
     local = [0] * g.n
     for c, comp in enumerate(comps):

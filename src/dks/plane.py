@@ -42,19 +42,11 @@ class PlaneGraph:
 
     # -- static structure ------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._pos[u]
 
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.rot) // 2
-
-    def succ(self, v: int, u: int) -> int:
-        """Neighbor immediately after u in ccw order around v."""
-        ns = self.rot[v]
-        return ns[(self._pos[v][u] + 1) % len(ns)]
 
     def pred(self, v: int, u: int) -> int:
         """Neighbor immediately before u in ccw order around v."""

@@ -1,10 +1,13 @@
 """Front door: pick the right exact solver for whatever graph arrives.
 
 The two dynamic programs are written for connected inputs of their own
-class.  This module owns the boring reality around them: class detection,
-disconnected inputs, size guards, timing, and the optional witness: a
-traceback through the tables of the value solve, certified before it is
-returned.
+class with at least two vertices.  This module owns the boring reality
+around them, on one path for every input: one loop over the components
+(a connected graph is its own one component), one-vertex components,
+the one class detection per component, whose blocks the leveled
+solver's embedding reuses, size guards, timing, and the optional
+witness: a traceback through the tables of the value solve, certified
+before it is returned.
 """
 
 from __future__ import annotations
@@ -29,24 +32,21 @@ _DEEPEST = ("levels", "max_rows")
 def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
                       root: int | None, trace: list | None, stats: dict,
                       witness: bool):
-    """(solver name, values, pick) from the flat solver when it applies
-    (pinning it raises NotOuterplanar on any other input), else the
-    leveled one; pick is None unless a witness is asked for."""
-    if force == "auto":
-        blocks = is_outerplanar(g)
-    elif force == "outerplanar":
-        blocks = outerplanar_blocks(g)
-    else:
-        blocks = None
-    if blocks is not None:
-        name, out = "outerplanar", solve_outerplanar_values(
+    """(solver name, values, pick) of a connected g with n >= 2.
+
+    g is recognised here, once: the flat solver takes it when it is
+    outerplanar (pinning that solver raises NotOuterplanar on any other
+    input), else the leveled one, which draws a rotation-less outerplanar
+    g from the same blocks.  pick is None unless a witness is asked for."""
+    blocks = (outerplanar_blocks(g) if force == "outerplanar"
+              else is_outerplanar(g))
+    if blocks is not None and force != "bouterplanar":
+        return ("outerplanar", *solve_outerplanar_values(
             g, k, root=root, trace=trace, stats=stats, blocks=blocks,
-            witness=witness)
-    else:
-        name, out = "bouterplanar", solve_bouterplanar_values(
-            g, k, root=root, triangulation=triangulation, trace=trace,
-            stats=stats, witness=witness, recognise=force != "auto")
-    return (name, *out) if witness else (name, out, None)
+            witness=witness))
+    return ("bouterplanar", *solve_bouterplanar_values(
+        g, k, root=root, triangulation=triangulation, trace=trace,
+        stats=stats, witness=witness, blocks=blocks))
 
 
 def _values(g: Graph, k: int, *, force: str = "auto",
@@ -56,7 +56,8 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     """(solver name, exact optimum vector for k' = 0..min(k, n), pick).
 
     Any vertex count, any number of components; per-component vectors are
-    joined by max-plus convolution, which preserves exactness.  With
+    joined by max-plus convolution, which preserves exactness.  A
+    one-vertex component is answered here, with no solver.  With
     `witness`, pick(k') is a set of k' vertices that the tables of every
     component claim induces values[k'] edges: each join is split back
     into the sizes its two vectors contribute.  Else pick is None.
@@ -64,32 +65,31 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     if stats is None:
         stats = {}
     cap = min(k, g.n)
-    if g.n == 0:
-        return ((force if force != "auto" else "outerplanar"), [0],
-                (lambda kp: set()) if witness else None)
     comps = g.connected_components()
-    if len(comps) == 1:
-        return _connected_values(g, cap, force=force,
-                                 triangulation=triangulation, root=root,
-                                 trace=trace, stats=stats, witness=witness)
-    stats["pieces"] = len(comps)
+    if len(comps) > 1:
+        stats["pieces"] = len(comps)
     acc: list[int | None] = [0]
     joins = []
-    names = set()
+    # an edgeless input counts as solved by the pinned solver, or the flat one
+    names = {"outerplanar" if force == "auto" else force}
     for keep, sub in component_subgraphs(g, comps):
         sk = min(cap, sub.n)
-        sub_root = keep.index(root) if root in keep else None
-        part: dict = {}
-        name, vec, pick = _connected_values(
-            sub, sk, force=force, triangulation=triangulation, root=sub_root,
-            trace=trace, stats=part, witness=witness)
+        if sub.n == 1:
+            vec, pick = [0, 0][:sk + 1], (lambda kp: set(range(kp)))
+        else:
+            sub_root = (keep.index(root) if root is not None and root in keep
+                        else None)
+            part: dict = {}
+            name, vec, pick = _connected_values(
+                sub, sk, force=force, triangulation=triangulation,
+                root=sub_root, trace=trace, stats=part, witness=witness)
+            names.add(name)
+            for key, val in part.items():
+                if key in _DEEPEST:
+                    stats[key] = max(stats.get(key, 0), val)
+                elif isinstance(val, int):
+                    stats[key] = stats.get(key, 0) + val
         del sub  # so the next component is built with this one gone
-        names.add(name)
-        for key, val in part.items():
-            if key in _DEEPEST:
-                stats[key] = max(stats.get(key, 0), val)
-            elif isinstance(val, int):
-                stats[key] = stats.get(key, 0) + val
         if witness:
             joins.append((acc, vec, keep, pick))
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))

@@ -60,6 +60,21 @@ def nm(*names: str) -> frozenset[int]:
     return frozenset(FIG_ID[s] for s in names)
 
 
+def degree(g: Graph, v: int) -> int:
+    return len(g.adj[v])
+
+
+def induced_edge_count(g: Graph, mask: int) -> int:
+    """Number of edges of g with both endpoints in the vertex bitmask."""
+    return sum(1 for u, v in g.edges if mask >> u & 1 and mask >> v & 1)
+
+
+def succ(plane, v: int, u: int) -> int:
+    """Neighbor immediately after u in ccw order around v."""
+    ns = plane.rot[v]
+    return ns[(ns.index(u) + 1) % len(ns)]
+
+
 def biggest_component(g: Graph) -> Graph:
     return induced_subgraph(g, max(g.connected_components(), key=len))
 

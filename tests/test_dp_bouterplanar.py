@@ -15,7 +15,7 @@ from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
 from dks.graph import Graph
 from dks.oracle import brute_force_all_k, brute_force_slice_table
-from dks.dp_outerplanar import solve_outerplanar_values
+from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
 from dks.trees import build_forest
 
@@ -57,7 +57,7 @@ def spike_triangle():
 
 
 def solve_all(g):
-    return solve_bouterplanar_values(g, g.n)
+    return solve_bouterplanar_values(g, g.n, blocks=is_outerplanar(g))[0]
 
 
 # ------------------------------------------------------- whole-graph values
@@ -103,8 +103,8 @@ def test_cube_matches_oracle():
 
 def test_small_k_is_clamped_and_prefix_consistent():
     g = figure_graph()
-    assert solve_bouterplanar_values(g, 4) == solve_all(g)[:5]
-    assert solve_bouterplanar_values(g, 25) == solve_all(g)
+    assert solve_bouterplanar_values(g, 4)[0] == solve_all(g)[:5]
+    assert solve_bouterplanar_values(g, 25)[0] == solve_all(g)
 
 
 def test_pinched_enclosing_face_with_repeated_labels():
@@ -116,7 +116,8 @@ def test_pinched_enclosing_face_with_repeated_labels():
                   (3, 4), (3, 5), (3, 6), (4, 6)])
     want = brute_force_all_k(g)
     for variant in ("zigzag", "zigzag_alt"):
-        assert solve_bouterplanar_values(g, g.n, triangulation=variant) == want
+        assert solve_bouterplanar_values(g, g.n,
+                                         triangulation=variant)[0] == want
 
 
 def test_same_level_pocket_chord():
@@ -129,7 +130,8 @@ def test_same_level_pocket_chord():
                   (2, 7), (3, 4), (3, 6), (3, 7), (4, 5), (5, 6)])
     want = brute_force_all_k(g)
     for variant in ("zigzag", "zigzag_alt"):
-        assert solve_bouterplanar_values(g, g.n, triangulation=variant) == want
+        assert solve_bouterplanar_values(g, g.n,
+                                         triangulation=variant)[0] == want
 
 
 # ------------------------------------------------- per-node table soundness
@@ -205,7 +207,7 @@ def test_outermost_only_inputs_agree_with_flat_solver():
                  lambda: Graph(5, [(0, i) for i in range(1, 5)]),
                  lambda: Graph(6, [(i, (i + 1) % 6) for i in range(6)])):
         g = make()
-        assert solve_all(g) == solve_outerplanar_values(g, g.n)
+        assert solve_all(g) == solve_outerplanar_values(g, g.n)[0]
 
 
 @given(outerplanar_graphs())
@@ -213,14 +215,14 @@ def test_outermost_only_inputs_agree_with_flat_solver():
 def test_random_outermost_inputs_agree_with_flat_solver(g):
     if g.n > 14:
         return
-    assert solve_all(g) == solve_outerplanar_values(g, g.n)
+    assert solve_all(g) == solve_outerplanar_values(g, g.n)[0]
 
 
 def test_filler_edge_choice_is_neutral():
     for make in (figure_graph, hex_two_pendants, grid3):
         g = make()
-        a = solve_bouterplanar_values(g, g.n, triangulation="zigzag")
-        b = solve_bouterplanar_values(g, g.n, triangulation="zigzag_alt")
+        a = solve_bouterplanar_values(g, g.n, triangulation="zigzag")[0]
+        b = solve_bouterplanar_values(g, g.n, triangulation="zigzag_alt")[0]
         assert a == b
 
 
@@ -228,7 +230,8 @@ def test_root_choice_is_neutral():
     g = figure_graph()
     base = solve_all(g)
     for name in "ABCDE":
-        assert solve_bouterplanar_values(g, g.n, root=FIG_ID[name]) == base
+        assert solve_bouterplanar_values(g, g.n,
+                                         root=FIG_ID[name])[0] == base
 
 
 # ------------------------------------------------------------ small pieces

@@ -54,7 +54,7 @@ def run_fixture():
     g = parse_edge_list(FIXTURE)
     leaves, merges = {}, {}
     events: list = []
-    values = solve_outerplanar_values(g, 7, trace=events)
+    values = solve_outerplanar_values(g, 7, trace=events)[0]
     for ev in events:
         t = ev["table"]
         assert ev["graph"] is g
@@ -123,7 +123,7 @@ def test_golden_tables_against_slice_oracle():
 def test_fixture_explicit_root_orientation():
     g = parse_edge_list(FIXTURE)
     vid = {nm: i for i, nm in enumerate(g.names)}
-    vals = solve_outerplanar_values(g, 7, root=vid["e"])
+    vals = solve_outerplanar_values(g, 7, root=vid["e"])[0]
     assert vals == EXPECTED_VALUES
 
 
@@ -183,7 +183,7 @@ def test_is_outerplanar_accepts_trees_and_cycles():
 def check_against_oracle(g, kmax=None):
     kmax = g.n if kmax is None else kmax
     expected = brute_force_all_k(g)
-    got = solve_outerplanar_values(g, kmax)
+    got = solve_outerplanar_values(g, kmax)[0]
     assert got == expected[:kmax + 1], (got, expected[:kmax + 1])
 
 
@@ -199,7 +199,7 @@ def test_pseudocode_size_rule_breaks_cutpoint_attachment():
     # assemble the other triangle and answers 2 instead of 3.
     g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)])
     assert brute_force_all_k(g)[3] == 3
-    assert solve_outerplanar_values(g, 3)[3] == 3
+    assert solve_outerplanar_values(g, 3)[0][3] == 3
 
 
 def test_two_triangles_joined_by_bridge():
@@ -257,19 +257,20 @@ def test_star_and_paths():
     check_against_oracle(Graph(n=5, edges=[(0, i) for i in range(1, 5)]))
     check_against_oracle(Graph(n=6, edges=[(i, i + 1) for i in range(5)]))
     check_against_oracle(Graph(n=2, edges=[(0, 1)]))
-    check_against_oracle(Graph(n=1, edges=[]))
+    # a lone vertex is answered by solve(), not by the fold
+    assert solve_outerplanar(Graph(n=1, edges=[]), 1).values == [0, 0]
 
 
 def test_small_k_on_larger_graph():
     g = parse_edge_list(FIXTURE)
-    vals = solve_outerplanar_values(g, 3)
+    vals = solve_outerplanar_values(g, 3)[0]
     assert vals == [0, 0, 1, 3]
 
 
 def test_long_path_stays_fast():
     n = 20000
     g = Graph(n=n, edges=[(i, i + 1) for i in range(n - 1)])
-    vals = solve_outerplanar_values(g, 4)
+    vals = solve_outerplanar_values(g, 4)[0]
     assert vals == [0, 0, 1, 2, 3]
 
 
@@ -323,4 +324,4 @@ def test_matches_oracle_on_random_outerplanar(g):
     if g.n > 18:
         return
     expected = brute_force_all_k(g)
-    assert solve_outerplanar_values(g, g.n) == expected
+    assert solve_outerplanar_values(g, g.n)[0] == expected

@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 
+from dks.dp_outerplanar import is_outerplanar
 from dks.embedding import compute_levels, embed_and_level, planar_embed
 from dks.errors import EmbeddingInconsistent, NotPlanar
 from dks.generators import GenSpec, gen_outerplanar
@@ -88,7 +89,7 @@ def test_two_pendants_get_connected():
 
 def test_tree_walk_doubles_every_edge():
     g = Graph(3, [(0, 1), (1, 2)])
-    plane, outer = planar_embed(g)
+    plane, outer = planar_embed(g, is_outerplanar(g))
     le = compute_levels(g, plane, outer)
     assert le.level == [1, 1, 1]
     (c,) = le.components
@@ -137,11 +138,23 @@ def test_outerplanar_input_embeds_on_one_level():
     for g in _rotationless_outerplanar():
         flat = solve_outerplanar(g, g.n).values
         for variant in ("zigzag", "zigzag_alt"):
-            le = embed_and_level(g, variant)
+            le = embed_and_level(g, variant, blocks=is_outerplanar(g))
             assert le.depth == 1, g.edges
             assert not le.fake_edges and not le.connector_edges, g.edges
             got = solve_bouterplanar(g, g.n, triangulation=variant).values
             assert got == flat, (variant, g.edges)
+
+
+def test_embedding_recognises_nothing(monkeypatch):
+    # recognition is solve()'s: a rotation-less graph is drawn from the
+    # blocks it is handed, or else by networkx
+    calls = []
+    real = Graph.blocks_and_cutpoints
+    monkeypatch.setattr(Graph, "blocks_and_cutpoints",
+                        lambda self: calls.append(self.n) or real(self))
+    hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    assert embed_and_level(hexagon).depth == 1
+    assert calls == []
 
 
 def test_planarity_test_runs_only_off_outerplanar_inputs(monkeypatch):
@@ -149,8 +162,9 @@ def test_planarity_test_runs_only_off_outerplanar_inputs(monkeypatch):
     real = nx.check_planarity
     monkeypatch.setattr(nx, "check_planarity",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    planar_embed(Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5),
-                           (5, 3), (0, 4)]))
+    g = Graph(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 3),
+                  (0, 4)])
+    planar_embed(g, is_outerplanar(g))
     assert len(calls) == 0
     k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     planar_embed(k4)

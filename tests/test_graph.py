@@ -5,12 +5,14 @@ from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
 from dks.graph import (Graph, component_subgraphs, dump_json, induced_subgraph,
                        parse_edge_list, parse_json)
 
+from helpers import degree, induced_edge_count
+
 
 def test_dedup_and_adjacency():
     g = Graph(n=3, edges=[(0, 1), (1, 0), (1, 2)])
     assert g.m == 2
     assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
-    assert g.degree(1) == 2
+    assert degree(g, 1) == 2
 
 
 def test_rejects_self_loop_and_range():
@@ -30,7 +32,7 @@ def test_parse_edge_list_names_in_first_appearance_order():
 def test_parse_edge_list_isolated_vertex():
     g = parse_edge_list("a b\nz\n")
     assert g.n == 3
-    assert g.degree(2) == 0
+    assert degree(g, 2) == 0
 
 
 def test_parse_json_roundtrip():
@@ -51,8 +53,8 @@ def test_parse_json_rotation_and_outer_face():
 
 def test_induced_edge_count_and_masks():
     g = Graph(n=4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert g.induced_edge_count(0b0011) == 1
-    assert g.induced_edge_count(0b1111) == 4
+    assert induced_edge_count(g, 0b0011) == 1
+    assert induced_edge_count(g, 0b1111) == 4
     masks = g.adj_masks()
     assert masks[0] == 0b1010
 

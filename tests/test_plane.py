@@ -5,6 +5,8 @@ import pytest
 from dks.errors import EmbeddingInconsistent
 from dks.plane import PlaneGraph, rotations_from_coordinates
 
+from helpers import succ
+
 
 def orient(orbit):
     """Vertex cycle of an orbit."""
@@ -42,7 +44,7 @@ def test_outer_face_traces_cw():
 def test_succ_pred_are_ccw_neighbors():
     p = square_plane()
     # around the center, corners appear in ccw geometric order 0,1,2,3
-    assert p.succ(4, 0) == 1
+    assert succ(p, 4, 0) == 1
     assert p.pred(4, 1) == 0
 
 

@@ -22,15 +22,15 @@ from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
 from dks.oracle import brute_force_all_k
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 
-from helpers import (biggest_component, figure_graph, self_reduction_witness,
-                     wheel)
+from helpers import (biggest_component, figure_graph, induced_edge_count,
+                     self_reduction_witness, wheel)
 
 
 FIG7 = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
 
 def edges_within(g: Graph, vs: list[int]) -> int:
-    return g.induced_edge_count(sum(1 << v for v in vs))
+    return induced_edge_count(g, sum(1 << v for v in vs))
 
 
 def test_auto_detection_picks_the_flat_solver():
@@ -195,6 +195,39 @@ def test_empty_graph():
     assert rep.values == [0] and rep.optimum == 0
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("force", ["auto", "outerplanar", "bouterplanar"])
+@pytest.mark.parametrize("witness", [False, True])
+def test_edgeless_inputs_are_answered_by_the_front_door(n, force, witness):
+    # no solver runs on a lone vertex; it counts under the pinned solver's
+    # name, or the flat one's
+    for k in range(n + 1):
+        rep = solve(Graph(n, []), k, force_solver=force, witness=witness)
+        assert rep.values == [0] * (k + 1)
+        assert rep.solver == ("outerplanar" if force == "auto" else force)
+        assert rep.witness == (list(range(k)) if witness else None)
+        assert rep.stats == {}
+
+
+def test_connected_input_takes_the_component_loop(monkeypatch):
+    # one path for every input: a connected graph goes through
+    # component_subgraphs, which hands it back itself, with no copy
+    front = import_module("dks.solve")
+    graphs = [parse_edge_list(FIG7), wheel(5)]
+    splits, built = [], []
+    split, init = front.component_subgraphs, Graph.__post_init__
+    monkeypatch.setattr(front, "component_subgraphs",
+                        lambda g, comps: splits.append(g.n) or split(g, comps))
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self: built.append(self.n) or init(self))
+    for g in graphs:
+        for witness in (False, True):
+            splits.clear()
+            rep = solve(g, 4, witness=witness)
+            assert (splits, built) == ([g.n], [])
+            assert rep.values == brute_force_all_k(g)[:5]
+
+
 def test_witness_achieves_the_reported_optimum():
     g = figure_graph()
     rep = solve(g, 5, witness=True)
@@ -317,7 +350,8 @@ def test_witness_is_certified_and_as_dense_as_the_oracle(family, seed,
     root = None
     if family != "union" and g.m:
         # admissible roots sit on the outermost walk
-        outer = sorted({u for u, _ in embed_and_level(g).components[0].walk})
+        le = embed_and_level(g, blocks=dp_outerplanar.is_outerplanar(g))
+        outer = sorted({u for u, _ in le.components[0].walk})
         root = data.draw(st.sampled_from([None] + outer), label="root")
     rep = solve(g, k, force_solver=force, triangulation=tri, root=root,
                 witness=True)
