@@ -15,8 +15,9 @@ Filler and connector edges steer the geometry but never score; only
 edges of the input graph are counted, each exactly once.  To keep that
 promise through overlapping regions, a table also records the counted
 edges whose endpoints all still sit on its boundary (``eset``) and the
-full vertex set of its region (``vset``); ``merge_tables`` subtracts
-the vertices and edges the two operands both claim.
+full vertex set of its region (``vset``); ``merge_tables`` charges
+the vertices and edges the two operands both claim to the second
+operand's rows, once per merge.
 
 When a witness is asked for, every table keeps the operands it was built
 from, and ``_traceback`` walks a root cell back down them.
@@ -36,8 +37,9 @@ from .trees import Forest, TreeNode, build_forest
 
 ABSENT = None
 
-# Pairs of operand rows stacked per merge block: big enough to amortise
-# numpy's per-call cost, small enough to keep the temporaries small.
+# Pairs per merge block: big enough to amortise numpy's per-call cost,
+# small enough that a block's buffers stay in cache (of 256 to 4096
+# pairs, 512 ran the leveled benchmark's solve pass fastest).
 _BLOCK = 512
 
 
@@ -56,7 +58,8 @@ class BoundaryTable:
     vertex, is in it; column k' is the subgraph size; NEG marks an
     unrealisable pair.  made is () for a table enumerated from its
     boundary and, when kept for a traceback, (step, operands...) for the
-    extend, contract, adjust or merge_tables call that built it."""
+    extend, contract, adjust or merge_tables call that built it; a merge
+    also keeps its discounted second operand."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -206,34 +209,38 @@ def _row_bits(t: BoundaryTable) -> dict[int, int]:
     return {v: 1 << j for j, v in enumerate(t.verts)}
 
 
-def _operand_rows(vs, pos1: dict, pos2: dict) -> list[tuple[int, int]]:
+def _operand_rows(vs, pos1: dict, pos2: dict) -> list[list[int]]:
     """For each subset of the sorted vs (bit j for the j-th vertex), the
     subset's row bits in two operands whose boundary vertices have the
-    row bits pos1 and pos2; a vertex off a boundary adds nothing."""
-    rows = [(0, 0)]
+    row bits pos1 and pos2, one list per operand; a vertex off a
+    boundary adds nothing."""
+    rows1, rows2 = [0], [0]
     for v in sorted(vs):
         w1, w2 = pos1.get(v, 0), pos2.get(v, 0)
-        rows += [(r1 + w1, r2 + w2) for r1, r2 in rows]
-    return rows
+        rows1 += [r + w1 for r in rows1]
+        rows2 += [r + w2 for r in rows2]
+    return [rows1, rows2]
 
 
 def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
-                 k: int) -> BoundaryTable:
+                 k: int, keep: bool = False) -> BoundaryTable:
     """Glue two tables along t1.R == t2.L.
 
     A result row A (a subset of the outer boundary L + R) is the best,
     over the subsets Bx of the middle vertices off that boundary, of
     the operand rows S = A | Bx cut down to each operand's boundary.
-    Vertices and counted edges claimed by both operands are subtracted
-    from the raw sums, so the result again counts everything exactly
-    once.  Sound only while the regions overlap nowhere off their
-    shared boundaries, which the construction guarantees (checked).
+    Every vertex and counted edge both operands claim lies on t2's
+    boundary, so `_discounted` charges the overlap to t2's rows once,
+    and a plain max-plus of the operand rows then counts everything
+    exactly once.  Sound only while the regions overlap nowhere off
+    their shared boundaries, which the construction guarantees
+    (checked).
 
-    Every pair is numbered S = A << |free| | Bx, a bitmask over the
-    sorted free middle vertices (low bits) and the sorted result
-    boundary (high bits), so the Bx of one A are consecutive; the pairs
-    are combined in blocks of A rows, and an operand's row for S is the
-    sum of its rows for A and for Bx."""
+    A block of n result rows holds pair (Bx, A) in column Bx * n + A;
+    an operand's row for S is the sum of its rows for A and for Bx.
+    Both operands are gathered size-major into buffers that every
+    block reuses.  With `keep`, made is ("merge", t1, t2, d2, move),
+    the discounted t2 included."""
     import numpy as np
 
     if list(t1.R) != list(t2.L):
@@ -245,51 +252,71 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
         raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
-    free, shared_verts, shared_edges = _overlap(t1, t2, outset)
+    free = sorted(frozenset(t1.R) - outset)
     pos1, pos2 = _row_bits(t1), _row_bits(t2)
     low = np.array(_operand_rows(free, pos1, pos2), dtype=np.int64)
     high = np.array(_operand_rows(outset, pos1, pos2), dtype=np.int64)
-    group = len(low)
-    cells = np.empty((len(high), K + 1), dtype=np.int64)
-    step = max(1, _BLOCK // group)
-    for a in range(0, len(high), step):
-        idx = (high[a:a + step, None] + low).reshape(-1, 2)
-        pairs = np.arange(a * group, a * group + len(idx))
-        shift = -np.bitwise_count(pairs & shared_verts).astype(np.int64)
-        add = np.zeros(len(idx), dtype=np.int64)
-        for e in shared_edges:
-            add -= (pairs & e) == e
-        cells[a:a + step] = maxplus_rows(t1.cells[idx[:, 0]],
-                                         t2.cells[idx[:, 1]], shift, add,
-                                         K + 1, group)
+    d2, move = _discounted(t2, sum(pos2[v] for v in t1.vset & t2.vset),
+                           [pos2[u] | pos2[v] for u, v in t1.eset & t2.eset])
+    cells = np.empty((high.shape[1], K + 1), dtype=np.int64)
+    # powers of two, so the blocks of n result rows tile the result
+    group = low.shape[1]
+    n = min(len(cells), max(1, _BLOCK // group))
+    a = np.empty((t1.K + 1, group, n), dtype=np.int64)
+    b = np.empty((t2.K + 1, group, n), dtype=np.int64)
+    out = np.empty((K + 1, group * n), dtype=np.int64)
+    scratch = np.empty((max(t1.K, t2.K) + 1, group * n), dtype=np.int64)
+    for s in range(0, len(cells), n):
+        idx = low[:, :, None] + high[:, None, s:s + n]
+        t1.cells.T.take(idx[0], axis=1, out=a, mode="clip")
+        d2.take(idx[1], axis=1, out=b, mode="clip")
+        cells[s:s + n] = maxplus_rows(a.reshape(len(a), -1),
+                                      b.reshape(len(b), -1), out, scratch,
+                                      group).T
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    return BoundaryTable(L, R, vset, eset, K, cells)
+    t = BoundaryTable(L, R, vset, eset, K, cells)
+    if keep:
+        t.made = ("merge", t1, t2, d2, move)
+    return t
 
 
-def _overlap(t1: BoundaryTable, t2: BoundaryTable, outset: frozenset):
-    """(free, shared_verts, shared_edges) of merge_tables: the sorted
-    middle vertices off the result boundary `outset`, and the bitmasks,
-    in its pair numbering, of the vertices and of each counted edge both
-    operands claim."""
-    free = sorted(frozenset(t1.R) - outset)
-    bit = {v: 1 << j for j, v in enumerate(free + sorted(outset))}
-    shared_verts = sum(bit[v] for v in t1.vset & t2.vset)
-    shared_edges = [bit[u] | bit[v] for u, v in t1.eset & t2.eset]
-    return free, shared_verts, shared_edges
+def _discounted(t2: BoundaryTable, shared_verts: int, shared_edges: list):
+    """(cells, move): t2's table size-major, shape (t2.K + 1, rows), with
+    the overlap of merge_tables charged to it.  Row r moves left by
+    move[r], the number of vertices of the row mask shared_verts it
+    selects, and drops by the number of edges of shared_edges (row masks
+    of their two ends) inside it."""
+    import numpy as np
+
+    rows = np.arange(len(t2.cells))
+    w = t2.K + 1
+    move = np.bitwise_count(rows & shared_verts)
+    # cell c of a row reads column (c + move) mod w: the columns that
+    # wrap round are those moved left of column 0
+    src = np.arange(w)[:, None] + move
+    wrap = src >= w
+    src %= w
+    cells = t2.cells[rows, src]
+    if np.maximum.reduce(cells[wrap], initial=NEG) != NEG:
+        raise InternalError("a table cell is smaller than the boundary "
+                            "subset of its row")
+    for e in shared_edges:
+        cells -= (rows & e) == e
+    return cells, move
 
 
-def _row(t: BoundaryTable, r: int) -> list[int | None]:
-    return [None if c == NEG else c for c in t.cells[r].tolist()]
+def _vec(cells: list[int]) -> list[int | None]:
+    return [c if c > NEG // 2 else None for c in cells]
 
 
 def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
     t that reach its cell (r, kp): the first Bx, in pair order, whose
-    operand rows for S = r | Bx combine to the cell's value."""
-    t1, t2 = t.made[1:]
-    outset = t.bset
-    free, shared_verts, shared_edges = _overlap(t1, t2, outset)
+    t1 row and discounted t2 row for S = r | Bx combine to the cell's
+    value."""
+    t1, t2, d2, move = t.made[1:]
+    free = sorted(frozenset(t1.R) - t.bset)
     pos1, pos2 = _row_bits(t1), _row_bits(t2)
     a1 = a2 = 0
     for j, v in enumerate(t.verts):
@@ -297,13 +324,12 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
             a1 += pos1.get(v, 0)
             a2 += pos2.get(v, 0)
     val = int(t.cells[r, kp])
-    for bx, (b1, b2) in enumerate(_operand_rows(free, pos1, pos2)):
-        s = r << len(free) | bx
-        add = -sum(1 for e in shared_edges if s & e == e)
-        pair = maxplus_pair(_row(t1, a1 + b1), _row(t2, a2 + b2), kp, val,
-                            -(s & shared_verts).bit_count(), add)
+    for b1, b2 in zip(*_operand_rows(free, pos1, pos2)):
+        r1, r2 = a1 + b1, a2 + b2
+        pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
+                            _vec(d2[:, r2].tolist()), kp, val)
         if pair is not None:
-            return [(t1, a1 + b1, pair[0]), (t2, a2 + b2, pair[1])]
+            return [(t1, r1, pair[0]), (t2, r2, pair[1] + int(move[r2]))]
     raise InternalError(f"traceback: no middle subset reaches {val} at "
                         f"size {kp}")
 
@@ -370,7 +396,7 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list,
         return out
 
     def merged(t1: BoundaryTable, t2: BoundaryTable) -> BoundaryTable:
-        return kept(merge_tables(t1, t2, g, k), "merge", t1, t2)
+        return merge_tables(t1, t2, g, k, keep)
 
     def extended(z: int, t: BoundaryTable) -> BoundaryTable:
         return kept(extend(g, z, t, k), "extend", t)

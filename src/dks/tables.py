@@ -4,8 +4,11 @@ Vectors here are "optional max-plus": index = number of picked vertices,
 value = best edge count or None when no selection of that size exists.
 `maxplus_into` is the flat DP's cell combine and the component join's;
 each caller keeps its own size, bonus and overlap arithmetic in `shift`
-and `add`.  `maxplus_rows` is the same combine over stacked int64 rows,
-with the sentinel NEG for None, for the leveled DP's array tables.
+and `add`.  `maxplus_rows` is the plain combine (no shift, no add) for
+the leveled DP's array tables, with the sentinel NEG for None: its
+operands are size-major int64 arrays, a row per size and a column per
+pair of vectors, so each numpy call runs along a row of every pair at
+once; the leveled merge charges its overlap to one operand beforehand.
 `maxplus_pair` inverts one cell of either: every witness traceback step
 asks it which operand cells a result cell came from.
 """
@@ -57,35 +60,30 @@ def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
     return None
 
 
-def maxplus_rows(a, b, shift, add, width: int, group: int = 1):
-    """`maxplus_into` on every row pair p of the stacked int64 arrays a
-    and b (rows of at least one cell), each into a fresh row of `width`
-    NEG cells, with shift[p] and add[p]; then each run of `group`
-    consecutive result rows is reduced to its cellwise max.  Returns a
-    (len(a) // group, width) array; a cell is NEG exactly when no pair
-    of defined cells lands on it."""
+def maxplus_rows(a, b, out, scratch, group: int = 1):
+    """`maxplus_into` down every column of the size-major int64 arrays a
+    and b (a row per size, a column per pair, at least one row each) into
+    the same column of `out` (a row per result size), whose old cells are
+    ignored; `scratch` has out's columns and at least a's and b's rows.
+    Then the columns, read as `group` equal runs, are reduced to their
+    cellwise max.  Returns the (len(out), columns // group) result, a
+    view of `out` when group is 1; a cell is NEG exactly when no pair of
+    defined cells lands on it."""
     import numpy as np  # deferred: only leveled tables need numpy
 
-    if a.shape[1] < b.shape[1]:
+    if len(a) < len(b):
         a, b = b, a           # the combine is symmetric: loop the narrower
-    rows, wa = a.shape
-    wb = b.shape[1]
-    # a2[p, c] = a[p, c - (wb - 1) - shift[p]], NEG off a's ends, so that
-    # out[p, t] = max over j of a2[p, t - j + wb - 1] + b[p, j]
-    src = np.arange(2 - wb, width + 1) - shift[:, None]
-    np.maximum(src, 0, out=src)
-    np.minimum(src, wa + 1, out=src)
-    pad = np.full((rows, wa + 2), NEG, dtype=np.int64)
-    pad[:, 1:wa + 1] = a
-    a2 = pad[np.arange(rows)[:, None], src]
-    del src, pad              # the loop below holds the peak: keep it low
-    out = a2[:, wb - 1:] + b[:, :1]
-    for j in range(1, wb):
-        np.maximum(out, a2[:, wb - 1 - j:wb - 1 - j + width] + b[:, j:j + 1],
-                   out=out)
-    out += add[:, None]
+    width = len(out)
+    n = min(len(a), width)
+    np.add(a[:n], b[0], out=out[:n])
+    if n < width:
+        out[n:] = NEG
+    for j in range(1, min(len(b), width)):
+        n = min(len(a), width - j)
+        np.add(a[:n], b[j], out=scratch[:n])
+        np.maximum(out[j:j + n], scratch[:n], out=out[j:j + n])
     if group > 1:
-        out = out.reshape(-1, group, width).max(axis=1)
+        out = np.maximum.reduce(out.reshape(width, group, -1), axis=1)
     out[out < NEG // 2] = NEG
     return out
 

@@ -10,12 +10,12 @@ checker picks.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
-from dks.tables import convolve_max_plus
+from dks.tables import convolve_max_plus, maxplus_into
 
 FIG_NAMES = ["A", "B", "C", "D", "E", "a", "b", "c", "d", "1"]
 FIG_ID = {s: i for i, s in enumerate(FIG_NAMES)}
@@ -189,6 +189,34 @@ def materialize_slice(forest, node, memo: dict) -> tuple[frozenset, frozenset]:
         return out
 
     return go(node)
+
+
+def subsets(vs) -> list[frozenset]:
+    vs = sorted(vs)
+    return [frozenset(c) for c in chain.from_iterable(
+        combinations(vs, r) for r in range(len(vs) + 1))]
+
+
+def merge_reference(t1, t2, k: int) -> dict:
+    """merge_tables by its definition, pair by pair over the `rows` views:
+    each result subset A is the best, over the middle subsets Bx, of the
+    operand rows of S = A | Bx combined by maxplus_into, with the
+    vertices both tables claim in S as a negative size shift and the
+    counted edges both claim inside S as a negative add."""
+    outer = frozenset(t1.L) | frozenset(t2.R)
+    middle = frozenset(t1.R) - outer
+    shared_v, shared_e = t1.vset & t2.vset, t1.eset & t2.eset
+    K = min(k, len(t1.vset | t2.vset))
+    rows1, rows2 = t1.rows, t2.rows
+    out = {}
+    for a in subsets(outer):
+        row = out[a] = [None] * (K + 1)
+        for bx in subsets(middle):
+            s = a | bx
+            maxplus_into(row, rows1[s & t1.bset], rows2[s & t2.bset],
+                         -len(s & shared_v),
+                         -sum(1 for u, v in shared_e if u in s and v in s))
+    return out
 
 
 def self_reduction_witness(g: Graph, k: int, **opts) -> list[int]:

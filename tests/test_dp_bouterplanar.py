@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dks
 from dks.dp_bouterplanar import (ABSENT, BoundaryTable, evaluate_tables,
@@ -13,6 +14,7 @@ from dks.dp_bouterplanar import (ABSENT, BoundaryTable, evaluate_tables,
                                  solve_bouterplanar_values)
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
+from dks.generators import GenSpec, gen_bouterplanar
 from dks.graph import Graph
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
@@ -20,7 +22,7 @@ from dks.plane import rotations_from_coordinates
 from dks.trees import build_forest
 
 from helpers import (FIG_ID, figure_graph, hex_two_pendants,
-                     materialize_slice, wheel)
+                     materialize_slice, merge_reference, wheel)
 from test_dp_outerplanar import outerplanar_graphs
 
 
@@ -267,6 +269,41 @@ def test_merge_rejects_gap():
                      le.graph, 3)
 
 
+def kept_merges(memo: dict) -> list:
+    """(t1, t2) of every merge_tables call behind tables kept for a
+    traceback, intermediate tables included."""
+    seen, todo, out = set(), list(memo.values()), []
+    while todo:
+        t = todo.pop()
+        if id(t) in seen or not t.made:
+            continue
+        seen.add(id(t))
+        if t.made[0] == "merge":
+            out.append(t.made[1:3])
+            todo += t.made[1:3]
+        else:
+            todo.append(t.made[1])
+    return out
+
+
+@given(b=st.integers(2, 4), extra=st.integers(0, 6),
+       seed=st.integers(0, 10**6),
+       variant=st.sampled_from(["zigzag", "zigzag_alt"]))
+@settings(max_examples=30, deadline=None)
+def test_merge_tables_matches_the_per_pair_reference(b, extra, seed, variant):
+    # the overlap charged once to t2's rows gives what charging it to
+    # every (result row, middle subset) pair gives, on every merge of a
+    # generated graph's tables
+    k = 5
+    g = gen_bouterplanar(GenSpec(n=3 * b - 2 + extra, b=b, rho=0.6,
+                                 seed=seed))
+    forest = build_forest(embed_and_level(g, variant=variant))
+    merges = kept_merges(evaluate_tables(forest, k, keep=True))
+    assert merges
+    for t1, t2 in merges:
+        assert merge_tables(t1, t2, g, k).rows == merge_reference(t1, t2, k)
+
+
 def test_trace_names_branch_and_pivot():
     g = figure_graph()
     trace = []
@@ -349,3 +386,33 @@ except InternalError:
     assert out.stdout == ("BoundaryMismatch 1\nInternalError 1\nseam 1\n"
                           "walk 1\nBoundaryMismatch 1\nuntriangulated 1\n"
                           "oracle 1\ngenerator 1\n"), out.stderr
+
+
+def test_discount_guard_raises_under_python_O():
+    # a real cell of t2 left of the vertices its row shares with t1
+    # cannot move left of column 0: merge_tables raises, under -O too
+    script = """
+import sys
+from dks.dp_bouterplanar import evaluate_tables, merge_tables
+from dks.embedding import embed_and_level
+from dks.errors import InternalError
+from dks.graph import Graph
+from dks.trees import build_forest
+rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
+g = Graph(6, rim)
+memo = evaluate_tables(build_forest(embed_and_level(g)), 6, keep=True)
+t = next(t for t in memo.values() if t.made and t.made[0] == "merge")
+t1, t2 = t.made[1:3]
+merge_tables(t1, t2, g, 6)
+shared = min(t1.vset & t2.vset)
+t2.cells[1 << t2.verts.index(shared), 0] = 0
+try:
+    merge_tables(t1, t2, g, 6)
+except InternalError:
+    print("InternalError", sys.flags.optimize)
+"""
+    src = Path(dks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "InternalError 1\n", out.stderr

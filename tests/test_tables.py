@@ -61,35 +61,36 @@ def test_convolve_max_plus_is_the_unshifted_kernel(a, b, kmax):
 
 @st.composite
 def stacked(draw):
-    """Row pairs of two widths (unequal K), each row with its own None
-    pattern, shift and add, plus a result width and a group size."""
+    """Pair vectors of two lengths (unequal K), each with its own None
+    pattern, plus a result length and a group size."""
     group = draw(st.sampled_from([1, 2, 3]))
-    rows = group * draw(st.integers(1, 4))
+    pairs = group * draw(st.integers(1, 4))
     wa, wb = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     cell = st.one_of(st.none(), st.integers(-3, 9))
-    a = [draw(st.lists(cell, min_size=wa, max_size=wa)) for _ in range(rows)]
-    b = [draw(st.lists(cell, min_size=wb, max_size=wb)) for _ in range(rows)]
-    shift = draw(st.lists(st.integers(-3, 1), min_size=rows, max_size=rows))
-    add = draw(st.lists(st.integers(-2, 2), min_size=rows, max_size=rows))
+    a = [draw(st.lists(cell, min_size=wa, max_size=wa)) for _ in range(pairs)]
+    b = [draw(st.lists(cell, min_size=wb, max_size=wb)) for _ in range(pairs)]
     width = draw(st.integers(1, wa + wb + 2))
-    return a, b, shift, add, width, group
+    return a, b, width, group
 
 
-def as_array(rows):
-    return np.array([[NEG if c is None else c for c in r] for r in rows],
-                    dtype=np.int64)
+def size_major(vectors):
+    """A row per size, a column per pair vector; NEG for None."""
+    return np.array([[NEG if c is None else c for c in v] for v in vectors],
+                    dtype=np.int64).T.copy()
 
 
 @settings(max_examples=200, deadline=None)
 @given(stacked())
 def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
-    a, b, shift, add, width, group = case
-    got = maxplus_rows(as_array(a), as_array(b), np.array(shift),
-                       np.array(add), width, group)
-    want = []
-    for p in range(len(a)):
-        if p % group == 0:
-            want.append([None] * width)
-        maxplus_into(want[-1], a[p], b[p], shift[p], add[p])
-    assert [[None if c == NEG else c for c in r]
-            for r in got.tolist()] == want
+    # pair p lands in result column p % (pairs // group): the groups are
+    # consecutive runs of columns, and out's old cells must not leak in
+    a, b, width, group = case
+    pairs = len(a)
+    out = np.full((width, pairs), 5, dtype=np.int64)
+    scratch = np.full((max(len(a[0]), len(b[0])), pairs), 5, dtype=np.int64)
+    got = maxplus_rows(size_major(a), size_major(b), out, scratch, group)
+    want = [[None] * width for _ in range(pairs // group)]
+    for p in range(pairs):
+        maxplus_into(want[p % len(want)], a[p], b[p])
+    assert [[None if c == NEG else c for c in col]
+            for col in got.T.tolist()] == want
