@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from dks.dp_outerplanar import EdgeTable
@@ -32,41 +31,6 @@ EXIT_K_TOO_LARGE = 3
 EXIT_INTERNAL = 4
 
 ABSENT_MARK = "∅"          # ∅, as in the worked tables
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation; exactly one subcommand, k never negative."""
-
-    subcommand: str
-    graph: str | None = None
-    corpus: str | None = None
-    k: int | None = None
-    all_k: bool = False
-    force_solver: str = "auto"
-    triangulation: str = "zigzag"
-    witness: bool = False
-    trace: bool = False
-    dump_tables: bool = False
-    root: str | None = None
-    family: str | None = None
-    n: int | None = None
-    b: int = 1
-    rho: float = 0.5
-    seed: int | None = None
-    out: str | None = None
-    epsilon: float | None = None
-    classic: bool = False
-    dump_worst: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.k is not None and self.k < 0:
-            raise DksError(f"k must be nonnegative, got {self.k}")
-
-    def resolved_seed(self) -> int:
-        if self.seed is not None:
-            return self.seed
-        return int(os.environ.get("DKS_SEED", "0"))
 
 
 def _resolve_root(g: Graph, token: str | None) -> int | None:
@@ -95,19 +59,20 @@ def _print_values(values: list[int], lo: int, out) -> None:
 # --------------------------------------------------------------- solve
 
 
-def _solve_traced(g: Graph, cfg: RunConfig, k: int, dump: bool,
-                  out) -> SolveReport:
+def _solve_traced(g: Graph, ns: argparse.Namespace, k: int, dump: bool,
+                  out, witness: bool = False,
+                  trace: bool = False) -> SolveReport:
     """One solve() call; each of its table events goes to `out` as a TSV
-    block when `dump` is set, and to stderr as one line with --trace."""
-    events: list | None = [] if dump or cfg.trace else None
-    rep = solve(g, k, force_solver=cfg.force_solver,
-                triangulation=cfg.triangulation,
-                root=_resolve_root(g, cfg.root),
-                witness=cfg.witness, trace=events)
+    block when `dump` is set, and to stderr as one line with `trace`."""
+    events: list | None = [] if dump or trace else None
+    rep = solve(g, k, force_solver=ns.force_solver,
+                triangulation=ns.triangulation,
+                root=_resolve_root(g, ns.root), witness=witness,
+                trace=events)
     if dump:
         for ev in events:
             _print_table(ev, out)
-    if cfg.trace:
+    if trace:
         for ev in events:
             pv = "-" if ev["pivot"] is None else ev["pivot"]
             print(f"trace {ev['branch']} {_ends(ev)} pivot={pv}",
@@ -115,13 +80,13 @@ def _solve_traced(g: Graph, cfg: RunConfig, k: int, dump: bool,
     return rep
 
 
-def cmd_solve(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    g = load_graph(cfg.graph)
-    k = g.n if cfg.all_k else cfg.k
-    rep = _solve_traced(g, cfg, k, cfg.dump_tables, out)
-    _print_values(rep.values, 0 if cfg.all_k else k, out)
-    if cfg.witness:
+def cmd_solve(ns: argparse.Namespace) -> int:
+    out = sys.stdout
+    g = load_graph(ns.graph)
+    k = g.n if ns.all_k else ns.k
+    rep = _solve_traced(g, ns, k, ns.dump_tables, out, ns.witness, ns.trace)
+    _print_values(rep.values, 0 if ns.all_k else k, out)
+    if ns.witness:
         names = " ".join(g.name_of(v) for v in sorted(rep.witness))
         print(f"# witness: {names}", file=out)
     return EXIT_OK
@@ -130,31 +95,33 @@ def cmd_solve(cfg: RunConfig, out=None) -> int:
 # --------------------------------------------------------------- oracle
 
 
-def cmd_oracle(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    g = load_graph(cfg.graph)
-    if cfg.all_k:
+def cmd_oracle(ns: argparse.Namespace) -> int:
+    out = sys.stdout
+    g = load_graph(ns.graph)
+    if ns.all_k:
         _print_values(brute_force_all_k(g), 0, out)
     else:
-        if cfg.k > g.n:
-            raise KTooLarge(f"k={cfg.k} but the graph has {g.n} vertices")
-        m, _ = brute_force_densest_k(g, cfg.k)
-        print(f"{cfg.k} {m} {_density(cfg.k, m)}", file=out)
+        if ns.k > g.n:
+            raise KTooLarge(f"k={ns.k} but the graph has {g.n} vertices")
+        m, _ = brute_force_densest_k(g, ns.k)
+        print(f"{ns.k} {m} {_density(ns.k, m)}", file=out)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ gen
 
 
-def cmd_gen(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    spec = GenSpec(n=cfg.n, b=cfg.b, rho=cfg.rho, seed=cfg.resolved_seed())
+def cmd_gen(ns: argparse.Namespace) -> int:
+    out = sys.stdout
+    seed = (ns.seed if ns.seed is not None
+            else int(os.environ.get("DKS_SEED", "0")))
+    spec = GenSpec(n=ns.n, b=ns.b, rho=ns.rho, seed=seed)
     g = {"outerplanar": gen_outerplanar,
          "bouterplanar": gen_bouterplanar,
-         "planar": gen_planar}[cfg.family](spec)
+         "planar": gen_planar}[ns.family](spec)
     text = dump_json(g)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n")
+    if ns.out:
+        Path(ns.out).write_text(text + "\n")
     else:
         print(text, file=out)
     return EXIT_OK
@@ -163,22 +130,19 @@ def cmd_gen(cfg: RunConfig, out=None) -> int:
 # ----------------------------------------------------------- probe-ptas
 
 
-def _probe_one(path: str, k: int, epsilon: float, classic: bool,
-               root: str | None):
-    g = load_graph(path)
-    return path, probe(g, min(k, g.n), epsilon,
-                       root=_resolve_root(g, root) or 0, classic=classic)
-
-
-def cmd_probe(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    if cfg.graph:
-        files = [cfg.graph]
+def cmd_probe(ns: argparse.Namespace) -> int:
+    out = sys.stdout
+    if ns.graph:
+        files = [ns.graph]
     else:
-        files = sorted(str(p) for p in Path(cfg.corpus).iterdir()
+        files = sorted(str(p) for p in Path(ns.corpus).iterdir()
                        if p.is_file())
-    results = [_probe_one(f, cfg.k, cfg.epsilon, cfg.classic, cfg.root)
-               for f in files]
+    results = []
+    for path in files:
+        g = load_graph(path)
+        results.append((path, probe(g, min(ns.k, g.n), ns.epsilon,
+                                    root=_resolve_root(g, ns.root) or 0,
+                                    classic=ns.classic)))
 
     print(",".join(("file",) + PROBE_COLUMNS), file=out)
     report = ProbeReport()
@@ -193,8 +157,8 @@ def cmd_probe(cfg: RunConfig, out=None) -> int:
         hist = ",".join(str(c) for c in report.histogram())
         print(f"# histogram {hist}", file=out)
         print(f"# worst {worst_path} ratio={worst.ratio:.6f}", file=out)
-        if cfg.dump_worst:
-            Path(cfg.dump_worst).write_text(
+        if ns.dump_worst:
+            Path(ns.dump_worst).write_text(
                 dump_json(load_graph(worst_path)) + "\n")
     return EXIT_OK
 
@@ -240,10 +204,10 @@ def _print_table(ev: dict, out) -> None:
     print(file=out)
 
 
-def cmd_dump_tables(cfg: RunConfig, out=None) -> int:
-    out = sys.stdout if out is None else out
-    g = load_graph(cfg.graph)
-    _solve_traced(g, cfg, g.n if cfg.k is None else cfg.k, True, out)
+def cmd_dump_tables(ns: argparse.Namespace) -> int:
+    out = sys.stdout
+    g = load_graph(ns.graph)
+    _solve_traced(g, ns, g.n if ns.k is None else ns.k, True, out)
     return EXIT_OK
 
 
@@ -263,21 +227,27 @@ def _build_parser() -> argparse.ArgumentParser:
         grp.add_argument("--k", type=int)
         grp.add_argument("--all-k", action="store_true")
 
-    p = sub.add_parser("solve", help="exact optimum via the right DP")
-    p.add_argument("--graph", required=True)
+    # the options that solve and dump-tables share
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--graph", required=True)
+    solver.add_argument("--force-solver", default="auto",
+                        choices=["auto", "outerplanar", "bouterplanar"])
+    solver.add_argument("--triangulation", default="zigzag",
+                        choices=["zigzag", "zigzag_alt"])
+    solver.add_argument("--root")
+
+    p = sub.add_parser("solve", parents=[solver],
+                       help="exact optimum via the right DP")
     add_k(p)
-    p.add_argument("--force-solver", default="auto",
-                   choices=["auto", "outerplanar", "bouterplanar"])
-    p.add_argument("--triangulation", default="zigzag",
-                   choices=["zigzag", "zigzag_alt"])
     p.add_argument("--witness", action="store_true")
     p.add_argument("--trace", action="store_true")
     p.add_argument("--dump-tables", action="store_true")
-    p.add_argument("--root")
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("oracle", help="brute-force reference answer")
     p.add_argument("--graph", required=True)
     add_k(p)
+    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="seeded instance generator")
     p.add_argument("family", choices=["outerplanar", "bouterplanar", "planar"])
@@ -287,6 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="default: $DKS_SEED, else 0")
     p.add_argument("--out")
+    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("probe-ptas",
                        help="score the layering heuristic against exact")
@@ -299,26 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="delete congruent levels instead of keeping them")
     p.add_argument("--root")
     p.add_argument("--dump-worst", help="write the worst instance here")
+    p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("dump-tables",
+    p = sub.add_parser("dump-tables", parents=[solver],
                        help="print every intermediate DP table as TSV")
-    p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--force-solver", default="auto",
-                   choices=["auto", "outerplanar", "bouterplanar"])
-    p.add_argument("--triangulation", default="zigzag",
-                   choices=["zigzag", "zigzag_alt"])
-    p.add_argument("--root")
+    p.set_defaults(func=cmd_dump_tables)
     return ap
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "oracle": cmd_oracle,
-    "gen": cmd_gen,
-    "probe-ptas": cmd_probe,
-    "dump-tables": cmd_dump_tables,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,10 +284,11 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:     # argparse exits 2 on usage errors
         return EXIT_ERROR if exc.code else EXIT_OK
-    fields = {f for f in RunConfig.__dataclass_fields__}
     try:
-        cfg = RunConfig(**{k: v for k, v in vars(ns).items() if k in fields})
-        return _COMMANDS[cfg.subcommand](cfg)
+        k = getattr(ns, "k", None)
+        if k is not None and k < 0:
+            raise DksError(f"k must be nonnegative, got {k}")
+        return ns.func(ns)
     except KTooLarge as exc:
         print(f"K_TOO_LARGE: {exc}", file=sys.stderr)
         return EXIT_K_TOO_LARGE

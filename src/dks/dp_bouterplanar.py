@@ -59,7 +59,7 @@ class BoundaryTable:
     unrealisable pair.  made is () for a table enumerated from its
     boundary and, when kept for a traceback, (step, operands...) for the
     extend, contract, adjust or merge_tables call that built it; a merge
-    also keeps its discounted second operand."""
+    also keeps its discounted second operand and its operand-row index."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -82,12 +82,6 @@ class BoundaryTable:
         return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
                 [ABSENT if c == NEG else c for c in row]
                 for i, row in enumerate(self.cells.tolist())}
-
-    def best(self, kp: int):
-        if kp > self.K:
-            return ABSENT
-        v = int(self.cells[:, kp].max())
-        return ABSENT if v == NEG else v
 
 
 def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
@@ -239,8 +233,8 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     A block of n result rows holds pair (Bx, A) in column Bx * n + A;
     an operand's row for S is the sum of its rows for A and for Bx.
     Both operands are gathered size-major into buffers that every
-    block reuses.  With `keep`, made is ("merge", t1, t2, d2, move),
-    the discounted t2 included."""
+    block reuses.  With `keep`, made is ("merge", t1, t2, d2, move, low,
+    high): the discounted t2, and the operand rows of every Bx and A."""
     import numpy as np
 
     if list(t1.R) != list(t2.L):
@@ -277,7 +271,7 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
                      if e[0] in outset and e[1] in outset)
     t = BoundaryTable(L, R, vset, eset, K, cells)
     if keep:
-        t.made = ("merge", t1, t2, d2, move)
+        t.made = ("merge", t1, t2, d2, move, low, high)
     return t
 
 
@@ -314,18 +308,10 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
     t that reach its cell (r, kp): the first Bx, in pair order, whose
     t1 row and discounted t2 row for S = r | Bx combine to the cell's
-    value."""
-    t1, t2, d2, move = t.made[1:]
-    free = sorted(frozenset(t1.R) - t.bset)
-    pos1, pos2 = _row_bits(t1), _row_bits(t2)
-    a1 = a2 = 0
-    for j, v in enumerate(t.verts):
-        if r >> j & 1:
-            a1 += pos1.get(v, 0)
-            a2 += pos2.get(v, 0)
+    value.  The operand rows come from the index merge_tables kept."""
+    t1, t2, d2, move, low, high = t.made[1:]
     val = int(t.cells[r, kp])
-    for b1, b2 in zip(*_operand_rows(free, pos1, pos2)):
-        r1, r2 = a1 + b1, a2 + b2
+    for r1, r2 in (high[:, r, None] + low).T.tolist():
         pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
                             _vec(d2[:, r2].tolist()), kp, val)
         if pair is not None:
@@ -484,8 +470,8 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     forest = build_forest(le, root=root)
     memo = evaluate_tables(forest, cap, trace=trace, keep=witness)
     rt = memo[forest.trees[0].root.uid]
-    vals = [rt.best(kp) for kp in range(cap + 1)]
-    if any(v is ABSENT for v in vals):
+    vals = rt.cells.max(axis=0).tolist()
+    if len(vals) <= cap or NEG in vals:
         raise InternalError("root table has holes")
     if stats is not None:
         stats["levels"] = le.depth

@@ -4,8 +4,9 @@ Per 2-connected block, the unique outer (Hamiltonian) cycle is found by
 degree-2 elimination, and tables indexed by (endpoint bits, exact
 subgraph size) are folded in one sweep around it: each chord's span of
 cycle edges is merged when the sweep leaves it, nested spans first.
-Blocks hanging off cutpoints are collapsed into per-cutpoint vectors and
-attached at the leaf where the cutpoint sits.
+Each block hanging off a cutpoint is collapsed into a pair of vectors
+and attached, one block at a time, to the leaf table where the cutpoint
+sits.
 When a witness is asked for, every table and vector keeps the operands
 it was built from, and `_traceback` walks a root cell back down them.
 
@@ -28,7 +29,8 @@ from typing import NamedTuple
 
 from dks.errors import BoundaryMismatch, DksError, InternalError, NotOuterplanar
 from dks.graph import Graph
-from dks.tables import convolve_max_plus, maxplus_into, maxplus_pair, vector_max
+from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
+from dks.tables import maxplus_into, maxplus_pair, vector_max
 
 
 @dataclass
@@ -53,11 +55,11 @@ class EdgeTable:
 
 
 class Hang(NamedTuple):
-    """Best-value vectors over the subtrees hanging off one cutpoint,
-    without (d0) and with (d1) the cutpoint, and their vertex count.
-    made is (), or, when kept for a traceback, ("block", t, groups): the
-    vectors are the cellwise max over the rows groups[0] and groups[1]
-    of one block's final table t; or ("join", h1, h2) of _combine_hang.
+    """Best-value vectors over one block and the subtree below it,
+    without (d0) and with (d1) the cutpoint it hangs from, and their
+    vertex count.  made is (), or, when kept for a traceback,
+    ("block", t, groups): the vectors are the cellwise max over the rows
+    groups[0] and groups[1] of the block's final table t.
     """
 
     d0: list[int | None]
@@ -122,9 +124,11 @@ def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
     return tuple(terms)
 
 
-def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int) -> EdgeTable:
-    """Fold a cutpoint's hanging vector pair into a leaf table; side 0
-    attaches at label x, side 1 at label y."""
+def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
+                keep: bool = False) -> EdgeTable:
+    """Fold one hanging block's vector pair into a leaf table; side 0
+    attaches at label x, side 1 at label y, and the cutpoint counts
+    once.  With `keep`, made is ("hang", t, side, hang)."""
     d0, d1, dcount = hang[:3]
     vcount = t.vcount + dcount - 1
     cap = min(k, vcount)
@@ -134,7 +138,8 @@ def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int) -> EdgeTable:
             b_side = bx if side == 0 else by
             maxplus_into(rows[(bx << 1) | by], t.rows[(bx << 1) | by],
                          d1 if b_side else d0, -b_side)
-    return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge)
+    return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge,
+                     ("hang", t, side, hang) if keep else ())
 
 
 # ------------------------------------------------------------ outer cycle
@@ -261,7 +266,7 @@ def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
 
 
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
-               k: int, attach: dict[int, Hang] | None = None,
+               k: int, attach: dict[int, list[Hang]] | None = None,
                trace: list | None = None, stats: dict | None = None,
                keep: bool = False) -> EdgeTable:
     """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0]).
@@ -270,10 +275,11 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     the whole cycle at the bottom.  A chord spans the edges s..e-1 between
     its endpoints (one through position 0 spans the complementary arc);
     its span opens at edge s, outermost first.  Each edge's leaf table,
-    with the hang of its first vertex attached, goes onto the innermost
-    open span.  A span closes after its last edge: its pieces are merged
-    left to right, and the result goes onto the enclosing span.  `keep`
-    records each table's operands in its `made`."""
+    with the hangs that attach lists at its first vertex attached one by
+    one, goes onto the innermost open span.  A span closes after its last
+    edge: its pieces are merged left to right, and the result goes onto
+    the enclosing span.  `keep` records each table's operands in its
+    `made`."""
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -306,33 +312,12 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
         x, y = cycle[i], cycle[(i + 1) % m]
         t = leaf_table(x, y, k)
         _emit(trace, g, "leaf", t)
-        if x in attach:
-            t = _attach(t, 0, attach[x], k, keep)
+        for h in attach.get(x, ()):
+            t = attach_hang(t, 0, h, k, keep)
         stack[-1][1].append(t)
 
 
 # ------------------------------------------------------------- block-cut
-
-
-def _attach(t: EdgeTable, side: int, hang: Hang, k: int,
-            keep: bool) -> EdgeTable:
-    out = attach_hang(t, side, hang, k)
-    if keep:
-        out.made = ("hang", t, side, hang)
-    return out
-
-
-def _combine_hang(parts: list[Hang], k: int, keep: bool = False) -> Hang:
-    """Join sibling subtrees that share only their common cutpoint."""
-    h = parts[0]
-    for u in parts[1:]:
-        cnt = h.count + u.count - 1
-        cap = min(k, cnt)
-        d0 = convolve_max_plus(h.d0, u.d0, cap)
-        d1: list[int | None] = [None] * (cap + 1)
-        maxplus_into(d1, h.d1, u.d1, -1)  # the cutpoint is counted once
-        h = Hang(d0, d1, cnt, ("join", h, u) if keep else ())
-    return h
 
 
 def _row_reaching(t: EdgeTable, group: tuple[int, ...], kp: int,
@@ -371,9 +356,7 @@ def _traceback(t: EdgeTable, group: tuple[int, ...], kp: int,
             todo.append((made[1], _row_reaching(made[1], made[2][r], kp,
                                                 val), kp))
             continue
-        if made[0] == "join":
-            terms = [(made[1], r, made[2], r, -r, 0)]
-        elif made[0] == "merge":
+        if made[0] == "merge":
             t1, t2 = made[1:]
             terms = [(t1, r1, t2, r2, shift, add)
                      for out, r1, r2, shift, add in _merge_terms(
@@ -426,36 +409,31 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         raise ValueError(f"root vertex {rootv} has no incident edge")
     root_bid = at_vertex[rootv][0]
 
-    # BFS the block-cut tree from the root block
+    # BFS the block-cut tree from the root block; a block's key vertex is
+    # the cutpoint it hangs from
     key_of = {root_bid: rootv}
     order = [root_bid]
-    seen = {root_bid}
-    kids_at: dict[int, dict[int, list[int]]] = defaultdict(lambda: defaultdict(list))
-    qi = 0
-    while qi < len(order):
-        bid = order[qi]
-        qi += 1
+    for bid in order:
         for v in bverts[bid]:
             if v not in cuts and v != rootv:
                 continue
             for nb in at_vertex[v]:
-                if nb in seen:
-                    continue
-                seen.add(nb)
-                key_of[nb] = v
-                kids_at[bid][v].append(nb)
-                order.append(nb)
+                if nb not in key_of:
+                    key_of[nb] = v
+                    order.append(nb)
     if len(order) < len(blocks.edges) or len(at_vertex) < g.n:
         raise DksError("graph is disconnected; solve() splits components")
 
     if stats is not None:
         stats["blocks"] = len(blocks.edges)
 
-    uvec: dict[int, Hang] = {}
+    # each block's Hang waits at its key vertex until the block it hangs
+    # from is folded; the root block also takes those at the root vertex
+    waiting: dict[int, list[Hang]] = defaultdict(list)
     for bid in reversed(order):         # the root block comes last
         key = key_of[bid]
-        attach = {v: _combine_hang([uvec[c] for c in kids], k, witness)
-                  for v, kids in kids_at[bid].items()}
+        attach = {v: waiting.pop(v) for v in bverts[bid]
+                  if v in waiting and (v != key or bid == root_bid)}
         b_edges = blocks.edges[bid]
         if len(b_edges) == 1:
             (u, v) = b_edges[0]
@@ -463,10 +441,9 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             t = leaf_table(x, y, k)
             _count(stats, 1, 4 * len(t.rows[0]), 0)
             _emit(trace, g, "leaf", t)
-            if x in attach:
-                t = _attach(t, 0, attach[x], k, witness)
-            if y in attach:
-                t = _attach(t, 1, attach[y], k, witness)
+            for side, v in enumerate((x, y)):
+                for h in attach.get(v, ()):
+                    t = attach_hang(t, side, h, k, witness)
             groups = ((0, 1), (2, 3))
         else:
             cycle = blocks.cycles[bid]
@@ -483,8 +460,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         if bid == root_bid:
             values = vector_max(u0, u1)
         else:
-            uvec[bid] = Hang(u0, u1, t.vcount,
-                             ("block", t, groups) if witness else ())
+            waiting[key].append(Hang(u0, u1, t.vcount,
+                                     ("block", t, groups) if witness else ()))
     if not witness:
         return values, None
     return values, lambda kp: _traceback(t, sum(groups, ()), kp, values[kp])

@@ -15,7 +15,7 @@ from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks import dp_outerplanar
 from dks.dp_outerplanar import (
-    Hang,
+    EdgeTable,
     block_outer_cycle,
     fold_block,
     is_outerplanar,
@@ -208,28 +208,31 @@ def test_two_triangles_joined_by_bridge():
     check_against_oracle(g)
 
 
-def test_traceback_splits_a_hang_join(monkeypatch):
-    # two triangles hang off cutpoint 2 of the root block (0, 1, 2), so
-    # their vectors are joined; the traceback must split the join back
-    # into both sibling blocks, and only its "join" step reads them
-    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 5),
-                  (5, 6), (2, 6)])
+def test_traceback_reads_each_sibling_hang(monkeypatch):
+    # two triangles and a pendant edge hang off cutpoint 2 of the root
+    # block (0, 1, 2); each is attached to the leaf at 2 on its own, so
+    # the traceback must walk one "hang" step per sibling block
+    g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 5),
+                  (5, 6), (2, 6), (2, 7)])
     read = []
     real = dp_outerplanar._cells
     monkeypatch.setattr(dp_outerplanar, "_cells",
                         lambda item, r: read.append(item) or real(item, r))
     want = brute_force_all_k(g)
     for k in range(g.n + 1):
+        read.clear()
         rep = solve_outerplanar(g, k, root=0, witness=True)
         chosen = set(rep.witness)
         assert rep.values == want[:k + 1]
         assert len(chosen) == k
         assert sum(u in chosen and v in chosen for u, v in g.edges) == want[k]
-    joins = [h for h in read
-             if isinstance(h, Hang) and h.made and h.made[0] == "join"]
-    assert joins
-    assert any(any(h is j.made[1] for h in read)
-               and any(h is j.made[2] for h in read) for j in joins)
+    # at k = n every vertex is picked, so every sibling block is reached
+    hangs = list({id(t.made[3]): t.made[3] for t in read
+                  if isinstance(t, EdgeTable) and t.made
+                  and t.made[0] == "hang"}.values())
+    assert sorted(h.count for h in hangs) == [2, 3, 3]
+    assert all(h.made[0] == "block" and any(h is x for x in read)
+               for h in hangs)
 
 
 @pytest.mark.parametrize("chords", [[(0, 2), (1, 3)], [(0, 3), (1, 4)],
@@ -297,17 +300,22 @@ def outerplanar_gadget(draw, lo=3, hi=8):
 
 
 @st.composite
-def outerplanar_graphs(draw):
-    """Several gadgets glued at cutpoints, plus optional pendant edges."""
-    count = draw(st.integers(1, 3))
+def outerplanar_graphs(draw, hub: bool = False):
+    """Several gadgets glued at cutpoints, plus optional pendant edges;
+    with `hub`, sometimes up to four gadgets all glued at one drawn
+    cutpoint instead."""
+    hub = hub and draw(st.booleans())
+    count = draw(st.integers(1, 4 if hub else 3))
     edges: list[tuple[int, int]] = []
     n = 0
+    share = None
     for _ in range(count):
-        gn, gedges = draw(outerplanar_gadget(3, 6))
+        gn, gedges = draw(outerplanar_gadget(3, 5 if hub else 6))
         if n == 0:
             remap = list(range(gn))
         else:
-            share = draw(st.integers(0, n - 1))
+            if share is None or not hub:
+                share = draw(st.integers(0, n - 1))
             remap = [share] + list(range(n, n + gn - 1))
         edges += [(remap[u], remap[v]) for u, v in gedges]
         n = max(n, max(remap) + 1)
@@ -318,10 +326,18 @@ def outerplanar_graphs(draw):
     return Graph(n=n, edges=edges)
 
 
-@given(outerplanar_graphs())
+@given(outerplanar_graphs(hub=True), st.data())
 @settings(max_examples=80, deadline=None)
-def test_matches_oracle_on_random_outerplanar(g):
+def test_matches_oracle_on_random_outerplanar(g, data):
     if g.n > 18:
         return
+    root = data.draw(st.integers(0, g.n - 1))
     expected = brute_force_all_k(g)
-    assert solve_outerplanar_values(g, g.n)[0] == expected
+    assert solve_outerplanar_values(g, g.n, root=root)[0] == expected
+    for k in range(g.n + 1):
+        rep = solve_outerplanar(g, k, root=root, witness=True)
+        chosen = set(rep.witness)
+        assert rep.values == expected[:k + 1]
+        assert len(chosen) == k
+        assert sum(u in chosen and v in chosen for u, v in g.edges) \
+            == expected[k]

@@ -15,7 +15,7 @@ import dks
 import helpers
 from dks import dp_bouterplanar, dp_outerplanar
 from dks.embedding import embed_and_level
-from dks.errors import InternalError, KTooLarge
+from dks.errors import InternalError, KTooLarge, NoDividingPoint
 from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
@@ -433,3 +433,23 @@ def test_lazy_package_attributes():
     assert dks.SolveReport.__name__ == "SolveReport"
     with pytest.raises(AttributeError):
         dks.no_such_thing
+
+
+# A 31-vertex, depth-2 planar graph shrunk from gen_planar(n=200,
+# rho=0.3, seed=24).  The zigzag triangulation leaves a level strip the
+# forest builder cannot divide; zigzag_alt solves it.  Strict, so the fix
+# shows up as an XPASS and drops the marker.
+LEVELED_DEFECT_EDGES = (
+    "0-11 0-27 1-12 1-16 2-6 2-20 2-23 3-23 3-25 4-6 4-22 5-8 5-14 6-27 "
+    "6-28 7-13 7-21 8-23 9-25 9-30 10-21 10-22 12-13 14-17 15-19 15-24 "
+    "16-17 17-18 18-22 24-30 26-30 27-29")
+
+
+@pytest.mark.xfail(raises=NoDividingPoint, strict=True,
+                   reason="known leveled defect: the zigzag strip has no "
+                          "dividing point")
+def test_leveled_defect_repro_solves_under_both_triangulations():
+    g = Graph(31, [tuple(map(int, e.split("-")))
+                   for e in LEVELED_DEFECT_EDGES.split()])
+    assert (solve(g, 8).values
+            == solve(g, 8, triangulation="zigzag_alt").values)
