@@ -30,9 +30,9 @@ from itertools import combinations
 
 from .dp_outerplanar import Blocks
 from .embedding import LeveledEmbedding, embed_and_level
-from .errors import BoundaryMismatch, InternalError
+from .errors import BoundaryMismatch, InternalError, TooManyEdges
 from .graph import Graph
-from .tables import NEG, maxplus_pair, maxplus_rows
+from .tables import MAX_EDGES, NEG, maxplus_pair, maxplus_rows
 from .trees import Forest, TreeNode, build_forest
 
 ABSENT = None
@@ -47,19 +47,24 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass
+@dataclass(eq=False)   # by identity: == on two cells arrays has no truth
 class BoundaryTable:
     """Optimum edge count per (touched boundary subset, subgraph size).
 
     L and R list the boundary paths innermost vertex first; bset, their
     union, and verts, bset ascending, are set once at construction.
-    cells is an int64 array of shape (2^|boundary|, K+1): row i holds the
+    cells is an int32 array of shape (2^|boundary|, K+1): row i holds the
     subset whose bit j is set when verts[j], the j-th smallest boundary
     vertex, is in it; column k' is the subgraph size; NEG marks an
-    unrealisable pair.  made is () for a table enumerated from its
-    boundary and, when kept for a traceback, (step, operands...) for the
-    extend, contract, adjust or merge_tables call that built it; a merge
-    also keeps its discounted second operand and its operand-row index."""
+    unrealisable pair.  int32 holds every cell exactly while the graph
+    has fewer than 2^28 edges, which solve_bouterplanar_values checks
+    (tables.NEG gives the argument).  made is () for a table enumerated
+    from its boundary and, when kept for a traceback, (step, operands...)
+    for the extend, contract, adjust or merge_tables call that built it; a
+    merge also keeps the overlap it charged to its second operand, as
+    row masks, and its operand-row index.  A table lives only as long as
+    something points to it: evaluate_tables drops each one once it is
+    consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -101,7 +106,7 @@ def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
         if size <= K:
             row[size] = sum(1 for e in pairs if a & e == e)
         rows.append(row)
-    cells = np.array(rows, dtype=np.int64)
+    cells = np.array(rows, dtype=np.int32)
     return BoundaryTable(tuple(L), tuple(R), frozenset(core),
                          frozenset(es), K, cells)
 
@@ -155,7 +160,7 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     lo = 1 << sum(1 for w in verts if w < z)
     old = t.cells
     hi = len(old) // lo
-    cells = np.full((hi, 2, lo, K + 1), NEG, dtype=np.int64)
+    cells = np.full((hi, 2, lo, K + 1), NEG, dtype=np.int32)
     cells[:, 0, :, :t.K + 1] = old.reshape(hi, lo, t.K + 1)
     inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
     up = old[:, :K]
@@ -233,8 +238,9 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     A block of n result rows holds pair (Bx, A) in column Bx * n + A;
     an operand's row for S is the sum of its rows for A and for Bx.
     Both operands are gathered size-major into buffers that every
-    block reuses.  With `keep`, made is ("merge", t1, t2, d2, move, low,
-    high): the discounted t2, and the operand rows of every Bx and A."""
+    block reuses.  With `keep`, made is ("merge", t1, t2, shared, edges,
+    low, high): the overlap charged to t2 (the `_discounted` arguments),
+    and the operand rows of every Bx and A."""
     import numpy as np
 
     if list(t1.R) != list(t2.L):
@@ -250,16 +256,17 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     pos1, pos2 = _row_bits(t1), _row_bits(t2)
     low = np.array(_operand_rows(free, pos1, pos2), dtype=np.int64)
     high = np.array(_operand_rows(outset, pos1, pos2), dtype=np.int64)
-    d2, move = _discounted(t2, sum(pos2[v] for v in t1.vset & t2.vset),
-                           [pos2[u] | pos2[v] for u, v in t1.eset & t2.eset])
-    cells = np.empty((high.shape[1], K + 1), dtype=np.int64)
+    shared = sum(pos2[v] for v in t1.vset & t2.vset)
+    edges = [pos2[u] | pos2[v] for u, v in t1.eset & t2.eset]
+    d2 = _discounted(t2, shared, edges)
+    cells = np.empty((high.shape[1], K + 1), dtype=np.int32)
     # powers of two, so the blocks of n result rows tile the result
     group = low.shape[1]
     n = min(len(cells), max(1, _BLOCK // group))
-    a = np.empty((t1.K + 1, group, n), dtype=np.int64)
-    b = np.empty((t2.K + 1, group, n), dtype=np.int64)
-    out = np.empty((K + 1, group * n), dtype=np.int64)
-    scratch = np.empty((max(t1.K, t2.K) + 1, group * n), dtype=np.int64)
+    a = np.empty((t1.K + 1, group, n), dtype=np.int32)
+    b = np.empty((t2.K + 1, group, n), dtype=np.int32)
+    out = np.empty((K + 1, group * n), dtype=np.int32)
+    scratch = np.empty((max(t1.K, t2.K) + 1, group * n), dtype=np.int32)
     for s in range(0, len(cells), n):
         idx = low[:, :, None] + high[:, None, s:s + n]
         t1.cells.T.take(idx[0], axis=1, out=a, mode="clip")
@@ -271,16 +278,16 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
                      if e[0] in outset and e[1] in outset)
     t = BoundaryTable(L, R, vset, eset, K, cells)
     if keep:
-        t.made = ("merge", t1, t2, d2, move, low, high)
+        t.made = ("merge", t1, t2, shared, edges, low, high)
     return t
 
 
 def _discounted(t2: BoundaryTable, shared_verts: int, shared_edges: list):
-    """(cells, move): t2's table size-major, shape (t2.K + 1, rows), with
-    the overlap of merge_tables charged to it.  Row r moves left by
-    move[r], the number of vertices of the row mask shared_verts it
-    selects, and drops by the number of edges of shared_edges (row masks
-    of their two ends) inside it."""
+    """t2's table size-major, shape (t2.K + 1, rows), with the overlap
+    of merge_tables charged to it.  Row r moves left by the number of
+    vertices of the row mask shared_verts it selects, and drops by the
+    number of edges of shared_edges (row masks of their two ends) inside
+    it."""
     import numpy as np
 
     rows = np.arange(len(t2.cells))
@@ -297,7 +304,7 @@ def _discounted(t2: BoundaryTable, shared_verts: int, shared_edges: list):
                             "subset of its row")
     for e in shared_edges:
         cells -= (rows & e) == e
-    return cells, move
+    return cells
 
 
 def _vec(cells: list[int]) -> list[int | None]:
@@ -308,14 +315,19 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
     t that reach its cell (r, kp): the first Bx, in pair order, whose
     t1 row and discounted t2 row for S = r | Bx combine to the cell's
-    value.  The operand rows come from the index merge_tables kept."""
-    t1, t2, d2, move, low, high = t.made[1:]
+    value.  The operand rows come from the index merge_tables kept; the
+    discounted t2 row is rebuilt from t2's row and the overlap masks, as
+    `_discounted` builds it."""
+    t1, t2, shared, edges, low, high = t.made[1:]
     val = int(t.cells[r, kp])
     for r1, r2 in (high[:, r, None] + low).T.tolist():
+        shift = (r2 & shared).bit_count()
+        less = sum(1 for e in edges if r2 & e == e)
         pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
-                            _vec(d2[:, r2].tolist()), kp, val)
+                            _vec([c - less for c in
+                                  t2.cells[r2, shift:].tolist()]), kp, val)
         if pair is not None:
-            return [(t1, r1, pair[0]), (t2, r2, pair[1] + int(move[r2]))]
+            return [(t1, r1, pair[0]), (t2, r2, pair[1] + shift)]
     raise InternalError(f"traceback: no middle subset reaches {val} at "
                         f"size {kp}")
 
@@ -369,8 +381,7 @@ def _plan(forest: Forest, v: TreeNode) -> tuple[str, list[TreeNode]]:
     return "S4", windows[v.lbn - 1:v.rbn - 1]
 
 
-def _table_of(forest: Forest, v: TreeNode, br: str, ops: list,
-              k: int, trace: list | None,
+def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
               keep: bool = False) -> BoundaryTable:
     """v's table, built by branch br from ops, the tables of the nodes
     that _plan lists for v, in that order."""
@@ -387,7 +398,6 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list,
     def extended(z: int, t: BoundaryTable) -> BoundaryTable:
         return kept(extend(g, z, t, k), "extend", t)
 
-    pivot = None
     if br == "S3":
         t = leaf_template(forest.le, v, k)
     elif br == "S1":
@@ -408,48 +418,92 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list,
     if t.L != v.lbound or t.R != v.rbound:
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
-    if trace is not None:
-        trace.append({"branch": br, "pivot": pivot, "table": t, "graph": g})
     return t
 
 
-def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
-                    keep: bool = False) -> dict:
-    """Tables for every tree node, keyed by node uid, from one post-order
-    walk down from the outermost root; one event per table is appended
-    to `trace`.  `keep` records in each table's `made` the operands it
-    was built from, intermediate tables included.
+def _schedule(forest: Forest) -> dict[int, tuple]:
+    """Node uid -> (node, branch, operand nodes, build order) for every
+    tree node, in the post-order that reads each node's operands in
+    _plan's order, so the outermost root comes last.
 
     Every node except the outermost root is consumed by exactly one
     other node's computation.  The walk checks that conservation law as
     it consumes (InternalError on a node consumed twice, and on nodes
     left unreached), because it is what makes each real edge score
-    exactly once; each table is built from exactly the tables counted."""
+    exactly once.  A node's build order lists its operands by how many
+    tables their own builds hold at once, most first (Ershov's order):
+    the tables already built wait for the rest, so building the hungry
+    operand first keeps the fewest tables waiting."""
     def enter(v: TreeNode) -> tuple:
         br, deps = _plan(forest, v)
         return v, br, deps, iter(deps)
 
     root = forest.trees[0].root
     consumed = {root.uid}
-    memo: dict[int, BoundaryTable] = {}
+    need: dict[int, int] = {}
+    plan: dict[int, tuple] = {}
     stack = [enter(root)]
     while stack:
         v, br, deps, it = stack[-1]
         d = next(it, None)
         if d is None:
             stack.pop()
-            memo[v.uid] = _table_of(forest, v, br,
-                                    [memo[c.uid] for c in deps], k, trace,
-                                    keep)
+            order = sorted(deps, key=lambda c: -need[c.uid])
+            need[v.uid] = max([need[c.uid] + i for i, c in enumerate(order)]
+                              + [len(deps) + 1])
+            plan[v.uid] = (v, br, deps, order)
         elif d.uid in consumed:
             raise InternalError(f"tree node {d.uid} consumed twice")
         else:
             consumed.add(d.uid)
             stack.append(enter(d))
-    if memo.keys() != {n.uid for n in forest.nodes}:
+    if consumed != {n.uid for n in forest.nodes}:
         raise InternalError("tree nodes unreachable from the root, left "
                             "without a table")
-    return memo
+    return plan
+
+
+def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
+                    keep: bool = False) -> tuple[BoundaryTable, int, int]:
+    """(root table, cells, max rows): the outermost root's table, and the
+    cells of every tree node's table summed and the most rows of any.
+    `keep` records in each table's `made` the operands it was built
+    from, intermediate tables included.  One event per node table,
+    naming the node, is appended to `trace`, in `_schedule`'s
+    post-order.
+
+    The walk builds each node's operands in its build order and hands
+    `_table_of` exactly the tables `_schedule` counted, each once.  A
+    table is dropped from the walk as soon as the node that consumes it
+    is built, so it lives on only where a trace event or, with `keep`,
+    a `made` chain points to it."""
+    plan = _schedule(forest)
+    root = next(reversed(plan))
+    built: dict[int, BoundaryTable] = {}
+    events: dict[int, dict] = {}
+    cells = rows = 0
+    stack = [(plan[root], iter(plan[root][3]))]
+    while stack:
+        step, it = stack[-1]
+        d = next(it, None)
+        if d is not None:
+            stack.append((plan[d.uid], iter(plan[d.uid][3])))
+            continue
+        stack.pop()
+        v, br, deps, _ = step
+        t = _table_of(forest, v, br, [built.pop(c.uid) for c in deps], k,
+                      keep)
+        built[v.uid] = t
+        cells += t.cells.size
+        rows = max(rows, len(t.cells))
+        if trace is not None:
+            events[v.uid] = {"branch": br,
+                             "pivot": v.pivot if br == "S4" else None,
+                             "node": v.uid, "table": t,
+                             "graph": forest.le.graph}
+    if trace is not None:
+        trace += [events[uid] for uid in plan]
+    return built.pop(root), cells, rows
 
 
 def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
@@ -464,12 +518,16 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     outerplanar, lets the embedding draw a rotation-less g on one face.
     Appends one event per table built to `trace`.  With `witness`, every
     table is kept and pick(k') walks them back to a set of k' vertices
-    that induces values[k'] edges; else pick is None."""
+    that induces values[k'] edges; else pick is None.  TooManyEdges when
+    g has too many edges for int32 tables (see tables.NEG)."""
+    if g.m >= MAX_EDGES:
+        raise TooManyEdges(f"{g.m} edges: int32 tables count exactly only "
+                           f"below {MAX_EDGES}")
     cap = min(k, g.n)
     le = embed_and_level(g, variant=triangulation, blocks=blocks)
     forest = build_forest(le, root=root)
-    memo = evaluate_tables(forest, cap, trace=trace, keep=witness)
-    rt = memo[forest.trees[0].root.uid]
+    rt, cells, max_rows = evaluate_tables(forest, cap, trace=trace,
+                                          keep=witness)
     vals = rt.cells.max(axis=0).tolist()
     if len(vals) <= cap or NEG in vals:
         raise InternalError("root table has holes")
@@ -477,7 +535,7 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
         stats["levels"] = le.depth
         stats["components"] = len(le.components)
         stats["tree_nodes"] = len(forest.nodes)
-        stats["max_rows"] = max(len(t.cells) for t in memo.values())
-        stats["cells"] = sum(t.cells.size for t in memo.values())
+        stats["max_rows"] = max_rows
+        stats["cells"] = cells
         stats["fake_edges"] = len(le.fake_edges)
     return vals, (lambda kp: _traceback(rt, kp)) if witness else None

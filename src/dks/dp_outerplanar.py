@@ -261,8 +261,8 @@ def _count(stats: dict | None, tables: int, cells: int, merges: int) -> None:
 
 def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
     if trace is not None:
-        trace.append({"branch": branch, "pivot": None, "table": t,
-                      "graph": g})
+        trace.append({"branch": branch, "pivot": None, "node": None,
+                      "table": t, "graph": g})
 
 
 def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],

@@ -282,8 +282,9 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
     """
     if variant not in ("zigzag", "zigzag_alt"):
         raise ValueError(f"unknown triangulation variant {variant!r}")
+    # the faces are current: the drawing traced them, and compute_levels
+    # retraced them after each connector it added
     plane = le.plane
-    plane.retrace()
     outer = le.outer_face_id()
     todo = [orbit for fid, orbit in enumerate(plane.faces)
             if fid != outer and len(orbit) > 3

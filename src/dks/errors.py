@@ -49,6 +49,11 @@ class KTooLarge(DksError):
     """Requested k exceeds the number of vertices."""
 
 
+class TooManyEdges(DksError):
+    """Graph has too many edges for the leveled solver's int32 tables to
+    count exactly."""
+
+
 class CapExceeded(DksError):
     """An exponential-time oracle was asked to exceed its size cap."""
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from dks.dp_outerplanar import is_outerplanar
-from dks.embedding import embed_and_level
+from dks.embedding import compute_levels, planar_embed
 from dks.errors import InfeasibleSpec, InternalError
 from dks.graph import Graph
 from dks.plane import rotations_from_coordinates
@@ -198,7 +198,7 @@ def gen_bouterplanar(spec: GenSpec) -> Graph:
     g = Graph(spec.n, edges,
               rotation=rotations_from_coordinates(coords, edges),
               outer_face=rings[0])
-    le = embed_and_level(g)
+    le = compute_levels(g, *planar_embed(g))   # levels need no triangulation
     if le.depth != spec.b:
         raise InternalError(f"built {le.depth} levels, wanted {spec.b}")
     for i, ring in enumerate(rings):

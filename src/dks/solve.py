@@ -123,6 +123,7 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     for k > n and lets NotPlanar/NotOuterplanar bubble up from below.
     `trace` collects one event per DP table, from every component and
     either solver: a dict with the table's `branch` and `pivot`, the
+    leveled tree `node` uid it belongs to (None for a flat table), the
     `table` itself and the `graph` whose vertex ids it uses.
 
     With `witness`, the value solve keeps its tables, and the witness, k

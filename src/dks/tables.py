@@ -6,19 +6,24 @@ value = best edge count or None when no selection of that size exists.
 each caller keeps its own size, bonus and overlap arithmetic in `shift`
 and `add`.  `maxplus_rows` is the plain combine (no shift, no add) for
 the leveled DP's array tables, with the sentinel NEG for None: its
-operands are size-major int64 arrays, a row per size and a column per
+operands are size-major int32 arrays, a row per size and a column per
 pair of vectors, so each numpy call runs along a row of every pair at
 once; the leveled merge charges its overlap to one operand beforehand.
+int32 is exact while the graph has fewer than 2^28 edges (see NEG).
 `maxplus_pair` inverts one cell of either: every witness traceback step
 asks it which operand cells a result cell came from.
 """
 
 from __future__ import annotations
 
-# The None of an int64 table.  A real cell plus NEG stays far below
-# NEG // 2, the line between None and real, and NEG plus NEG stays far
-# inside int64, so sums need no overflow guard.
-NEG = -(1 << 40)
+# The None of an int32 table.  A real cell counts edges, so it is at most
+# m, and the leveled DP only ever adds two cells less at most m shared
+# edges.  While m < MAX_EDGES (checked before any table is built), a real
+# cell plus NEG stays below NEG // 2, the line between None and real, and
+# NEG plus NEG less the drops stays inside int32, so sums need no
+# overflow guard.
+NEG = -(1 << 29)
+MAX_EDGES = 1 << 28
 
 
 def maxplus_into(out: list[int | None], a: list[int | None],
@@ -61,7 +66,7 @@ def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
 
 
 def maxplus_rows(a, b, out, scratch, group: int = 1):
-    """`maxplus_into` down every column of the size-major int64 arrays a
+    """`maxplus_into` down every column of the size-major int32 arrays a
     and b (a row per size, a column per pair, at least one row each) into
     the same column of `out` (a row per result size), whose old cells are
     ignored; `scratch` has out's columns and at least a's and b's rows.

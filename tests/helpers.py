@@ -265,3 +265,13 @@ def self_reduction_witness(g: Graph, k: int, **opts) -> list[int]:
         else:
             i += 1
     return keep
+
+
+def node_tables(forest, k: int, keep: bool = False) -> dict:
+    """Every tree node's table, keyed by node uid, read off the trace of
+    one evaluate_tables walk, which itself keeps only the root's."""
+    from dks.dp_bouterplanar import evaluate_tables
+
+    trace: list = []
+    evaluate_tables(forest, k, trace=trace, keep=keep)
+    return {ev["node"]: ev["table"] for ev in trace}

@@ -20,7 +20,6 @@ from itertools import combinations
 
 import numpy as np
 
-from dks.dp_bouterplanar import evaluate_tables
 from dks.embedding import embed_and_level
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
 from dks.graph import Graph, parse_edge_list
@@ -28,8 +27,8 @@ from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.ptas_probe import probe
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from dks.trees import build_forest
-from helpers import (induced_edge_count, materialize_slice, parse_tables,
-                     run_cli)
+from helpers import (induced_edge_count, materialize_slice, node_tables,
+                     parse_tables, run_cli)
 from test_dp_outerplanar import EXPECTED_MERGES, EXPECTED_VALUES, FIXTURE, LEAF
 
 
@@ -135,7 +134,7 @@ def test_every_intermediate_table_agrees_with_slice_enumeration():
         n = (7 if b == 3 else 6) + i % 6
         g = gen_bouterplanar(GenSpec(n=n, b=b, rho=(i % 4) / 3, seed=40 + i))
         forest = build_forest(embed_and_level(g))
-        memo = evaluate_tables(forest, g.n)
+        memo = node_tables(forest, g.n)
         slices: dict = {}
         for node in forest.nodes:
             t = memo[node.uid]

@@ -2,8 +2,10 @@ import copy
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +21,11 @@ from dks.graph import Graph
 from dks.oracle import brute_force_all_k, brute_force_slice_table
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
+from dks.solve import solve
 from dks.trees import build_forest
 
 from helpers import (FIG_ID, figure_graph, hex_two_pendants,
-                     materialize_slice, merge_reference, wheel)
+                     materialize_slice, merge_reference, node_tables, wheel)
 from test_dp_outerplanar import outerplanar_graphs
 
 
@@ -141,7 +144,7 @@ def test_same_level_pocket_chord():
 
 def assert_node_tables_match_slice_oracle(g):
     forest = build_forest(embed_and_level(g))
-    memo = evaluate_tables(forest, g.n)
+    memo = node_tables(forest, g.n)
     slices: dict = {}
     for node in forest.nodes:
         t = memo[node.uid]
@@ -184,12 +187,44 @@ def test_evaluate_tables_checks_conservation():
         evaluate_tables(forest, 6)
 
 
+def ladder(rungs: int) -> Graph:
+    """Two paths of `rungs` vertices, joined rung by rung."""
+    return Graph(2 * rungs, [(i + s, i + s + 1) for s in (0, rungs)
+                             for i in range(rungs - 1)]
+                 + [(i, rungs + i) for i in range(rungs)])
+
+
+def test_walk_holds_few_tables_at_once(monkeypatch):
+    # the ladder's tree is about 1,000 nodes deep with a leaf beside each
+    # rung: a walk that holds every finished table, or even one waiting
+    # sibling per level, keeps hundreds alive; built deepest first and
+    # dropped once consumed, a handful are alive at any time
+    live: weakref.WeakSet = weakref.WeakSet()
+    most = [0]
+    made = BoundaryTable.__post_init__
+
+    def counted(self):
+        made(self)
+        live.add(self)
+        most[0] = max(most[0], len(live))
+
+    monkeypatch.setattr(BoundaryTable, "__post_init__", counted)
+    g = ladder(1000)
+    rep = solve(g, 6, force_solver="bouterplanar")
+    assert rep.values == [0, 0, 1, 2, 4, 5, 7]
+    assert rep.stats["tree_nodes"] > 2900 and most[0] <= 8
+
+
 def test_table_shape_invariants():
     g = figure_graph()
     forest = build_forest(embed_and_level(g))
-    memo = evaluate_tables(forest, g.n)
+    memo = node_tables(forest, g.n, keep=True)
+    merges = kept_merges(memo[forest.trees[0].root.uid])
+    assert merges and all(t.cells.dtype == np.int32
+                          for pair in merges for t in pair)
     for node in forest.nodes:
         t = memo[node.uid]
+        assert t.cells.dtype == np.int32
         level = forest.le.components[node.comp].level
         assert len(t.rows) <= 4 ** level
         assert t.rows[frozenset()][0] == 0
@@ -269,10 +304,10 @@ def test_merge_rejects_gap():
                      le.graph, 3)
 
 
-def kept_merges(memo: dict) -> list:
-    """(t1, t2) of every merge_tables call behind tables kept for a
+def kept_merges(root: BoundaryTable) -> list:
+    """(t1, t2) of every merge_tables call behind a table kept for a
     traceback, intermediate tables included."""
-    seen, todo, out = set(), list(memo.values()), []
+    seen, todo, out = set(), [root], []
     while todo:
         t = todo.pop()
         if id(t) in seen or not t.made:
@@ -298,7 +333,7 @@ def test_merge_tables_matches_the_per_pair_reference(b, extra, seed, variant):
     g = gen_bouterplanar(GenSpec(n=3 * b - 2 + extra, b=b, rho=0.6,
                                  seed=seed))
     forest = build_forest(embed_and_level(g, variant=variant))
-    merges = kept_merges(evaluate_tables(forest, k, keep=True))
+    merges = kept_merges(evaluate_tables(forest, k, keep=True)[0])
     assert merges
     for t1, t2 in merges:
         assert merge_tables(t1, t2, g, k).rows == merge_reference(t1, t2, k)
@@ -330,9 +365,9 @@ rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
 g = Graph(6, rim)
 forest = build_forest(embed_and_level(g))
 root = forest.trees[0].root
-memo = evaluate_tables(forest, 6)
-t = memo[root.uid]
-scored = next(s for s in memo.values()
+trace = []
+t = evaluate_tables(forest, 6, trace=trace)[0]
+scored = next(s for s in (ev["table"] for ev in trace)
               if tuple(sorted((s.L[0], s.R[0]))) in s.eset)
 for step in (lambda: extend(g, t.L[0], t, 6), lambda: adjust(g, scored)):
     try:
@@ -388,6 +423,29 @@ except InternalError:
                           "oracle 1\ngenerator 1\n"), out.stderr
 
 
+def test_edge_limit_of_int32_tables_raises_under_python_O():
+    # int32 cells count exactly only below MAX_EDGES edges: the guard
+    # refuses before any table is built, under -O too (a stub stands in
+    # for a graph that large)
+    script = """
+import sys
+from dks.dp_bouterplanar import solve_bouterplanar_values
+from dks.errors import InternalError, TooManyEdges
+from dks.tables import MAX_EDGES
+class Huge:
+    n, m = 3, MAX_EDGES
+try:
+    solve_bouterplanar_values(Huge(), 2)
+except TooManyEdges as e:
+    print("TooManyEdges", isinstance(e, InternalError), sys.flags.optimize)
+"""
+    src = Path(dks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "TooManyEdges False 1\n", out.stderr
+
+
 def test_discount_guard_raises_under_python_O():
     # a real cell of t2 left of the vertices its row shares with t1
     # cannot move left of column 0: merge_tables raises, under -O too
@@ -400,8 +458,10 @@ from dks.graph import Graph
 from dks.trees import build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
 g = Graph(6, rim)
-memo = evaluate_tables(build_forest(embed_and_level(g)), 6, keep=True)
-t = next(t for t in memo.values() if t.made and t.made[0] == "merge")
+trace = []
+evaluate_tables(build_forest(embed_and_level(g)), 6, trace=trace, keep=True)
+t = next(ev["table"] for ev in trace
+         if ev["table"].made and ev["table"].made[0] == "merge")
 t1, t2 = t.made[1:3]
 merge_tables(t1, t2, g, 6)
 shared = min(t1.vset & t2.vset)

@@ -6,6 +6,7 @@ from dks.embedding import compute_levels, embed_and_level, planar_embed
 from dks.errors import EmbeddingInconsistent, NotPlanar
 from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph
+from dks.plane import PlaneGraph
 from dks.solve import solve_bouterplanar, solve_outerplanar
 
 from helpers import FIG_ID, figure_graph, hex_two_pendants, nm, wheel
@@ -69,6 +70,21 @@ def test_wheel_needs_no_fakes():
     assert le.fake_edges == set() and le.connector_edges == set()
     assert le.components[1].vertices == [hub]
     assert le.components[1].walk == []
+
+
+def test_faces_are_traced_once_before_and_once_after_triangulation(
+        monkeypatch):
+    # the drawing traces its faces, and triangulate retraces once after
+    # adding its chords; the wheel's hub needs no connector, so nothing
+    # else may retrace
+    calls = []
+    real = PlaneGraph.retrace
+    monkeypatch.setattr(PlaneGraph, "retrace",
+                        lambda self: calls.append(1) or real(self))
+    for variant in ("zigzag", "zigzag_alt"):
+        calls.clear()
+        le = embed_and_level(wheel(5), variant=variant)
+        assert le.connector_edges == set() and len(calls) == 2
 
 
 def test_two_pendants_get_connected():

@@ -176,7 +176,7 @@ def test_both_solvers_emit_one_event_shape():
     assert {ev["branch"] for ev in events} >= {"leaf", "merge", "S2", "S3"}
     named = set()
     for ev in events:
-        assert set(ev) == {"branch", "pivot", "table", "graph"}
+        assert set(ev) == {"branch", "pivot", "node", "table", "graph"}
         t, sub = ev["table"], ev["graph"]
         ends = (t.x, t.y) if hasattr(t, "x") else (t.L[0], t.R[0])
         named |= {sub.name_of(v) for v in ends}

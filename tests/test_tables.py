@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dks.tables import (NEG, convolve_max_plus, maxplus_into, maxplus_pair,
-                        maxplus_rows)
+from dks.tables import (MAX_EDGES, NEG, convolve_max_plus, maxplus_into,
+                        maxplus_pair, maxplus_rows)
 
 cells = st.lists(st.one_of(st.none(), st.integers(-3, 9)), max_size=7)
 
@@ -76,7 +76,7 @@ def stacked(draw):
 def size_major(vectors):
     """A row per size, a column per pair vector; NEG for None."""
     return np.array([[NEG if c is None else c for c in v] for v in vectors],
-                    dtype=np.int64).T.copy()
+                    dtype=np.int32).T.copy()
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,11 +86,26 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
     # consecutive runs of columns, and out's old cells must not leak in
     a, b, width, group = case
     pairs = len(a)
-    out = np.full((width, pairs), 5, dtype=np.int64)
-    scratch = np.full((max(len(a[0]), len(b[0])), pairs), 5, dtype=np.int64)
+    out = np.full((width, pairs), 5, dtype=np.int32)
+    scratch = np.full((max(len(a[0]), len(b[0])), pairs), 5, dtype=np.int32)
     got = maxplus_rows(size_major(a), size_major(b), out, scratch, group)
     want = [[None] * width for _ in range(pairs // group)]
     for p in range(pairs):
         maxplus_into(want[p % len(want)], a[p], b[p])
     assert [[None if c == NEG else c for c in col]
             for col in got.T.tolist()] == want
+
+
+def test_maxplus_rows_clamps_discounted_absent_cells_to_neg():
+    # a merge charges up to a few shared edges to its second operand, so
+    # an absent cell arrives as NEG - drop; each sum it enters, with a
+    # real cell as large as int32 tables allow or with another absent
+    # cell, is absent again and reads exactly NEG, without wrapping
+    top = MAX_EDGES - 1
+    a = size_major([[top, NEG - 2]])
+    b = size_major([[NEG - 3, 5]])
+    out = np.empty((3, 1), dtype=np.int32)
+    scratch = np.empty((2, 1), dtype=np.int32)
+    got = maxplus_rows(a, b, out, scratch)
+    assert got.dtype == np.int32
+    assert got[:, 0].tolist() == [NEG, top + 5, NEG]
