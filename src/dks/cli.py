@@ -4,7 +4,9 @@ Exit codes are the failure channel: 0 success, 2 the requested solver
 cannot handle the input's graph class, 3 k exceeds the vertex count,
 4 an internal invariant failed (a bug, not a bad input), 1 anything
 else deliberate, usage errors included.  Diagnostics go to
-stderr; stdout carries only the documented output formats.
+stderr; stdout carries only the documented output formats.  A reader
+that closes stdout early (`| head`) ends the run with exit 0 and
+nothing on stderr: the output it did not read is dropped.
 """
 
 from __future__ import annotations
@@ -298,6 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     except InternalError as exc:
         print(f"INTERNAL: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # the reader is gone; point stdout at the null device so that the
+        # flush at shutdown has somewhere to write what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (DksError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -12,7 +12,10 @@ face of the current layer's induced plane subgraph its enclosed blob of
 deeper vertices.  When a face encloses several components they are stitched
 into one blob with fake *connector* edges so each level component stays
 connected; connectors are inserted as corner chords between two components
-that appear consecutively around some current face.
+that appear consecutively around some current face.  Every face walked here,
+of the whole plane, of one level component, or the outer walk of the next
+blob, is a `PlaneGraph.orbit`; the plane's own faces follow its chords by
+themselves, so nothing here refreshes them.
 
 After peeling, every bounded face whose corners span two consecutive levels
 is triangulated with fake chords (never between same-level vertices when
@@ -147,10 +150,6 @@ class LeveledEmbedding:
         e = frozenset((u, v))
         return e in self.connector_edges or e in self.fake_edges
 
-    def outer_face_id(self) -> int:
-        a, b = self.components[0].walk[0]
-        return self.plane.face_of[(b, a)]
-
 
 def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedding:
     """Peel a connected plane graph into levels and level components."""
@@ -167,17 +166,17 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
                 raise InternalError(f"vertex {v} peeled at levels "
                                     f"{level[v]} and {lev}")
             level[v] = lev
-        orbits = plane.subgraph_faces(lset.__contains__)
+        verts = sorted(lset)
+        sub_faces: list[Orbit] = []
         if walk:
+            orbits = plane.orbits(verts, lset.__contains__)
             back = (walk[0][1], walk[0][0])
             sub_faces = [o for o in orbits if back not in o]
             if len(sub_faces) != len(orbits) - 1:
                 raise InternalError(f"level-{lev} walk bounds no single "
                                     "outer face of its component")
-        else:
-            sub_faces = []
         cid = len(comps)
-        comps.append(LevelComponent(cid, lev, sorted(lset), walk, sub_faces,
+        comps.append(LevelComponent(cid, lev, verts, walk, sub_faces,
                                     parent=parent))
         if parent is not None:
             comps[parent[0]].enclosures[parent[1]] = cid
@@ -206,7 +205,8 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
                 sub_walk: list[HalfEdge] = []
             else:
                 x = plane.first_cw(d, w, blobset.__contains__)
-                sub_walk = ccw_walk_of(_trace_in(plane, (d, x), blobset))
+                sub_walk = ccw_walk_of(plane.orbit((d, x),
+                                                   blobset.__contains__))
             tasks.append((blobset, sub_walk, lev + 1, (cid, fi)))
 
     if not all(level):
@@ -251,22 +251,10 @@ def _join_two(plane: PlaneGraph, members: list[set[int]],
             if m1 == m2:
                 continue
             plane.insert_chords(orbit, [(c1, c2)])
-            plane.retrace()
             connectors.add(frozenset((orbit[c1][0], orbit[c2][0])))
             rest = [p for i, p in enumerate(members) if i not in (m1, m2)]
             return [members[m1] | members[m2]] + rest
     raise EmbeddingInconsistent("blob pieces share no face")
-
-
-def _trace_in(plane: PlaneGraph, start: HalfEdge, verts: set[int]) -> Orbit:
-    orbit = []
-    cur = start
-    while True:
-        orbit.append(cur)
-        a, b = cur
-        cur = (b, plane.first_cw(b, a, verts.__contains__))
-        if cur == start:
-            return tuple(orbit)
 
 
 # -- triangulation --------------------------------------------------------
@@ -282,12 +270,11 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
     """
     if variant not in ("zigzag", "zigzag_alt"):
         raise ValueError(f"unknown triangulation variant {variant!r}")
-    # the faces are current: the drawing traced them, and compute_levels
-    # retraced them after each connector it added
     plane = le.plane
-    outer = le.outer_face_id()
-    todo = [orbit for fid, orbit in enumerate(plane.faces)
-            if fid != outer and len(orbit) > 3
+    x, y = le.components[0].walk[0]
+    outer = set(plane.orbit((y, x)))      # the unbounded face gets no chord
+    todo = [orbit for orbit in plane.faces
+            if orbit[0] not in outer and len(orbit) > 3
             and len({le.level[h[0]] for h in orbit}) > 1]
     for orbit in todo:
         levs = {le.level[h[0]] for h in orbit}
@@ -304,10 +291,8 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
             if abs(le.level[orbit[a][0]] - le.level[orbit[b][0]]) > 1:
                 raise InternalError(f"chord {sorted(e)} skips a level")
             le.fake_edges.add(e)
-    plane.retrace()
-    outer = le.outer_face_id()
-    for fid, orbit in enumerate(plane.faces):
-        if fid != outer and len({le.level[h[0]] for h in orbit}) > 1:
+    for orbit in plane.faces:
+        if orbit[0] not in outer and len({le.level[h[0]] for h in orbit}) > 1:
             if len(orbit) != 3:
                 raise TriangulationIncomplete(
                     "level-spanning face left untriangulated")

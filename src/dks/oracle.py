@@ -20,8 +20,11 @@ def brute_force_densest_k(g: Graph, k: int) -> tuple[int, list[int]]:
 
     Returns (value, witness) where witness is sorted.  The first subset
     attaining the max (in combinations order) is reported, which makes
-    the answer deterministic.
+    the answer deterministic.  Like brute_force_all_k, refuses graphs
+    above ORACLE_VERTEX_CAP vertices with CapExceeded.
     """
+    if g.n > ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"n={g.n} exceeds oracle cap {ORACLE_VERTEX_CAP}")
     if k < 0 or k > g.n:
         raise KTooLarge(f"k={k} out of range for n={g.n}")
     masks = g.adj_masks()

@@ -1,11 +1,13 @@
 """Combinatorial plane graphs as rotation systems.
 
-A plane graph is stored as one counterclockwise neighbor list per vertex.
-Faces are traced with the left-face rule: the half-edge following (u, v)
-is (v, w) where w immediately precedes u in the ccw order around v.  Under
+A plane graph is stored as one counterclockwise neighbor list per vertex,
+and its faces are derived from that rotation system by one rule, the
+left-face rule of `PlaneGraph.orbit`: the half-edge following (u, v) is
+(v, w) where w immediately precedes u in the ccw order around v.  Under
 this rule every interior face comes out as a ccw orbit and the unbounded
 face as the single cw orbit, which is how the rest of the package tells
-them apart.
+them apart.  The same rule, skipping the vertices a subgraph leaves out,
+traces the faces of an induced plane subgraph.
 
 Edges are inserted only as *corner chords*: a new edge between two corners
 of one existing face.  That is the only mutation the leveling and
@@ -15,12 +17,18 @@ construction.
 
 from __future__ import annotations
 
-from dks.errors import EmbeddingInconsistent, InternalError
+from dks.errors import EmbeddingInconsistent
 
 HalfEdge = tuple[int, int]
 
 
 class PlaneGraph:
+    """A rotation system and the faces it defines.
+
+    `faces` is traced from `rot` on its first read after a change, so it
+    is never stale: `insert_chords`, the one mutation, drops it.
+    """
+
     def __init__(self, rotations: list[list[int]]):
         self.rot: list[list[int]] = [list(ns) for ns in rotations]
         self.n = len(self.rot)
@@ -36,9 +44,7 @@ class PlaneGraph:
                 if not (0 <= w < self.n) or v not in self._pos[w]:
                     raise EmbeddingInconsistent(
                         f"half-edge ({v},{w}) has no twin")
-        self.faces: list[tuple[HalfEdge, ...]] = []
-        self.face_of: dict[HalfEdge, int] = {}
-        self.retrace()
+        self._faces: list[tuple[HalfEdge, ...]] | None = None
 
     # -- static structure ------------------------------------------------
 
@@ -47,15 +53,6 @@ class PlaneGraph:
 
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.rot) // 2
-
-    def pred(self, v: int, u: int) -> int:
-        """Neighbor immediately before u in ccw order around v."""
-        ns = self.rot[v]
-        return ns[(self._pos[v][u] - 1) % len(ns)]
-
-    def next_half_edge(self, h: HalfEdge) -> HalfEdge:
-        u, v = h
-        return (v, self.pred(v, u))
 
     def first_cw(self, v: int, start: int, allowed) -> int | None:
         """First neighbor of v strictly cw of `start` satisfying `allowed`.
@@ -85,61 +82,50 @@ class PlaneGraph:
 
     # -- face tracing ----------------------------------------------------
 
-    def retrace(self) -> None:
-        faces: list[tuple[HalfEdge, ...]] = []
-        face_of: dict[HalfEdge, int] = {}
-        for v in range(self.n):
-            for w in self.rot[v]:
-                h = (v, w)
-                if h in face_of:
-                    continue
-                orbit = []
-                cur = h
-                while cur not in face_of:
-                    face_of[cur] = len(faces)
-                    orbit.append(cur)
-                    cur = self.next_half_edge(cur)
-                if cur != h:
-                    raise EmbeddingInconsistent("face orbit is not closed")
-                faces.append(tuple(orbit))
-        self.faces = faces
-        self.face_of = face_of
+    def orbit(self, h: HalfEdge, keep=None) -> tuple[HalfEdge, ...]:
+        """The face left of half-edge h, as the orbit that starts at h.
 
-    def euler_check(self, components: int = 1) -> None:
-        if self.n - self.edge_count() + len(self.faces) != 1 + components:
+        With `keep`, the face is that of the plane subgraph on the
+        vertices `keep` accepts: neighbors it rejects are skipped, and
+        both ends of h must be kept.
+        """
+        rot, pos = self.rot, self._pos
+        out = [h]
+        u, v = h
+        while True:
+            w = (rot[v][pos[v][u] - 1] if keep is None
+                 else self.first_cw(v, u, keep))
+            if v == h[0] and w == h[1]:
+                return tuple(out)
+            out.append((v, w))
+            u, v = v, w
+
+    def orbits(self, vertices, keep=None) -> list[tuple[HalfEdge, ...]]:
+        """Every orbit through a half-edge out of `vertices`, each traced
+        from its first such half-edge in vertex then rotation order;
+        `keep` as in `orbit`, and every listed vertex must be kept."""
+        seen: set[HalfEdge] = set()
+        out = []
+        for v in vertices:
+            for w in self.rot[v]:
+                if (v, w) not in seen and (keep is None or keep(w)):
+                    o = self.orbit((v, w), keep)
+                    seen.update(o)
+                    out.append(o)
+        return out
+
+    @property
+    def faces(self) -> list[tuple[HalfEdge, ...]]:
+        if self._faces is None:
+            self._faces = self.orbits(range(self.n))
+        return self._faces
+
+    def euler_check(self) -> None:
+        """V - E + F = 2, as for any connected plane graph."""
+        if self.n - self.edge_count() + len(self.faces) != 2:
             raise EmbeddingInconsistent(
                 f"Euler check failed: V={self.n} E={self.edge_count()} "
                 f"F={len(self.faces)}")
-
-    def subgraph_faces(self, keep) -> list[tuple[HalfEdge, ...]]:
-        """Face orbits of the plane subgraph on vertices with keep(v) true.
-
-        The subgraph inherits the rotation system; orbits are traced with
-        the same left-face rule, skipping non-kept neighbors.
-        """
-        seen: set[HalfEdge] = set()
-        orbits = []
-        for v in range(self.n):
-            if not keep(v):
-                continue
-            for w in self.rot[v]:
-                if not keep(w) or (v, w) in seen:
-                    continue
-                orbit = []
-                cur = (v, w)
-                while cur not in seen:
-                    seen.add(cur)
-                    orbit.append(cur)
-                    a, b = cur
-                    nxt = self.first_cw(b, a, keep)
-                    if nxt is None:
-                        raise InternalError(f"kept edge ({a},{b}) has no "
-                                            f"kept successor at {b}")
-                    cur = (b, nxt)
-                if cur != (v, w):
-                    raise InternalError("subgraph orbit is not closed")
-                orbits.append(tuple(orbit))
-        return orbits
 
     # -- mutation ---------------------------------------------------------
 
@@ -174,6 +160,7 @@ class PlaneGraph:
             i = self._pos[v][q]
             self.rot[v][i + 1:i + 1] = [w for _, w in targets]
             self._pos[v] = {w: j for j, w in enumerate(self.rot[v])}
+        self._faces = None
 
 
 def rotations_from_coordinates(coords: list[tuple[float, float]],

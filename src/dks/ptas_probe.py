@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 
 from dks.errors import CapExceeded, DksError, InternalError, NotPlanar
 from dks.graph import Graph, induced_subgraph
-from dks.oracle import brute_force_all_k
+from dks.oracle import ORACLE_VERTEX_CAP, brute_force_all_k
 from dks.solve import solve
 
 __all__ = ["PROBE_COLUMNS", "ProbeEntry", "ProbeReport", "baker_decompose",
            "probe", "bfs_levels"]
-
-_ORACLE_CAP = 20
 
 # The ProbeEntry fields of a CSV row, in column order.
 PROBE_COLUMNS = ("n", "m", "k", "epsilon", "b", "variant", "s", "opt",
@@ -162,10 +160,10 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
         opt = solve(g, k).values[k]
         planar = True
     except NotPlanar:
-        if g.n > _ORACLE_CAP:
+        if g.n > ORACLE_VERTEX_CAP:
             raise CapExceeded(
                 f"no exact reference: not planar and n={g.n} exceeds the "
-                f"brute-force cap of {_ORACLE_CAP}") from None
+                f"brute-force cap of {ORACLE_VERTEX_CAP}") from None
         opt = brute_force_all_k(g)[k]
         planar = False
     s_by_class: list[int] = []

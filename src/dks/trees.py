@@ -134,8 +134,7 @@ def _deep_root_vertex(le: LeveledEmbedding, comp: LevelComponent,
         return min(cands)
     # the enclosing face lies left of (y, x); after filling, that side is a
     # triangle whose third corner is the canonical deeper root
-    orbit = plane.faces[plane.face_of[(y, x)]]
-    third = {u for u, _ in orbit} - {x, y}
+    third = {u for u, _ in plane.orbit((y, x))} - {x, y}
     if len(third) == 1 and (z := third.pop()) in cset:
         return z
     cands = [w for w in cset if plane.has_edge(w, x) and plane.has_edge(w, y)]
@@ -251,7 +250,7 @@ def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
     # garbage collection
     del fill, parse_hang
     if cursor != len(walk) or [(lf.x, lf.y) for lf in leaves] != walk:
-        raise InternalError("parser leaves do not retrace the walk")
+        raise InternalError("parser leaves do not follow the walk")
     if len(face_to_node) != len(comp.sub_faces):
         raise InternalError("parser failed to reach every bounded face")
     return ComponentTree(comp.cid, root, nodes, leaves, face_to_node,
@@ -301,9 +300,10 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
     u, zl = vf.children, tree.zlabels
     s = len(u)
     plane, lev = le.plane, le.level
+    any_vertex = lambda w: True             # noqa: E731
     walk = [tree.root.x] + [lf.y for lf in tree.leaves]
     v = zl[1]
-    if v not in plane._pos[walk[0]]:
+    if not plane.has_edge(walk[0], v):
         raise NoDividingPoint(
             f"root {walk[0]} is not drawn against its anchor label {v}")
     arcs: list[tuple[int, int]] = [(0, 0)] * len(walk)
@@ -316,8 +316,7 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
             arcs[i] = (a, r)
             break
         w = walk[i]
-        rot = plane.rot[w]
-        nxt = rot[(plane._pos[w][v] + 1) % len(rot)]
+        nxt = plane.first_ccw(w, v, any_vertex)
         if lev[nxt] == lev[w] - 1:
             rr = next((q for q in range(r + 1, s + 2) if zl[q] == nxt), None)
             if rr is None:
@@ -327,7 +326,7 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
             r, v = rr, nxt
             continue
         j = next((q for q in range(i + 1, len(walk)) if walk[q] == nxt), None)
-        if j is None or v not in plane._pos[nxt]:
+        if j is None or not plane.has_edge(nxt, v):
             raise NoDividingPoint(
                 f"window strip desynced at vertex {w}: the region side "
                 f"continues into {nxt}, which is not a later walk visit")

@@ -1,7 +1,11 @@
 """The CLI: golden output lines, exit codes, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,35 @@ def test_oracle_agrees_with_solve(fig, capsys):
     _, got, _ = run(capsys, "oracle", "--graph", fig, "--all-k")
     _, want, _ = run(capsys, "solve", "--graph", fig, "--all-k")
     assert got == want
+
+
+def test_oracle_k_refuses_above_the_cap(tmp_path, capsys):
+    p = tmp_path / "p21.edges"
+    p.write_text("".join(f"{i} {i + 1}\n" for i in range(20)))
+    code, out, err = run(capsys, "oracle", "--graph", str(p), "--k", "8")
+    assert (code, out) == (1, "") and "error:" in err and "cap" in err
+
+
+def test_closed_stdout_is_not_an_error(tmp_path, capsys):
+    # a 2,000-vertex outerplanar dump is some 380 KB, far past the 64 KiB
+    # a pipe buffers, so closing the reader after one line breaks the
+    # pipe while the writer still has output to send
+    g = tmp_path / "g.json"
+    assert run(capsys, "gen", "outerplanar", "--n", "2000", "--seed", "1",
+               "--out", str(g))[0] == 0
+    argv = [sys.executable, "-m", "dks.cli", "dump-tables", "--graph",
+            str(g), "--k", "3"]
+    src = Path(dks.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    full = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert full.returncode == 0 and len(full.stdout) > 64 * 1024
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == full.stdout.splitlines(True)[0]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")
 
 
 def test_gen_deterministic_and_solvable(tmp_path, capsys):

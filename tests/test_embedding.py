@@ -74,17 +74,23 @@ def test_wheel_needs_no_fakes():
 
 def test_faces_are_traced_once_before_and_once_after_triangulation(
         monkeypatch):
-    # the drawing traces its faces, and triangulate retraces once after
-    # adding its chords; the wheel's hub needs no connector, so nothing
-    # else may retrace
+    # every face-set trace goes through PlaneGraph.orbits: the drawing's
+    # faces once, then each level component's own faces once.  The wheel's
+    # hub needs no connector and is a singleton with no faces, and its
+    # triangulation adds no chord, so its faces are never traced again.
+    # The figure's triangulation adds chords, which traces them once more.
     calls = []
-    real = PlaneGraph.retrace
-    monkeypatch.setattr(PlaneGraph, "retrace",
-                        lambda self: calls.append(1) or real(self))
+    real = PlaneGraph.orbits
+    monkeypatch.setattr(PlaneGraph, "orbits",
+                        lambda self, *a: calls.append(1) or real(self, *a))
     for variant in ("zigzag", "zigzag_alt"):
         calls.clear()
         le = embed_and_level(wheel(5), variant=variant)
         assert le.connector_edges == set() and len(calls) == 2
+        calls.clear()
+        le = embed_and_level(figure_graph(), variant=variant)
+        assert le.connector_edges == set() and le.fake_edges
+        assert len(calls) == 1 + 2 + 1
 
 
 def test_two_pendants_get_connected():

@@ -48,6 +48,8 @@ def test_cap():
     g = Graph(n=21, edges=[])
     with pytest.raises(CapExceeded):
         brute_force_all_k(g)
+    with pytest.raises(CapExceeded):
+        brute_force_densest_k(g, 8)
 
 
 @given(graphs())

@@ -1,8 +1,11 @@
 """Rotation-system conventions, face tracing, and corner-chord insertion."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dks.errors import EmbeddingInconsistent
+from dks.generators import GenSpec, gen_bouterplanar
 from dks.plane import PlaneGraph, rotations_from_coordinates
 
 from helpers import succ
@@ -31,26 +34,27 @@ def test_interior_faces_trace_ccw():
     p = square_plane()
     assert len(p.faces) == 5
     p.euler_check()
-    tri = p.face_of[(0, 1)]
-    assert is_rotation(orient(p.faces[tri]), [0, 1, 4])
+    tri = p.orbit((0, 1))
+    assert tri[0] == (0, 1) and tri in p.faces
+    assert is_rotation(orient(tri), [0, 1, 4])
 
 
 def test_outer_face_traces_cw():
     p = square_plane()
-    outer = p.face_of[(1, 0)]
-    assert is_rotation(orient(p.faces[outer]), [1, 0, 3, 2])
+    assert is_rotation(orient(p.orbit((1, 0))), [1, 0, 3, 2])
 
 
 def test_succ_pred_are_ccw_neighbors():
     p = square_plane()
     # around the center, corners appear in ccw geometric order 0,1,2,3
     assert succ(p, 4, 0) == 1
-    assert p.pred(4, 1) == 0
+    # left-face rule: after (1, 4) comes (4, w), w just before 1 around 4
+    assert p.orbit((1, 4))[1] == (4, 0)
 
 
 def test_pendant_edge_bounces():
     p = PlaneGraph([[1], [0]])
-    assert p.next_half_edge((0, 1)) == (1, 0)
+    assert p.orbit((0, 1)) == ((0, 1), (1, 0))
     assert len(p.faces) == 1
 
 
@@ -65,9 +69,8 @@ def test_pentagon_fan_insertion_order():
               for t in range(5)]
     edges = [(t, (t + 1) % 5) for t in range(5)]
     p = PlaneGraph(rotations_from_coordinates(coords, edges))
-    interior = p.face_of[(0, 1)]
-    assert is_rotation(orient(p.faces[interior]), [0, 1, 2, 3, 4])
-    orbit = p.faces[interior]
+    orbit = next(f for f in p.faces if (0, 1) in f)
+    assert is_rotation(orient(orbit), [0, 1, 2, 3, 4])
     start = orbit.index((0, 1))
     # chords 0-2 and 0-3 as corner pairs of the interior face
     c = lambda v: (start + v) % 5  # corner of vertex v in this orbit
@@ -76,17 +79,16 @@ def test_pentagon_fan_insertion_order():
     i = p.rot[0].index(1)
     got = [p.rot[0][(i + j) % 4] for j in range(4)]
     assert got == [1, 2, 3, 4]
-    p.retrace()
-    p.euler_check()
+    p.euler_check()              # the faces follow the chords unasked
     assert len(p.faces) == 4
     for f in p.faces:
-        if f != p.faces[p.face_of[(1, 0)]]:
+        if (1, 0) not in f:
             assert len(f) == 3
 
 
 def test_duplicate_chord_rejected():
     p = square_plane()
-    outer = p.faces[p.face_of[(1, 0)]]
+    outer = p.orbit((1, 0))
     with pytest.raises(EmbeddingInconsistent):
         # outer corners of 1 and 2: edge (1,2) already exists
         a = next(i for i, h in enumerate(outer) if h[0] == 1)
@@ -96,7 +98,7 @@ def test_duplicate_chord_rejected():
 
 def test_subgraph_faces_skip_removed_vertices():
     p = square_plane()
-    orbits = p.subgraph_faces(lambda v: v != 4)
+    orbits = p.orbits(range(4), lambda v: v != 4)
     assert sorted(len(o) for o in orbits) == [4, 4]
     cycles = [orient(o) for o in orbits]
     assert any(is_rotation(c, [0, 1, 2, 3]) for c in cycles)
@@ -107,5 +109,24 @@ def test_subgraph_faces_walk_a_bridge_twice():
     # path 0-1-2 drawn on a line: single orbit of length 4
     p = PlaneGraph(rotations_from_coordinates(
         [(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 2)]))
-    orbits = p.subgraph_faces(lambda v: True)
-    assert len(orbits) == 1 and len(orbits[0]) == 4
+    assert len(p.faces) == 1 and len(p.faces[0]) == 4
+    assert p.orbit((1, 2), lambda v: v != 0) == ((1, 2), (2, 1))
+
+
+@given(n=st.integers(7, 24), b=st.integers(1, 3), seed=st.integers(0, 999),
+       picks=st.lists(st.integers(0, 10**6), max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_faces_follow_chord_insertions(n, b, seed, picks):
+    # after any run of corner chords the faces equal a fresh trace of the
+    # rotation, with no call made to bring them up to date
+    p = PlaneGraph(gen_bouterplanar(GenSpec(n=n, b=b, seed=seed)).rotation)
+    for pick in picks:
+        chords = [(f, i, j) for f in p.faces for i in range(len(f))
+                  for j in range(i + 2, len(f))
+                  if f[i][0] != f[j][0] and not p.has_edge(f[i][0], f[j][0])]
+        if not chords:
+            break
+        f, i, j = chords[pick % len(chords)]
+        p.insert_chords(f, [(i, j)])
+        assert p.faces == PlaneGraph(p.rot).faces
+    p.euler_check()
