@@ -145,65 +145,83 @@ def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
 # ------------------------------------------------------------ outer cycle
 
 
-def block_outer_cycle(vertices: list[int], edges: list[tuple[int, int]]) -> list[int]:
-    """Hamiltonian outer cycle of a 2-connected outerplanar block.
+def block_outer_cycle(g: Graph, vertices: list[int],
+                      edges: list[tuple[int, int]]) -> list[int]:
+    """Hamiltonian outer cycle of a 2-connected outerplanar block of g,
+    starting at its smallest vertex.
 
+    `vertices` and `edges` are the block's, as outerplanar_blocks lists
+    them: every edge of g between two of the vertices is in `edges`, so
+    g.adj, read through the live mark below, is the block's adjacency.
     Repeatedly strips the smallest degree-2 vertex (patching its two
-    neighbours with a virtual edge), then rebuilds the cycle by
-    reinserting vertices in reverse; a reinsertion whose neighbours are
-    not adjacent on the current cycle certifies non-outerplanarity.
+    neighbours with a virtual edge when they are not adjacent), then
+    rebuilds the cycle by reinserting vertices in reverse; a reinsertion
+    whose neighbours are not adjacent on the current cycle certifies
+    non-outerplanarity.  Every structure is sized by the block: the
+    live vertices' degrees in one dict (the live mark), the live virtual
+    edges in a map holding only the vertices that have one, the
+    stripped (v, a, b) triples in one flat list, and the cycle as a
+    successor map.
     """
     n = len(vertices)
     if len(edges) > 2 * n - 3:
         raise NotOuterplanar(f"block has {len(edges)} edges on {n} vertices")
-    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    adj = g.adj
+    deg = dict.fromkeys(vertices, 0)
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-
-    heap = [v for v in vertices if len(adj[v]) == 2]
+        deg[u] += 1
+        deg[v] += 1
+    heap = [v for v in vertices if deg[v] == 2]
     heapq.heapify(heap)
-    alive = set(vertices)
-    removed: list[tuple[int, int, int]] = []
-    while len(alive) > 3:
-        while heap and (heap[0] not in alive or len(adj[heap[0]]) != 2):
-            heapq.heappop(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    virt: dict[int, list[int]] = {}
+    removed: list[int] = []
+    for _ in range(n - 3):
+        while heap and deg.get(heap[0]) != 2:
+            pop(heap)
         if not heap:
             raise NotOuterplanar("no degree-2 vertex to strip")
-        v = heapq.heappop(heap)
-        a, b = sorted(adj[v])
-        alive.discard(v)
-        adj[a].discard(v)
-        adj[b].discard(v)
-        if b not in adj[a]:
-            adj[a].add(b)
-            adj[b].add(a)
-        for w in (a, b):
-            if len(adj[w]) == 2:
-                heapq.heappush(heap, w)
-        if len(adj[a]) < 2 or len(adj[b]) < 2:
-            raise NotOuterplanar("block is not 2-connected")
-        removed.append((v, a, b))
-
-    tri = sorted(alive)
-    for i in range(3):
-        if tri[(i + 1) % 3] not in adj[tri[i]]:
-            raise NotOuterplanar("reduction did not end in a triangle")
-
-    # cycle as a doubly linked ring, for O(1) insertion
-    nxt = {tri[0]: tri[1], tri[1]: tri[2], tri[2]: tri[0]}
-    prv = {v: u for u, v in nxt.items()}
-    for v, a, b in reversed(removed):
-        if nxt[a] == b:
-            u, w = a, b
-        elif nxt[b] == a:
-            u, w = b, a
+        v = pop(heap)
+        del deg[v]
+        ns = adj[v]
+        if v in virt:
+            ab = [w for w in ns if w in deg]
+            for w in virt.pop(v):
+                ab.append(w)
+                virt[w].remove(v)
+            a, b = ab
+        elif len(ns) == 2:              # both real neighbours are live
+            a, b = ns
         else:
+            a, b = [w for w in ns if w in deg]
+        if b in adj[a] or b in virt.get(a, ()):
+            deg[a] -= 1
+            deg[b] -= 1
+        else:
+            virt.setdefault(a, []).append(b)
+            virt.setdefault(b, []).append(a)
+        da, db = deg[a], deg[b]
+        if da == 2:
+            push(heap, a)
+        if db == 2:
+            push(heap, b)
+        if da < 2 or db < 2:
+            raise NotOuterplanar("block is not 2-connected")
+        removed += (v, a, b)
+    if any(d != 2 for d in deg.values()):
+        raise NotOuterplanar("reduction did not end in a triangle")
+    x, y, z = sorted(deg)
+    del deg, heap, virt                 # freed before the ring is built
+
+    nxt = {x: y, y: z, z: x}
+    back = reversed(removed)
+    for b, a, v in zip(back, back, back):
+        if nxt[b] == a:
+            a, b = b, a
+        elif nxt[a] != b:
             raise NotOuterplanar(f"vertex {v} cannot sit on the outer face")
-        nxt[u] = v
-        nxt[v] = w
-        prv[w] = v
-        prv[v] = u
+        nxt[a] = v
+        nxt[v] = b
 
     start = min(vertices)
     cycle = [start]
@@ -218,10 +236,15 @@ def block_outer_cycle(vertices: list[int], edges: list[tuple[int, int]]) -> list
 
 @dataclass
 class Blocks:
-    """The block decomposition the flat DP folds.
+    """The block decomposition the flat DP folds: one
+    Graph.blocks_and_cutpoints pass, then block_outer_cycle per block.
 
-    edges[i] is block i's edge list, vertices[i] its ascending vertex
-    list, and cycles[i] its outer cycle (None for a bridge).
+    edges[i] is block i's edge list, in the order the depth-first
+    search pops it off its edge stack, and cutpoints the cut vertices.
+    vertices[i] is block i's ascending vertex list, and cycles[i] its
+    outer cycle from its smallest vertex (None for a bridge).  These
+    lists are all that recognition keeps: its per-vertex working data
+    (the CSR adjacency, degree maps, rings) is dropped before it returns.
     """
 
     edges: list[list[tuple[int, int]]]
@@ -234,7 +257,7 @@ def outerplanar_blocks(g: Graph) -> Blocks:
     """Blocks of g with their outer cycles; raises NotOuterplanar."""
     blocks, cuts = g.blocks_and_cutpoints()
     verts = [sorted({u for e in b for u in e}) for b in blocks]
-    cycles = [block_outer_cycle(vs, b) if len(b) > 1 else None
+    cycles = [block_outer_cycle(g, vs, b) if len(b) > 1 else None
               for vs, b in zip(verts, blocks)]
     return Blocks(blocks, cuts, verts, cycles)
 
@@ -283,12 +306,13 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
-    opens: dict[int, list[int]] = defaultdict(list)
+    opens: dict[int, list[int]] = {}
     for u, v in edges:
         pa, pb = sorted((pos[u], pos[v]))
         if 1 < pb - pa < m - 1:                 # a chord, not a cycle edge
             s, e = (pa, pb) if pa > 0 else (pb, m)
-            opens[s].append(e)
+            opens.setdefault(s, []).append(e)
+    del pos                             # not held while tables are built
     stack: list[tuple[int, list[EdgeTable]]] = [(m, [])]  # (end, pieces)
     cells = 0
     for i in range(m + 1):
@@ -305,7 +329,7 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                        m - 1)
                 return t
             stack[-1][1].append(t)
-        for e in sorted(opens[i], reverse=True):
+        for e in sorted(opens.pop(i, ()), reverse=True):
             if e > stack[-1][0]:
                 raise NotOuterplanar(f"crossing chords at span [{i},{e})")
             stack.append((e, []))
@@ -389,7 +413,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
 
     `blocks` is g's decomposition from is_outerplanar(g); without it, g is
     decomposed here, which raises NotOuterplanar on other graphs, and a
-    disconnected g raises DksError.  Adds the number of blocks, tables,
+    disconnected g raises DksError.  A root outside 0..n-1, or with no
+    incident edge, raises ValueError.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
     `trace`.  With `witness`, every table is kept and pick(k') walks them
     back to a set of k' vertices that induces values[k'] edges; else pick
@@ -397,31 +422,34 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     """
     if blocks is None:
         blocks = outerplanar_blocks(g)
-    cuts = blocks.cutpoints
     bverts = blocks.vertices
-    at_vertex: dict[int, list[int]] = defaultdict(list)
+    # each vertex's first block, and every block of each cutpoint
+    home = [-1] * g.n
+    at_cut: dict[int, list[int]] = {}
     for i, vs in enumerate(bverts):
         for v in vs:
-            at_vertex[v].append(i)
+            if home[v] < 0:
+                home[v] = i
+            else:
+                at_cut.setdefault(v, [home[v]]).append(i)
 
     rootv = root if root is not None else 0
-    if rootv not in at_vertex:
+    if not 0 <= rootv < g.n or home[rootv] < 0:
         raise ValueError(f"root vertex {rootv} has no incident edge")
-    root_bid = at_vertex[rootv][0]
+    root_bid = home[rootv]
 
     # BFS the block-cut tree from the root block; a block's key vertex is
     # the cutpoint it hangs from
-    key_of = {root_bid: rootv}
+    key_of = [-1] * len(bverts)
+    key_of[root_bid] = rootv
     order = [root_bid]
     for bid in order:
         for v in bverts[bid]:
-            if v not in cuts and v != rootv:
-                continue
-            for nb in at_vertex[v]:
-                if nb not in key_of:
+            for nb in at_cut.get(v, ()):
+                if key_of[nb] < 0:
                     key_of[nb] = v
                     order.append(nb)
-    if len(order) < len(blocks.edges) or len(at_vertex) < g.n:
+    if len(order) < len(bverts) or -1 in home:
         raise DksError("graph is disconnected; solve() splits components")
 
     if stats is not None:

@@ -93,60 +93,72 @@ class Graph:
     def blocks_and_cutpoints(self) -> tuple[list[list[tuple[int, int]]], set[int]]:
         """Biconnected components (as edge lists) and cut vertices.
 
-        Iterative Hopcroft–Tarjan; safe on 10^5-vertex paths.
+        Iterative Hopcroft–Tarjan, visiting neighbours in ascending order;
+        safe on 10^5-vertex paths.  The adjacency is read from one CSR
+        list, every vertex's sorted neighbours followed by -1, through one
+        read cursor per vertex, so a DFS frame is just its vertex (its
+        parent is the frame below it).
         """
+        nbr: list[int] = []
+        cur: list[int] = []
+        for ns in self.adj:
+            cur.append(len(nbr))
+            nbr += sorted(ns)
+            nbr.append(-1)
         disc = [-1] * self.n
         low = [0] * self.n
-        parent = [-1] * self.n
         cutpoints: set[int] = set()
         blocks: list[list[tuple[int, int]]] = []
         edge_stack: list[tuple[int, int]] = []
+        push = edge_stack.append
         timer = 0
 
         for root in range(self.n):
             if disc[root] != -1:
                 continue
             root_children = 0
-            # (vertex, iterator over neighbours)
-            stack = [(root, iter(sorted(self.adj[root])))]
+            stack = [-1, root]          # -1: the root's parent
             disc[root] = low[root] = timer
             timer += 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if disc[w] == -1:
-                        parent[w] = v
-                        edge_stack.append((v, w))
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        if v == root:
-                            root_children += 1
-                        stack.append((w, iter(sorted(self.adj[w]))))
-                        advanced = True
+            while len(stack) > 1:
+                v, up = stack[-1], stack[-2]
+                dv = disc[v]
+                i = cur[v]
+                w = nbr[i]
+                while w >= 0:
+                    i += 1
+                    dw = disc[w]
+                    if dw == -1:
                         break
-                    elif w != parent[v] and disc[w] < disc[v]:
-                        edge_stack.append((v, w))
-                        if disc[w] < low[v]:
-                            low[v] = disc[w]
-                if advanced:
+                    if dw < dv and w != up:
+                        push((v, w))
+                        if dw < low[v]:
+                            low[v] = dw
+                    w = nbr[i]
+                cur[v] = i
+                if w >= 0:                      # descend the tree edge v-w
+                    push((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    if up < 0:
+                        root_children += 1
+                    stack.append(w)
                     continue
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        # u separates v's subtree: pop one block.
+                if up >= 0:
+                    if low[v] < low[up]:
+                        low[up] = low[v]
+                    if low[v] >= disc[up]:
+                        # up separates v's subtree: pop one block.
                         block: list[tuple[int, int]] = []
                         while edge_stack:
                             e = edge_stack.pop()
                             block.append(e)
-                            if e == (u, v):
+                            if e[0] == up and e[1] == v:
                                 break
                         blocks.append(block)
-                        if u != root or root_children > 1:
-                            cutpoints.add(u)
+                        if up != root or root_children > 1:
+                            cutpoints.add(up)
             if edge_stack:  # pragma: no cover - drained at block pops
                 blocks.append(edge_stack[:])
                 edge_stack.clear()

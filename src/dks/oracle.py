@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from dks.errors import CapExceeded, InternalError, KTooLarge
+from dks.errors import CapExceeded, KTooLarge
 from dks.graph import Graph
 
 ORACLE_VERTEX_CAP = 20
@@ -65,49 +65,3 @@ def brute_force_all_k(g: Graph) -> list[int]:
         if ev > opt[k]:
             opt[k] = ev
     return opt
-
-
-def brute_force_slice_table(
-    g: Graph,
-    vertices: list[int],
-    countable_edges: set[tuple[int, int]],
-    boundary: list[int],
-    kmax: int,
-) -> dict[tuple[frozenset, int], int | None]:
-    """Exact-trace optimum table over an explicit vertex slice.
-
-    For every subset A of `boundary` and every k' = 0..kmax, the best
-    countable-edge count over subsets S ⊆ vertices with |S| = k' and
-    S ∩ boundary = A exactly; None marks empty cells.  Used to validate
-    the slice DP's table algebra on small instances.
-    """
-    if len(vertices) > ORACLE_VERTEX_CAP:
-        raise CapExceeded(f"slice of {len(vertices)} exceeds oracle cap")
-    bset = set(boundary)
-    table: dict[tuple[frozenset, int], int | None] = {}
-    for r in range(len(bset) + 1):
-        for asub in combinations(sorted(bset), r):
-            for kp in range(kmax + 1):
-                table[(frozenset(asub), kp)] = None
-    norm = {(min(u, v), max(u, v)) for u, v in countable_edges}
-    for r in range(len(vertices) + 1):
-        if r > kmax:
-            break
-        for sub in combinations(sorted(vertices), r):
-            sset = set(sub)
-            a = frozenset(sset & bset)
-            val = sum(1 for (u, v) in norm if u in sset and v in sset)
-            cur = table[(a, r)]
-            if cur is None or val > cur:
-                table[(a, r)] = val
-    return table
-
-
-def oracle_self_check(g: Graph) -> None:
-    """The two oracles must agree; raises InternalError on mismatch."""
-    allk = brute_force_all_k(g)
-    for k in range(g.n + 1):
-        v, _ = brute_force_densest_k(g, k)
-        if v != allk[k]:
-            raise InternalError(f"oracle disagreement at k={k}: {v} vs "
-                                f"{allk[k]}")

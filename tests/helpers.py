@@ -1,5 +1,6 @@
-"""Shared hand-drawn fixtures for the leveling and table tests, and the
-self-reduction oracle for witnesses.
+"""Shared hand-drawn fixtures for the leveling and table tests, the
+self-reduction oracle for witnesses, the slice-table oracle and the
+cross-check of the two brute-force oracles.
 
 The main fixture is a three-level plane graph: a pentagon with one chord,
 a square with one chord nested inside it, and a single vertex inside the
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 from itertools import chain, combinations
 
+from dks import oracle
+from dks.errors import CapExceeded, InternalError
 from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
@@ -84,6 +87,25 @@ def wheel(rim: int) -> Graph:
     edges = [(i, (i + 1) % rim) for i in range(rim)]
     edges += [(i, rim) for i in range(rim)]
     return Graph(rim + 1, edges)
+
+
+def triangle_chain(t: int) -> Graph:
+    """t triangles in a row, each sharing one vertex with the next: 2t+1
+    vertices, t blocks, t-1 cutpoints (t = 2 is the bowtie)."""
+    return Graph(2 * t + 1, [e for i in range(t)
+                             for e in ((2 * i, 2 * i + 1),
+                                       (2 * i + 1, 2 * i + 2),
+                                       (2 * i, 2 * i + 2))])
+
+
+def shaped_outerplanar(n: int) -> list[Graph]:
+    """A path, star, fan (hub 0 on the path 1..n-1) and cycle on n >= 3
+    vertices, and a chain of n triangles."""
+    path = [(i, i + 1) for i in range(n - 1)]
+    spokes = [(0, i) for i in range(1, n)]
+    return [Graph(n, path), Graph(n, spokes),
+            Graph(n, spokes + path[1:]),
+            Graph(n, path + [(n - 1, 0)]), triangle_chain(n)]
 
 
 def hex_two_pendants() -> Graph:
@@ -275,3 +297,51 @@ def node_tables(forest, k: int, keep: bool = False) -> dict:
     trace: list = []
     evaluate_tables(forest, k, trace=trace, keep=keep)
     return {ev["node"]: ev["table"] for ev in trace}
+
+
+def brute_force_slice_table(
+    g: Graph,
+    vertices: list[int],
+    countable_edges: set[tuple[int, int]],
+    boundary: list[int],
+    kmax: int,
+) -> dict[tuple[frozenset, int], int | None]:
+    """Exact-trace optimum table over an explicit vertex slice.
+
+    For every subset A of `boundary` and every k' = 0..kmax, the best
+    countable-edge count over subsets S ⊆ vertices with |S| = k' and
+    S ∩ boundary = A exactly; None marks empty cells.  Used to validate
+    the slice DP's table algebra on small instances.
+    """
+    if len(vertices) > oracle.ORACLE_VERTEX_CAP:
+        raise CapExceeded(f"slice of {len(vertices)} exceeds oracle cap")
+    bset = set(boundary)
+    table: dict[tuple[frozenset, int], int | None] = {}
+    for r in range(len(bset) + 1):
+        for asub in combinations(sorted(bset), r):
+            for kp in range(kmax + 1):
+                table[(frozenset(asub), kp)] = None
+    norm = {(min(u, v), max(u, v)) for u, v in countable_edges}
+    for r in range(len(vertices) + 1):
+        if r > kmax:
+            break
+        for sub in combinations(sorted(vertices), r):
+            sset = set(sub)
+            a = frozenset(sset & bset)
+            val = sum(1 for (u, v) in norm if u in sset and v in sset)
+            cur = table[(a, r)]
+            if cur is None or val > cur:
+                table[(a, r)] = val
+    return table
+
+
+def oracle_self_check(g: Graph) -> None:
+    """The two oracles must agree; raises InternalError on mismatch (not
+    an assert, so the check holds under python -O).  Both are called
+    through dks.oracle, so a test can corrupt one there."""
+    allk = oracle.brute_force_all_k(g)
+    for k in range(g.n + 1):
+        v, _ = oracle.brute_force_densest_k(g, k)
+        if v != allk[k]:
+            raise InternalError(f"oracle disagreement at k={k}: {v} vs "
+                                f"{allk[k]}")

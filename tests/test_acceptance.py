@@ -1,4 +1,4 @@
-"""Acceptance checklist: ten end-to-end checks, one per shipping requirement.
+"""Acceptance checklist: twelve end-to-end checks, one per shipping requirement.
 
 Run this module with ``pytest tests/test_acceptance.py -v`` to read the
 checklist; every test pins its corpus size and, where one is stated, a
@@ -15,6 +15,7 @@ those cells, and the final vector reads 5, not 4, at k = 4.
 
 import statistics
 import time
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,12 +24,13 @@ import numpy as np
 from dks.embedding import embed_and_level
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
 from dks.graph import Graph, parse_edge_list
-from dks.oracle import brute_force_all_k, brute_force_slice_table
+from dks.oracle import brute_force_all_k
 from dks.ptas_probe import probe
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from dks.trees import build_forest
-from helpers import (induced_edge_count, materialize_slice, node_tables,
-                     parse_tables, run_cli)
+from helpers import (brute_force_slice_table, induced_edge_count,
+                     materialize_slice, node_tables, parse_tables, run_cli,
+                     triangle_chain)
 from test_dp_outerplanar import EXPECTED_MERGES, EXPECTED_VALUES, FIXTURE, LEAF
 
 
@@ -178,6 +180,35 @@ def test_flat_solver_wall_time_grows_near_linearly():
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert slope <= 1.25, (slope, times)
     assert time.perf_counter() - t0 < 600.0
+
+
+def test_flat_solve_memory_is_linear_with_a_small_constant():
+    """n = 20,000, k = 10: the tracemalloc peak of one flat solve stays
+    under 400 bytes per vertex.  Recognition reads a CSR adjacency and
+    the fold indexes its bookkeeping by vertex; per-vertex Python
+    containers (one set or list each) would cost about 700."""
+    g = gen_outerplanar(GenSpec(n=20_000, rho=0.5, seed=1))
+    tracemalloc.start()
+    try:
+        solve_outerplanar(g, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.n < 400, peak / g.n
+
+
+def test_flat_solver_time_on_many_blocks_grows_near_linearly():
+    """Chains of 2,000 and 20,000 triangles (one block each): log-log
+    slope <= 1.25, so per-block work done at Python speed does not grow
+    with the whole graph."""
+    sizes = (2_000, 20_000)
+    times = []
+    for t, reps in zip(sizes, (3, 2)):
+        g = triangle_chain(t)
+        times.append(min(_timed(lambda: solve_outerplanar(g, 10))
+                         for _ in range(reps)))
+    slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+    assert slope <= 1.25, (slope, times)
 
 
 def test_leveled_solver_depth_overhead_within_budget():

@@ -18,14 +18,15 @@ from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
 from dks.generators import GenSpec, gen_bouterplanar
 from dks.graph import Graph
-from dks.oracle import brute_force_all_k, brute_force_slice_table
+from dks.oracle import brute_force_all_k
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
 from dks.trees import build_forest
 
-from helpers import (FIG_ID, figure_graph, hex_two_pendants,
-                     materialize_slice, merge_reference, node_tables, wheel)
+from helpers import (FIG_ID, brute_force_slice_table, figure_graph,
+                     hex_two_pendants, materialize_slice, merge_reference,
+                     node_tables, wheel)
 from test_dp_outerplanar import outerplanar_graphs
 
 
@@ -352,7 +353,7 @@ def test_trace_names_branch_and_pivot():
 def test_boundary_drift_raises_under_python_O():
     # the drift check, the exactness checks in extend and adjust, the
     # forest's seam and walk checks, the embedding's triangulation check
-    # and the oracle's and generators' self-checks must survive
+    # and the oracle cross-check and the generators' self-check must survive
     # `python -O`, which strips asserts
     script = """
 import sys
@@ -402,10 +403,11 @@ try:
 except TriangulationIncomplete:
     print("untriangulated", sys.flags.optimize)
 from dks import generators, oracle
+from helpers import oracle_self_check
 real = oracle.brute_force_densest_k
 oracle.brute_force_densest_k = lambda g, k: (real(g, k)[0] + 1, [])
 try:
-    oracle.oracle_self_check(Graph(3, [(0, 1)]))   # a corrupted oracle
+    oracle_self_check(Graph(3, [(0, 1)]))   # a corrupted oracle
 except InternalError:
     print("oracle", sys.flags.optimize)
 generators.is_outerplanar = lambda g: None
@@ -415,7 +417,8 @@ except InternalError:
     print("generator", sys.flags.optimize)
 """
     src = Path(dks.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(Path(__file__).resolve().parent)]))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout == ("BoundaryMismatch 1\nInternalError 1\nseam 1\n"

@@ -6,13 +6,16 @@ checked bit-for-bit against those tables, None (= no subgraph of that
 size with that endpoint trace) included.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dks.errors import DksError, NotOuterplanar
+from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph, parse_edge_list
-from dks.oracle import brute_force_all_k, brute_force_slice_table
+from dks.oracle import brute_force_all_k
 from dks import dp_outerplanar
 from dks.dp_outerplanar import (
     EdgeTable,
@@ -24,6 +27,7 @@ from dks.dp_outerplanar import (
     solve_outerplanar_values,
 )
 from dks.solve import solve_outerplanar
+from helpers import brute_force_slice_table, shaped_outerplanar
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
@@ -149,7 +153,7 @@ def test_block_outer_cycle_on_fixture():
     blocks, _ = g.blocks_and_cutpoints()
     assert len(blocks) == 1
     vs = sorted({u for e in blocks[0] for u in e})
-    cycle = block_outer_cycle(vs, blocks[0])
+    cycle = block_outer_cycle(g, vs, blocks[0])
     names = [g.names[v] for v in cycle]
     assert names[0] == "c"
     assert names in (["c", "b", "a", "e", "f", "g", "d"],
@@ -159,7 +163,7 @@ def test_block_outer_cycle_on_fixture():
 def test_block_outer_cycle_rejects_k4():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     with pytest.raises(NotOuterplanar):
-        block_outer_cycle([0, 1, 2, 3], edges)
+        block_outer_cycle(Graph(4, edges), [0, 1, 2, 3], edges)
 
 
 def test_rejects_k23():
@@ -169,7 +173,34 @@ def test_rejects_k23():
     blocks, _ = g.blocks_and_cutpoints()
     vs = sorted({u for e in blocks[0] for u in e})
     with pytest.raises(NotOuterplanar):
-        block_outer_cycle(vs, blocks[0])
+        block_outer_cycle(g, vs, blocks[0])
+
+
+def _outer_cycle_corpus():
+    for s in range(30):
+        yield gen_outerplanar(GenSpec(n=3 + 2 * s, rho=(s % 6) / 5, seed=s))
+    for n in (3, 4, 9, 25):
+        yield from shaped_outerplanar(n)
+
+
+@pytest.mark.parametrize("g", list(_outer_cycle_corpus()),
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_block_outer_cycle_is_hamiltonian_with_noncrossing_chords(g):
+    for b in g.blocks_and_cutpoints()[0]:
+        if len(b) == 1:
+            continue
+        vs = sorted({u for e in b for u in e})
+        cycle = block_outer_cycle(g, vs, b)
+        m = len(cycle)
+        assert cycle[0] == vs[0] and sorted(cycle) == vs
+        ring = {frozenset((cycle[i], cycle[(i + 1) % m])) for i in range(m)}
+        assert ring <= {frozenset(e) for e in b}
+        pos = {v: i for i, v in enumerate(cycle)}
+        chords = [sorted((pos[u], pos[v])) for u, v in b
+                  if frozenset((u, v)) not in ring]
+        assert len(chords) == len(b) - m
+        for (a, z), (c, d) in combinations(chords, 2):
+            assert not (a < c < z < d or c < a < d < z), (a, z, c, d)
 
 
 def test_is_outerplanar_accepts_trees_and_cycles():
@@ -245,6 +276,14 @@ def test_fold_block_rejects_crossing_chords(chords):
     edges = [(i, (i + 1) % 6) for i in range(6)] + chords
     with pytest.raises(NotOuterplanar, match="crossing chords"):
         fold_block(Graph(6, edges), cycle, edges, 6)
+
+
+def test_root_outside_the_vertex_range_raises():
+    # a root id is checked against 0..n-1 before it indexes anything
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for root in (-1, g.n):
+        with pytest.raises(ValueError, match="root vertex"):
+            solve_outerplanar_values(g, 3, root=root)
 
 
 def test_disconnected_input_raises():

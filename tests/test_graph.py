@@ -1,11 +1,14 @@
+import networkx as nx
 import pytest
 
 from dks.errors import FormatError
-from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
+from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
+                            gen_planar)
 from dks.graph import (Graph, component_subgraphs, dump_json, induced_subgraph,
                        parse_edge_list, parse_json)
 
-from helpers import degree, induced_edge_count
+from helpers import (degree, induced_edge_count, shaped_outerplanar,
+                     triangle_chain)
 
 
 def test_dedup_and_adjacency():
@@ -119,3 +122,34 @@ def test_blocks_on_long_path_iterative():
     blocks, cuts = g.blocks_and_cutpoints()
     assert len(blocks) == n - 1
     assert len(cuts) == n - 2
+
+
+def _recognition_corpus():
+    for s in range(6):
+        yield gen_outerplanar(GenSpec(n=4 + 9 * s, rho=s / 5, seed=s))
+        yield gen_bouterplanar(GenSpec(n=12 + 6 * s, b=2 + s % 3,
+                                       rho=0.2 * s, seed=s))
+        yield gen_planar(GenSpec(n=10 + 12 * s, rho=0.15 * (s + 1), seed=s))
+    for n in (3, 4, 7, 30):
+        yield from shaped_outerplanar(n)
+    yield Graph(2, [(0, 1)])
+    yield triangle_chain(2)                                    # bowtie
+    yield Graph(9, triangle_chain(2).edges + [(6, 7)])         # isolated 5, 8
+
+
+@pytest.mark.parametrize("g", list(_recognition_corpus()),
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_blocks_and_cutpoints_match_networkx(g):
+    # the CSR Hopcroft-Tarjan pass against networkx, as sets: same blocks
+    # (edge sets, each edge in exactly one block), same cut vertices
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges)
+    blocks, cuts = g.blocks_and_cutpoints()
+
+    def edge_sets(comps):
+        return {frozenset(frozenset(e) for e in c) for c in comps}
+
+    assert edge_sets(blocks) == edge_sets(nx.biconnected_component_edges(ref))
+    assert sum(map(len, blocks)) == g.m
+    assert cuts == set(nx.articulation_points(ref))

@@ -4,12 +4,8 @@ from hypothesis import strategies as st
 
 from dks.errors import CapExceeded, KTooLarge
 from dks.graph import Graph
-from dks.oracle import (
-    brute_force_all_k,
-    brute_force_densest_k,
-    brute_force_slice_table,
-    oracle_self_check,
-)
+from dks.oracle import brute_force_all_k, brute_force_densest_k
+from helpers import brute_force_slice_table, oracle_self_check
 
 
 def random_graph(draw, max_n=8):
