@@ -19,6 +19,10 @@ full vertex set of its region (``vset``); ``merge_tables`` charges
 the vertices and edges the two operands both claim to the second
 operand's rows, once per merge.
 
+What a merge derives from its operands' boundary shape, not from their
+cells (which operand cells meet, and what the overlap costs), is its
+plan, built once per shape and kept across solves (``_by_shape``).
+
 When a witness is asked for, every table keeps the operands it was built
 from, and ``_traceback`` walks a root cell back down them.
 """
@@ -42,6 +46,17 @@ ABSENT = None
 # pairs, 512 ran the leveled benchmark's solve pass fastest).
 _BLOCK = 512
 
+# Merge plans by shape key (see _by_shape).  Shapes repeat across graphs
+# far more than within one solve, so the memo outlives solves: a merge
+# that builds its plan is slower than a merge without a memo, and only
+# a later merge of the shape wins that back (README).  A plan
+# whose arrays hold more than _SHAPE_BYTES is used once and dropped, and
+# a full memo drops its oldest plan, so the kept arrays never exceed
+# _SHAPES_MAX * _SHAPE_BYTES = 32 MiB.
+_SHAPE_BYTES = 1 << 15
+_SHAPES_MAX = 1024
+_SHAPES: dict[tuple, tuple] = {}
+
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -61,10 +76,9 @@ class BoundaryTable:
     (tables.NEG gives the argument).  made is () for a table enumerated
     from its boundary and, when kept for a traceback, (step, operands...)
     for the extend, contract, adjust or merge_tables call that built it; a
-    merge also keeps the overlap it charged to its second operand, as
-    row masks, and its operand-row index.  A table lives only as long as
-    something points to it: evaluate_tables drops each one once it is
-    consumed."""
+    merge also keeps the part of its plan that a traceback reads (see
+    merge_tables).  A table lives only as long as something points to
+    it: evaluate_tables drops each one once it is consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -87,6 +101,31 @@ class BoundaryTable:
         return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
                 [ABSENT if c == NEG else c for c in row]
                 for i, row in enumerate(self.cells.tolist())}
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of mask's set bits, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
+
+
+def _by_shape(*key) -> tuple:
+    """_merge_plan(*key), its arrays made read-only and kept in _SHAPES
+    for the next merge of the same shape."""
+    plan = _SHAPES.get(key)
+    if plan is None:
+        plan = _merge_plan(*key)
+        arrays = [a for a in plan if hasattr(a, "flags")]
+        for a in arrays:
+            a.flags.writeable = False
+        if sum(a.nbytes for a in arrays) <= _SHAPE_BYTES:
+            if len(_SHAPES) >= _SHAPES_MAX:
+                del _SHAPES[next(iter(_SHAPES))]
+            _SHAPES[key] = plan
+    return plan
 
 
 def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
@@ -204,21 +243,51 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
 
 
-def _row_bits(t: BoundaryTable) -> dict[int, int]:
-    return {v: 1 << j for j, v in enumerate(t.verts)}
+def _merge_plan(m1: int, m2: int, mo: int, mf: int, ms: int, eb: int,
+                w2: int) -> tuple:
+    """(low, high, gather, wrap, pen, shared) of a merge whose masks over
+    the sorted union of both boundaries select t1's boundary (m1), t2's
+    (m2), the outer one (mo), the middle vertices off it (mf) and those
+    both regions hold (ms), whose shared counted edges are the bits
+    i * u + j of eb (of the i-th and j-th of u union vertices), and whose
+    t2 rows have w2 cells: the operand rows of every middle and outer
+    subset, a row per operand; the flat indices into t2's cells of t2
+    discounted, size-major, and of the cells the discount moves left of
+    column 0; each t2 row's shared edges (None without any); and t2's
+    row mask of the shared vertices."""
+    import numpy as np
 
+    u = (m1 | m2).bit_length()
+    b1, b2 = [0] * u, [0] * u   # a union vertex's row bit in t1, in t2
+    for b, m in ((b1, m1), (b2, m2)):
+        for i, j in enumerate(_bits(m)):
+            b[j] = 1 << i
 
-def _operand_rows(vs, pos1: dict, pos2: dict) -> list[list[int]]:
-    """For each subset of the sorted vs (bit j for the j-th vertex), the
-    subset's row bits in two operands whose boundary vertices have the
-    row bits pos1 and pos2, one list per operand; a vertex off a
-    boundary adds nothing."""
-    rows1, rows2 = [0], [0]
-    for v in sorted(vs):
-        w1, w2 = pos1.get(v, 0), pos2.get(v, 0)
-        rows1 += [r + w1 for r in rows1]
-        rows2 += [r + w2 for r in rows2]
-    return [rows1, rows2]
+    def rows(mask: int):    # both operands' rows of each subset of mask
+        r1, r2 = [0], [0]
+        for j in _bits(mask):
+            r1 += [r + b1[j] for r in r1]
+            r2 += [r + b2[j] for r in r2]
+        return np.array((r1, r2), dtype=np.int32)
+
+    shared = sum(b2[j] for j in _bits(ms))
+    r2 = np.arange(1 << m2.bit_count(), dtype=np.int32)
+    # cell c of a row reads column (c + move) mod w2: the columns that
+    # wrap round are those moved left of column 0
+    gather = np.arange(w2, dtype=np.int32)[:, None] + np.bitwise_count(
+        r2 & shared)
+    wrap = gather >= w2
+    gather %= w2
+    gather += r2 * w2
+    pen = None
+    for b in _bits(eb):
+        e = b2[b // u] | b2[b % u]
+        hit = (r2 & e) == e
+        if pen is None:
+            pen = hit.astype(np.int32)
+        else:
+            pen += hit
+    return rows(mf), rows(mo), gather, gather[wrap], pen, shared
 
 
 def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
@@ -229,18 +298,18 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
     over the subsets Bx of the middle vertices off that boundary, of
     the operand rows S = A | Bx cut down to each operand's boundary.
     Every vertex and counted edge both operands claim lies on t2's
-    boundary, so `_discounted` charges the overlap to t2's rows once,
-    and a plain max-plus of the operand rows then counts everything
-    exactly once.  Sound only while the regions overlap nowhere off
-    their shared boundaries, which the construction guarantees
-    (checked).
+    boundary, so the overlap is charged to t2's rows once, and a plain
+    max-plus of the operand rows then counts everything exactly once.
+    Sound only while the regions overlap nowhere off their shared
+    boundaries, which the construction guarantees (checked).
 
-    A block of n result rows holds pair (Bx, A) in column Bx * n + A;
-    an operand's row for S is the sum of its rows for A and for Bx.
-    Both operands are gathered size-major into buffers that every
-    block reuses.  With `keep`, made is ("merge", t1, t2, shared, edges,
-    low, high): the overlap charged to t2 (the `_discounted` arguments),
-    and the operand rows of every Bx and A."""
+    What depends on the boundary shape alone, the operand rows and the
+    discount, is the shape's _merge_plan, built once per shape.  A
+    block of n result rows holds pair (Bx, A) in column Bx * n + A; an
+    operand's row for S is the sum of its rows for A and for Bx.  Both
+    operands are gathered size-major into buffers that every block
+    reuses.  With `keep`, made is ("merge", t1, t2, (low, high, pen,
+    shared)): the plan less its gathers, which are the bulk of it."""
     import numpy as np
 
     if list(t1.R) != list(t2.L):
@@ -248,17 +317,27 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
             f"cannot merge: {t1.R} does not meet {t2.L}")
     L, R = t1.L, t2.R
     outset = frozenset(L) | frozenset(R)
-    if not (t1.vset & t2.vset) <= (t1.bset & t2.bset):
+    both = t1.vset & t2.vset
+    if not both <= (t1.bset & t2.bset):
         raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
-    free = sorted(frozenset(t1.R) - outset)
-    pos1, pos2 = _row_bits(t1), _row_bits(t2)
-    low = np.array(_operand_rows(free, pos1, pos2), dtype=np.int64)
-    high = np.array(_operand_rows(outset, pos1, pos2), dtype=np.int64)
-    shared = sum(pos2[v] for v in t1.vset & t2.vset)
-    edges = [pos2[u] | pos2[v] for u, v in t1.eset & t2.eset]
-    d2 = _discounted(t2, shared, edges)
+    at = {v: 1 << j for j, v in enumerate(sorted(t1.bset | t2.bset))}
+    u = len(at)
+    low, high, gather, wrap, pen, shared = _by_shape(
+        *(sum(map(at.__getitem__, vs)) for vs in (
+            t1.bset, t2.bset, outset, frozenset(t1.R) - outset, both)),
+        # (1 << i) ** u * (1 << j) is bit i * u + j
+        sum(at[a] ** u * at[b] for a, b in t1.eset & t2.eset),
+        t2.K + 1)
+    c2 = t2.cells.reshape(-1)
+    if np.maximum.reduce(c2.take(wrap), initial=NEG) != NEG:
+        raise InternalError("a table cell is smaller than the boundary "
+                            "subset of its row")
+    d2 = c2.take(gather)
+    del gather, wrap    # a plan too big to keep goes before the blocks
+    if pen is not None:
+        d2 -= pen
     cells = np.empty((high.shape[1], K + 1), dtype=np.int32)
     # powers of two, so the blocks of n result rows tile the result
     group = low.shape[1]
@@ -278,33 +357,8 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
                      if e[0] in outset and e[1] in outset)
     t = BoundaryTable(L, R, vset, eset, K, cells)
     if keep:
-        t.made = ("merge", t1, t2, shared, edges, low, high)
+        t.made = ("merge", t1, t2, (low, high, pen, shared))
     return t
-
-
-def _discounted(t2: BoundaryTable, shared_verts: int, shared_edges: list):
-    """t2's table size-major, shape (t2.K + 1, rows), with the overlap
-    of merge_tables charged to it.  Row r moves left by the number of
-    vertices of the row mask shared_verts it selects, and drops by the
-    number of edges of shared_edges (row masks of their two ends) inside
-    it."""
-    import numpy as np
-
-    rows = np.arange(len(t2.cells))
-    w = t2.K + 1
-    move = np.bitwise_count(rows & shared_verts)
-    # cell c of a row reads column (c + move) mod w: the columns that
-    # wrap round are those moved left of column 0
-    src = np.arange(w)[:, None] + move
-    wrap = src >= w
-    src %= w
-    cells = t2.cells[rows, src]
-    if np.maximum.reduce(cells[wrap], initial=NEG) != NEG:
-        raise InternalError("a table cell is smaller than the boundary "
-                            "subset of its row")
-    for e in shared_edges:
-        cells -= (rows & e) == e
-    return cells
 
 
 def _vec(cells: list[int]) -> list[int | None]:
@@ -315,14 +369,13 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
     t that reach its cell (r, kp): the first Bx, in pair order, whose
     t1 row and discounted t2 row for S = r | Bx combine to the cell's
-    value.  The operand rows come from the index merge_tables kept; the
-    discounted t2 row is rebuilt from t2's row and the overlap masks, as
-    `_discounted` builds it."""
-    t1, t2, shared, edges, low, high = t.made[1:]
+    value.  The operand rows and the discount come from the plan the
+    merge kept."""
+    t1, t2, (low, high, pen, shared) = t.made[1:]
     val = int(t.cells[r, kp])
     for r1, r2 in (high[:, r, None] + low).T.tolist():
         shift = (r2 & shared).bit_count()
-        less = sum(1 for e in edges if r2 & e == e)
+        less = 0 if pen is None else int(pen[r2])
         pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
                             _vec([c - less for c in
                                   t2.cells[r2, shift:].tolist()]), kp, val)

@@ -306,12 +306,15 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
-    opens: dict[int, list[int]] = {}
+    # chord spans [s, e) as s * (m + 1) + m - e, sorted so that the last
+    # is the one to open first: by start, outermost first at each start
+    spans = []
     for u, v in edges:
         pa, pb = sorted((pos[u], pos[v]))
         if 1 < pb - pa < m - 1:                 # a chord, not a cycle edge
             s, e = (pa, pb) if pa > 0 else (pb, m)
-            opens.setdefault(s, []).append(e)
+            spans.append(s * (m + 1) + m - e)
+    spans.sort(reverse=True)
     del pos                             # not held while tables are built
     stack: list[tuple[int, list[EdgeTable]]] = [(m, [])]  # (end, pieces)
     cells = 0
@@ -329,7 +332,8 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                        m - 1)
                 return t
             stack[-1][1].append(t)
-        for e in sorted(opens.pop(i, ()), reverse=True):
+        while spans and spans[-1] // (m + 1) == i:
+            e = m - spans.pop() % (m + 1)
             if e > stack[-1][0]:
                 raise NotOuterplanar(f"crossing chords at span [{i},{e})")
             stack.append((e, []))

@@ -8,7 +8,7 @@ with optional human-readable names kept for I/O round-trips.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from dks.errors import FormatError
@@ -66,9 +66,10 @@ class Graph:
 
     # -------------------------------------------------------- components
 
-    def connected_components(self) -> list[list[int]]:
-        """Ascending vertex list per component, in order of smallest vertex
-        (isolated vertices included), from one labelling pass."""
+    def connected_components(self) -> list[Sequence[int]]:
+        """Ascending vertices per component, in order of smallest vertex
+        (isolated vertices included), from one labelling pass: a list per
+        component, or range(n) alone for a connected graph."""
         label = [-1] * self.n
         count = 0
         for s in range(self.n):
@@ -83,6 +84,8 @@ class Graph:
                         label[w] = count
                         stack.append(w)
             count += 1
+        if count == 1:
+            return [range(self.n)]
         comps: list[list[int]] = [[] for _ in range(count)]
         for v in range(self.n):
             comps[label[v]].append(v)
@@ -185,8 +188,8 @@ def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
                  rotation=rot, outer_face=outer)
 
 
-def component_subgraphs(g: Graph, comps: list[list[int]]
-                        ) -> Iterator[tuple[list[int], Graph]]:
+def component_subgraphs(g: Graph, comps: list[Sequence[int]]
+                        ) -> Iterator[tuple[Sequence[int], Graph]]:
     """(comp, induced_subgraph(g, comp)) for each of g's components.
 
     `comps` is g.connected_components().  A connected g is yielded

@@ -80,6 +80,13 @@ class PlaneGraph:
                 return w
         return None
 
+    def in_wedge(self, v: int, a: int, b: int, w: int) -> bool:
+        """Whether neighbor w of v lies in the ccw wedge at v from
+        neighbor a to neighbor b, both included; the wedge from a to a
+        is the whole turn."""
+        pos, d = self._pos[v], len(self.rot[v])
+        return (pos[w] - pos[a]) % d <= ((pos[b] - pos[a]) % d or d)
+
     # -- face tracing ----------------------------------------------------
 
     def orbit(self, h: HalfEdge, keep=None) -> tuple[HalfEdge, ...]:

@@ -302,6 +302,7 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
     plane, lev = le.plane, le.level
     any_vertex = lambda w: True             # noqa: E731
     walk = [tree.root.x] + [lf.y for lf in tree.leaves]
+    after = walk[1:] + walk[1:2]            # the closed walk goes on at 1
     v = zl[1]
     if not plane.has_edge(walk[0], v):
         raise NoDividingPoint(
@@ -325,7 +326,10 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
                     f"{nxt}, which labels no remaining window slot")
             r, v = rr, nxt
             continue
-        j = next((q for q in range(i + 1, len(walk)) if walk[q] == nxt), None)
+        # the ladder goes on at the later visit of nxt whose corner, the
+        # ccw wedge from the walk's previous to its next vertex, holds w
+        j = next((q for q in range(i + 1, len(walk)) if walk[q] == nxt
+                  and plane.in_wedge(nxt, walk[q - 1], after[q], w)), None)
         if j is None or not plane.has_edge(nxt, v):
             raise NoDividingPoint(
                 f"window strip desynced at vertex {w}: the region side "

@@ -1,11 +1,13 @@
 import math
+import random
 import sys
 
 import pytest
 
 from dks.embedding import embed_and_level
 from dks.errors import DksError
-from dks.graph import Graph
+from dks.generators import GenSpec, gen_planar
+from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
 from dks.trees import build_forest
 
@@ -169,3 +171,28 @@ def test_long_ladder_builds_without_touching_the_recursion_limit():
     assert sys.getrecursionlimit() == limit
     assert le.depth == 2 and len(forest.trees) == 2
     assert len(forest.trees[1].leaves) == 2 * (m - 2)
+
+
+def scanned_planar_specs() -> list[tuple[int, int, float]]:
+    """(seed, n, rho) of gen_planar at seeds 1-60, n and rho drawn by
+    Random(7), plus three later seeds of the same draw (245, 442, 528)
+    whose components once desynced the strip sweep."""
+    rng = random.Random(7)
+    draws = [(seed, rng.choice([12, 20, 30, 50, 80, 120, 200]),
+              rng.choice([0.3, 0.45, 0.6, 0.75, 0.9]))
+             for seed in range(1, 529)]
+    return draws[:60] + [draws[s - 1] for s in (245, 442, 528)]
+
+
+@pytest.mark.parametrize("variant", ["zigzag", "zigzag_alt"])
+def test_forest_builds_on_every_scanned_planar_component(variant):
+    # forests only, no tables: a few milliseconds per component.  Before
+    # the sweep checked the corner of a recurring walk vertex, seeds 5,
+    # 442 and 528 raised NoDividingPoint under both triangulations and
+    # seed 245 under zigzag
+    for seed, n, rho in scanned_planar_specs():
+        g = gen_planar(GenSpec(n=n, rho=rho, seed=seed))
+        for comp in g.connected_components():
+            if len(comp) >= 3:
+                build_forest(embed_and_level(induced_subgraph(g, comp),
+                                             variant=variant))

@@ -32,7 +32,7 @@ def test_outerplanar_density_endpoints():
 def test_outerplanar_output_is_outerplanar(n, rho, seed):
     g = gen_outerplanar(GenSpec(n=n, rho=rho, seed=seed))
     assert is_outerplanar(g)
-    assert g.connected_components() == [list(range(n))]
+    assert g.connected_components() == [range(n)]
 
 
 @pytest.mark.parametrize("b", [2, 3, 4])

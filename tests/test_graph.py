@@ -66,6 +66,10 @@ def test_connected_components():
     g = Graph(n=5, edges=[(0, 1), (2, 3)])
     assert g.connected_components() == [[0, 1], [2, 3], [4]]
     assert len(g.connected_components()) == 3
+    # a connected graph's one component is the identity map, no list
+    assert Graph(n=3, edges=[(0, 1), (1, 2)]).connected_components() == [
+        range(3)]
+    assert Graph(n=0, edges=[]).connected_components() == []
 
 
 def _union(graphs, names=False, outer=None):

@@ -15,7 +15,7 @@ import dks
 import helpers
 from dks import dp_bouterplanar, dp_outerplanar
 from dks.embedding import embed_and_level
-from dks.errors import InternalError, KTooLarge, NoDividingPoint
+from dks.errors import InternalError, KTooLarge
 from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
@@ -436,20 +436,39 @@ def test_lazy_package_attributes():
 
 
 # A 31-vertex, depth-2 planar graph shrunk from gen_planar(n=200,
-# rho=0.3, seed=24).  The zigzag triangulation leaves a level strip the
-# forest builder cannot divide; zigzag_alt solves it.  Strict, so the fix
-# shows up as an XPASS and drops the marker.
+# rho=0.3, seed=24).  Under zigzag the strip sweep of its deeper walk
+# reaches 27 again at the foot of a spur (0 -> 27 -> 29) before the
+# visit whose corner (29 -> 27 -> 16) the ladder really goes on at, and
+# once desynced there (NoDividingPoint).
 LEVELED_DEFECT_EDGES = (
     "0-11 0-27 1-12 1-16 2-6 2-20 2-23 3-23 3-25 4-6 4-22 5-8 5-14 6-27 "
     "6-28 7-13 7-21 8-23 9-25 9-30 10-21 10-22 12-13 14-17 15-19 15-24 "
     "16-17 17-18 18-22 24-30 26-30 27-29")
 
 
-@pytest.mark.xfail(raises=NoDividingPoint, strict=True,
-                   reason="known leveled defect: the zigzag strip has no "
-                          "dividing point")
 def test_leveled_defect_repro_solves_under_both_triangulations():
     g = Graph(31, [tuple(map(int, e.split("-")))
                    for e in LEVELED_DEFECT_EDGES.split()])
     assert (solve(g, 8).values
             == solve(g, 8, triangulation="zigzag_alt").values)
+
+
+# The smallest component the strip sweep once desynced on under both
+# triangulations: component 12 of gen_planar(n=200, rho=0.3, seed=647),
+# drawn with networkx 3.6.1's rotation.  It is outerplanar, so only a
+# forced leveled solve meets it.
+DEFECT14_EDGES = ("0-4 1-2 1-8 1-10 1-13 2-8 2-12 3-5 3-7 3-13 4-6 4-13 "
+                  "5-7 5-11 8-9 10-13")
+DEFECT14_ROTATION = [[4], [8, 2, 10, 13], [12, 8, 1], [7, 5, 13],
+                     [13, 6, 0], [11, 7, 3], [4], [3, 5], [9, 1, 2], [8],
+                     [13, 1], [5], [2], [3, 10, 1, 4]]
+
+
+@pytest.mark.parametrize("variant", ["zigzag", "zigzag_alt"])
+def test_leveled_defect_14_matches_the_oracle(variant):
+    g = Graph(14, [tuple(map(int, e.split("-")))
+                   for e in DEFECT14_EDGES.split()],
+              rotation=DEFECT14_ROTATION)
+    rep = solve(g, 14, force_solver="bouterplanar", triangulation=variant,
+                witness=True)
+    assert rep.values == brute_force_all_k(g)
