@@ -7,9 +7,10 @@ subset.  Four ways to build one, picked per node:
 
 * fold the children left to right and close the entering edge (S1),
 * defer to the component drawn inside the node's face (S2),
-* the two-vertex template for an outermost walk edge (S3),
-* seed a small table at a pivot window, then sweep the parent windows
-  in, extending by the node's endpoints (S4).
+* ``create`` it from the node's endpoints, for an outermost walk edge (S3),
+* ``create`` it from the endpoints and the boundary path at a pivot
+  window, then sweep the parent windows in, extending by the node's
+  endpoints (S4).
 
 Filler and connector edges steer the geometry but never score; only
 edges of the input graph are counted, each exactly once.  To keep that
@@ -33,11 +34,11 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .dp_outerplanar import Blocks
-from .embedding import LeveledEmbedding, embed_and_level
+from .embedding import embed_and_level
 from .errors import BoundaryMismatch, InternalError, TooManyEdges
 from .graph import Graph
 from .tables import MAX_EDGES, NEG, maxplus_pair, maxplus_rows
-from .trees import Forest, TreeNode, build_forest
+from .trees import Forest, TreeNode, build_forest, window_path
 
 ABSENT = None
 
@@ -130,7 +131,7 @@ def _by_shape(*key) -> tuple:
 
 def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
     """Brute-force table for a region whose vertices all lie on the
-    boundary; the workhorse behind the leaf template and create."""
+    boundary; the workhorse behind create."""
     import numpy as np  # deferred: `import dks` stays numpy-free
 
     core = sorted(set(verts))
@@ -150,36 +151,18 @@ def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
                          frozenset(es), K, cells)
 
 
-def leaf_template(le: LeveledEmbedding, v: TreeNode, k: int) -> BoundaryTable:
-    """Table for an outermost walk edge (or isolated vertex)."""
-    if v.x == v.y:
-        return _enum_table((v.x,), (v.x,), [v.x], [], k)
-    counted = v.countable and not le.is_fake(v.x, v.y)
-    es = [_norm(v.x, v.y)] if counted else []
-    return _enum_table((v.x,), (v.y,), [v.x, v.y], es, k)
-
-
-def create(forest: Forest, v: TreeNode, p: int, k: int) -> BoundaryTable:
-    """Seed table for the pivot column of a childless deeper node: the
-    node's endpoints plus the boundary path at window p, with all real
-    edges inside that column (the doubled copy of a repeated walk edge
-    scores zero)."""
-    g = forest.le.graph
-    u = forest.trees[v.comp].parent_node.children
-    s = len(u)
-    bnd = u[p - 1].lbound if p <= s else u[s - 1].rbound
+def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
+           k: int) -> BoundaryTable:
+    """Seed table of a childless node: its endpoints plus the boundary
+    path bnd, with all real edges among them (the doubled copy of a
+    repeated walk edge scores zero).  bnd is () for an outermost walk
+    edge or isolated vertex (S3) and the path at the pivot window for a
+    deeper node (S4)."""
     x, y = v.x, v.y
     verts = {x, y, *bnd}
-    edges = set()
-    for a, b in combinations(sorted(verts), 2):
-        if not g.has_edge(a, b):
-            continue
-        if {a, b} == {x, y} and not v.countable:
-            continue
-        edges.add((a, b))
-    L = (x,) + tuple(bnd)
-    R = (y,) + tuple(bnd)
-    return _enum_table(L, R, verts, edges, k)
+    edges = [(a, b) for a, b in combinations(sorted(verts), 2)
+             if g.has_edge(a, b) and (v.countable or {a, b} != {x, y})]
+    return _enum_table((x,) + bnd, (y,) + bnd, verts, edges, k)
 
 
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
@@ -452,7 +435,7 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
         return kept(extend(g, z, t, k), "extend", t)
 
     if br == "S3":
-        t = leaf_template(forest.le, v, k)
+        t = create(g, v, (), k)
     elif br == "S1":
         t = ops[0]
         for t2 in ops[1:]:
@@ -463,7 +446,8 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
         t = kept(adjust(g, t), "adjust", t)
     else:                       # ops[i] is the table of window v.lbn + i
         pivot = v.pivot
-        t = create(forest, v, pivot, k)
+        t = create(g, v, window_path(forest.trees[v.comp].parent_node,
+                                     pivot), k)
         for i in range(pivot - v.lbn - 1, -1, -1):
             t = merged(extended(v.x, ops[i]), t)
         for i in range(pivot - v.lbn, len(ops)):

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 from dks.errors import (EmbeddingInconsistent, InternalError, NotPlanar,
                         TriangulationIncomplete)
 from dks.graph import Graph
-from dks.plane import HalfEdge, PlaneGraph
+from dks.plane import CW, HalfEdge, PlaneGraph
 
 if TYPE_CHECKING:
     from dks.dp_outerplanar import Blocks
@@ -146,10 +146,6 @@ class LeveledEmbedding:
     def depth(self) -> int:
         return max(self.level)
 
-    def is_fake(self, u: int, v: int) -> bool:
-        e = frozenset((u, v))
-        return e in self.connector_edges or e in self.fake_edges
-
 
 def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedding:
     """Peel a connected plane graph into levels and level components."""
@@ -189,7 +185,7 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
         for piece in _split(plane, deeper):
             w, d = next((w, d) for d in sorted(piece)
                         for w in plane.rot[d] if w in lset)
-            q = plane.first_cw(w, d, lset.__contains__)
+            q = plane.first(w, d, CW, lset.__contains__)
             fi = side2sub.get((w, q))
             if fi is None:
                 raise InternalError("deep component not enclosed by a "
@@ -204,7 +200,7 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
             if len(blobset) == 1:
                 sub_walk: list[HalfEdge] = []
             else:
-                x = plane.first_cw(d, w, blobset.__contains__)
+                x = plane.first(d, w, CW, blobset.__contains__)
                 sub_walk = ccw_walk_of(plane.orbit((d, x),
                                                    blobset.__contains__))
             tasks.append((blobset, sub_walk, lev + 1, (cid, fi)))

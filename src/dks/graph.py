@@ -2,7 +2,8 @@
 
 The solvers never mutate a Graph after construction; all heavy lifting
 happens on embedding-side structures.  Vertices are 0..n-1 internally,
-with optional human-readable names kept for I/O round-trips.
+with optional human-readable names kept for I/O round-trips.  Every
+subgraph is cut by one routine, `component_subgraphs`.
 """
 
 from __future__ import annotations
@@ -162,69 +163,56 @@ class Graph:
                         blocks.append(block)
                         if up != root or root_children > 1:
                             cutpoints.add(up)
-            if edge_stack:  # pragma: no cover - drained at block pops
-                blocks.append(edge_stack[:])
-                edge_stack.clear()
         return blocks, cutpoints
 
 
-def induced_subgraph(g: Graph, keep: list[int]) -> Graph:
-    """Induced subgraph on `keep`, densely relabelled in list order.
-
-    Embedding hints survive when they still make sense: a rotation system
-    restricts cleanly to any vertex subset, the outer face only when all
-    of its vertices remain.
-    """
-    ind = {v: i for i, v in enumerate(keep)}
-    edges = [(ind[u], ind[v]) for u, v in g.edges if u in ind and v in ind]
-    rot = None
-    if g.rotation is not None:
-        rot = [[ind[w] for w in g.rotation[v] if w in ind] for v in keep]
-    outer = None
-    if g.outer_face is not None and all(v in ind for v in g.outer_face):
-        outer = [ind[v] for v in g.outer_face]
-    return Graph(n=len(keep), edges=edges,
-                 names=[g.name_of(v) for v in keep],
-                 rotation=rot, outer_face=outer)
+def induced_subgraph(g: Graph, keep: Sequence[int]) -> Graph:
+    """Induced subgraph on `keep`: component_subgraphs' one-part call."""
+    return next(component_subgraphs(g, [keep]))[1]
 
 
-def component_subgraphs(g: Graph, comps: list[Sequence[int]]
+def component_subgraphs(g: Graph, parts: list[Sequence[int]]
                         ) -> Iterator[tuple[Sequence[int], Graph]]:
-    """(comp, induced_subgraph(g, comp)) for each of g's components.
+    """(part, the subgraph g induces on it) for each of the disjoint
+    vertex lists in `parts`, each part densely relabelled in list order.
 
-    `comps` is g.connected_components().  A connected g is yielded
-    itself, with no copy.  Otherwise the edges are grouped by component
-    in one stable sort, so each subgraph keeps g's edge order.  Subgraphs
-    are built one at a time, when asked for, so a caller that drops each
-    before the next holds only one.
+    A vertex in no part is dropped with its edges, and so is every edge
+    between two parts.  `[range(g.n)]`, g.connected_components() of a
+    connected g, yields g itself, with no copy.  Otherwise the edges are
+    grouped by the part of their first end in one stable sort, so each
+    subgraph keeps g's edge order.  Embedding hints survive when they
+    still make sense: a rotation system restricts cleanly to any part,
+    the outer face only to the part that holds all of its vertices.
+    Subgraphs are built one at a time, when asked for, so a caller that
+    drops each before the next holds only one.
     """
-    if len(comps) == 1:
-        yield comps[0], g
+    if parts == [range(g.n)]:
+        yield parts[0], g
         return
-    label = [0] * g.n
+    label = [len(parts)] * g.n      # a vertex in no part sorts last
     local = [0] * g.n
-    for c, comp in enumerate(comps):
-        for i, v in enumerate(comp):
+    for c, part in enumerate(parts):
+        for i, v in enumerate(part):
             label[v] = c
             local[v] = i
     edges = sorted(g.edges, key=lambda e: label[e[0]])
     owners = None if g.outer_face is None else {label[v] for v in g.outer_face}
     lo = 0
-    for c, comp in enumerate(comps):
+    for c, part in enumerate(parts):
         hi = lo
         while hi < len(edges) and label[edges[hi][0]] == c:
             hi += 1
         rot = None
         if g.rotation is not None:
             rot = [[local[w] for w in g.rotation[v] if label[w] == c]
-                   for v in comp]
+                   for v in part]
         outer = None
         if owners is not None and owners <= {c}:
             outer = [local[v] for v in g.outer_face]
-        yield comp, Graph(n=len(comp),
+        yield part, Graph(n=len(part),
                           edges=[(local[u], local[v])
-                                 for u, v in edges[lo:hi]],
-                          names=[g.name_of(v) for v in comp],
+                                 for u, v in edges[lo:hi] if label[v] == c],
+                          names=[g.name_of(v) for v in part],
                           rotation=rot, outer_face=outer)
         lo = hi
 

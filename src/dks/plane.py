@@ -20,6 +20,7 @@ from __future__ import annotations
 from dks.errors import EmbeddingInconsistent
 
 HalfEdge = tuple[int, int]
+CW, CCW = -1, 1     # steps through a ccw rotation list
 
 
 class PlaneGraph:
@@ -54,8 +55,9 @@ class PlaneGraph:
     def edge_count(self) -> int:
         return sum(len(ns) for ns in self.rot) // 2
 
-    def first_cw(self, v: int, start: int, allowed) -> int | None:
-        """First neighbor of v strictly cw of `start` satisfying `allowed`.
+    def first(self, v: int, start: int, turn: int, allowed) -> int | None:
+        """First neighbor of v strictly past `start`, stepping CW or CCW
+        (`turn`) round v, that satisfies `allowed`.
 
         Scans the full rotation once; `start` itself is inspected last, so
         with no other hit a qualifying start vertex is returned (useful for
@@ -64,18 +66,8 @@ class PlaneGraph:
         ns = self.rot[v]
         i = self._pos[v][start]
         d = len(ns)
-        for step in range(1, d + 1):
-            w = ns[(i - step) % d]
-            if allowed(w):
-                return w
-        return None
-
-    def first_ccw(self, v: int, start: int, allowed) -> int | None:
-        ns = self.rot[v]
-        i = self._pos[v][start]
-        d = len(ns)
-        for step in range(1, d + 1):
-            w = ns[(i + step) % d]
+        for j in range(i + turn, i + turn * (d + 1), turn):
+            w = ns[j % d]
             if allowed(w):
                 return w
         return None
@@ -101,7 +93,7 @@ class PlaneGraph:
         u, v = h
         while True:
             w = (rot[v][pos[v][u] - 1] if keep is None
-                 else self.first_cw(v, u, keep))
+                 else self.first(v, u, CW, keep))
             if v == h[0] and w == h[1]:
                 return tuple(out)
             out.append((v, w))

@@ -8,9 +8,7 @@ from dataclasses import dataclass, field
 @dataclass
 class SolveReport:
     """values[k'] is the exact optimum for each k' = 0..k; values[-1] is
-    the requested k.  A None entry means no subgraph of that size exists
-    (only possible when k > n, which solvers reject earlier, so in
-    practice entries are ints)."""
+    the requested k."""
 
     k: int
     values: list[int]

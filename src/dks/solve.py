@@ -119,8 +119,9 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     """Exact densest-k-subgraph values for every k' = 0..k.
 
     Auto-detection tries the flat outerplanar program first and falls back
-    to the leveled one; `force_solver` pins either path.  Raises KTooLarge
-    for k > n and lets NotPlanar/NotOuterplanar bubble up from below.
+    to the leveled one; `force_solver` pins either path.  Raises
+    ValueError for k < 0 or a root outside 0..n-1, KTooLarge for k > n,
+    and lets NotPlanar/NotOuterplanar bubble up from below.
     `trace` collects one event per DP table, from every component and
     either solver: a dict with the table's `branch` and `pivot`, the
     leveled tree `node` uid it belongs to (None for a flat table), the
@@ -134,6 +135,8 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
+    if root is not None and not 0 <= root < g.n:
+        raise ValueError(f"root {root} is not one of the {g.n} vertices")
     if k > g.n:
         raise KTooLarge(f"k={k} but the graph has only {g.n} vertices")
     t0 = time.perf_counter()

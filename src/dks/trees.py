@@ -29,7 +29,7 @@ from itertools import count
 from dks.embedding import LevelComponent, LeveledEmbedding
 from dks.errors import (BoundaryMismatch, DksError, InternalError,
                         NoDividingPoint, TriangulationIncomplete)
-from dks.plane import HalfEdge
+from dks.plane import CCW, HalfEdge
 
 
 @dataclass
@@ -153,7 +153,7 @@ def _orient_deeper(le: LeveledEmbedding, comp: LevelComponent,
     if z not in sources:
         raise InternalError(f"deeper root {z} fell off its component's walk")
     wedge = set(comp.walk)
-    u = le.plane.first_ccw(z, vf.x, lambda w: (z, w) in wedge)
+    u = le.plane.first(z, vf.x, CCW, lambda w: (z, w) in wedge)
     if u is None:
         raise InternalError(f"deeper root {z} has no walk edge out")
     occ = comp.walk.index((z, u))
@@ -317,7 +317,7 @@ def _strip_arcs(le: LeveledEmbedding, tree: ComponentTree
             arcs[i] = (a, r)
             break
         w = walk[i]
-        nxt = plane.first_ccw(w, v, any_vertex)
+        nxt = plane.first(w, v, CCW, any_vertex)
         if lev[nxt] == lev[w] - 1:
             rr = next((q for q in range(r + 1, s + 2) if zl[q] == nxt), None)
             if rr is None:
@@ -382,13 +382,20 @@ def _assign_windows(le: LeveledEmbedding, tree: ComponentTree) -> None:
 # -- boundary vectors ------------------------------------------------------
 
 
+def window_path(vf: TreeNode, p: int) -> tuple[int, ...]:
+    """The boundary path at window slot p of the enclosing face node vf:
+    its p-th child's left path, or the last child's right path at the
+    closing slot len(vf.children) + 1."""
+    u = vf.children
+    return u[p - 1].lbound if p <= len(u) else u[-1].rbound
+
+
 def _assign_boundaries(le: LeveledEmbedding, tree: ComponentTree) -> None:
     vf = tree.parent_node
     u = vf.children
-    s = len(u)
     lev = le.components[tree.comp].level
     for node in tree.nodes:
-        left = u[node.lbn - 1].lbound if node.lbn <= s else u[s - 1].rbound
+        left = window_path(vf, node.lbn)
         right = u[node.rbn - 2].rbound if node.rbn >= 2 else u[0].lbound
         node.lbound = (node.x,) + left
         node.rbound = (node.y,) + right

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import dks
 from dks import dp_bouterplanar
-from dks.dp_bouterplanar import (ABSENT, BoundaryTable, evaluate_tables,
-                                 leaf_template, merge_tables,
+from dks.dp_bouterplanar import (ABSENT, BoundaryTable, create,
+                                 evaluate_tables, merge_tables,
                                  solve_bouterplanar_values)
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
@@ -280,7 +280,7 @@ def test_leaf_template_shape():
     le = embed_and_level(spike_triangle())
     forest = build_forest(le)
     first = forest.trees[0].leaves[0]
-    t = leaf_template(le, first, 2)
+    t = create(le.graph, first, (), 2)
     assert set(t.rows) == {frozenset(), frozenset({first.x}),
                            frozenset({first.y}),
                            frozenset({first.x, first.y})}
@@ -293,8 +293,8 @@ def test_doubled_walk_edge_scores_once():
     forest = build_forest(le)
     bridge = forest.trees[0].root.children[1]
     out, back = bridge.children
-    assert leaf_template(le, out, 2).rows[frozenset({1, 3})][2] == 1
-    assert leaf_template(le, back, 2).rows[frozenset({1, 3})][2] == 0
+    assert create(le.graph, out, (), 2).rows[frozenset({1, 3})][2] == 1
+    assert create(le.graph, back, (), 2).rows[frozenset({1, 3})][2] == 0
 
 
 def test_merge_rejects_gap():
@@ -302,7 +302,7 @@ def test_merge_rejects_gap():
     forest = build_forest(le)
     a, b = forest.trees[0].leaves[0], forest.trees[0].leaves[2]
     with pytest.raises(BoundaryMismatch):
-        merge_tables(leaf_template(le, a, 3), leaf_template(le, b, 3),
+        merge_tables(create(le.graph, a, (), 3), create(le.graph, b, (), 3),
                      le.graph, 3)
 
 

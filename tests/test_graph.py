@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import pytest
 
@@ -6,6 +8,7 @@ from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import (Graph, component_subgraphs, dump_json, induced_subgraph,
                        parse_edge_list, parse_json)
+from dks.plane import rotations_from_coordinates
 
 from helpers import (degree, induced_edge_count, shaped_outerplanar,
                      triangle_chain)
@@ -103,6 +106,53 @@ def test_component_subgraphs_match_induced_subgraph(seed):
             assert (sub.n, sub.edges, sub.names, sub.rotation,
                     sub.outer_face) == (want.n, want.edges, want.names,
                                         want.rotation, want.outer_face)
+
+
+def _hexagon(outer):
+    """Hexagon 0..5 drawn on a circle, with the chord 1-4."""
+    coords = [(math.cos(math.pi * i / 3), math.sin(math.pi * i / 3))
+              for i in range(6)]
+    edges = [(i, (i + 1) % 6) for i in range(6)] + [(1, 4)]
+    return Graph(6, edges, rotation=rotations_from_coordinates(coords, edges),
+                 outer_face=outer)
+
+
+def _fields(sub):
+    return sub.n, sub.edges, sub.names, sub.rotation, sub.outer_face
+
+
+def test_component_subgraphs_drop_unlisted_vertices_and_cross_edges():
+    # vertex 3 is in no part; the first part is listed out of order, and
+    # the outer face, which holds vertex 3, survives in neither part
+    g = _hexagon(outer=[0, 1, 2, 3, 4, 5])
+    got = list(component_subgraphs(g, [[4, 5, 0], [1, 2]]))
+    assert [keep for keep, _ in got] == [[4, 5, 0], [1, 2]]
+    assert [_fields(sub) for _, sub in got] == [
+        (3, [(0, 1), (1, 2)], ["4", "5", "0"], [[1], [2, 0], [1]], None),
+        (2, [(0, 1)], ["1", "2"], [[1], [0]], None)]
+
+
+def test_component_subgraphs_keep_the_outer_face_in_its_one_part():
+    # the quadrilateral face 1-2-3-4 lies wholly in the second part
+    g = _hexagon(outer=[1, 2, 3, 4])
+    got = [sub for _, sub in component_subgraphs(g, [[0, 5], [1, 2, 3, 4]])]
+    assert [_fields(sub) for sub in got] == [
+        (2, [(0, 1)], ["0", "5"], [[1], [0]], None),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], ["1", "2", "3", "4"],
+         [[3, 1], [2, 0], [3, 1], [0, 2]], [0, 1, 2, 3])]
+
+
+def test_component_subgraphs_hand_back_only_a_range_part_uncopied():
+    # [range(n)] is what connected_components() returns for a connected
+    # graph; any other whole-graph part is a copy
+    g = _hexagon(outer=[0, 1, 2, 3, 4, 5])
+    (_, same), = component_subgraphs(g, [range(g.n)])
+    (_, copy), = component_subgraphs(g, [list(range(g.n))])
+    assert same is g
+    assert copy is not g
+    assert _fields(copy) == (g.n, g.edges, [str(v) for v in range(g.n)],
+                             g.rotation, g.outer_face)
+    assert induced_subgraph(g, list(range(g.n))) is not g
 
 
 def test_blocks_and_cutpoints_on_two_triangles_sharing_a_vertex():

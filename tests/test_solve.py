@@ -190,6 +190,20 @@ def test_k_larger_than_n_raises():
         solve(Graph(3, [(0, 1)]), -1)
 
 
+@pytest.mark.parametrize("force", ["auto", "outerplanar", "bouterplanar"])
+def test_root_outside_the_vertices_raises(force):
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g = Graph(4, cycle)
+    for root in (-1, g.n):
+        with pytest.raises(ValueError):
+            solve(g, 2, force_solver=force, root=root)
+    # a root in another component, or on an isolated vertex, is accepted
+    h = Graph(7, cycle + [(4, 5)])
+    want = solve(h, 4, force_solver=force).values
+    for root in (4, 6):
+        assert solve(h, 4, force_solver=force, root=root).values == want
+
+
 def test_empty_graph():
     rep = solve(Graph(0, []), 0)
     assert rep.values == [0] and rep.optimum == 0
