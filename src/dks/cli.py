@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from dks.dp_outerplanar import EdgeTable
+from dks.embedding import TRIANGULATIONS
 from dks.errors import (DksError, InternalError, KTooLarge, NotOuterplanar,
                         NotPlanar)
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
@@ -24,7 +25,7 @@ from dks.graph import Graph, dump_json, load_graph
 from dks.oracle import brute_force_all_k, brute_force_densest_k
 from dks.ptas_probe import PROBE_COLUMNS, ProbeReport, probe
 from dks.report import SolveReport
-from dks.solve import solve
+from dks.solve import SOLVERS, solve
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,12 +42,9 @@ def _resolve_root(g: Graph, token: str | None) -> int | None:
     if g.names and token in g.names:
         return g.names.index(token)
     try:
-        v = int(token)
+        return int(token)
     except ValueError:
         raise DksError(f"unknown vertex {token!r}") from None
-    if not 0 <= v < g.n:
-        raise DksError(f"vertex id {v} out of range for n={g.n}")
-    return v
 
 
 def _density(k: int, m: int) -> str:
@@ -103,8 +101,6 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
     if ns.all_k:
         _print_values(brute_force_all_k(g), 0, out)
     else:
-        if ns.k > g.n:
-            raise KTooLarge(f"k={ns.k} but the graph has {g.n} vertices")
         m, _ = brute_force_densest_k(g, ns.k)
         print(f"{ns.k} {m} {_density(ns.k, m)}", file=out)
     return EXIT_OK
@@ -115,9 +111,7 @@ def cmd_oracle(ns: argparse.Namespace) -> int:
 
 def cmd_gen(ns: argparse.Namespace) -> int:
     out = sys.stdout
-    seed = (ns.seed if ns.seed is not None
-            else int(os.environ.get("DKS_SEED", "0")))
-    spec = GenSpec(n=ns.n, b=ns.b, rho=ns.rho, seed=seed)
+    spec = GenSpec(n=ns.n, b=ns.b, rho=ns.rho, seed=ns.seed)
     g = {"outerplanar": gen_outerplanar,
          "bouterplanar": gen_bouterplanar,
          "planar": gen_planar}[ns.family](spec)
@@ -232,10 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # the options that solve and dump-tables share
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--graph", required=True)
-    solver.add_argument("--force-solver", default="auto",
-                        choices=["auto", "outerplanar", "bouterplanar"])
+    solver.add_argument("--force-solver", default="auto", choices=SOLVERS)
     solver.add_argument("--triangulation", default="zigzag",
-                        choices=["zigzag", "zigzag_alt"])
+                        choices=TRIANGULATIONS)
     solver.add_argument("--root")
 
     p = sub.add_parser("solve", parents=[solver],
@@ -256,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--b", type=int, default=1)
     p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=None,
+    # a string default goes through `type`, so a bad $DKS_SEED is a usage error
+    p.add_argument("--seed", type=int, default=os.environ.get("DKS_SEED", "0"),
                    help="default: $DKS_SEED, else 0")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
@@ -287,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:     # argparse exits 2 on usage errors
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        k = getattr(ns, "k", None)
-        if k is not None and k < 0:
-            raise DksError(f"k must be nonnegative, got {k}")
         return ns.func(ns)
     except KTooLarge as exc:
         print(f"K_TOO_LARGE: {exc}", file=sys.stderr)

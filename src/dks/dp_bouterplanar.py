@@ -273,8 +273,8 @@ def _merge_plan(m1: int, m2: int, mo: int, mf: int, ms: int, eb: int,
     return rows(mf), rows(mo), gather, gather[wrap], pen, shared
 
 
-def merge_tables(t1: BoundaryTable, t2: BoundaryTable, g: Graph,
-                 k: int, keep: bool = False) -> BoundaryTable:
+def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
+                 keep: bool = False) -> BoundaryTable:
     """Glue two tables along t1.R == t2.L.
 
     A result row A (a subset of the outer boundary L + R) is the best,
@@ -429,7 +429,7 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
         return out
 
     def merged(t1: BoundaryTable, t2: BoundaryTable) -> BoundaryTable:
-        return merge_tables(t1, t2, g, k, keep)
+        return merge_tables(t1, t2, k, keep)
 
     def extended(z: int, t: BoundaryTable) -> BoundaryTable:
         return kept(extend(g, z, t, k), "extend", t)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from typing import NamedTuple
 
-from dks.errors import BoundaryMismatch, DksError, InternalError, NotOuterplanar
+from dks.errors import BadArgument, BoundaryMismatch, InternalError, NotOuterplanar
 from dks.graph import Graph
 from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
 from dks.tables import maxplus_into, maxplus_pair, vector_max
@@ -240,26 +240,25 @@ class Blocks:
     Graph.blocks_and_cutpoints pass, then block_outer_cycle per block.
 
     edges[i] is block i's edge list, in the order the depth-first
-    search pops it off its edge stack, and cutpoints the cut vertices.
-    vertices[i] is block i's ascending vertex list, and cycles[i] its
-    outer cycle from its smallest vertex (None for a bridge).  These
+    search pops it off its edge stack, vertices[i] its ascending vertex
+    list, and cycles[i] its outer cycle from its smallest vertex (None
+    for a bridge).  These
     lists are all that recognition keeps: its per-vertex working data
     (the CSR adjacency, degree maps, rings) is dropped before it returns.
     """
 
     edges: list[list[tuple[int, int]]]
-    cutpoints: set[int]
     vertices: list[list[int]]
     cycles: list[list[int] | None]
 
 
 def outerplanar_blocks(g: Graph) -> Blocks:
     """Blocks of g with their outer cycles; raises NotOuterplanar."""
-    blocks, cuts = g.blocks_and_cutpoints()
+    blocks, _ = g.blocks_and_cutpoints()
     verts = [sorted({u for e in b for u in e}) for b in blocks]
     cycles = [block_outer_cycle(g, vs, b) if len(b) > 1 else None
               for vs, b in zip(verts, blocks)]
-    return Blocks(blocks, cuts, verts, cycles)
+    return Blocks(blocks, verts, cycles)
 
 
 def is_outerplanar(g: Graph) -> Blocks | None:
@@ -417,8 +416,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
 
     `blocks` is g's decomposition from is_outerplanar(g); without it, g is
     decomposed here, which raises NotOuterplanar on other graphs, and a
-    disconnected g raises DksError.  A root outside 0..n-1, or with no
-    incident edge, raises ValueError.  Adds the number of blocks, tables,
+    disconnected g, or a root outside 0..n-1 or with no incident edge,
+    raises BadArgument.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
     `trace`.  With `witness`, every table is kept and pick(k') walks them
     back to a set of k' vertices that induces values[k'] edges; else pick
@@ -439,7 +438,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
 
     rootv = root if root is not None else 0
     if not 0 <= rootv < g.n or home[rootv] < 0:
-        raise ValueError(f"root vertex {rootv} has no incident edge")
+        raise BadArgument(f"root vertex {rootv} has no incident edge")
     root_bid = home[rootv]
 
     # BFS the block-cut tree from the root block; a block's key vertex is
@@ -454,7 +453,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                     key_of[nb] = v
                     order.append(nb)
     if len(order) < len(bverts) or -1 in home:
-        raise DksError("graph is disconnected; solve() splits components")
+        raise BadArgument("graph is disconnected; solve() splits components")
 
     if stats is not None:
         stats["blocks"] = len(blocks.edges)

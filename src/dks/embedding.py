@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from dks.errors import (EmbeddingInconsistent, InternalError, NotPlanar,
-                        TriangulationIncomplete)
+from dks.errors import (BadArgument, EmbeddingInconsistent, InternalError,
+                        NotPlanar, TriangulationIncomplete)
 from dks.graph import Graph
 from dks.plane import CW, HalfEdge, PlaneGraph
 
@@ -38,6 +38,8 @@ if TYPE_CHECKING:
     from dks.dp_outerplanar import Blocks
 
 Orbit = tuple[HalfEdge, ...]
+
+TRIANGULATIONS = ("zigzag", "zigzag_alt")      # the variants triangulate takes
 
 
 def ccw_walk_of(orbit: Orbit) -> list[HalfEdge]:
@@ -264,8 +266,8 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
     differ edge-by-edge but must never change any solver value, which the
     test suite exploits.
     """
-    if variant not in ("zigzag", "zigzag_alt"):
-        raise ValueError(f"unknown triangulation variant {variant!r}")
+    if variant not in TRIANGULATIONS:
+        raise BadArgument(f"unknown triangulation variant {variant!r}")
     plane = le.plane
     x, y = le.components[0].walk[0]
     outer = set(plane.orbit((y, x)))      # the unbounded face gets no chord
@@ -277,11 +279,14 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
         if max(levs) - min(levs) != 1:
             raise InternalError(f"a face spans levels {sorted(levs)}")
         chords = _strip_chords(orbit, le.level, variant)
-        if chords is not None and not _addable(plane, orbit, chords):
-            chords = None
+        if chords is not None:
+            try:
+                plane.insert_chords(orbit, chords)
+            except EmbeddingInconsistent:   # refused before any change
+                chords = None
         if chords is None:
             chords = _fallback_chords(plane, orbit, le.level)
-        plane.insert_chords(orbit, chords)
+            plane.insert_chords(orbit, chords)
         for a, b in chords:
             e = frozenset((orbit[a][0], orbit[b][0]))
             if abs(le.level[orbit[a][0]] - le.level[orbit[b][0]]) > 1:
@@ -293,18 +298,6 @@ def triangulate(le: LeveledEmbedding, variant: str = "zigzag") -> LeveledEmbeddi
                 raise TriangulationIncomplete(
                     "level-spanning face left untriangulated")
     return le
-
-
-def _addable(plane: PlaneGraph, orbit: Orbit,
-             chords: list[tuple[int, int]]) -> bool:
-    seen = set()
-    for a, b in chords:
-        va, vb = orbit[a][0], orbit[b][0]
-        pair = frozenset((va, vb))
-        if va == vb or plane.has_edge(va, vb) or pair in seen:
-            return False
-        seen.add(pair)
-    return True
 
 
 def _strip_chords(orbit: Orbit, level: list[int],

@@ -2,12 +2,17 @@
 
 Everything raised on purpose derives from DksError so CLI code can map
 failures to exit codes without enumerating causes; InternalError marks
-the ones that report a bug rather than a bad input.
+the ones that report a bug rather than a bad input, and BadArgument the
+ones that refuse an argument a caller passed in (it is a ValueError too).
 """
 
 
 class DksError(Exception):
     """Base class for all deliberate failures."""
+
+
+class BadArgument(DksError, ValueError):
+    """An argument the function refuses, e.g. k < 0 or an unknown name."""
 
 
 class FormatError(DksError):

@@ -258,7 +258,8 @@ def parse_json(text: str) -> Graph:
     "rotation"?: {...}, "outer_face"?: [...]}.
 
     Vertices may be names or ints; edges refer to them.  Rotation maps a
-    vertex to the cyclic order of its neighbours (counterclockwise).
+    vertex to the cyclic order of its neighbours (counterclockwise).  Any
+    other shape raises FormatError.
     """
     try:
         data = json.loads(text)
@@ -267,32 +268,35 @@ def parse_json(text: str) -> Graph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise FormatError("JSON graph needs 'vertices' and 'edges' keys")
 
-    raw_vs = data["vertices"]
-    names = [str(v) for v in raw_vs]
+    def listed(val, what: str, size: int | None = None) -> list:
+        if not isinstance(val, list) or size not in (None, len(val)):
+            raise FormatError(f"bad {what} {val!r}")
+        return val
+
+    names = [str(v) for v in listed(data["vertices"], "vertex list")]
     if len(set(names)) != len(names):
         raise FormatError("duplicate vertex names")
     index = {nm: i for i, nm in enumerate(names)}
 
-    def vid(tok) -> int:
-        s = str(tok)
-        if s not in index:
-            raise FormatError(f"unknown vertex {tok!r}")
-        return index[s]
+    def vids(toks: list) -> list[int]:
+        try:
+            return [index[str(t)] for t in toks]
+        except KeyError as exc:
+            raise FormatError(f"unknown vertex {exc.args[0]!r}") from None
 
-    edges = []
-    for e in data["edges"]:
-        if len(e) != 2:
-            raise FormatError(f"bad edge {e!r}")
-        edges.append((vid(e[0]), vid(e[1])))
-
+    edges = [tuple(vids(listed(e, "edge", 2)))
+             for e in listed(data["edges"], "edge list")]
     rotation = None
-    if "rotation" in data and data["rotation"] is not None:
+    rot = data.get("rotation")
+    if rot is not None:
+        if not isinstance(rot, dict):
+            raise FormatError(f"bad rotation {rot!r}")
         rotation = [[] for _ in names]
-        for key, ws in data["rotation"].items():
-            rotation[vid(key)] = [vid(w) for w in ws]
-    outer = None
-    if "outer_face" in data and data["outer_face"] is not None:
-        outer = [vid(v) for v in data["outer_face"]]
+        for key, ws in rot.items():
+            rotation[vids([key])[0]] = vids(listed(ws, "rotation entry"))
+    outer = data.get("outer_face")
+    if outer is not None:
+        outer = vids(listed(outer, "outer face"))
     return Graph(n=len(names), edges=edges, names=names,
                  rotation=rotation, outer_face=outer)
 

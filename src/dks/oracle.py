@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from dks.errors import CapExceeded, KTooLarge
+from dks.errors import BadArgument, CapExceeded, KTooLarge
 from dks.graph import Graph
 
 ORACLE_VERTEX_CAP = 20
@@ -20,13 +20,15 @@ def brute_force_densest_k(g: Graph, k: int) -> tuple[int, list[int]]:
 
     Returns (value, witness) where witness is sorted.  The first subset
     attaining the max (in combinations order) is reported, which makes
-    the answer deterministic.  Like brute_force_all_k, refuses graphs
-    above ORACLE_VERTEX_CAP vertices with CapExceeded.
+    the answer deterministic.  Refuses, in this order, k < 0 (BadArgument),
+    k > n (KTooLarge) and n > ORACLE_VERTEX_CAP (CapExceeded).
     """
+    if k < 0:
+        raise BadArgument(f"k must be nonnegative, got {k}")
+    if k > g.n:
+        raise KTooLarge(f"k={k} but the graph has {g.n} vertices")
     if g.n > ORACLE_VERTEX_CAP:
         raise CapExceeded(f"n={g.n} exceeds oracle cap {ORACLE_VERTEX_CAP}")
-    if k < 0 or k > g.n:
-        raise KTooLarge(f"k={k} out of range for n={g.n}")
     masks = g.adj_masks()
     best = -1
     best_set: tuple[int, ...] = ()

@@ -137,7 +137,8 @@ class PlaneGraph:
         orbit[i], at the source vertex of orbit[i]).  Chords are placed in
         each corner's angular wedge ordered by cyclic distance to the far
         corner, which is exactly the order a straight-line drawing would
-        give for non-crossing chords.
+        give for non-crossing chords.  A loop, an existing edge or a pair
+        given twice raises EmbeddingInconsistent before anything changes.
         """
         m = len(orbit)
         per_corner: dict[int, list[tuple[int, int]]] = {}

@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from dks.errors import CapExceeded, DksError, InternalError, NotPlanar
+from dks.errors import BadArgument, CapExceeded, InternalError, NotPlanar
 from dks.graph import Graph, induced_subgraph
 from dks.oracle import ORACLE_VERTEX_CAP, brute_force_all_k
 from dks.solve import solve
@@ -45,7 +45,7 @@ def bfs_levels(g: Graph, root: int = 0) -> list[int]:
     if g.n == 0:
         return []
     if not 0 <= root < g.n:
-        raise DksError(f"BFS root {root} out of range for n={g.n}")
+        raise BadArgument(f"BFS root {root} out of range for n={g.n}")
     lev = [-1] * g.n
     for start in [root] + [v for v in range(g.n) if v != root]:
         if lev[start] >= 0:
@@ -75,7 +75,7 @@ def baker_decompose(g: Graph, b: int, *, root: int = 0,
     the vertices.
     """
     if b < 2:
-        raise DksError(f"need b >= 2 level classes, got {b}")
+        raise BadArgument(f"need b >= 2 level classes, got {b}")
     lev = bfs_levels(g, root)
     out: list[tuple[int, Graph]] = []
     for i in range(b):
@@ -133,12 +133,6 @@ class ProbeReport:
         return min(self.entries, key=lambda e: e.ratio)
 
 
-def _b_of(epsilon: float) -> int:
-    if not 0 < epsilon:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return max(2, math.ceil(1 / epsilon))
-
-
 def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
           classic: bool = False) -> ProbeEntry:
     """Run the layering heuristic and score it against the exact optimum.
@@ -155,7 +149,9 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
     may have nonplanar classes; those are scored by brute force too and
     fail certification with an effectively infinite depth.
     """
-    b = _b_of(epsilon)
+    if not 0 < epsilon:                 # NaN included
+        raise BadArgument(f"epsilon must be positive, got {epsilon}")
+    b = max(2, math.ceil(1 / epsilon))
     try:
         opt = solve(g, k).values[k]
         planar = True

@@ -17,13 +17,16 @@ import time
 from dks.dp_bouterplanar import solve_bouterplanar_values
 from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
-from dks.errors import InternalError, KTooLarge
+from dks.embedding import TRIANGULATIONS
+from dks.errors import BadArgument, InternalError, KTooLarge
 from dks.graph import Graph, component_subgraphs
 from dks.graph import induced_subgraph  # noqa: F401  (perfbench hooks it here)
 from dks.report import SolveReport
 from dks.tables import convolve_max_plus, maxplus_pair
 
-__all__ = ["solve", "solve_outerplanar", "solve_bouterplanar"]
+__all__ = ["SOLVERS", "solve", "solve_outerplanar", "solve_bouterplanar"]
+
+SOLVERS = ("auto", "outerplanar", "bouterplanar")     # force_solver's names
 
 # Per-component stats that describe the deepest piece, not a total.
 _DEEPEST = ("levels", "max_rows")
@@ -120,8 +123,9 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
 
     Auto-detection tries the flat outerplanar program first and falls back
     to the leveled one; `force_solver` pins either path.  Raises
-    ValueError for k < 0 or a root outside 0..n-1, KTooLarge for k > n,
-    and lets NotPlanar/NotOuterplanar bubble up from below.
+    BadArgument for k < 0, a root outside 0..n-1, or a `force_solver` or
+    `triangulation` not in SOLVERS or TRIANGULATIONS, KTooLarge for
+    k > n, and lets NotPlanar/NotOuterplanar bubble up from below.
     `trace` collects one event per DP table, from every component and
     either solver: a dict with the table's `branch` and `pivot`, the
     leveled tree `node` uid it belongs to (None for a flat table), the
@@ -134,9 +138,13 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     exactly values[k] edges, or InternalError.
     """
     if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
+        raise BadArgument(f"k must be nonnegative, got {k}")
     if root is not None and not 0 <= root < g.n:
-        raise ValueError(f"root {root} is not one of the {g.n} vertices")
+        raise BadArgument(f"root {root} is not one of the {g.n} vertices")
+    if force_solver not in SOLVERS:
+        raise BadArgument(f"unknown solver {force_solver!r}")
+    if triangulation not in TRIANGULATIONS:
+        raise BadArgument(f"unknown triangulation variant {triangulation!r}")
     if k > g.n:
         raise KTooLarge(f"k={k} but the graph has only {g.n} vertices")
     t0 = time.perf_counter()

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from itertools import count
 
 from dks.embedding import LevelComponent, LeveledEmbedding
-from dks.errors import (BoundaryMismatch, DksError, InternalError,
+from dks.errors import (BadArgument, BoundaryMismatch, InternalError,
                         NoDividingPoint, TriangulationIncomplete)
 from dks.plane import CCW, HalfEdge
 
@@ -82,8 +82,8 @@ def build_forest(le: LeveledEmbedding, root: int | None = None) -> Forest:
     all_nodes: list[TreeNode] = []
     for comp in le.components:
         if comp.level == 1:
-            tree = _build_tree(le, comp, _orient_outermost(le, comp, root),
-                               None, uid_gen)
+            tree = _build_tree(comp, _orient_outermost(comp, root), None,
+                               uid_gen)
             for leaf in tree.leaves:
                 if not le.graph.has_edge(leaf.x, leaf.y):
                     raise InternalError(f"outermost walk edge ({leaf.x},"
@@ -93,8 +93,8 @@ def build_forest(le: LeveledEmbedding, root: int | None = None) -> Forest:
         else:
             pcid, pface = comp.parent
             vf = trees[pcid].face_to_node[pface]
-            tree = _build_tree(le, comp, _orient_deeper(le, comp, vf),
-                               vf, uid_gen)
+            tree = _build_tree(comp, _orient_deeper(le, comp, vf), vf,
+                               uid_gen)
             _assign_windows(le, tree)
             _assign_boundaries(le, tree)
         trees.append(tree)
@@ -105,8 +105,7 @@ def build_forest(le: LeveledEmbedding, root: int | None = None) -> Forest:
 # -- walk orientation ------------------------------------------------------
 
 
-def _orient_outermost(le: LeveledEmbedding, comp: LevelComponent,
-                      root: int | None) -> list[HalfEdge]:
+def _orient_outermost(comp: LevelComponent, root: int | None) -> list[HalfEdge]:
     if not comp.walk:
         return []
     sources = {h[0] for h in comp.walk}
@@ -115,7 +114,7 @@ def _orient_outermost(le: LeveledEmbedding, comp: LevelComponent,
     elif root in sources:
         z = root
     else:
-        raise DksError(f"root vertex {root} is not on the outermost boundary")
+        raise BadArgument(f"root vertex {root} is not on the outermost boundary")
     occ = min((v, i) for i, (u, v) in enumerate(comp.walk) if u == z)[1]
     return comp.walk[occ:] + comp.walk[:occ]
 
@@ -163,9 +162,8 @@ def _orient_deeper(le: LeveledEmbedding, comp: LevelComponent,
 # -- walk parsing ----------------------------------------------------------
 
 
-def _build_tree(le: LeveledEmbedding, comp: LevelComponent,
-                walk: list[HalfEdge], vf: TreeNode | None,
-                uid_gen) -> ComponentTree:
+def _build_tree(comp: LevelComponent, walk: list[HalfEdge],
+                vf: TreeNode | None, uid_gen) -> ComponentTree:
     side_face = {h: i for i, orbit in enumerate(comp.sub_faces) for h in orbit}
     nodes: list[TreeNode] = []
     leaves: list[TreeNode] = []

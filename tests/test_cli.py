@@ -76,16 +76,30 @@ def test_missing_file_exits_1(capsys):
     assert code == 1 and "error:" in err
 
 
+# FIG stands for a real graph file, BAD for a malformed JSON graph, so
+# that each case fails on its own refusal, not on a missing file
 @pytest.mark.parametrize("argv", [
     ["solve", "--k", "3"],                       # no --graph
     ["solve", "--graph", "g.edges", "--k", "x"],
-    ["solve", "--graph", "g.edges", "--k", "-1"],
+    ["solve", "--graph", "FIG", "--k", "-1"],
     ["bench", "--corpus", "."],                  # no such subcommand
     [],
+    ["dump-tables", "--graph", "FIG", "--k", "-1"],
+    ["oracle", "--graph", "FIG", "--k", "-1"],
+    ["probe-ptas", "--graph", "FIG", "--k", "-1", "--epsilon", "0.5"],
+    ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "0"],
+    ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "-1"],
+    ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "nan"],
+    ["solve", "--graph", "FIG", "--k", "3", "--root", "99"],
+    ["solve", "--graph", "BAD", "--k", "3"],
 ])
-def test_usage_errors_exit_1(capsys, argv):
-    code, out, err = run(capsys, *argv)
+def test_usage_errors_exit_1(fig, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": 5, "edges": []}')
+    files = {"FIG": fig, "BAD": str(bad)}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == "" and "error:" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("exc", [InternalError, NoDividingPoint,
@@ -116,6 +130,13 @@ def test_oracle_k_refuses_above_the_cap(tmp_path, capsys):
     p.write_text("".join(f"{i} {i + 1}\n" for i in range(20)))
     code, out, err = run(capsys, "oracle", "--graph", str(p), "--k", "8")
     assert (code, out) == (1, "") and "error:" in err and "cap" in err
+
+
+def test_oracle_k_above_n_exits_3_before_the_cap(tmp_path, capsys):
+    p = tmp_path / "p25.edges"
+    p.write_text("".join(f"{i} {i + 1}\n" for i in range(24)))
+    code, out, err = run(capsys, "oracle", "--graph", str(p), "--k", "30")
+    assert (code, out) == (3, "") and "K_TOO_LARGE" in err
 
 
 def test_closed_stdout_is_not_an_error(tmp_path, capsys):
@@ -161,6 +182,15 @@ def test_gen_seed_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DKS_SEED", "31")
     run(capsys, "gen", "outerplanar", "--n", "9", "--out", b)
     assert open(a).read() == open(b).read()
+
+
+def test_gen_bad_seed_from_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("DKS_SEED", "abc")
+    code, out, err = run(capsys, "gen", "outerplanar", "--n", "5")
+    assert (code, out) == (1, "") and "--seed" in err
+    # an explicit --seed does not read the environment
+    code, out, _ = run(capsys, "gen", "outerplanar", "--n", "5", "--seed", "2")
+    assert code == 0 and json.loads(out)["vertices"]
 
 
 def test_gen_to_stdout_is_json(capsys):

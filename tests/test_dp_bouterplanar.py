@@ -303,7 +303,7 @@ def test_merge_rejects_gap():
     a, b = forest.trees[0].leaves[0], forest.trees[0].leaves[2]
     with pytest.raises(BoundaryMismatch):
         merge_tables(create(le.graph, a, (), 3), create(le.graph, b, (), 3),
-                     le.graph, 3)
+                     3)
 
 
 def kept_merges(root: BoundaryTable) -> list:
@@ -340,8 +340,8 @@ def test_merge_tables_matches_the_per_pair_reference(b, extra, seed, variant):
     for t1, t2 in merges:
         want = merge_reference(t1, t2, k)
         dp_bouterplanar._SHAPES.clear()         # the plan built afresh,
-        assert merge_tables(t1, t2, g, k).rows == want
-        assert merge_tables(t1, t2, g, k).rows == want   # then reused
+        assert merge_tables(t1, t2, k).rows == want
+        assert merge_tables(t1, t2, k).rows == want   # then reused
 
 
 def test_one_plan_per_merge_shape_with_read_only_arrays():
@@ -349,9 +349,9 @@ def test_one_plan_per_merge_shape_with_read_only_arrays():
     forest = build_forest(embed_and_level(g))
     t1, t2 = kept_merges(evaluate_tables(forest, 4, keep=True)[0])[0]
     dp_bouterplanar._SHAPES.clear()
-    first = merge_tables(t1, t2, g, 4, keep=True)
+    first = merge_tables(t1, t2, 4, keep=True)
     kept = dict(dp_bouterplanar._SHAPES)
-    again = merge_tables(t1, t2, g, 4, keep=True)
+    again = merge_tables(t1, t2, 4, keep=True)
     assert len(kept) == 1 and dp_bouterplanar._SHAPES == kept
     plan, = kept.values()
     assert first.made[3][0] is plan[0] and again.made[3][0] is plan[0]
@@ -522,11 +522,11 @@ evaluate_tables(build_forest(embed_and_level(g)), 6, trace=trace, keep=True)
 t = next(ev["table"] for ev in trace
          if ev["table"].made and ev["table"].made[0] == "merge")
 t1, t2 = t.made[1:3]
-merge_tables(t1, t2, g, 6)
+merge_tables(t1, t2, 6)
 shared = min(t1.vset & t2.vset)
 t2.cells[1 << t2.verts.index(shared), 0] = 0
 try:
-    merge_tables(t1, t2, g, 6)
+    merge_tables(t1, t2, 6)
 except InternalError:
     print("InternalError", sys.flags.optimize)
 """

@@ -57,6 +57,24 @@ def test_parse_json_rotation_and_outer_face():
     assert g.outer_face == [0, 1, 2]
 
 
+@pytest.mark.parametrize("fields", [
+    '"vertices": 5, "edges": []',
+    '"vertices": [0, 1], "edges": 5',
+    '"vertices": [0, 1], "edges": [5]',
+    '"vertices": [0, 1], "edges": [[0, 1, 1]]',
+    '"vertices": [0, 1], "edges": ["01"]',
+    '"vertices": [0, 1], "edges": [[0, 1]], "rotation": [1]',
+    '"vertices": [0, 1], "edges": [[0, 1]], "rotation": {"0": 1}',
+    '"vertices": [0, 1], "edges": [[0, 1]], "outer_face": 0',
+    '"vertices": [0, 1], "edges": [[0, 2]]',
+], ids=["vertices-int", "edges-int", "edge-int", "edge-of-3", "edge-str",
+        "rotation-list", "rotation-entry-int", "outer-face-int",
+        "unknown-vertex"])
+def test_parse_json_refuses_malformed_graphs(fields):
+    with pytest.raises(FormatError):
+        parse_json("{" + fields + "}")
+
+
 def test_induced_edge_count_and_masks():
     g = Graph(n=4, edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
     assert induced_edge_count(g, 0b0011) == 1

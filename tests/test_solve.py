@@ -15,11 +15,12 @@ import dks
 import helpers
 from dks import dp_bouterplanar, dp_outerplanar
 from dks.embedding import embed_and_level
-from dks.errors import InternalError, KTooLarge
+from dks.errors import BadArgument, InternalError, KTooLarge
 from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
-from dks.oracle import brute_force_all_k
+from dks.oracle import brute_force_all_k, brute_force_densest_k
+from dks.ptas_probe import baker_decompose, bfs_levels, probe
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 
 from helpers import (biggest_component, figure_graph, induced_edge_count,
@@ -202,6 +203,37 @@ def test_root_outside_the_vertices_raises(force):
     want = solve(h, 4, force_solver=force).values
     for root in (4, 6):
         assert solve(h, 4, force_solver=force, root=root).values == want
+
+
+@pytest.mark.parametrize("option", ["force_solver", "triangulation"])
+def test_unknown_option_names_raise_on_entry(option):
+    # a path is outerplanar: the flat solver reads neither name, so only
+    # the check on entry can refuse them
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(BadArgument):
+        solve(path, 2, **{option: "typo"})
+
+
+PATH3 = Graph(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("refused", [
+    lambda: solve(PATH3, -1),
+    lambda: solve(PATH3, 2, root=3),
+    lambda: solve(wheel(4), 2, root=4),     # the hub is off the outer face
+    lambda: dp_outerplanar.solve_outerplanar_values(Graph(3, [(0, 1)]), 2,
+                                                    root=2),
+    lambda: embed_and_level(wheel(4), variant="typo"),
+    lambda: brute_force_densest_k(PATH3, -1),
+    lambda: probe(PATH3, 2, 0.0),
+    lambda: probe(PATH3, 2, float("nan")),
+    lambda: baker_decompose(PATH3, 1),
+    lambda: bfs_levels(PATH3, root=3),
+], ids=["k", "root", "outer-root", "flat-root", "variant", "oracle-k",
+        "epsilon-0", "epsilon-nan", "b", "bfs-root"])
+def test_refusals_are_bad_arguments(refused):
+    with pytest.raises(BadArgument):
+        refused()
 
 
 def test_empty_graph():
