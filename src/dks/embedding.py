@@ -9,13 +9,14 @@ the graph class.
 The leveling peels a connected plane graph from the outside in: vertices on
 the outer face get level 1, and each run of the peel hands every bounded
 face of the current layer's induced plane subgraph its enclosed blob of
-deeper vertices.  When a face encloses several components they are stitched
+deeper vertices.  When a face encloses several pieces they are stitched
 into one blob with fake *connector* edges so each level component stays
-connected; connectors are inserted as corner chords between two components
-that appear consecutively around some current face.  Every face walked here,
-of the whole plane, of one level component, or the outer walk of the next
-blob, is a `PlaneGraph.orbit`; the plane's own faces follow its chords by
-themselves, so nothing here refreshes them.
+connected: one pass over the plane's faces round the deeper vertices
+chords, in each face, every two consecutive deep corners whose pieces are
+not yet joined.  Every face walked here, of the whole plane, of one level
+component, or the outer walk of the next blob, is a `PlaneGraph.orbit`;
+the plane's own faces follow its chords by themselves, so nothing here
+refreshes them.
 
 After peeling, every bounded face whose corners span two consecutive levels
 is triangulated with fake chords (never between same-level vertices when
@@ -183,29 +184,21 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
         if not deeper:
             continue
         side2sub = {h: i for i, o in enumerate(sub_faces) for h in o}
-        by_face: dict[int, list[tuple[set[int], tuple[int, int]]]] = {}
-        for piece in _split(plane, deeper):
-            w, d = next((w, d) for d in sorted(piece)
+        found: dict[int, tuple] = {}
+        for blobset in _blobs(plane, deeper, connectors):
+            w, d = next((w, d) for d in sorted(blobset)
                         for w in plane.rot[d] if w in lset)
-            q = plane.first(w, d, CW, lset.__contains__)
-            fi = side2sub.get((w, q))
-            if fi is None:
-                raise InternalError("deep component not enclosed by a "
-                                    "bounded face")
-            by_face.setdefault(fi, []).append((piece, (w, d)))
-        for fi, group in sorted(by_face.items()):
-            members = [p for p, _ in group]
-            while len(members) > 1:
-                members = _join_two(plane, members, connectors)
-            blobset = members[0]
-            w, d = group[0][1]
-            if len(blobset) == 1:
-                sub_walk: list[HalfEdge] = []
-            else:
+            fi = side2sub.get((w, plane.first(w, d, CW, lset.__contains__)))
+            if fi is None or fi in found:
+                raise InternalError("a deep blob is not alone in a bounded "
+                                    f"face of level component {cid}")
+            sub_walk: list[HalfEdge] = []
+            if len(blobset) > 1:
                 x = plane.first(d, w, CW, blobset.__contains__)
                 sub_walk = ccw_walk_of(plane.orbit((d, x),
                                                    blobset.__contains__))
-            tasks.append((blobset, sub_walk, lev + 1, (cid, fi)))
+            found[fi] = (blobset, sub_walk, lev + 1, (cid, fi))
+        tasks += [found[fi] for fi in sorted(found)]
 
     if not all(level):
         raise InternalError("a vertex was left without a level")
@@ -216,43 +209,55 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
     return LeveledEmbedding(g, plane, level, comps, connectors)
 
 
-def _split(plane: PlaneGraph, verts: set[int]) -> list[set[int]]:
-    left = set(verts)
-    out = []
-    while left:
-        seed = min(left)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in plane.rot[v]:
-                if w in left and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        left -= comp
-        out.append(comp)
-    return out
+def _blobs(plane: PlaneGraph, deeper: set[int],
+           connectors: set[frozenset]) -> list[set[int]]:
+    """The pieces of `deeper`, stitched into one blob per enclosing face.
 
-
-def _join_two(plane: PlaneGraph, members: list[set[int]],
-              connectors: set[frozenset]) -> list[set[int]]:
-    """Connect two blob pieces that sit consecutively around some face."""
-    owner = {}
-    for i, piece in enumerate(members):
-        for v in piece:
-            owner[v] = i
-    for orbit in plane.faces:
-        marks = [(c, owner[h[0]]) for c, h in enumerate(orbit) if h[0] in owner]
-        if len({m for _, m in marks}) < 2:
+    A union-find labels the pieces, one sweep hanging each off its first
+    vertex.  Chords between consecutive corners of a face cannot cross,
+    and a face lies inside one face of the level above, so the stitch
+    pass never joins pieces of two enclosing faces.
+    """
+    up: dict[int, int] = {}
+    pieces = 0
+    for s in deeper:
+        if s in up:
             continue
-        for (c1, m1), (c2, m2) in zip(marks, marks[1:] + marks[:1]):
-            if m1 == m2:
-                continue
-            plane.insert_chords(orbit, [(c1, c2)])
-            connectors.add(frozenset((orbit[c1][0], orbit[c2][0])))
-            rest = [p for i, p in enumerate(members) if i not in (m1, m2)]
-            return [members[m1] | members[m2]] + rest
-    raise EmbeddingInconsistent("blob pieces share no face")
+        up[s] = s
+        pieces += 1
+        stack = [s]
+        while stack:
+            for w in plane.rot[stack.pop()]:
+                if w in deeper and w not in up:
+                    up[w] = s
+                    stack.append(w)
+        if len(up) == len(deeper):
+            break
+    if pieces == 1:
+        return [deeper]
+
+    def find(v: int) -> int:
+        while up[v] != v:
+            up[v] = v = up[up[v]]
+        return v
+
+    def join(u: int, v: int) -> bool:
+        a, b = find(u), find(v)
+        up[a] = b
+        return a != b
+
+    for orbit in plane.orbits(sorted(deeper)):
+        corners = [c for c, h in enumerate(orbit) if h[0] in up]
+        chords = [(a, b) for a, b in zip(corners, corners[1:] + corners[:1])
+                  if join(orbit[a][0], orbit[b][0])]
+        if chords:
+            plane.insert_chords(orbit, chords)
+            connectors.update(frozenset((orbit[a][0], orbit[b][0]))
+                              for a, b in chords)
+    blobs: dict[int, set[int]] = {}
+    for v in deeper:
+        blobs.setdefault(find(v), set()).add(v)
+    return list(blobs.values())
 
 
 # -- triangulation --------------------------------------------------------

@@ -147,10 +147,13 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
     outerplanarity index -- a failed check is a flag, not a proof.  A
     nonplanar input (scored by brute force, so only up to the oracle cap)
     may have nonplanar classes; those are scored by brute force too and
-    fail certification with an effectively infinite depth.
+    fail certification with an effectively infinite depth.  Only the
+    first BFS depth + 2 classes are built: each later one would be empty
+    (keep) or the whole graph (classic), like the last one built.
     """
-    if not 0 < epsilon:                 # NaN included
-        raise BadArgument(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon or not math.isfinite(1 / epsilon):  # NaN included
+        raise BadArgument("epsilon must be positive, with 1/epsilon "
+                          f"finite, got {epsilon}")
     b = max(2, math.ceil(1 / epsilon))
     try:
         opt = solve(g, k).values[k]
@@ -164,7 +167,8 @@ def probe(g: Graph, k: int, epsilon: float, *, root: int = 0,
         planar = False
     s_by_class: list[int] = []
     max_depth, all_ok = 1, True
-    for _, gi in baker_decompose(g, b, root=root, classic=classic):
+    classes = min(b, max(bfs_levels(g, root), default=0) + 2)
+    for _, gi in baker_decompose(g, classes, root=root, classic=classic):
         kk = min(k, gi.n)
         try:
             rep = solve(gi, kk)

@@ -20,14 +20,3 @@ class SolveReport:
     @property
     def optimum(self) -> int:
         return self.values[self.k]
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "optimum": self.optimum,
-            "values": self.values,
-            "solver": self.solver,
-            "witness": self.witness,
-            "seconds": round(self.seconds, 6),
-            "stats": self.stats,
-        }

@@ -92,6 +92,7 @@ def test_missing_file_exits_1(capsys):
     ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "nan"],
     ["solve", "--graph", "FIG", "--k", "3", "--root", "99"],
     ["solve", "--graph", "BAD", "--k", "3"],
+    ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "1e-320"],
 ])
 def test_usage_errors_exit_1(fig, tmp_path, capsys, argv):
     bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import pytest
 
@@ -6,7 +8,8 @@ from dks.embedding import compute_levels, embed_and_level, planar_embed
 from dks.errors import EmbeddingInconsistent, NotPlanar
 from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph
-from dks.plane import PlaneGraph
+from dks.oracle import brute_force_all_k
+from dks.plane import PlaneGraph, rotations_from_coordinates
 from dks.solve import solve_bouterplanar, solve_outerplanar
 
 from helpers import FIG_ID, figure_graph, hex_two_pendants, nm, wheel
@@ -107,6 +110,73 @@ def test_two_pendants_get_connected():
         u, v = sorted(e)
         assert abs(le.level[u] - le.level[v]) <= 1
     assert le.plane.edge_count() == 8 + 1 + 6
+
+
+def polygon_with_pendants(sides: int, pendants: int) -> Graph:
+    """A convex polygon whose one bounded face holds `pendants` separate
+    one-vertex pendants, hung off evenly spread polygon corners."""
+    at = [sides * i // pendants for i in range(pendants)]
+    ring = [(2 * math.cos(2 * math.pi * i / sides),
+             2 * math.sin(2 * math.pi * i / sides)) for i in range(sides)]
+    coords = ring + [(x / 2, y / 2) for x, y in (ring[i] for i in at)]
+    edges = [(i, (i + 1) % sides) for i in range(sides)]
+    edges += [(i, sides + j) for j, i in enumerate(at)]
+    return Graph(len(coords), edges,
+                 rotation=rotations_from_coordinates(coords, edges),
+                 outer_face=list(range(sides)))
+
+
+def test_pendants_of_one_face_are_stitched_in_one_pass(monkeypatch):
+    # c pieces in one face need c - 1 connectors, and they all come from
+    # one trace of the faces round the pieces, whatever c is
+    calls = []
+    real = PlaneGraph.orbits
+    monkeypatch.setattr(PlaneGraph, "orbits",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    traces = set()
+    for c in (2, 4, 8):
+        g = polygon_with_pendants(8, c)
+        calls.clear()
+        le = embed_and_level(g)
+        traces.add(len(calls))
+        assert len(le.connector_edges) == c - 1
+        assert le.level == [1] * 8 + [2] * c
+        assert [len(x.vertices) for x in le.components] == [8, c]
+        want = brute_force_all_k(g)
+        for variant in ("zigzag", "zigzag_alt"):
+            assert solve_bouterplanar(g, g.n,
+                                      triangulation=variant).values == want
+    assert len(traces) == 1
+
+
+def fan_of_triangles(rim: int) -> Graph:
+    """A hub joined to a path of `rim` vertices, with one vertex inside
+    each of the rim - 1 triangles, joined to its three corners."""
+    coords = [(0.0, 0.0)] + [(math.cos(a), math.sin(a)) for a in
+                             (math.pi * i / rim for i in range(rim))]
+    edges = [(0, i) for i in range(1, rim + 1)]
+    edges += [(i, i + 1) for i in range(1, rim)]
+    for i in range(1, rim):
+        v = len(coords)
+        coords.append(((coords[i][0] + coords[i + 1][0]) / 3,
+                       (coords[i][1] + coords[i + 1][1]) / 3))
+        edges += [(v, 0), (v, i), (v, i + 1)]
+    return Graph(len(coords), edges,
+                 rotation=rotations_from_coordinates(coords, edges))
+
+
+def test_fan_gives_each_inner_vertex_its_own_face():
+    N = 50
+    le = embed_and_level(fan_of_triangles(N))
+    assert le.connector_edges == set()
+    top, *deep = le.components
+    assert top.vertices == list(range(N + 1))
+    assert len(deep) == N - 1
+    assert all(c.level == 2 and len(c.vertices) == 1 and c.walk == []
+               for c in deep)
+    faces = [c.parent[1] for c in deep]
+    assert len(set(faces)) == N - 1 and all(c.parent[0] == 0 for c in deep)
+    assert sorted(top.enclosures) == sorted(faces)
 
 
 def test_tree_walk_doubles_every_edge():

@@ -1,12 +1,13 @@
 """The layering probe: decomposition shape, scoring, failure modes."""
 
+import time
 from importlib import import_module
 
 import networkx as nx
 import pytest
 
 import dks.embedding
-from dks.errors import CapExceeded
+from dks.errors import BadArgument, CapExceeded
 from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import Graph, induced_subgraph
@@ -90,6 +91,25 @@ def test_nonplanar_reference_paths():
     big = Graph(25, k6 + [(i, i + 1) for i in range(6, 24)])
     with pytest.raises(CapExceeded):
         probe(big, 5, 0.5)
+
+
+def test_epsilon_whose_inverse_overflows_is_refused():
+    with pytest.raises(BadArgument, match="1/epsilon finite"):
+        probe(star(6), 3, 1e-320)
+
+
+@pytest.mark.parametrize("classic", [False, True])
+def test_tiny_epsilon_builds_only_the_classes_the_depth_needs(classic):
+    # b = 10^9 level classes, of which all past depth + 1 are empty (keep)
+    # or the whole graph (classic): the score is that of b = depth + 2
+    g = biggest_component(gen_planar(GenSpec(n=12, rho=0.9, seed=5)))
+    depth = max(bfs_levels(g, 0))
+    t = time.perf_counter()
+    e = probe(g, 5, 1e-9, classic=classic)
+    assert time.perf_counter() - t < 1.0
+    ref = probe(g, 5, 1 / (depth + 2), classic=classic)
+    assert e.b == 10**9 and ref.b == depth + 2
+    assert (e.s, e.ratio, e.best_i) == (ref.s, ref.ratio, ref.best_i)
 
 
 def test_report_aggregation():

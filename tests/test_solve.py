@@ -1,5 +1,6 @@
 """The dispatcher: detection, components, witnesses, error surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -461,8 +462,9 @@ def test_root_choice_never_changes_values(seed):
 
 
 def test_report_serializes():
+    # a plain dataclass: asdict is its JSON form, with no renderer of its own
     rep = solve(wheel(5), 4)
-    d = json.loads(json.dumps(rep.to_dict()))
+    d = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert d["values"] == rep.values and d["solver"] == "bouterplanar"
     assert d["seconds"] >= 0
 
