@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, reduce
 from typing import NamedTuple
@@ -239,10 +240,11 @@ class Blocks:
     """The block decomposition the flat DP folds: one
     Graph.blocks_and_cutpoints pass, then block_outer_cycle per block.
 
-    edges[i] is block i's edge list, in the order the depth-first
-    search pops it off its edge stack, vertices[i] its ascending vertex
-    list, and cycles[i] its outer cycle from its smallest vertex (None
-    for a bridge).  These
+    part is the vertices decomposed (range(g.n) for all of g), edges[i]
+    is block i's edge list, in the order the depth-first search pops it
+    off its edge stack, vertices[i] its ascending vertex list, and
+    cycles[i] its outer cycle from its smallest vertex (None for a
+    bridge).  These
     lists are all that recognition keeps: its per-vertex working data
     (the CSR adjacency, degree maps, rings) is dropped before it returns.
     """
@@ -250,23 +252,27 @@ class Blocks:
     edges: list[list[tuple[int, int]]]
     vertices: list[list[int]]
     cycles: list[list[int] | None]
+    part: Sequence[int]
 
 
-def outerplanar_blocks(g: Graph) -> Blocks:
-    """Blocks of g with their outer cycles; raises NotOuterplanar."""
-    blocks, _ = g.blocks_and_cutpoints()
+def outerplanar_blocks(g: Graph, part: Sequence[int] | None = None) -> Blocks:
+    """Blocks of g, or of its `part` (see Graph.blocks_and_cutpoints),
+    with their outer cycles; raises NotOuterplanar."""
+    blocks, _ = g.blocks_and_cutpoints(part)
     verts = [sorted({u for e in b for u in e}) for b in blocks]
     cycles = [block_outer_cycle(g, vs, b) if len(b) > 1 else None
               for vs, b in zip(verts, blocks)]
-    return Blocks(blocks, verts, cycles)
+    return Blocks(blocks, verts, cycles, range(g.n) if part is None else part)
 
 
-def is_outerplanar(g: Graph) -> Blocks | None:
-    """g's block decomposition when g is outerplanar, else None."""
-    if g.m > max(0, 2 * g.n - 3):
+def is_outerplanar(g: Graph, part: Sequence[int] | None = None
+                   ) -> Blocks | None:
+    """outerplanar_blocks(g, part) when that part of g is outerplanar,
+    else None."""
+    if len(part or range(g.n)) == g.n and g.m > max(0, 2 * g.n - 3):
         return None
     try:
-        return outerplanar_blocks(g)
+        return outerplanar_blocks(g, part)
     except NotOuterplanar:
         return None
 
@@ -412,12 +418,14 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                              blocks: Blocks | None = None,
                              witness: bool = False):
     """(values, pick): optimum edge counts for every k' = 0..min(k, n) on
-    a connected outerplanar graph with n >= 2.
+    a connected outerplanar graph with n >= 2: g, or the part of g that
+    `blocks` decomposes, in g's own vertex ids.
 
-    `blocks` is g's decomposition from is_outerplanar(g); without it, g is
-    decomposed here, which raises NotOuterplanar on other graphs, and a
-    disconnected g, or a root outside 0..n-1 or with no incident edge,
-    raises BadArgument.  Adds the number of blocks, tables,
+    `blocks` comes from is_outerplanar(g, part); without it, all of g is
+    decomposed here, which raises NotOuterplanar on other graphs.  Blocks
+    that miss a vertex of their part or do not hang together, or a root
+    (by default the part's first vertex) outside the part or with no
+    incident edge, raise BadArgument.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
     `trace`.  With `witness`, every table is kept and pick(k') walks them
     back to a set of k' vertices that induces values[k'] edges; else pick
@@ -425,9 +433,10 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     """
     if blocks is None:
         blocks = outerplanar_blocks(g)
-    bverts = blocks.vertices
-    # each vertex's first block, and every block of each cutpoint
-    home = [-1] * g.n
+    bverts, part = blocks.vertices, blocks.part
+    # each vertex's first block (over all of g, a list), and every block
+    # of each cutpoint
+    home = [-1] * g.n if len(part) == g.n else dict.fromkeys(part, -1)
     at_cut: dict[int, list[int]] = {}
     for i, vs in enumerate(bverts):
         for v in vs:
@@ -435,9 +444,12 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 home[v] = i
             else:
                 at_cut.setdefault(v, [home[v]]).append(i)
+    # distinct vertices: each cutpoint is listed once per block it is in
+    placed = (sum(map(len, bverts)) - sum(map(len, at_cut.values()))
+              + len(at_cut))
 
-    rootv = root if root is not None else 0
-    if not 0 <= rootv < g.n or home[rootv] < 0:
+    rootv = root if root is not None else part[0] if part else 0
+    if rootv not in part or home[rootv] < 0:
         raise BadArgument(f"root vertex {rootv} has no incident edge")
     root_bid = home[rootv]
 
@@ -452,7 +464,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 if key_of[nb] < 0:
                     key_of[nb] = v
                     order.append(nb)
-    if len(order) < len(bverts) or -1 in home:
+    if len(order) < len(bverts) or placed < len(part):
         raise BadArgument("graph is disconnected; solve() splits components")
 
     if stats is not None:

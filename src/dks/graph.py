@@ -9,7 +9,8 @@ subgraph is cut by one routine, `component_subgraphs`.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator, Sequence
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from dks.errors import FormatError
@@ -94,30 +95,37 @@ class Graph:
 
     # ------------------------------------------------ blocks / cutpoints
 
-    def blocks_and_cutpoints(self) -> tuple[list[list[tuple[int, int]]], set[int]]:
-        """Biconnected components (as edge lists) and cut vertices.
+    def blocks_and_cutpoints(self, part: Sequence[int] | None = None
+                             ) -> tuple[list[list[tuple[int, int]]], set[int]]:
+        """Biconnected components (as edge lists) and cut vertices of g,
+        or of `part`, ascending vertices that no edge leaves.
 
         Iterative Hopcroft–Tarjan, visiting neighbours in ascending order;
         safe on 10^5-vertex paths.  The adjacency is read from one CSR
         list, every vertex's sorted neighbours followed by -1, through one
         read cursor per vertex, so a DFS frame is just its vertex (its
-        parent is the frame below it).
+        parent is the frame below it).  Per-vertex arrays are dicts over
+        a part smaller than g.
         """
+        verts = range(self.n) if part is None else part
+        whole = len(verts) == self.n
         nbr: list[int] = []
-        cur: list[int] = []
-        for ns in self.adj:
+        cur: list | dict = []
+        for v in verts:
             cur.append(len(nbr))
-            nbr += sorted(ns)
+            nbr += sorted(self.adj[v])
             nbr.append(-1)
-        disc = [-1] * self.n
-        low = [0] * self.n
+        if not whole:
+            cur = dict(zip(verts, cur))
+        disc = [-1] * self.n if whole else dict.fromkeys(verts, -1)
+        low = [0] * self.n if whole else dict.fromkeys(verts, 0)
         cutpoints: set[int] = set()
         blocks: list[list[tuple[int, int]]] = []
         edge_stack: list[tuple[int, int]] = []
         push = edge_stack.append
         timer = 0
 
-        for root in range(self.n):
+        for root in verts:
             if disc[root] != -1:
                 continue
             root_children = 0
@@ -168,40 +176,44 @@ class Graph:
 
 def induced_subgraph(g: Graph, keep: Sequence[int]) -> Graph:
     """Induced subgraph on `keep`: component_subgraphs' one-part call."""
-    return next(component_subgraphs(g, [keep]))[1]
+    return component_subgraphs(g, [keep])(0)
 
 
 def component_subgraphs(g: Graph, parts: list[Sequence[int]]
-                        ) -> Iterator[tuple[Sequence[int], Graph]]:
-    """(part, the subgraph g induces on it) for each of the disjoint
-    vertex lists in `parts`, each part densely relabelled in list order.
+                        ) -> Callable[[int], Graph]:
+    """sub, where sub(c) is the subgraph g induces on parts[c], for
+    disjoint vertex lists `parts`, each part densely relabelled in list
+    order.
 
     A vertex in no part is dropped with its edges, and so is every edge
     between two parts.  `[range(g.n)]`, g.connected_components() of a
-    connected g, yields g itself, with no copy.  Otherwise the edges are
-    grouped by the part of their first end in one stable sort, so each
-    subgraph keeps g's edge order.  Embedding hints survive when they
-    still make sense: a rotation system restricts cleanly to any part,
-    the outer face only to the part that holds all of its vertices.
-    Subgraphs are built one at a time, when asked for, so a caller that
-    drops each before the next holds only one.
+    connected g, gives g itself, with no copy.  Otherwise the edges are
+    grouped by part here, in one stable sort, so each subgraph keeps g's
+    edge order, and sub(c) builds part c alone: a caller that cuts only
+    some parts builds no Graph for the others.  Embedding hints survive
+    when they still make sense: a rotation system restricts cleanly to
+    any part, the outer face only to the part that holds all of its
+    vertices.
     """
     if parts == [range(g.n)]:
-        yield parts[0], g
-        return
+        return lambda c: g
     label = [len(parts)] * g.n      # a vertex in no part sorts last
     local = [0] * g.n
     for c, part in enumerate(parts):
         for i, v in enumerate(part):
             label[v] = c
             local[v] = i
-    edges = sorted(g.edges, key=lambda e: label[e[0]])
+
+    def part_of(e: tuple[int, int]) -> int:
+        return label[e[0]]
+
+    edges = sorted(g.edges, key=part_of)
     owners = None if g.outer_face is None else {label[v] for v in g.outer_face}
-    lo = 0
-    for c, part in enumerate(parts):
-        hi = lo
-        while hi < len(edges) and label[edges[hi][0]] == c:
-            hi += 1
+
+    def sub(c: int) -> Graph:
+        part = parts[c]
+        lo = bisect_left(edges, c, key=part_of)
+        hi = bisect_left(edges, c + 1, lo, key=part_of)
         rot = None
         if g.rotation is not None:
             rot = [[local[w] for w in g.rotation[v] if label[w] == c]
@@ -209,12 +221,13 @@ def component_subgraphs(g: Graph, parts: list[Sequence[int]]
         outer = None
         if owners is not None and owners <= {c}:
             outer = [local[v] for v in g.outer_face]
-        yield part, Graph(n=len(part),
-                          edges=[(local[u], local[v])
-                                 for u, v in edges[lo:hi] if label[v] == c],
-                          names=[g.name_of(v) for v in part],
-                          rotation=rot, outer_face=outer)
-        lo = hi
+        return Graph(n=len(part),
+                     edges=[(local[u], local[v])
+                            for u, v in edges[lo:hi] if label[v] == c],
+                     names=[g.name_of(v) for v in part],
+                     rotation=rot, outer_face=outer)
+
+    return sub
 
 
 # ------------------------------------------------------------------ I/O

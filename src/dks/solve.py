@@ -4,10 +4,12 @@ The two dynamic programs are written for connected inputs of their own
 class with at least two vertices.  This module owns the boring reality
 around them, on one path for every input: one loop over the components
 (a connected graph is its own one component), one-vertex components,
-the one class detection per component, whose blocks the leveled
-solver's embedding reuses, size guards, timing, and the optional
-witness: a traceback through the tables of the value solve, certified
-before it is returned.
+size guards, timing, and the optional witness: a traceback through the
+tables of the value solve, certified before it is returned.  Each
+component is recognised once, in place, by one block-cut pass over its
+own vertices: the flat solver folds an outerplanar component on the
+input's own vertex ids, with no copy, and only a component that is not
+flat is cut out as a Graph of its own for the leveled solver.
 """
 
 from __future__ import annotations
@@ -32,26 +34,6 @@ SOLVERS = ("auto", "outerplanar", "bouterplanar")     # force_solver's names
 _DEEPEST = ("levels", "max_rows")
 
 
-def _connected_values(g: Graph, k: int, *, force: str, triangulation: str,
-                      root: int | None, trace: list | None, stats: dict,
-                      witness: bool):
-    """(solver name, values, pick) of a connected g with n >= 2.
-
-    g is recognised here, once: the flat solver takes it when it is
-    outerplanar (pinning that solver raises NotOuterplanar on any other
-    input), else the leveled one, which draws a rotation-less outerplanar
-    g from the same blocks.  pick is None unless a witness is asked for."""
-    blocks = (outerplanar_blocks(g) if force == "outerplanar"
-              else is_outerplanar(g))
-    if blocks is not None and force != "bouterplanar":
-        return ("outerplanar", *solve_outerplanar_values(
-            g, k, root=root, trace=trace, stats=stats, blocks=blocks,
-            witness=witness))
-    return ("bouterplanar", *solve_bouterplanar_values(
-        g, k, root=root, triangulation=triangulation, trace=trace,
-        stats=stats, witness=witness, blocks=blocks))
-
-
 def _values(g: Graph, k: int, *, force: str = "auto",
             triangulation: str = "zigzag", root: int | None = None,
             trace: list | None = None, stats: dict | None = None,
@@ -60,7 +42,10 @@ def _values(g: Graph, k: int, *, force: str = "auto",
 
     Any vertex count, any number of components; per-component vectors are
     joined by max-plus convolution, which preserves exactness.  A
-    one-vertex component is answered here, with no solver.  With
+    one-vertex component is answered here, with no solver.  Each other
+    component is recognised once, in place: the flat solver folds it
+    when it is outerplanar (pinning that solver raises NotOuterplanar on
+    any other), else it is cut out of g for the leveled one.  With
     `witness`, pick(k') is a set of k' vertices that the tables of every
     component claim induces values[k'] edges: each join is split back
     into the sizes its two vectors contribute.  Else pick is None.
@@ -73,26 +58,43 @@ def _values(g: Graph, k: int, *, force: str = "auto",
         stats["pieces"] = len(comps)
     acc: list[int | None] = [0]
     joins = []
+    cut = None          # component_subgraphs(g, comps), once a part needs it
+    ids = range(g.n)    # a flat part's pick is in g's own ids
     # an edgeless input counts as solved by the pinned solver, or the flat one
     names = {"outerplanar" if force == "auto" else force}
-    for keep, sub in component_subgraphs(g, comps):
-        sk = min(cap, sub.n)
-        if sub.n == 1:
-            vec, pick = [0, 0][:sk + 1], (lambda kp: set(range(kp)))
+    for c, keep in enumerate(comps):
+        sk = min(cap, len(keep))
+        if len(keep) == 1:
+            vec, pick = [0, 0][:sk + 1], range
         else:
-            sub_root = (keep.index(root) if root is not None and root in keep
-                        else None)
-            part: dict = {}
-            name, vec, pick = _connected_values(
-                sub, sk, force=force, triangulation=triangulation,
-                root=sub_root, trace=trace, stats=part, witness=witness)
-            names.add(name)
-            for key, val in part.items():
+            part_root = root if root is not None and root in keep else None
+            info: dict = {}
+            blocks = (None if force == "bouterplanar"
+                      else outerplanar_blocks(g, keep) if force == "outerplanar"
+                      else is_outerplanar(g, keep))
+            if blocks is not None:
+                names.add("outerplanar")
+                vec, pick = solve_outerplanar_values(
+                    g, sk, root=part_root, trace=trace, stats=info,
+                    blocks=blocks, witness=witness)
+                del blocks  # gone before the next component is recognised
+                keep = ids
+            else:
+                names.add("bouterplanar")
+                cut = cut or component_subgraphs(g, comps)
+                sub = cut(c)
+                vec, pick = solve_bouterplanar_values(
+                    sub, sk, triangulation=triangulation, trace=trace,
+                    stats=info, witness=witness,
+                    root=None if part_root is None else keep.index(part_root),
+                    blocks=(is_outerplanar(sub) if force == "bouterplanar"
+                            else None))
+                del sub     # so the next component is built with this one gone
+            for key, val in info.items():
                 if key in _DEEPEST:
                     stats[key] = max(stats.get(key, 0), val)
                 elif isinstance(val, int):
                     stats[key] = stats.get(key, 0) + val
-        del sub  # so the next component is built with this one gone
         if witness:
             joins.append((acc, vec, keep, pick))
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
@@ -129,7 +131,9 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     `trace` collects one event per DP table, from every component and
     either solver: a dict with the table's `branch` and `pivot`, the
     leveled tree `node` uid it belongs to (None for a flat table), the
-    `table` itself and the `graph` whose vertex ids it uses.
+    `table` itself and the `graph` whose vertex ids it uses: g itself for
+    a flat component's table, not a copy, and a leveled component's own
+    cut graph (g, when g is connected).
 
     With `witness`, the value solve keeps its tables, and the witness, k
     vertices in ascending order, is found by walking the optimum's cell

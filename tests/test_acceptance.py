@@ -199,14 +199,22 @@ def test_flat_solve_memory_is_linear_with_a_small_constant():
 
 def test_flat_solver_time_on_many_blocks_grows_near_linearly():
     """Chains of 2,000 and 20,000 triangles (one block each): log-log
-    slope <= 1.25, so per-block work done at Python speed does not grow
-    with the whole graph."""
+    slope <= 1.25 of the best of 5 runs at each size, so per-block work
+    done at Python speed does not grow with the whole graph.  The clock-free
+    half: each triangle costs exactly 2 merges and 5 tables (3 leaves and
+    2 merges), give or take 0, so 10x the triangles is exactly 10x both
+    counts."""
     sizes = (2_000, 20_000)
-    times = []
-    for t, reps in zip(sizes, (3, 2)):
+    times, counts = [], []
+    for t in sizes:
         g = triangle_chain(t)
-        times.append(min(_timed(lambda: solve_outerplanar(g, 10))
-                         for _ in range(reps)))
+        reps: list = []
+        times.append(min(_timed(lambda: reps.append(solve_outerplanar(g, 10)))
+                         for _ in range(5)))
+        counts.append((reps[-1].stats["merges"], reps[-1].stats["tables"]))
+        del reps
+    assert counts == [(2 * t, 5 * t) for t in sizes], counts
+    assert counts[1] == (10 * counts[0][0], 10 * counts[0][1])
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert slope <= 1.25, (slope, times)
 

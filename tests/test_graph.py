@@ -117,10 +117,9 @@ def test_component_subgraphs_match_induced_subgraph(seed):
     for g in (_union(parts), _union(parts, names=True, outer=first),
               _union(parts, outer=[]), _union(parts, outer=[0, 7, 8])):
         comps = g.connected_components()
-        got = list(component_subgraphs(g, comps))
-        assert [keep for keep, _ in got] == comps
-        for keep, sub in got:
-            want = induced_subgraph(g, keep)
+        cut = component_subgraphs(g, comps)
+        for c in reversed(range(len(comps))):       # in any order
+            sub, want = cut(c), induced_subgraph(g, comps[c])
             assert (sub.n, sub.edges, sub.names, sub.rotation,
                     sub.outer_face) == (want.n, want.edges, want.names,
                                         want.rotation, want.outer_face)
@@ -143,9 +142,8 @@ def test_component_subgraphs_drop_unlisted_vertices_and_cross_edges():
     # vertex 3 is in no part; the first part is listed out of order, and
     # the outer face, which holds vertex 3, survives in neither part
     g = _hexagon(outer=[0, 1, 2, 3, 4, 5])
-    got = list(component_subgraphs(g, [[4, 5, 0], [1, 2]]))
-    assert [keep for keep, _ in got] == [[4, 5, 0], [1, 2]]
-    assert [_fields(sub) for _, sub in got] == [
+    cut = component_subgraphs(g, [[4, 5, 0], [1, 2]])
+    assert [_fields(cut(c)) for c in (0, 1)] == [
         (3, [(0, 1), (1, 2)], ["4", "5", "0"], [[1], [2, 0], [1]], None),
         (2, [(0, 1)], ["1", "2"], [[1], [0]], None)]
 
@@ -153,8 +151,8 @@ def test_component_subgraphs_drop_unlisted_vertices_and_cross_edges():
 def test_component_subgraphs_keep_the_outer_face_in_its_one_part():
     # the quadrilateral face 1-2-3-4 lies wholly in the second part
     g = _hexagon(outer=[1, 2, 3, 4])
-    got = [sub for _, sub in component_subgraphs(g, [[0, 5], [1, 2, 3, 4]])]
-    assert [_fields(sub) for sub in got] == [
+    cut = component_subgraphs(g, [[0, 5], [1, 2, 3, 4]])
+    assert [_fields(cut(c)) for c in (0, 1)] == [
         (2, [(0, 1)], ["0", "5"], [[1], [0]], None),
         (4, [(0, 1), (1, 2), (2, 3), (0, 3)], ["1", "2", "3", "4"],
          [[3, 1], [2, 0], [3, 1], [0, 2]], [0, 1, 2, 3])]
@@ -164,8 +162,8 @@ def test_component_subgraphs_hand_back_only_a_range_part_uncopied():
     # [range(n)] is what connected_components() returns for a connected
     # graph; any other whole-graph part is a copy
     g = _hexagon(outer=[0, 1, 2, 3, 4, 5])
-    (_, same), = component_subgraphs(g, [range(g.n)])
-    (_, copy), = component_subgraphs(g, [list(range(g.n))])
+    same = component_subgraphs(g, [range(g.n)])(0)
+    copy = component_subgraphs(g, [list(range(g.n))])(0)
     assert same is g
     assert copy is not g
     assert _fields(copy) == (g.n, g.edges, [str(v) for v in range(g.n)],

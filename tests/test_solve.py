@@ -1,6 +1,7 @@
 """The dispatcher: detection, components, witnesses, error surface."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -15,14 +16,16 @@ from hypothesis import strategies as st
 import dks
 import helpers
 from dks import dp_bouterplanar, dp_outerplanar
+from dks.cli import _print_table
 from dks.embedding import embed_and_level
-from dks.errors import BadArgument, InternalError, KTooLarge
+from dks.errors import BadArgument, InternalError, KTooLarge, NotOuterplanar
 from dks.generators import (GenSpec, gen_bouterplanar, gen_outerplanar,
                             gen_planar)
 from dks.graph import Graph, induced_subgraph, parse_edge_list, parse_json
 from dks.oracle import brute_force_all_k, brute_force_densest_k
 from dks.ptas_probe import baker_decompose, bfs_levels, probe
-from dks.solve import solve, solve_bouterplanar, solve_outerplanar
+from dks.solve import SOLVERS, solve, solve_bouterplanar, solve_outerplanar
+from dks.tables import convolve_max_plus
 
 from helpers import (biggest_component, figure_graph, induced_edge_count,
                      self_reduction_witness, wheel)
@@ -79,29 +82,143 @@ def test_disconnected_stats_report_the_deepest_piece():
     assert b["pieces"] == 2
 
 
+def _piece(kind: str, seed: int) -> Graph:
+    """One small graph of a kind: a lone vertex, an edge, outerplanar,
+    2-level or planar."""
+    if kind == "lone":
+        return Graph(1, [])
+    if kind == "edge":
+        return Graph(2, [(0, 1)])
+    if kind == "outerplanar":
+        return gen_outerplanar(GenSpec(n=3 + seed % 5, rho=0.6, seed=seed))
+    if kind == "b2":
+        return gen_bouterplanar(GenSpec(n=7 + seed % 3, b=2, rho=0.5,
+                                        seed=seed))
+    return biggest_component(gen_planar(GenSpec(n=5 + seed % 3, rho=0.9,
+                                                seed=seed)))
+
+
+def _event(ev: dict) -> tuple:
+    """An event's branch, pivot and node, and its table as dump-tables
+    prints it: its rows, in the vertex names of the event's graph."""
+    out = io.StringIO()
+    _print_table(ev, out)
+    return ev["branch"], ev["pivot"], ev["node"], out.getvalue()
+
+
+@given(st.lists(st.sampled_from(["lone", "edge", "outerplanar", "b2",
+                                 "planar"]), min_size=2, max_size=5),
+       st.integers(0, 10_000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_disconnected_input_solves_as_its_components_one_by_one(kinds, seed,
+                                                                data):
+    # the same table events, in order, the same stats, and the values
+    # joined, as solving each component on its own graph; names run
+    # backwards, so that a name is never a vertex id
+    h = _union(*(_piece(kind, seed + i) for i, kind in enumerate(kinds)))
+    g = Graph(h.n, h.edges, names=[f"v{h.n - v}" for v in range(h.n)])
+    comps = g.connected_components()
+    subs = [induced_subgraph(g, c) for c in comps]
+    flat = [len(c) == 1 or dp_outerplanar.is_outerplanar(sub) is not None
+            for c, sub in zip(comps, subs)]
+    k = data.draw(st.integers(0, g.n), label="k")
+    force = data.draw(st.sampled_from(SOLVERS), label="force")
+    witness = data.draw(st.booleans(), label="witness")
+    if force == "outerplanar" and not all(flat):
+        with pytest.raises(NotOuterplanar):
+            solve(g, k, force_solver=force)
+        return
+    # a root in a later component, one whose every vertex is admissible
+    later = [i for i, c in enumerate(comps) if i and len(c) > 1 and flat[i]]
+    root = None
+    if later:
+        c = comps[data.draw(st.sampled_from(later), label="component")]
+        root = c[data.draw(st.integers(0, len(c) - 1), label="root")]
+    events: list = []
+    rep = solve(g, k, force_solver=force, root=root, witness=witness,
+                trace=events)
+
+    want_events, want_stats, joined = [], {}, [0]
+    for c, sub in zip(comps, subs):
+        part: list = []
+        one = solve(sub, min(k, sub.n), force_solver=force, trace=part,
+                    root=c.index(root) if root in c else None)
+        want_events += part
+        for key, val in one.stats.items():
+            want_stats[key] = (max(want_stats.get(key, 0), val)
+                               if key in ("levels", "max_rows")
+                               else want_stats.get(key, 0) + val)
+        joined = convolve_max_plus(joined, one.values,
+                                   min(k, len(joined) - 1 + sub.n))
+    if len(comps) > 1:
+        want_stats["pieces"] = len(comps)
+    assert [_event(ev) for ev in events] == [_event(ev)
+                                              for ev in want_events]
+    assert rep.stats == want_stats
+    assert rep.values == joined
+    if g.n <= 16:
+        assert rep.values == brute_force_all_k(g)[:k + 1]
+    if witness:
+        assert len(rep.witness) == k
+        assert edges_within(g, rep.witness) == rep.optimum
+
+
+def test_disconnected_refusals_stay():
+    # a pinned flat solve refuses a union with a non-outerplanar part, and
+    # the flat solver alone, with no blocks given, refuses any union
+    tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NotOuterplanar):
+        solve(_union(tri, wheel(4)), 3, force_solver="outerplanar")
+    with pytest.raises(BadArgument):
+        dp_outerplanar.solve_outerplanar_values(_union(tri, tri), 3)
+
+
+def _counting_dfs(monkeypatch) -> list[list[int]]:
+    """The vertices of every Graph.blocks_and_cutpoints call, in order."""
+    calls: list[list[int]] = []
+    real = Graph.blocks_and_cutpoints
+
+    def counted(self, part=None):
+        calls.append(list(range(self.n) if part is None else part))
+        return real(self, part)
+
+    monkeypatch.setattr(Graph, "blocks_and_cutpoints", counted)
+    return calls
+
+
+def _counting_builds(monkeypatch) -> list[int]:
+    """The vertex count of every Graph built, in order."""
+    built: list[int] = []
+    init = Graph.__post_init__
+    monkeypatch.setattr(Graph, "__post_init__",
+                        lambda self: built.append(self.n) or init(self))
+    return built
+
+
 def test_outerplanar_input_is_recognised_once(monkeypatch):
     # two triangles joined by a bridge, plus a pendant edge: two cycle
-    # blocks, two bridges, three cutpoints
-    g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5),
-                  (5, 6)])
-    calls = {"blocks": 0, "cycles": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(Graph, "blocks_and_cutpoints",
-                        counted("blocks", Graph.blocks_and_cutpoints))
+    # blocks, two bridges, three cutpoints; then two copies of it, each
+    # recognised once, in place, and folded with no copy made
+    one = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5),
+                    (3, 5), (5, 6)])
+    two = _union(one, one)
+    cycles = []
+    real = dp_outerplanar.block_outer_cycle
     monkeypatch.setattr(dp_outerplanar, "block_outer_cycle",
-                        counted("cycles", dp_outerplanar.block_outer_cycle))
+                        lambda *a: cycles.append(a[1]) or real(*a))
+    dfs = _counting_dfs(monkeypatch)
+    built = _counting_builds(monkeypatch)
     for force in ("auto", "outerplanar"):
-        calls.update(blocks=0, cycles=0)
-        rep = solve(g, 5, force_solver=force)
-        assert rep.solver == "outerplanar"
-        assert rep.values == brute_force_all_k(g)[:6]
-        assert calls == {"blocks": 1, "cycles": 2}, force
+        for g in (one, two):
+            dfs.clear()
+            cycles.clear()
+            rep = solve(g, 5, force_solver=force)
+            assert rep.solver == "outerplanar"
+            assert rep.values == brute_force_all_k(g)[:6]
+            assert dfs == [list(range(7)), list(range(7, 14))][:g.n // 7]
+            assert cycles == [[3, 4, 5], [0, 1, 2], [10, 11, 12],
+                              [7, 8, 9]][:2 * g.n // 7], force
+            assert built == []
 
 
 def test_flat_stats_count_every_table():
@@ -256,22 +373,48 @@ def test_edgeless_inputs_are_answered_by_the_front_door(n, force, witness):
         assert rep.stats == {}
 
 
+def test_mixed_union_is_one_pass_per_component(monkeypatch):
+    # a 2-edge matching, an outerplanar part, a 2-level part and an
+    # isolated vertex: one block-cut pass per component with an edge, in
+    # place, no Graph built for a flat component, and the leveled one
+    # recognised once, before it is cut
+    parts = [Graph(2, [(0, 1)]), Graph(2, [(0, 1)]),
+             gen_outerplanar(GenSpec(n=4, rho=0.6, seed=2)),
+             gen_bouterplanar(GenSpec(n=7, b=2, rho=0.5, seed=3)),
+             Graph(1, [])]
+    g = _union(*parts)
+    comps = g.connected_components()
+    assert [len(c) for c in comps] == [2, 2, 4, 7, 1]
+    assert dp_outerplanar.is_outerplanar(parts[3]) is None
+    dfs = _counting_dfs(monkeypatch)
+    built = _counting_builds(monkeypatch)
+    for witness in (False, True):
+        dfs.clear()
+        built.clear()
+        rep = solve(g, g.n, witness=witness)
+        assert dfs == [list(c) for c in comps[:4]]
+        assert built == [7]
+        assert rep.solver == "bouterplanar"
+        assert rep.values == brute_force_all_k(g)
+    assert edges_within(g, rep.witness) == rep.optimum
+
+
 def test_connected_input_takes_the_component_loop(monkeypatch):
-    # one path for every input: a connected graph goes through
+    # one path for every input: a connected flat graph is folded in place,
+    # with no cut at all, and a connected leveled one is cut by
     # component_subgraphs, which hands it back itself, with no copy
     front = import_module("dks.solve")
-    graphs = [parse_edge_list(FIG7), wheel(5)]
-    splits, built = [], []
-    split, init = front.component_subgraphs, Graph.__post_init__
+    graphs = ((parse_edge_list(FIG7), True), (wheel(5), False))
+    cuts = []
+    split = front.component_subgraphs
     monkeypatch.setattr(front, "component_subgraphs",
-                        lambda g, comps: splits.append(g.n) or split(g, comps))
-    monkeypatch.setattr(Graph, "__post_init__",
-                        lambda self: built.append(self.n) or init(self))
-    for g in graphs:
+                        lambda g, comps: cuts.append(g.n) or split(g, comps))
+    built = _counting_builds(monkeypatch)
+    for g, flat in graphs:
         for witness in (False, True):
-            splits.clear()
+            cuts.clear()
             rep = solve(g, 4, witness=witness)
-            assert (splits, built) == ([g.n], [])
+            assert (cuts, built) == ([] if flat else [g.n], [])
             assert rep.values == brute_force_all_k(g)[:5]
 
 
@@ -354,14 +497,23 @@ def test_witness_resolves_only_the_touched_component(monkeypatch):
 
 
 def test_witness_is_one_traceback_after_one_value_solve(monkeypatch):
-    # no re-solve: the witness costs no second pass over the components
+    # no re-solve: the witness costs no second pass over the components,
+    # and no second recognition or cut of any of them
     g, k = witness_graphs()[2]
+    comps = g.connected_components()
+    leveled = [len(c) for c in comps
+               if dp_outerplanar.is_outerplanar(induced_subgraph(g, c)) is None]
+    assert leveled and len(leveled) < len(comps)
     calls = []
     real = Graph.connected_components
     monkeypatch.setattr(Graph, "connected_components",
                         lambda self: calls.append(self.n) or real(self))
+    dfs = _counting_dfs(monkeypatch)
+    built = _counting_builds(monkeypatch)
     rep = solve(g, k, witness=True)
     assert calls == [g.n]
+    assert dfs == [list(c) for c in comps]
+    assert built == leveled
     assert edges_within(g, rep.witness) == rep.optimum
 
 
@@ -433,21 +585,32 @@ def test_corrupted_traceback_raises(case, monkeypatch):
 
 def test_auto_path_recognises_once(monkeypatch):
     # K2,3 as a bare edge list: not outerplanar, so the auto path embeds
-    # it without recognising it a second time
+    # it without recognising it a second time, alone or beside a flat
+    # hexagon; the union's one cut builds K2,3 alone
     k23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
-    calls = []
-    real = Graph.blocks_and_cutpoints
-    monkeypatch.setattr(Graph, "blocks_and_cutpoints",
-                        lambda self: calls.append(self.n) or real(self))
-    rep = solve(k23, 5)
-    assert rep.solver == "bouterplanar" and calls == [5]
-    assert rep.values == brute_force_all_k(k23)
-    # a pinned leveled solve still draws an outerplanar input as a convex
-    # polygon: one level
-    calls.clear()
     hexagon = Graph(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3)])
+    dfs = _counting_dfs(monkeypatch)
+    built = _counting_builds(monkeypatch)
+    rep = solve(k23, 5)
+    assert rep.solver == "bouterplanar" and dfs == [list(range(5))]
+    assert rep.values == brute_force_all_k(k23)
+    assert built == []
+    both = _union(hexagon, k23)
+    dfs.clear()
+    built.clear()
+    rep = solve(both, 11)
+    assert rep.solver == "bouterplanar"
+    assert dfs == [list(range(6)), list(range(6, 11))] and built == [5]
+    assert rep.values == brute_force_all_k(both)
+    # a pinned leveled solve still draws an outerplanar input as a convex
+    # polygon: one level, from one recognition of the part it cuts out
+    dfs.clear()
+    built.clear()
     assert solve_bouterplanar(hexagon, 6).stats["levels"] == 1
-    assert calls == [6]
+    assert dfs == [list(range(6))] and built == []
+    dfs.clear()
+    assert solve_bouterplanar(both, 6).stats["levels"] == 2
+    assert dfs == [list(range(6)), list(range(5))] and built == [6, 5]
 
 
 @given(st.integers(0, 500))
