@@ -37,14 +37,9 @@ ABSENT_MARK = "∅"          # ∅, as in the worked tables
 
 
 def _resolve_root(g: Graph, token: str | None) -> int | None:
-    if token is None:
-        return None
-    if g.names and token in g.names:
-        return g.names.index(token)
-    try:
-        return int(token)
-    except ValueError:
-        raise DksError(f"unknown vertex {token!r}") from None
+    if token is not None and token not in g.names:  # loaded graphs are named
+        raise DksError(f"unknown vertex {token!r}")
+    return None if token is None else g.names.index(token)
 
 
 def _density(k: int, m: int) -> str:

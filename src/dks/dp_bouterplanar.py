@@ -5,12 +5,16 @@ two boundary paths, subgraph size): the best real-edge count over
 subgraphs of the node's region that touch the boundary in exactly that
 subset.  Four ways to build one, picked per node:
 
-* fold the children left to right and close the entering edge (S1),
+* fold the children and close the entering edge (S1),
 * defer to the component drawn inside the node's face (S2),
 * ``create`` it from the node's endpoints, for an outermost walk edge (S3),
 * ``create`` it from the endpoints and the boundary path at a pivot
-  window, then sweep the parent windows in, extending by the node's
-  endpoints (S4).
+  window, then fold the parent windows in, each extended by the node's
+  endpoint on its side (S4).
+
+A fold starts at a pivot, S4's seed or else the hungriest operand, and
+merges the others outward from it as each is built: one running table
+per node, however many operands (three live on a 2,000-vertex cycle).
 
 Filler and connector edges steer the geometry but never score; only
 edges of the input graph are counted, each exactly once.  To keep that
@@ -338,10 +342,9 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
                                       group).T
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    t = BoundaryTable(L, R, vset, eset, K, cells)
-    if keep:
-        t.made = ("merge", t1, t2, (low, high, pen, shared))
-    return t
+    return BoundaryTable(L, R, vset, eset, K, cells,
+                         ("merge", t1, t2, (low, high, pen, shared))
+                         if keep else ())
 
 
 def _vec(cells: list[int]) -> list[int | None]:
@@ -403,55 +406,45 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
     return chosen
 
 
-def _plan(forest: Forest, v: TreeNode) -> tuple[str, list[TreeNode]]:
-    """v's branch, and the nodes whose tables it consumes in the order
-    its fold reads them."""
-    inner = forest.enclosed_component(v)
-    if inner is not None:
-        return "S2", [forest.trees[inner].root]
-    if v.children:
-        return "S1", list(v.children)
-    if forest.le.components[v.comp].level == 1:
-        return "S3", []
-    windows = forest.trees[v.comp].parent_node.children
-    return "S4", windows[v.lbn - 1:v.rbn - 1]
+def _kept(out: BoundaryTable, step: str, src: BoundaryTable,
+          keep: bool) -> BoundaryTable:
+    if keep and out is not src:     # adjust may return its operand
+        out.made = (step, src)
+    return out
 
 
-def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
-              keep: bool = False) -> BoundaryTable:
-    """v's table, built by branch br from ops, the tables of the nodes
-    that _plan lists for v, in that order."""
+def _extended(g: Graph, z: int | None, t: BoundaryTable, k: int,
+              keep: bool) -> BoundaryTable:
+    return t if z is None else _kept(extend(g, z, t, k), "extend", t, keep)
+
+
+def _fold(forest: Forest, v: TreeNode, br: str, deps: list, pivot: int,
+          k: int, keep: bool):
+    """Generator of v's table: starts from deps[pivot]'s table, or S4's
+    seed left of deps[pivot], then yields the left nodes going down and the
+    right ones going up, merging each table it is sent at once.  S4
+    extends each window by v.x on the left and by v.y on the right."""
     g = forest.le.graph
-
-    def kept(out: BoundaryTable, step: str, *srcs) -> BoundaryTable:
-        if keep and out is not srcs[0]:  # adjust may return its operand
-            out.made = (step, *srcs)
-        return out
-
-    def merged(t1: BoundaryTable, t2: BoundaryTable) -> BoundaryTable:
-        return merge_tables(t1, t2, k, keep)
-
-    def extended(z: int, t: BoundaryTable) -> BoundaryTable:
-        return kept(extend(g, z, t, k), "extend", t)
-
+    x = y = None
+    right = pivot + 1
     if br == "S3":
         t = create(g, v, (), k)
-    elif br == "S1":
-        t = ops[0]
-        for t2 in ops[1:]:
-            t = merged(t, t2)
-        t = kept(adjust(g, t), "adjust", t)
-    elif br == "S2":
-        t = kept(contract(ops[0]), "contract", ops[0])
-        t = kept(adjust(g, t), "adjust", t)
-    else:                       # ops[i] is the table of window v.lbn + i
-        pivot = v.pivot
+    elif br == "S4":
         t = create(g, v, window_path(forest.trees[v.comp].parent_node,
-                                     pivot), k)
-        for i in range(pivot - v.lbn - 1, -1, -1):
-            t = merged(extended(v.x, ops[i]), t)
-        for i in range(pivot - v.lbn, len(ops)):
-            t = merged(t, extended(v.y, ops[i]))
+                                     v.pivot), k)
+        x, y, right = v.x, v.y, pivot
+    else:
+        t = yield deps[pivot]
+    for i in range(pivot - 1, -1, -1):  # operands unnamed: freed once merged
+        t = merge_tables(_extended(g, x, (yield deps[i]), k, keep), t, k,
+                         keep)
+    for i in range(right, len(deps)):
+        t = merge_tables(t, _extended(g, y, (yield deps[i]), k, keep), k,
+                         keep)
+    if br == "S2":
+        t = _kept(contract(t), "contract", t, keep)
+    if br in ("S1", "S2"):
+        t = _kept(adjust(g, t), "adjust", t, keep)
     if t.L != v.lbound or t.R != v.rbound:
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
@@ -459,20 +452,28 @@ def _table_of(forest: Forest, v: TreeNode, br: str, ops: list, k: int,
 
 
 def _schedule(forest: Forest) -> dict[int, tuple]:
-    """Node uid -> (node, branch, operand nodes, build order) for every
-    tree node, in the post-order that reads each node's operands in
-    _plan's order, so the outermost root comes last.
+    """Node uid -> (node, branch, operand nodes, pivot) for every tree
+    node, in the post-order that reads each node's operands left to
+    right, so the outermost root comes last.
 
     Every node except the outermost root is consumed by exactly one
     other node's computation.  The walk checks that conservation law as
     it consumes (InternalError on a node consumed twice, and on nodes
     left unreached), because it is what makes each real edge score
-    exactly once.  A node's build order lists its operands by how many
-    tables their own builds hold at once, most first (Ershov's order):
-    the tables already built wait for the rest, so building the hungry
-    operand first keeps the fewest tables waiting."""
-    def enter(v: TreeNode) -> tuple:
-        br, deps = _plan(forest, v)
+    exactly once.  A node's pivot is S4's seed, left of operand v.pivot -
+    v.lbn, or else the first operand whose build holds the most tables
+    at once (need), so that no running table waits while it is built."""
+    def enter(v: TreeNode) -> tuple:    # the nodes v consumes, in order
+        inner = forest.enclosed_component(v)
+        if inner is not None:
+            br, deps = "S2", [forest.trees[inner].root]
+        elif v.children:
+            br, deps = "S1", v.children
+        elif forest.le.components[v.comp].level == 1:
+            br, deps = "S3", []
+        else:
+            windows = forest.trees[v.comp].parent_node.children
+            br, deps = "S4", windows[v.lbn - 1:v.rbn - 1]
         return v, br, deps, iter(deps)
 
     root = forest.trees[0].root
@@ -485,10 +486,15 @@ def _schedule(forest: Forest) -> dict[int, tuple]:
         d = next(it, None)
         if d is None:
             stack.pop()
-            order = sorted(deps, key=lambda c: -need[c.uid])
-            need[v.uid] = max([need[c.uid] + i for i, c in enumerate(order)]
-                              + [len(deps) + 1])
-            plan[v.uid] = (v, br, deps, order)
+            needs = [need[c.uid] for c in deps]
+            pivot = 0
+            if br == "S4":
+                pivot = v.pivot - v.lbn
+            elif needs:
+                pivot = needs.index(max(needs))
+                needs[pivot] -= 1   # built while no table waits
+            need[v.uid] = 1 + max(needs, default=0)
+            plan[v.uid] = (v, br, deps, pivot)
         elif d.uid in consumed:
             raise InternalError(f"tree node {d.uid} consumed twice")
         else:
@@ -509,38 +515,36 @@ def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
     naming the node, is appended to `trace`, in `_schedule`'s
     post-order.
 
-    The walk builds each node's operands in its build order and hands
-    `_table_of` exactly the tables `_schedule` counted, each once.  A
-    table is dropped from the walk as soon as the node that consumes it
-    is built, so it lives on only where a trace event or, with `keep`,
-    a `made` chain points to it."""
+    The walk keeps a stack of folds: the operand a fold yields is built
+    next and sent back, so a table lives on only where a running fold, a
+    trace event or, with `keep`, a `made` chain points to it."""
     plan = _schedule(forest)
-    root = next(reversed(plan))
-    built: dict[int, BoundaryTable] = {}
     events: dict[int, dict] = {}
     cells = rows = 0
-    stack = [(plan[root], iter(plan[root][3]))]
+    root = forest.trees[0].root
+    stack = [(root, _fold(forest, *plan[root.uid], k, keep))]
+    t = None
     while stack:
-        step, it = stack[-1]
-        d = next(it, None)
-        if d is not None:
-            stack.append((plan[d.uid], iter(plan[d.uid][3])))
-            continue
-        stack.pop()
-        v, br, deps, _ = step
-        t = _table_of(forest, v, br, [built.pop(c.uid) for c in deps], k,
-                      keep)
-        built[v.uid] = t
-        cells += t.cells.size
-        rows = max(rows, len(t.cells))
-        if trace is not None:
-            events[v.uid] = {"branch": br,
-                             "pivot": v.pivot if br == "S4" else None,
-                             "node": v.uid, "table": t,
-                             "graph": forest.le.graph}
+        v, fold = stack[-1]
+        try:
+            d = fold.send(t)
+        except StopIteration as done:
+            t = done.value
+            stack.pop()
+            cells += t.cells.size
+            rows = max(rows, len(t.cells))
+            if trace is not None:
+                br = plan[v.uid][1]
+                events[v.uid] = {"branch": br,
+                                 "pivot": v.pivot if br == "S4" else None,
+                                 "node": v.uid, "table": t,
+                                 "graph": forest.le.graph}
+        else:
+            t = None
+            stack.append((d, _fold(forest, *plan[d.uid], k, keep)))
     if trace is not None:
         trace += [events[uid] for uid in plan]
-    return built.pop(root), cells, rows
+    return t, cells, rows
 
 
 def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,

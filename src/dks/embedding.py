@@ -81,11 +81,11 @@ def planar_embed(g: Graph,
 
     A rotation system supplied with the input is honored (and validated).
     Otherwise `blocks`, g's decomposition from the flat recognizer when
-    the caller found g outerplanar, draws each block as a convex polygon
-    when no outer face is given, so every vertex lies on the longest
-    face; else networkx computes one.  Nothing is recognised here.
-    Without an explicit outer face the longest face is chosen, ties going
-    to the face containing the smallest vertex.
+    the caller found g outerplanar, draws each block as a convex polygon,
+    so every vertex lies on the longest face; else networkx computes one.
+    Nothing is recognised here.  An explicit outer face is looked up in
+    that drawing; without one the longest face is chosen, ties going to
+    the face containing the smallest vertex.
     """
     if g.n < 2:
         raise EmbeddingInconsistent("embedding needs at least two vertices")
@@ -95,7 +95,7 @@ def planar_embed(g: Graph,
         listed = {frozenset((v, w)) for v, ns in enumerate(rot) for w in ns}
         if pairs != listed:
             raise EmbeddingInconsistent("rotation does not list the edge set")
-    elif blocks is not None and g.outer_face is None:
+    elif blocks is not None:
         rot = _outerplanar_rotation(g, blocks)
     else:
         import networkx as nx  # deferred: `import dks` stays light

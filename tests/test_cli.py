@@ -76,8 +76,9 @@ def test_missing_file_exits_1(capsys):
     assert code == 1 and "error:" in err
 
 
-# FIG stands for a real graph file, BAD for a malformed JSON graph, so
-# that each case fails on its own refusal, not on a missing file
+# FIG stands for a real graph file, BAD for a malformed JSON graph and
+# NAMED for an edge list whose vertex names are not their ids, so that
+# each case fails on its own refusal, not on a missing file
 @pytest.mark.parametrize("argv", [
     ["solve", "--k", "3"],                       # no --graph
     ["solve", "--graph", "g.edges", "--k", "x"],
@@ -93,11 +94,14 @@ def test_missing_file_exits_1(capsys):
     ["solve", "--graph", "FIG", "--k", "3", "--root", "99"],
     ["solve", "--graph", "BAD", "--k", "3"],
     ["probe-ptas", "--graph", "FIG", "--k", "3", "--epsilon", "1e-320"],
+    ["solve", "--graph", "NAMED", "--k", "2", "--root", "1", "--witness"],
 ])
 def test_usage_errors_exit_1(fig, tmp_path, capsys, argv):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": 5, "edges": []}')
-    files = {"FIG": fig, "BAD": str(bad)}
+    named = tmp_path / "named.edges"
+    named.write_text("10 20\n20 30\n30 10\n30 40\n")
+    files = {"FIG": fig, "BAD": str(bad), "NAMED": str(named)}
     code, out, err = run(capsys, *(files.get(a, a) for a in argv))
     assert code == 1 and out == "" and "error:" in err
     assert "Traceback" not in err

@@ -200,7 +200,9 @@ def test_walk_holds_few_tables_at_once(monkeypatch):
     # the ladder's tree is about 1,000 nodes deep with a leaf beside each
     # rung: a walk that holds every finished table, or even one waiting
     # sibling per level, keeps hundreds alive; built deepest first and
-    # dropped once consumed, a handful are alive at any time
+    # dropped once consumed, a handful are alive at any time.  The
+    # cycle's root folds 2,000 leaves: merged into the running table as
+    # each is built, they are never alive together
     live: weakref.WeakSet = weakref.WeakSet()
     most = [0]
     made = BoundaryTable.__post_init__
@@ -215,6 +217,21 @@ def test_walk_holds_few_tables_at_once(monkeypatch):
     rep = solve(g, 6, force_solver="bouterplanar")
     assert rep.values == [0, 0, 1, 2, 4, 5, 7]
     assert rep.stats["tree_nodes"] > 2900 and most[0] <= 8
+    most[0] = 0
+    cycle = Graph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
+    rep = solve(cycle, 6, force_solver="bouterplanar")
+    assert rep.values == [0, 0, 1, 2, 3, 4, 5]
+    assert most[0] <= 8
+
+
+def test_fold_starts_at_the_first_of_equally_hungry_operands():
+    # a cycle's root folds six leaves that each hold one table: it starts
+    # at the first, so each merge takes the next leaf as its second
+    # operand, the merges a left-to-right fold makes
+    g = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    forest = build_forest(embed_and_level(g, blocks=is_outerplanar(g)))
+    merges = kept_merges(evaluate_tables(forest, 6, keep=True)[0])
+    assert len(merges) == 5 and not any(t2.made for _, t2 in merges)
 
 
 def test_table_shape_invariants():

@@ -222,6 +222,10 @@ def _rotationless_outerplanar():
         if n >= 3:
             yield Graph(n, [(i, (i + 1) % n) for i in range(n)])  # cycle
     yield Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])  # bowtie
+    # named outer face: networkx draws these chords so that the rim is no
+    # face, while the blocks' convex drawing keeps it one
+    yield Graph(6, [(i, (i + 1) % 6) for i in range(6)]
+                + [(0, 2), (0, 3), (3, 5)], outer_face=list(range(6)))
 
 
 def test_outerplanar_input_embeds_on_one_level():
