@@ -4,6 +4,10 @@ Per 2-connected block, the unique outer (Hamiltonian) cycle is found by
 degree-2 elimination, and tables indexed by (endpoint bits, exact
 subgraph size) are folded in one sweep around it: each chord's span of
 cycle edges is merged when the sweep leaves it, nested spans first.
+A merge whose second operand is a bare cycle edge pushes that edge's
+far vertex onto the span, one pass per result row; every other merge,
+and each cutpoint attachment, runs its row pairs through one
+tables.maxplus_terms loop.
 Each block hanging off a cutpoint is collapsed into a pair of vectors
 and attached, one block at a time, to the leaf table where the cutpoint
 sits.
@@ -31,7 +35,7 @@ from typing import NamedTuple
 from dks.errors import BadArgument, BoundaryMismatch, InternalError, NotOuterplanar
 from dks.graph import Graph
 from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
-from dks.tables import maxplus_into, maxplus_pair, vector_max
+from dks.tables import maxplus_pair, maxplus_terms, vector_max
 
 
 @dataclass
@@ -86,7 +90,11 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
 
     The spans share vertex y; when x == z the cycle has closed and they
     share x as well.  A real edge (x, z) is credited here, exactly once,
-    in the rows where both bits are set.
+    in the rows where both bits are set.  When t2 is a bare leaf (only
+    leaf_table makes 2-vertex tables) and the cycle stays open, the
+    merge pushes z onto the span: each result row is one pass over
+    t1's rows without and with y.  Every other merge combines the row
+    pairs _merge_terms lists in one maxplus_terms loop.
     """
     if t1.y != t2.x:
         raise BoundaryMismatch(f"cannot merge T_({t1.x},{t1.y}) with T_({t2.x},{t2.y})")
@@ -94,11 +102,27 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
     closing = x == z
     vcount = t1.vcount + t2.vcount - 1 - (1 if closing else 0)
     cap = min(k, vcount)
-    rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
     chord_real = (not closing) and g.has_edge(x, z)
-    for r, r1, r2, shift, add in _merge_terms(
-            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge):
-        maxplus_into(rows[r], t1.rows[r1], t2.rows[r2], shift, add)
+    if t2.vcount == 2 and not closing:
+        rows = []
+        for bx in (0, 1):
+            out_y, in_y = t1.rows[bx << 1], t1.rows[(bx << 1) | 1]
+            # z out: the best with y out or in; z in: one vertex more,
+            # plus the edge y-z when y is in and the chord when x is in
+            rows.append([o if i is None or (o is not None and o >= i) else i
+                         for o, i in zip(out_y, in_y)]
+                        + [None] * (cap + 1 - len(out_y)))
+            z_in = [o if i is None or (o is not None and o > i) else i + 1
+                    for o, i in zip(out_y, in_y)]
+            if chord_real and bx:
+                z_in = [None if v is None else v + 1 for v in z_in]
+            z_in.insert(0, None)    # one size up, in place: no second copy
+            del z_in[cap + 1:]
+            rows.append(z_in)
+    else:
+        rows = [[None] * (cap + 1) for _ in range(4)]
+        maxplus_terms(rows, t1.rows, t2.rows, _merge_terms(
+            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge))
     return EdgeTable(x, z, vcount, rows, chord_real)
 
 
@@ -125,20 +149,22 @@ def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
     return tuple(terms)
 
 
+# The terms, as in _merge_terms, of attach_hang at side 0 (x) and side 1
+# (y): row (bx, by) of the table with the hang's vector for the bit of
+# the cutpoint, which both count once.
+_HANG_TERMS = tuple(tuple((r, r, b, -b, 0) for r, b in enumerate(bits))
+                    for bits in ((0, 0, 1, 1), (0, 1, 0, 1)))
+
+
 def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
                 keep: bool = False) -> EdgeTable:
     """Fold one hanging block's vector pair into a leaf table; side 0
     attaches at label x, side 1 at label y, and the cutpoint counts
     once.  With `keep`, made is ("hang", t, side, hang)."""
-    d0, d1, dcount = hang[:3]
-    vcount = t.vcount + dcount - 1
+    vcount = t.vcount + hang.count - 1
     cap = min(k, vcount)
     rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
-    for bx in (0, 1):
-        for by in (0, 1):
-            b_side = bx if side == 0 else by
-            maxplus_into(rows[(bx << 1) | by], t.rows[(bx << 1) | by],
-                         d1 if b_side else d0, -b_side)
+    maxplus_terms(rows, t.rows, hang[:2], _HANG_TERMS[side])
     return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge,
                      ("hang", t, side, hang) if keep else ())
 
@@ -390,17 +416,15 @@ def _traceback(t: EdgeTable, group: tuple[int, ...], kp: int,
                                                 val), kp))
             continue
         if made[0] == "merge":
-            t1, t2 = made[1:]
-            terms = [(t1, r1, t2, r2, shift, add)
-                     for out, r1, r2, shift, add in _merge_terms(
-                         t1.x == t2.y, item.counts_label_edge,
-                         t1.counts_label_edge, t2.counts_label_edge)
-                     if out == r]
+            o1, o2 = made[1:]
+            terms = _merge_terms(o1.x == o2.y, item.counts_label_edge,
+                                 o1.counts_label_edge, o2.counts_label_edge)
         else:
-            t0, side, hang = made[1:]
-            b = r >> 1 if side == 0 else r & 1
-            terms = [(t0, r, hang, b, -b, 0)]
-        for o1, r1, o2, r2, shift, add in terms:
+            o1, side, o2 = made[1:]
+            terms = _HANG_TERMS[side]
+        for out, r1, r2, shift, add in terms:
+            if out != r:
+                continue
             pair = maxplus_pair(_cells(o1, r1), _cells(o2, r2), kp, val,
                                 shift, add)
             if pair is not None:

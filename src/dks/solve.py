@@ -14,6 +14,7 @@ flat is cut out as a Graph of its own for the leveled solver.
 
 from __future__ import annotations
 
+import operator
 import time
 
 from dks.dp_bouterplanar import solve_bouterplanar_values
@@ -125,7 +126,8 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
 
     Auto-detection tries the flat outerplanar program first and falls back
     to the leveled one; `force_solver` pins either path.  Raises
-    BadArgument for k < 0, a root outside 0..n-1, or a `force_solver` or
+    BadArgument for a k or root that is not an integer (operator.index),
+    k < 0, a root outside 0..n-1, or a `force_solver` or
     `triangulation` not in SOLVERS or TRIANGULATIONS, KTooLarge for
     k > n, and lets NotPlanar/NotOuterplanar bubble up from below.
     `trace` collects one event per DP table, from every component and
@@ -141,6 +143,12 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     is checked before it is returned: k distinct vertices that induce
     exactly values[k] edges, or InternalError.
     """
+    try:
+        k = operator.index(k)
+        root = None if root is None else operator.index(root)
+    except TypeError:
+        raise BadArgument(f"k and root must be integers, got k={k!r}, "
+                          f"root={root!r}") from None
     if k < 0:
         raise BadArgument(f"k must be nonnegative, got {k}")
     if root is not None and not 0 <= root < g.n:

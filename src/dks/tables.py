@@ -2,16 +2,20 @@
 
 Vectors here are "optional max-plus": index = number of picked vertices,
 value = best edge count or None when no selection of that size exists.
-`maxplus_into` is the flat DP's cell combine and the component join's;
-each caller keeps its own size, bonus and overlap arithmetic in `shift`
-and `add`.  `maxplus_rows` is the plain combine (no shift, no add) for
-the leveled DP's array tables, with the sentinel NEG for None: its
-operands are size-major int32 arrays, a row per size and a column per
-pair of vectors, so each numpy call runs along a row of every pair at
-once; the leveled merge charges its overlap to one operand beforehand.
-int32 is exact while the graph has fewer than 2^28 edges (see NEG).
-`maxplus_pair` inverts one cell of either: every witness traceback step
-asks it which operand cells a result cell came from.
+`maxplus_terms` is the flat DP's cell combine: one loop over a list of
+terms (result row, operand rows, `shift`, `add`), in which each caller
+keeps its own size, bonus and overlap arithmetic.  `maxplus_into` is its
+one-term case, the component join's combine.  (A flat merge whose second
+operand is a bare leaf needs no combine at all; see
+dp_outerplanar.merge_tables.)  `maxplus_rows` is the plain combine (no
+shift, no add) for the leveled DP's array tables, with the sentinel NEG
+for None: its operands are size-major int32 arrays, a row per size and
+a column per pair of vectors, so each numpy call runs along a row of
+every pair at once; the leveled merge charges its overlap to one
+operand beforehand.  int32 is exact while the graph has fewer than 2^28
+edges (see NEG).
+`maxplus_pair` inverts one cell of one term: every witness traceback
+step asks it which operand cells a result cell came from.
 """
 
 from __future__ import annotations
@@ -26,26 +30,38 @@ NEG = -(1 << 29)
 MAX_EDGES = 1 << 28
 
 
+def maxplus_terms(out: list[list[int | None]], a: list[list[int | None]],
+                  b: list[list[int | None]], terms) -> None:
+    """maxplus_into(out[r], a[r1], b[r2], shift, add) for every term
+    (r, r1, r2, shift, add), in one loop: each row of b has its defined
+    cells listed once, however many terms read it."""
+    pb = [[(k2, v2) for k2, v2 in enumerate(row) if v2 is not None]
+          for row in b]
+    for r, r1, r2, shift, add in terms:
+        row = out[r]
+        n = len(row)
+        cells2 = pb[r2]
+        for k1, v1 in enumerate(a[r1], shift):  # k1 counts from shift
+            if v1 is None:
+                continue
+            v1 += add
+            for k2, v2 in (cells2 if k1 >= 0 else
+                           [c for c in cells2 if c[0] + k1 >= 0]):
+                kp = k1 + k2
+                if kp >= n:
+                    break
+                val = v1 + v2
+                cur = row[kp]
+                if cur is None or val > cur:
+                    row[kp] = val
+
+
 def maxplus_into(out: list[int | None], a: list[int | None],
                  b: list[int | None], shift: int = 0, add: int = 0) -> None:
     """out[k1+k2+shift] = max(out[k1+k2+shift], a[k1]+b[k2]+add) for every
-    defined a[k1] and b[k2] whose target lies inside out; None-absorbing."""
-    n = len(out)
-    pb = [(k2 + shift, v2 + add) for k2, v2 in enumerate(b) if v2 is not None]
-    if not pb:
-        return
-    for k1, v1 in enumerate(a):
-        if v1 is None:
-            continue
-        for k2, v2 in pb:
-            kp = k1 + k2
-            if kp >= n:
-                break
-            if kp >= 0:
-                val = v1 + v2
-                cur = out[kp]
-                if cur is None or val > cur:
-                    out[kp] = val
+    defined a[k1] and b[k2] whose target lies inside out; None-absorbing.
+    The one-term case of maxplus_terms."""
+    maxplus_terms((out,), (a,), (b,), ((0, 0, 0, shift, add),))
 
 
 def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,

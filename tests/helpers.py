@@ -1,6 +1,7 @@
 """Shared hand-drawn fixtures for the leveling and table tests, the
-self-reduction oracle for witnesses, the slice-table oracle and the
-cross-check of the two brute-force oracles.
+self-reduction oracle for witnesses, the slice-table oracle, the
+eight-call reference for the flat merge and the cross-check of the two
+brute-force oracles.
 
 The main fixture is a three-level plane graph: a pentagon with one chord,
 a square with one chord nested inside it, and a single vertex inside the
@@ -14,6 +15,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 
 from dks import oracle
+from dks.dp_outerplanar import EdgeTable, _merge_terms
 from dks.errors import CapExceeded, InternalError
 from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
@@ -239,6 +241,22 @@ def merge_reference(t1, t2, k: int) -> dict:
                          -len(s & shared_v),
                          -sum(1 for u, v in shared_e if u in s and v in s))
     return out
+
+
+def flat_merge_reference(t1, t2, g: Graph, k: int):
+    """dp_outerplanar.merge_tables as one maxplus_into call per term of
+    _merge_terms: the plain eight-call combine that its push of a bare
+    leaf and its one-loop combine must both agree with."""
+    x, z = t1.x, t2.y
+    closing = x == z
+    vcount = t1.vcount + t2.vcount - 1 - (1 if closing else 0)
+    cap = min(k, vcount)
+    rows = [[None] * (cap + 1) for _ in range(4)]
+    chord_real = (not closing) and g.has_edge(x, z)
+    for r, r1, r2, shift, add in _merge_terms(
+            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge):
+        maxplus_into(rows[r], t1.rows[r1], t2.rows[r2], shift, add)
+    return EdgeTable(x, z, vcount, rows, chord_real)
 
 
 def self_reduction_witness(g: Graph, k: int, **opts) -> list[int]:

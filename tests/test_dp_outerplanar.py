@@ -27,7 +27,8 @@ from dks.dp_outerplanar import (
     solve_outerplanar_values,
 )
 from dks.solve import solve_outerplanar
-from helpers import brute_force_slice_table, shaped_outerplanar
+from helpers import (brute_force_slice_table, flat_merge_reference,
+                     shaped_outerplanar)
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
@@ -143,6 +144,41 @@ def test_merge_empty_cells_are_reset_per_k():
     g = Graph(n=3, edges=[(0, 1), (1, 2)])
     t = merge_tables(leaf_table(0, 1, 3), leaf_table(1, 2, 3), g, 3)
     assert t.rows[0] == [0, 0, N, N]
+
+
+@st.composite
+def span_tables(draw, x: int, y: int, k: int, vcounts):
+    """A span table T_(x,y) with one of `vcounts` vertices and min(k,
+    vcount) + 1 cells a row: random cells, None where the row's set bits
+    alone outnumber the size, as in every table the fold builds."""
+    vcount = draw(vcounts)
+    rows = [[None if kp < bin(r).count("1")
+             else draw(st.none() | st.integers(0, 12))
+             for kp in range(min(k, vcount) + 1)] for r in range(4)]
+    return EdgeTable(x, y, vcount, rows, draw(st.booleans()))
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_merge_tables_matches_the_eight_call_reference(data):
+    # x = 0, y = 1, and z = 2, or z = x when the merge closes the cycle;
+    # k runs from 0 to past both operands' vertex counts, and the second
+    # operand is a bare leaf (the push) or a span (the one loop)
+    k = data.draw(st.integers(0, 8), label="k")
+    closing = data.draw(st.booleans(), label="closing")
+    z = 0 if closing else 2
+    g = Graph(3, [(0, 1), (1, 2)] + ([(0, 2)] if data.draw(
+        st.booleans(), label="chord") else []))
+    t1 = data.draw(span_tables(0, 1, k, st.integers(2, 7)), label="t1")
+    t2 = data.draw(st.just(leaf_table(1, z, k))
+                   | span_tables(1, z, k, st.integers(3, 7)), label="t2")
+    before = [list(r) for r in t1.rows + t2.rows]
+    got = merge_tables(t1, t2, g, k)
+    want = flat_merge_reference(t1, t2, g, k)
+    assert got.rows == want.rows
+    assert (got.vcount, got.counts_label_edge) == (want.vcount,
+                                                   want.counts_label_edge)
+    assert t1.rows + t2.rows == before          # the operands are untouched
 
 
 # ------------------------------------------------------------ outer cycle

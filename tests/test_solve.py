@@ -333,6 +333,7 @@ def test_unknown_option_names_raise_on_entry(option):
 
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
 @pytest.mark.parametrize("refused", [
@@ -347,11 +348,20 @@ PATH3 = Graph(3, [(0, 1), (1, 2)])
     lambda: probe(PATH3, 2, float("nan")),
     lambda: baker_decompose(PATH3, 1),
     lambda: bfs_levels(PATH3, root=3),
+    lambda: solve(C4, 2, root=1.5),
+    lambda: solve(C4, 2.0),
 ], ids=["k", "root", "outer-root", "flat-root", "variant", "oracle-k",
-        "epsilon-0", "epsilon-nan", "b", "bfs-root"])
+        "epsilon-0", "epsilon-nan", "b", "bfs-root", "root-float",
+        "k-float"])
 def test_refusals_are_bad_arguments(refused):
     with pytest.raises(BadArgument):
         refused()
+
+
+def test_numpy_integers_pass_as_k_and_root():
+    np = pytest.importorskip("numpy")
+    assert (solve(C4, np.int64(2), root=np.int64(1)).values
+            == solve(C4, 2, root=1).values)
 
 
 def test_empty_graph():
