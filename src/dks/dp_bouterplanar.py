@@ -21,8 +21,18 @@ edges of the input graph are counted, each exactly once.  To keep that
 promise through overlapping regions, a table also records the counted
 edges whose endpoints all still sit on its boundary (``eset``) and the
 full vertex set of its region (``vset``); ``merge_tables`` charges
-the vertices and edges the two operands both claim to the second
-operand's rows, once per merge.
+the edges the two operands both claim to the second operand's rows,
+once per merge, and counts the vertices they share once by where it
+puts each pair's cells (below).
+
+A table stores each row by interior count: a row selects its subset of
+the boundary, so it can only reach the sizes from that subset's size up
+by the region's interior vertices (I = |vset| - |bset|), capped at K.
+Column d of row r holds size popcount(r) + d, and a table has
+min(I, K) + 1 columns: a seed, whose vertices all lie on its boundary,
+has one.  ``extend`` keeps the columns, ``contract`` adds one, and a
+merge's pair of rows lands |Bx| columns right of its operands' columns
+summed, Bx being the middle vertices it selects.
 
 What a merge derives from its operands' boundary shape, not from their
 cells (which operand cells meet, and what the overlap costs), is its
@@ -47,8 +57,9 @@ from .trees import Forest, TreeNode, build_forest, window_path
 ABSENT = None
 
 # Pairs per merge block: big enough to amortise numpy's per-call cost,
-# small enough that a block's buffers stay in cache (of 256 to 4096
-# pairs, 512 ran the leveled benchmark's solve pass fastest).
+# small enough that a block's buffers stay small (1,024 pairs ran the
+# leveled benchmark's solve pass about 6% faster, but raised its
+# tracemalloc peak by over a third).
 _BLOCK = 512
 
 # Merge plans by shape key (see _by_shape).  Shapes repeat across graphs
@@ -73,17 +84,18 @@ class BoundaryTable:
 
     L and R list the boundary paths innermost vertex first; bset, their
     union, and verts, bset ascending, are set once at construction.
-    cells is an int32 array of shape (2^|boundary|, K+1): row i holds the
+    cells is an int32 array of shape (2^|boundary|, min(I, K) + 1), for
+    the I = |vset| - |bset| vertices inside the region: row i holds the
     subset whose bit j is set when verts[j], the j-th smallest boundary
-    vertex, is in it; column k' is the subgraph size; NEG marks an
-    unrealisable pair.  int32 holds every cell exactly while the graph
-    has fewer than 2^28 edges, which solve_bouterplanar_values checks
-    (tables.NEG gives the argument).  made is () for a table enumerated
-    from its boundary and, when kept for a traceback, (step, operands...)
-    for the extend, contract, adjust or merge_tables call that built it; a
-    merge also keeps the part of its plan that a traceback reads (see
-    merge_tables).  A table lives only as long as something points to
-    it: evaluate_tables drops each one once it is consumed."""
+    vertex, is in it; column d holds subgraph size popcount(i) + d; NEG
+    marks an unrealisable pair, and every cell past size K.  int32 holds
+    every cell exactly while the graph has fewer than 2^28 edges, which
+    solve_bouterplanar_values checks (tables.NEG gives the argument).
+    made is () for a table enumerated from its boundary and, when kept
+    for a traceback, (step, operands...) for the extend, contract,
+    adjust or merge_tables call that built it; a merge also keeps its
+    plan (see merge_tables).  A table lives only as long as something
+    points to it: evaluate_tables drops each one once it is consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -101,11 +113,38 @@ class BoundaryTable:
 
     @property
     def rows(self) -> dict:
-        """Read-only view: boundary subset -> cells, ABSENT for NEG."""
+        """Read-only view: boundary subset -> cells by size 0..K, ABSENT
+        for NEG."""
         verts = self.verts
         return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
                 [ABSENT if c == NEG else c for c in row]
-                for i, row in enumerate(self.cells.tolist())}
+                for i, row in enumerate(_sized(self).tolist())}
+
+
+def _sized(t: BoundaryTable):
+    """t's cells by size: a (rows, K + 1) array, NEG off each row's band."""
+    import numpy as np
+
+    n, w = t.cells.shape
+    span = max(t.K + 1, len(t.verts) + w)
+    out = np.full((n, span), NEG, dtype=np.int32)
+    first = np.arange(n) * span + np.bitwise_count(np.arange(n))
+    out.reshape(-1)[first[:, None] + np.arange(w)] = t.cells
+    return out[:, :t.K + 1]
+
+
+def _cell(t: BoundaryTable, r: int, kp: int) -> int:
+    """t's cell of row r at size kp, NEG off the row's band."""
+    d = kp - r.bit_count()
+    return int(t.cells[r, d]) if 0 <= d < t.cells.shape[1] else NEG
+
+
+def _over(n: int, w: int, K: int):
+    """Mask of the cells past size K in a band of n rows and w columns."""
+    import numpy as np
+
+    room = K - np.bitwise_count(np.arange(n)).astype(np.int32)
+    return np.arange(w) > room[:, None]
 
 
 def _bits(mask: int) -> list[int]:
@@ -141,16 +180,21 @@ def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
     core = sorted(set(verts))
     K = min(k, len(core))
     es = sorted(edges)
-    bit = {v: 1 << j for j, v in enumerate(core)}
-    pairs = [bit[u] | bit[v] for u, v in es]
-    rows = []
-    for a in range(1 << len(core)):      # a few dozen rows: plain Python
-        row = [NEG] * (K + 1)
-        size = a.bit_count()
-        if size <= K:
-            row[size] = sum(1 for e in pairs if a & e == e)
-        rows.append(row)
-    cells = np.array(rows, dtype=np.int32)
+    at = {v: j for j, v in enumerate(core)}
+    nbr = [0] * len(core)       # each vertex's neighbours, as a row mask
+    for u, v in es:
+        nbr[at[u]] |= 1 << at[v]
+        nbr[at[v]] |= 1 << at[u]
+    # a row's edges are those of the row less its lowest vertex, plus
+    # that vertex's edges into the rest; a few dozen rows: plain Python
+    count = [0] * (1 << len(core))
+    for a in range(1, len(count)):
+        low = a & -a
+        count[a] = count[a ^ low] + (nbr[low.bit_length() - 1] & a).bit_count()
+    # no interior vertex, so one column
+    cells = np.array(count, dtype=np.int32).reshape(-1, 1)
+    if K < len(core):
+        cells[np.bitwise_count(np.arange(len(count))) > K] = NEG
     return BoundaryTable(tuple(L), tuple(R), frozenset(core),
                          frozenset(es), K, cells)
 
@@ -171,7 +215,8 @@ def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
 
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     """Push vertex z onto both boundary paths; rows that include z pay
-    one vertex and collect z's real edges into the selected boundary."""
+    one vertex and collect z's real edges into the selected boundary.
+    The interior is unchanged, and so is each cell's column."""
     import numpy as np
 
     if z in t.vset:
@@ -185,21 +230,27 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     # so each run of `lo` old rows is followed by its copy with z selected
     lo = 1 << sum(1 for w in verts if w < z)
     old = t.cells
-    hi = len(old) // lo
-    cells = np.full((hi, 2, lo, K + 1), NEG, dtype=np.int32)
-    cells[:, 0, :, :t.K + 1] = old.reshape(hi, lo, t.K + 1)
+    hi, w = len(old) // lo, old.shape[1]
+    cells = np.empty((hi, 2, lo, w), dtype=np.int32)
+    cells[:, 0] = old.reshape(hi, lo, w)
     inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
-    up = old[:, :K]
-    cells[:, 1, :, 1:] = np.where(up == NEG, NEG, up + inc[:, None]
-                                  ).reshape(hi, lo, K)
+    dead = old == NEG
+    if len(verts) + w > K:      # a z-in cell is past K where z-out is at K
+        dead |= _over(len(old), w, K - 1)
+    cells[:, 1] = np.where(dead, NEG, old + inc[:, None]).reshape(hi, lo, w)
     eset = t.eset | {_norm(z, verts[j]) for j in zn}
     return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset, K,
-                         cells.reshape(2 * len(old), K + 1))
+                         cells.reshape(2 * len(old), w))
 
 
 def contract(t: BoundaryTable) -> BoundaryTable:
     """Drop the shared innermost vertex from both boundaries; each cell
-    keeps the better of the vertex-in / vertex-out alternatives."""
+    keeps the better of the vertex-in / vertex-out alternatives.  z joins
+    the interior, so the band gains a column (up to K + 1), and a z-in
+    row, one boundary vertex more for the same size, lands one column
+    to the right."""
+    import numpy as np
+
     z = t.L[0]
     L, R = t.L[1:], t.R[1:]
     newb = frozenset(L) | frozenset(R)
@@ -207,9 +258,14 @@ def contract(t: BoundaryTable) -> BoundaryTable:
         raise BoundaryMismatch(f"contract needs a closed table whose top "
                                f"{z} leaves the boundary: {t.L}/{t.R}")
     lo = 1 << t.verts.index(z)
-    cells = t.cells.reshape(-1, 2, lo, t.K + 1).max(axis=1)
+    w = t.cells.shape[1]
+    width = min(len(t.vset) - len(newb), t.K) + 1
+    pair = t.cells.reshape(-1, 2, lo, w)
+    cells = np.full((len(pair), lo, width), NEG, dtype=np.int32)
+    cells[..., :w] = pair[:, 0]
+    np.maximum(cells[..., 1:], pair[:, 1, :, :width - 1], out=cells[..., 1:])
     eset = frozenset(e for e in t.eset if z not in e)
-    return BoundaryTable(L, R, t.vset, eset, t.K, cells.reshape(-1, t.K + 1))
+    return BoundaryTable(L, R, t.vset, eset, t.K, cells.reshape(-1, width))
 
 
 def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
@@ -230,18 +286,13 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
 
 
-def _merge_plan(m1: int, m2: int, mo: int, mf: int, ms: int, eb: int,
-                w2: int) -> tuple:
-    """(low, high, gather, wrap, pen, shared) of a merge whose masks over
-    the sorted union of both boundaries select t1's boundary (m1), t2's
-    (m2), the outer one (mo), the middle vertices off it (mf) and those
-    both regions hold (ms), whose shared counted edges are the bits
-    i * u + j of eb (of the i-th and j-th of u union vertices), and whose
-    t2 rows have w2 cells: the operand rows of every middle and outer
-    subset, a row per operand; the flat indices into t2's cells of t2
-    discounted, size-major, and of the cells the discount moves left of
-    column 0; each t2 row's shared edges (None without any); and t2's
-    row mask of the shared vertices."""
+def _merge_plan(m1: int, m2: int, mo: int, mf: int, eb: int) -> tuple:
+    """(low, high, pen) of a merge whose masks over the sorted union of
+    both boundaries select t1's boundary (m1), t2's (m2), the outer one
+    (mo) and the middle vertices off it (mf), and whose shared counted
+    edges are the bits i * u + j of eb (of the i-th and j-th of u union
+    vertices): the operand rows of every middle and outer subset, a row
+    per operand, and each t2 row's shared edges (None without any)."""
     import numpy as np
 
     u = (m1 | m2).bit_length()
@@ -257,15 +308,7 @@ def _merge_plan(m1: int, m2: int, mo: int, mf: int, ms: int, eb: int,
             r2 += [r + b2[j] for r in r2]
         return np.array((r1, r2), dtype=np.int32)
 
-    shared = sum(b2[j] for j in _bits(ms))
     r2 = np.arange(1 << m2.bit_count(), dtype=np.int32)
-    # cell c of a row reads column (c + move) mod w2: the columns that
-    # wrap round are those moved left of column 0
-    gather = np.arange(w2, dtype=np.int32)[:, None] + np.bitwise_count(
-        r2 & shared)
-    wrap = gather >= w2
-    gather %= w2
-    gather += r2 * w2
     pen = None
     for b in _bits(eb):
         e = b2[b // u] | b2[b % u]
@@ -274,7 +317,7 @@ def _merge_plan(m1: int, m2: int, mo: int, mf: int, ms: int, eb: int,
             pen = hit.astype(np.int32)
         else:
             pen += hit
-    return rows(mf), rows(mo), gather, gather[wrap], pen, shared
+    return rows(mf), rows(mo), pen
 
 
 def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
@@ -285,18 +328,24 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     over the subsets Bx of the middle vertices off that boundary, of
     the operand rows S = A | Bx cut down to each operand's boundary.
     Every vertex and counted edge both operands claim lies on t2's
-    boundary, so the overlap is charged to t2's rows once, and a plain
-    max-plus of the operand rows then counts everything exactly once.
+    boundary, so the shared edges are charged to t2's rows once, and a
+    plain max-plus of the operand rows then counts every edge once.
     Sound only while the regions overlap nowhere off their shared
-    boundaries, which the construction guarantees (checked).
+    boundaries, which the construction guarantees (checked).  The
+    vertices too count once: the operand rows' subsets together are S,
+    whose size is |A| + |Bx|, so a pair's cells land |Bx| columns right
+    of the sum of their own columns.  t2 has no real cell past its K
+    (checked); the result's cells past K are set to NEG.
 
     What depends on the boundary shape alone, the operand rows and the
-    discount, is the shape's _merge_plan, built once per shape.  A
+    shared edges, is the shape's _merge_plan, built once per shape.  A
     block of n result rows holds pair (Bx, A) in column Bx * n + A; an
     operand's row for S is the sum of its rows for A and for Bx.  Both
-    operands are gathered size-major into buffers that every block
-    reuses.  With `keep`, made is ("merge", t1, t2, (low, high, pen,
-    shared)): the plan less its gathers, which are the bulk of it."""
+    operands are gathered size-major, at their own widths, into buffers
+    that every block reuses, and the kernel lifts each pair by |Bx| as
+    it keeps the best pair per result row.  With `keep`, made is
+    ("merge", t1, t2, (low, high, pen)): the plan, which a traceback
+    reads."""
     import numpy as np
 
     if list(t1.R) != list(t2.L):
@@ -304,47 +353,50 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
             f"cannot merge: {t1.R} does not meet {t2.L}")
     L, R = t1.L, t2.R
     outset = frozenset(L) | frozenset(R)
-    both = t1.vset & t2.vset
-    if not both <= (t1.bset & t2.bset):
+    middle = frozenset(t1.R) - outset
+    if not t1.vset & t2.vset <= (t1.bset & t2.bset):
         raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
     at = {v: 1 << j for j, v in enumerate(sorted(t1.bset | t2.bset))}
     u = len(at)
-    low, high, gather, wrap, pen, shared = _by_shape(
-        *(sum(map(at.__getitem__, vs)) for vs in (
-            t1.bset, t2.bset, outset, frozenset(t1.R) - outset, both)),
+    low, high, pen = _by_shape(
+        *[sum(map(at.__getitem__, vs)) for vs in (
+            t1.bset, t2.bset, outset, middle)],
         # (1 << i) ** u * (1 << j) is bit i * u + j
-        sum(at[a] ** u * at[b] for a, b in t1.eset & t2.eset),
-        t2.K + 1)
-    c2 = t2.cells.reshape(-1)
-    if np.maximum.reduce(c2.take(wrap), initial=NEG) != NEG:
-        raise InternalError("a table cell is smaller than the boundary "
-                            "subset of its row")
-    d2 = c2.take(gather)
-    del gather, wrap    # a plan too big to keep goes before the blocks
-    if pen is not None:
-        d2 -= pen
-    cells = np.empty((high.shape[1], K + 1), dtype=np.int32)
+        sum(at[a] ** u * at[b] for a, b in t1.eset & t2.eset))
+    w1, w2 = t1.cells.shape[1], t2.cells.shape[1]
+    if len(t2.verts) + w2 > t2.K + 1 and (
+            t2.cells[_over(len(t2.cells), w2, t2.K)] != NEG).any():
+        raise InternalError("a table cell lies past its size cap")
+    c2 = t2.cells.T if pen is None else t2.cells.T - pen
+    width = min(len(vset) - len(outset), K) + 1
+    cells = np.empty((high.shape[1], width), dtype=np.int32)
+    # built before the buffers: a broadcast compare holds numpy's own
+    # buffers while it runs
+    over = (_over(len(cells), width, K) if len(outset) + width > K + 1
+            else None)
     # powers of two, so the blocks of n result rows tile the result
     group = low.shape[1]
     n = min(len(cells), max(1, _BLOCK // group))
-    a = np.empty((t1.K + 1, group, n), dtype=np.int32)
-    b = np.empty((t2.K + 1, group, n), dtype=np.int32)
-    out = np.empty((K + 1, group * n), dtype=np.int32)
-    scratch = np.empty((max(t1.K, t2.K) + 1, group * n), dtype=np.int32)
+    a = np.empty((w1, group, n), dtype=np.int32)
+    b = np.empty((w2, group, n), dtype=np.int32)
+    out = np.empty((len(middle) + width, group * n), dtype=np.int32)
+    # a one-row operand leaves the kernel no partial sums to hold
+    scratch = np.empty(((min(w1, w2) > 1) * min(max(w1, w2), width),
+                        group * n), dtype=np.int32)
     for s in range(0, len(cells), n):
         idx = low[:, :, None] + high[:, None, s:s + n]
         t1.cells.T.take(idx[0], axis=1, out=a, mode="clip")
-        d2.take(idx[1], axis=1, out=b, mode="clip")
-        cells[s:s + n] = maxplus_rows(a.reshape(len(a), -1),
-                                      b.reshape(len(b), -1), out, scratch,
-                                      group).T
+        c2.take(idx[1], axis=1, out=b, mode="clip")
+        cells[s:s + n] = maxplus_rows(a.reshape(w1, -1), b.reshape(w2, -1),
+                                      out, scratch, group, len(middle)).T
+    if over is not None:
+        cells[over] = NEG
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
     return BoundaryTable(L, R, vset, eset, K, cells,
-                         ("merge", t1, t2, (low, high, pen, shared))
-                         if keep else ())
+                         ("merge", t1, t2, (low, high, pen)) if keep else ())
 
 
 def _vec(cells: list[int]) -> list[int | None]:
@@ -354,32 +406,34 @@ def _vec(cells: list[int]) -> list[int | None]:
 def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
     t that reach its cell (r, kp): the first Bx, in pair order, whose
-    t1 row and discounted t2 row for S = r | Bx combine to the cell's
-    value.  The operand rows and the discount come from the plan the
-    merge kept."""
-    t1, t2, (low, high, pen, shared) = t.made[1:]
-    val = int(t.cells[r, kp])
-    for r1, r2 in (high[:, r, None] + low).T.tolist():
-        shift = (r2 & shared).bit_count()
+    t1 row and discounted t2 row for S = r | Bx, lifted by |Bx|, combine
+    to the cell's value.  The operand rows and the discount come from
+    the plan the merge kept."""
+    t1, t2, (low, high, pen) = t.made[1:]
+    val = _cell(t, r, kp)
+    h1, h2 = high[:, r].tolist()
+    for x1, x2 in low.T.tolist():
+        r1, r2 = h1 + x1, h2 + x2
         less = 0 if pen is None else int(pen[r2])
         pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
-                            _vec([c - less for c in
-                                  t2.cells[r2, shift:].tolist()]), kp, val)
+                            _vec([c - less for c in t2.cells[r2].tolist()]),
+                            kp - r.bit_count(), val, x1.bit_count())
         if pair is not None:
-            return [(t1, r1, pair[0]), (t2, r2, pair[1] + shift)]
+            return [(t1, r1, pair[0] + r1.bit_count()),
+                    (t2, r2, pair[1] + r2.bit_count())]
     raise InternalError(f"traceback: no middle subset reaches {val} at "
                         f"size {kp}")
 
 
 def _traceback(t: BoundaryTable, kp: int) -> set[int]:
-    """Vertices of a kp-subset that reaches the best cell of column kp of
+    """Vertices of a kp-subset that reaches the best cell at size kp of
     the kept table t.  Each cell is walked back to operand cells that
     reach it: adjust keeps the row; extend drops z's bit, and one unit of
     size when z is selected; contract takes the z-out or the z-in row,
     whichever reaches the cell; merge_tables searches the Bx of the row.
     The walk ends at enumerated tables, whose rows are the selections."""
     chosen: set[int] = set()
-    todo = [(t, int(t.cells[:, kp].argmax()), kp)]
+    todo = [(t, int(_sized(t)[:, kp].argmax()), kp)]
     while todo:
         t, r, kp = todo.pop()
         if kp == 0:
@@ -401,7 +455,9 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
         elif step == "contract":            # put z's bit j back
             j = src.verts.index(src.L[0])
             out = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))
-            r = out if src.cells[out, kp] == t.cells[r, kp] else out | (1 << j)
+            if _cell(src, out, kp) != _cell(t, r, kp):
+                out |= 1 << j
+            r = out
         todo.append((src, r, kp))
     return chosen
 
@@ -509,7 +565,8 @@ def _schedule(forest: Forest) -> dict[int, tuple]:
 def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
                     keep: bool = False) -> tuple[BoundaryTable, int, int]:
     """(root table, cells, max rows): the outermost root's table, and the
-    cells of every tree node's table summed and the most rows of any.
+    cells of every tree node's table summed, K + 1 a row (one per size,
+    however few the row stores), and the most rows of any.
     `keep` records in each table's `made` the operands it was built
     from, intermediate tables included.  One event per node table,
     naming the node, is appended to `trace`, in `_schedule`'s
@@ -531,7 +588,7 @@ def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
         except StopIteration as done:
             t = done.value
             stack.pop()
-            cells += t.cells.size
+            cells += len(t.cells) * (t.K + 1)
             rows = max(rows, len(t.cells))
             if trace is not None:
                 br = plan[v.uid][1]
@@ -569,7 +626,7 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     forest = build_forest(le, root=root)
     rt, cells, max_rows = evaluate_tables(forest, cap, trace=trace,
                                           keep=witness)
-    vals = rt.cells.max(axis=0).tolist()
+    vals = _sized(rt).max(axis=0).tolist()
     if len(vals) <= cap or NEG in vals:
         raise InternalError("root table has holes")
     if stats is not None:

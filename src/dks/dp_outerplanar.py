@@ -330,10 +330,11 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     its endpoints (one through position 0 spans the complementary arc);
     its span opens at edge s, outermost first.  Each edge's leaf table,
     with the hangs that attach lists at its first vertex attached one by
-    one, goes onto the innermost open span.  A span closes after its last
-    edge: its pieces are merged left to right, and the result goes onto
-    the enclosing span.  `keep` records each table's operands in its
-    `made`."""
+    one, goes onto the innermost open span; a leaf that only a push will
+    read, unless traced or kept, goes on without rows.  A span closes
+    after its last edge: its pieces are merged left to right, and the
+    result goes onto the enclosing span.  `keep` records each table's
+    operands in its `made`."""
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -369,9 +370,16 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
                 raise NotOuterplanar(f"crossing chords at span [{i},{e})")
             stack.append((e, []))
         x, y = cycle[i], cycle[(i + 1) % m]
+        hangs = attach.get(x, ())
+        if (trace is None and not keep and stack[-1][1] and not hangs
+                and (y != cycle[0] or len(stack) > 1)):
+            # a later piece of its span, which no merge closes the cycle
+            # with: pushed, it is read for its labels and vcount alone
+            stack[-1][1].append(EdgeTable(x, y, 2, [], True))
+            continue
         t = leaf_table(x, y, k)
         _emit(trace, g, "leaf", t)
-        for h in attach.get(x, ()):
+        for h in hangs:
             t = attach_hang(t, 0, h, k, keep)
         stack[-1][1].append(t)
 

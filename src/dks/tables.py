@@ -8,12 +8,14 @@ keeps its own size, bonus and overlap arithmetic.  `maxplus_into` is its
 one-term case, the component join's combine.  (A flat merge whose second
 operand is a bare leaf needs no combine at all; see
 dp_outerplanar.merge_tables.)  `maxplus_rows` is the plain combine (no
-shift, no add) for the leveled DP's array tables, with the sentinel NEG
-for None: its operands are size-major int32 arrays, a row per size and
-a column per pair of vectors, so each numpy call runs along a row of
-every pair at once; the leveled merge charges its overlap to one
-operand beforehand.  int32 is exact while the graph has fewer than 2^28
-edges (see NEG).
+add, a shift only per run of pairs) for the leveled DP's array tables,
+with the sentinel NEG for None: its operands are size-major int32
+arrays, a row per size and a column per pair of vectors, so each numpy
+call runs along a row of every pair at once; the leveled merge charges
+its shared edges to one operand beforehand, and has the kernel lift
+each pair by its middle subset's size as it keeps the best pair per
+result.  int32 is exact while the graph has fewer than 2^28 edges (see
+NEG).
 `maxplus_pair` inverts one cell of one term: every witness traceback
 step asks it which operand cells a result cell came from.
 """
@@ -81,30 +83,47 @@ def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
     return None
 
 
-def maxplus_rows(a, b, out, scratch, group: int = 1):
+def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):
     """`maxplus_into` down every column of the size-major int32 arrays a
     and b (a row per size, a column per pair, at least one row each) into
-    the same column of `out` (a row per result size), whose old cells are
-    ignored; `scratch` has out's columns and at least a's and b's rows.
-    Then the columns, read as `group` equal runs, are reduced to their
-    cellwise max.  Returns the (len(out), columns // group) result, a
-    view of `out` when group is 1; a cell is NEG exactly when no pair of
-    defined cells lands on it."""
+    the same column of out[lift:] (a row per result size), whose old
+    cells are ignored; `scratch` has out's columns and at least a's and
+    b's rows.  Then the columns, read as `group` equal runs, are reduced
+    to their cellwise max.  With `lift`, group is 2^lift, out is
+    C-contiguous, its first `lift` rows are room the kernel uses, and
+    run g's results land popcount(g) rows further down.  Returns the
+    (len(out) - lift, columns // group) result, a view of `out` when
+    group is 1; a cell is NEG exactly when no pair of defined cells
+    lands on it."""
     import numpy as np  # deferred: only leveled tables need numpy
 
     if len(a) < len(b):
         a, b = b, a           # the combine is symmetric: loop the narrower
-    width = len(out)
+    rows = out[lift:]
+    width = len(rows)
     n = min(len(a), width)
-    np.add(a[:n], b[0], out=out[:n])
+    np.add(a[:n], b[0], out=rows[:n])
     if n < width:
-        out[n:] = NEG
+        rows[n:] = NEG
     for j in range(1, min(len(b), width)):
         n = min(len(a), width - j)
         np.add(a[:n], b[j], out=scratch[:n])
-        np.maximum(out[j:j + n], scratch[:n], out=out[j:j + n])
-    if group > 1:
-        out = np.maximum.reduce(out.reshape(width, group, -1), axis=1)
+        np.maximum(rows[j:j + n], scratch[:n], out=rows[j:j + n])
+    if lift:
+        # result row d of run g is out[lift + d - popcount(g), g]: a view
+        # with an axis per bit k of g, stepping 2^k runs on and one row
+        # back, over room that reads NEG
+        out[:lift] = NEG
+        step, run, cell = out.reshape(len(out), group, -1).strides
+        view = np.ndarray(
+            (width, *[2] * lift, out.shape[1] // group), out.dtype, out,
+            lift * step, (step, *[(run << k) - step for k in range(lift)],
+                          cell))
+        out = np.maximum.reduce(view, axis=tuple(range(1, lift + 1)))
+    elif group > 1:
+        out = np.maximum.reduce(rows.reshape(width, group, -1), axis=1)
+    else:
+        out = rows
     out[out < NEG // 2] = NEG
     return out
 

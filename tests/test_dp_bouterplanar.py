@@ -17,7 +17,7 @@ from dks.dp_bouterplanar import (ABSENT, BoundaryTable, create,
                                  solve_bouterplanar_values)
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
-from dks.generators import GenSpec, gen_bouterplanar
+from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
 from dks.graph import Graph
 from dks.oracle import brute_force_all_k
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
@@ -254,6 +254,34 @@ def test_table_shape_invariants():
                     assert v >= 0
 
 
+@given(family=st.sampled_from(["bouterplanar", "outerplanar"]),
+       b=st.integers(2, 4), extra=st.integers(0, 8), k=st.integers(1, 9),
+       seed=st.integers(0, 10**6),
+       variant=st.sampled_from(["zigzag", "zigzag_alt"]))
+@settings(max_examples=40, deadline=None)
+def test_every_table_stores_exactly_the_sizes_its_rows_reach(
+        family, b, extra, k, seed, variant):
+    # a row can reach the sizes from its subset's size up by the region's
+    # interior vertices, capped at K, and every one of them: a table has
+    # one column per interior count, and its rows view is real exactly
+    # on that band (an outerplanar input is forced onto the leveled DP)
+    spec = GenSpec(n=3 * b - 2 + extra, b=b, rho=0.6, seed=seed)
+    g = (gen_bouterplanar if family == "bouterplanar"
+         else gen_outerplanar)(spec)
+    trace: list = []
+    solve(g, min(k, g.n), force_solver="bouterplanar",
+          triangulation=variant, trace=trace)
+    tables = [ev["table"] for ev in trace
+              if isinstance(ev["table"], BoundaryTable)]
+    assert tables
+    for t in tables:
+        inner = len(t.vset) - len(t.bset)
+        assert t.cells.shape[1] == min(inner, t.K) + 1
+        for a, cells in t.rows.items():
+            assert [kp for kp, c in enumerate(cells) if c is not ABSENT] \
+                == list(range(len(a), min(len(a) + inner, t.K) + 1))
+
+
 # ------------------------------------------------------------- equivalences
 
 
@@ -373,7 +401,7 @@ def test_one_plan_per_merge_shape_with_read_only_arrays():
     plan, = kept.values()
     assert first.made[3][0] is plan[0] and again.made[3][0] is plan[0]
     arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 4
+    assert len(arrays) >= 2         # both operands' rows, and the discount
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -523,8 +551,9 @@ except TooManyEdges as e:
 
 
 def test_discount_guard_raises_under_python_O():
-    # a real cell of t2 left of the vertices its row shares with t1
-    # cannot move left of column 0: merge_tables raises, under -O too
+    # a real cell of t2 past its size cap, which no subgraph of its
+    # region can reach, would enter the result: merge_tables raises,
+    # under -O too
     script = """
 import sys
 from dks.dp_bouterplanar import evaluate_tables, merge_tables
@@ -535,15 +564,15 @@ from dks.trees import build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
 g = Graph(6, rim)
 trace = []
-evaluate_tables(build_forest(embed_and_level(g)), 6, trace=trace, keep=True)
-t = next(ev["table"] for ev in trace
-         if ev["table"].made and ev["table"].made[0] == "merge")
-t1, t2 = t.made[1:3]
-merge_tables(t1, t2, 6)
-shared = min(t1.vset & t2.vset)
-t2.cells[1 << t2.verts.index(shared), 0] = 0
+evaluate_tables(build_forest(embed_and_level(g)), 2, trace=trace, keep=True)
+t1, t2 = next(ev["table"].made[1:3] for ev in trace
+              if ev["table"].made and ev["table"].made[0] == "merge")
+merge_tables(t1, t2, 2)
+width = t2.cells.shape[1]
+print("past K", len(t2.verts) + width - 1 > t2.K)  # the full row's last cell
+t2.cells[-1, width - 1] = 0
 try:
-    merge_tables(t1, t2, 6)
+    merge_tables(t1, t2, 2)
 except InternalError:
     print("InternalError", sys.flags.optimize)
 """
@@ -551,4 +580,4 @@ except InternalError:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout == "InternalError 1\n", out.stderr
+    assert out.stdout == "past K True\nInternalError 1\n", out.stderr

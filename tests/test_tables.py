@@ -96,6 +96,32 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
             for col in got.T.tolist()] == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(lift=st.integers(1, 3), cols=st.integers(1, 3),
+       wa=st.integers(1, 5), wb=st.integers(1, 5), extra=st.integers(-3, 3),
+       data=st.data())
+def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
+                                                     extra, data):
+    # run g of 2^lift lands popcount(g) rows down before the runs are
+    # reduced; the lift rows of out are the kernel's own room
+    group = 1 << lift
+    cell = st.one_of(st.none(), st.integers(-3, 9))
+    a = [data.draw(st.lists(cell, min_size=wa, max_size=wa))
+         for _ in range(group * cols)]
+    b = [data.draw(st.lists(cell, min_size=wb, max_size=wb))
+         for _ in range(group * cols)]
+    width = max(1, wa + wb - 1 + extra)
+    out = np.full((lift + width, group * cols), 5, dtype=np.int32)
+    scratch = np.full((max(wa, wb), group * cols), 5, dtype=np.int32)
+    got = maxplus_rows(size_major(a), size_major(b), out, scratch, group,
+                       lift)
+    want = [[None] * width for _ in range(cols)]
+    for p in range(group * cols):
+        maxplus_into(want[p % cols], a[p], b[p], (p // cols).bit_count())
+    assert [[None if c == NEG else c for c in col]
+            for col in got.T.tolist()] == want
+
+
 def test_maxplus_rows_clamps_discounted_absent_cells_to_neg():
     # a merge charges up to a few shared edges to its second operand, so
     # an absent cell arrives as NEG - drop; each sum it enters, with a
