@@ -27,12 +27,15 @@ puts each pair's cells (below).
 
 A table stores each row by interior count: a row selects its subset of
 the boundary, so it can only reach the sizes from that subset's size up
-by the region's interior vertices (I = |vset| - |bset|), capped at K.
-Column d of row r holds size popcount(r) + d, and a table has
-min(I, K) + 1 columns: a seed, whose vertices all lie on its boundary,
-has one.  ``extend`` keeps the columns, ``contract`` adds one, and a
-merge's pair of rows lands |Bx| columns right of its operands' columns
-summed, Bx being the middle vertices it selects.
+by the region's interior vertices (I = |vset| - |bset|).  Column d of
+row r holds size popcount(r) + d, and a table has min(I, K) + 1
+columns: a seed, whose vertices all lie on its boundary, has one.
+``extend`` keeps the columns, ``contract`` adds one, and a merge's pair
+of rows lands |Bx| columns right of its operands' columns summed, Bx
+being the middle vertices it selects.  K bounds only that width: every
+stored cell is a real, exact value, and a cell past size K (a row of
+many boundary vertices) is the optimum of a larger subgraph, which no
+cell at size K or below reads and the size view hides (``_sized``).
 
 What a merge derives from its operands' boundary shape, not from their
 cells (which operand cells meet, and what the overlap costs), is its
@@ -87,8 +90,9 @@ class BoundaryTable:
     cells is an int32 array of shape (2^|boundary|, min(I, K) + 1), for
     the I = |vset| - |bset| vertices inside the region: row i holds the
     subset whose bit j is set when verts[j], the j-th smallest boundary
-    vertex, is in it; column d holds subgraph size popcount(i) + d; NEG
-    marks an unrealisable pair, and every cell past size K.  int32 holds
+    vertex, is in it; column d holds subgraph size popcount(i) + d.
+    Every cell is real and exact, a cell past size K too; rows hides
+    those, and NEG marks only the sizes off a row's band.  int32 holds
     every cell exactly while the graph has fewer than 2^28 edges, which
     solve_bouterplanar_values checks (tables.NEG gives the argument).
     made is () for a table enumerated from its boundary and, when kept
@@ -139,14 +143,6 @@ def _cell(t: BoundaryTable, r: int, kp: int) -> int:
     return int(t.cells[r, d]) if 0 <= d < t.cells.shape[1] else NEG
 
 
-def _over(n: int, w: int, K: int):
-    """Mask of the cells past size K in a band of n rows and w columns."""
-    import numpy as np
-
-    room = K - np.bitwise_count(np.arange(n)).astype(np.int32)
-    return np.arange(w) > room[:, None]
-
-
 def _bits(mask: int) -> list[int]:
     """The positions of mask's set bits, ascending."""
     out = []
@@ -193,8 +189,6 @@ def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
         count[a] = count[a ^ low] + (nbr[low.bit_length() - 1] & a).bit_count()
     # no interior vertex, so one column
     cells = np.array(count, dtype=np.int32).reshape(-1, 1)
-    if K < len(core):
-        cells[np.bitwise_count(np.arange(len(count))) > K] = NEG
     return BoundaryTable(tuple(L), tuple(R), frozenset(core),
                          frozenset(es), K, cells)
 
@@ -216,7 +210,8 @@ def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     """Push vertex z onto both boundary paths; rows that include z pay
     one vertex and collect z's real edges into the selected boundary.
-    The interior is unchanged, and so is each cell's column."""
+    The interior is unchanged, and so is each cell's column; every cell
+    stays real, so a z-in row is its z-out row plus z's edges into it."""
     import numpy as np
 
     if z in t.vset:
@@ -234,10 +229,7 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     cells = np.empty((hi, 2, lo, w), dtype=np.int32)
     cells[:, 0] = old.reshape(hi, lo, w)
     inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
-    dead = old == NEG
-    if len(verts) + w > K:      # a z-in cell is past K where z-out is at K
-        dead |= _over(len(old), w, K - 1)
-    cells[:, 1] = np.where(dead, NEG, old + inc[:, None]).reshape(hi, lo, w)
+    cells[:, 1] = (old + inc[:, None]).reshape(hi, lo, w)
     eset = t.eset | {_norm(z, verts[j]) for j in zn}
     return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset, K,
                          cells.reshape(2 * len(old), w))
@@ -269,7 +261,8 @@ def contract(t: BoundaryTable) -> BoundaryTable:
 
 
 def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
-    """Score the closing edge between the two boundary tops, if real."""
+    """Score the closing edge between the two boundary tops, if real:
+    every cell is real, so each row selecting both gains exactly 1."""
     import numpy as np
 
     x, y = t.L[0], t.R[0]
@@ -282,7 +275,7 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     both = (1 << verts.index(x)) | (1 << verts.index(y))
     sel = (np.arange(len(t.cells)) & both) == both
     cells = t.cells.copy()
-    cells[sel] += cells[sel] != NEG
+    cells[sel] += 1
     return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
 
 
@@ -334,8 +327,10 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     boundaries, which the construction guarantees (checked).  The
     vertices too count once: the operand rows' subsets together are S,
     whose size is |A| + |Bx|, so a pair's cells land |Bx| columns right
-    of the sum of their own columns.  t2 has no real cell past its K
-    (checked); the result's cells past K are set to NEG.
+    of the sum of their own columns.  Every pair in the result's band
+    is realisable, so the result holds no NEG either, and a cell at
+    size K or below reads no operand cell past that operand's K: an
+    operand's part of a subgraph is no larger than the subgraph.
 
     What depends on the boundary shape alone, the operand rows and the
     shared edges, is the shape's _merge_plan, built once per shape.  A
@@ -366,16 +361,9 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
         # (1 << i) ** u * (1 << j) is bit i * u + j
         sum(at[a] ** u * at[b] for a, b in t1.eset & t2.eset))
     w1, w2 = t1.cells.shape[1], t2.cells.shape[1]
-    if len(t2.verts) + w2 > t2.K + 1 and (
-            t2.cells[_over(len(t2.cells), w2, t2.K)] != NEG).any():
-        raise InternalError("a table cell lies past its size cap")
     c2 = t2.cells.T if pen is None else t2.cells.T - pen
     width = min(len(vset) - len(outset), K) + 1
     cells = np.empty((high.shape[1], width), dtype=np.int32)
-    # built before the buffers: a broadcast compare holds numpy's own
-    # buffers while it runs
-    over = (_over(len(cells), width, K) if len(outset) + width > K + 1
-            else None)
     # powers of two, so the blocks of n result rows tile the result
     group = low.shape[1]
     n = min(len(cells), max(1, _BLOCK // group))
@@ -391,16 +379,10 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
         c2.take(idx[1], axis=1, out=b, mode="clip")
         cells[s:s + n] = maxplus_rows(a.reshape(w1, -1), b.reshape(w2, -1),
                                       out, scratch, group, len(middle)).T
-    if over is not None:
-        cells[over] = NEG
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
     return BoundaryTable(L, R, vset, eset, K, cells,
                          ("merge", t1, t2, (low, high, pen)) if keep else ())
-
-
-def _vec(cells: list[int]) -> list[int | None]:
-    return [c if c > NEG // 2 else None for c in cells]
 
 
 def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
@@ -415,8 +397,8 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     for x1, x2 in low.T.tolist():
         r1, r2 = h1 + x1, h2 + x2
         less = 0 if pen is None else int(pen[r2])
-        pair = maxplus_pair(_vec(t1.cells[r1].tolist()),
-                            _vec([c - less for c in t2.cells[r2].tolist()]),
+        pair = maxplus_pair(t1.cells[r1].tolist(),
+                            [c - less for c in t2.cells[r2].tolist()],
                             kp - r.bit_count(), val, x1.bit_count())
         if pair is not None:
             return [(t1, r1, pair[0] + r1.bit_count()),

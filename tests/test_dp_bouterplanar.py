@@ -282,6 +282,35 @@ def test_every_table_stores_exactly_the_sizes_its_rows_reach(
                 == list(range(len(a), min(len(a) + inner, t.K) + 1))
 
 
+@given(family=st.sampled_from(["bouterplanar", "outerplanar"]),
+       b=st.integers(2, 4), extra=st.integers(0, 8), k=st.integers(0, 5),
+       seed=st.integers(0, 10**6),
+       variant=st.sampled_from(["zigzag", "zigzag_alt"]))
+@settings(max_examples=40, deadline=None)
+def test_every_stored_cell_is_the_all_k_tables_value(
+        family, b, extra, k, seed, variant):
+    # the budget bounds only a table's width: each node's table at k holds
+    # no NEG and equals the first columns of the same node's all-k table,
+    # cells past size K included; the tables a witness keeps, intermediate
+    # ones too, hold no NEG either (an outerplanar input is drawn on one
+    # level, as the forced leveled solver draws it)
+    spec = GenSpec(n=3 * b - 2 + extra, b=b, rho=0.6, seed=seed)
+    g = (gen_bouterplanar if family == "bouterplanar"
+         else gen_outerplanar)(spec)
+    forest = build_forest(embed_and_level(g, variant=variant,
+                                          blocks=is_outerplanar(g)))
+    full = node_tables(forest, g.n)
+    at_k = node_tables(forest, k, keep=True)
+    assert at_k.keys() == full.keys()
+    for uid, t in at_k.items():
+        assert np.array_equal(t.cells, full[uid].cells[:, :t.cells.shape[1]])
+    todo = list(at_k.values())      # every node table, then what built it
+    while todo:
+        t = todo.pop()
+        assert (t.cells != dp_bouterplanar.NEG).all()
+        todo += [s for s in t.made[1:3] if isinstance(s, BoundaryTable)]
+
+
 # ------------------------------------------------------------- equivalences
 
 
@@ -550,15 +579,15 @@ except TooManyEdges as e:
     assert out.stdout == "TooManyEdges False 1\n", out.stderr
 
 
-def test_discount_guard_raises_under_python_O():
-    # a real cell of t2 past its size cap, which no subgraph of its
-    # region can reach, would enter the result: merge_tables raises,
-    # under -O too
+def test_merge_guards_raise_under_python_O():
+    # merge_tables refuses operands that do not meet (BoundaryMismatch)
+    # and regions that overlap off their shared boundary (InternalError),
+    # under -O too; each fixture is printed, so it is checked under -O
     script = """
-import sys
+import dataclasses, sys
 from dks.dp_bouterplanar import evaluate_tables, merge_tables
 from dks.embedding import embed_and_level
-from dks.errors import InternalError
+from dks.errors import BoundaryMismatch, InternalError
 from dks.graph import Graph
 from dks.trees import build_forest
 rim = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
@@ -568,11 +597,16 @@ evaluate_tables(build_forest(embed_and_level(g)), 2, trace=trace, keep=True)
 t1, t2 = next(ev["table"].made[1:3] for ev in trace
               if ev["table"].made and ev["table"].made[0] == "merge")
 merge_tables(t1, t2, 2)
-width = t2.cells.shape[1]
-print("past K", len(t2.verts) + width - 1 > t2.K)  # the full row's last cell
-t2.cells[-1, width - 1] = 0
+print("meet", t1.R == t1.L)
 try:
-    merge_tables(t1, t2, 2)
+    merge_tables(t1, t1, 2)
+except BoundaryMismatch:
+    print("BoundaryMismatch", sys.flags.optimize)
+v = min(t2.vset - t1.bset)      # inside t2's region, off t1's boundary
+bad = dataclasses.replace(t1, vset=t1.vset | {v})
+print("overlap", v not in bad.bset)
+try:
+    merge_tables(bad, t2, 2)
 except InternalError:
     print("InternalError", sys.flags.optimize)
 """
@@ -580,4 +614,5 @@ except InternalError:
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout == "past K True\nInternalError 1\n", out.stderr
+    assert out.stdout == ("meet False\nBoundaryMismatch 1\n"
+                          "overlap True\nInternalError 1\n"), out.stderr
