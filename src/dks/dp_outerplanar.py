@@ -32,10 +32,11 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from typing import NamedTuple
 
-from dks.errors import BadArgument, BoundaryMismatch, InternalError, NotOuterplanar
+from dks.errors import (BadArgument, BoundaryMismatch, InternalError,
+                        NotOuterplanar, TooManyEdges)
 from dks.graph import Graph
 from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
-from dks.tables import maxplus_pair, maxplus_terms, vector_max
+from dks.tables import MAX_EDGES, maxplus_pair, maxplus_terms, vector_max
 
 
 @dataclass
@@ -461,8 +462,12 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     table cells and merges to `stats`, and one event per table built to
     `trace`.  With `witness`, every table is kept and pick(k') walks them
     back to a set of k' vertices that induces values[k'] edges; else pick
-    is None.
+    is None.  TooManyEdges when g has too many edges for the int32 cells
+    of a wide combine (see tables.NEG).
     """
+    if g.m >= MAX_EDGES:
+        raise TooManyEdges(f"{g.m} edges: int32 tables count exactly only "
+                           f"below {MAX_EDGES}")
     if blocks is None:
         blocks = outerplanar_blocks(g)
     bverts, part = blocks.vertices, blocks.part

@@ -55,7 +55,7 @@ class KTooLarge(DksError):
 
 
 class TooManyEdges(DksError):
-    """Graph has too many edges for the leveled solver's int32 tables to
+    """Graph has too many edges for the int32 tables of either solver to
     count exactly."""
 
 

@@ -2,20 +2,23 @@
 
 Vectors here are "optional max-plus": index = number of picked vertices,
 value = best edge count or None when no selection of that size exists.
-`maxplus_terms` is the flat DP's cell combine: one loop over a list of
+`maxplus_terms` is the flat DP's cell combine: one call over a list of
 terms (result row, operand rows, `shift`, `add`), in which each caller
 keeps its own size, bonus and overlap arithmetic.  `maxplus_into` is its
 one-term case, the component join's combine.  (A flat merge whose second
 operand is a bare leaf needs no combine at all; see
 dp_outerplanar.merge_tables.)  `maxplus_rows` is the plain combine (no
-add, a shift only per run of pairs) for the leveled DP's array tables,
-with the sentinel NEG for None: its operands are size-major int32
-arrays, a row per size and a column per pair of vectors, so each numpy
-call runs along a row of every pair at once; the leveled merge charges
+add, a shift only per run of pairs) on size-major int32 arrays, with the
+sentinel NEG for None: a row per size and a column per pair of vectors,
+so each numpy call runs along a row of every pair at once.  It serves
+both DPs.  The leveled DP keeps its tables in such arrays; it charges
 its shared edges to one operand beforehand, and has the kernel lift
 each pair by its middle subset's size as it keeps the best pair per
-result.  int32 is exact while the graph has fewer than 2^28 edges (see
-NEG).
+result.  A `maxplus_terms` call on rows wider than _WIDE cells a pair
+turns its terms into such columns, so numpy is loaded the first time a
+leveled table is built or a flat combine (an all-k solve, say) grows
+that wide; narrower calls run in Python and never load it.  int32 is
+exact while the graph has fewer than 2^28 edges (see NEG).
 `maxplus_pair` inverts one cell of one term: every witness traceback
 step asks it which operand cells a result cell came from.
 """
@@ -31,12 +34,26 @@ from __future__ import annotations
 NEG = -(1 << 29)
 MAX_EDGES = 1 << 28
 
+# A maxplus_terms call whose first a row times first b row exceeds this
+# runs on maxplus_rows; below it, numpy's fixed cost per call
+# (40-80 us) outweighs the Python loop's.  Measured per call, the kernel
+# wins from about 16 x 16 cells for a merge's eight terms, 20 x 20 for a
+# hang's four, and 100 x 5 for a join of a long vector with a short one.
+# Rows hold k + 1 cells at most, so a solve at k < 20 never crosses it.
+_WIDE = 400
+
 
 def maxplus_terms(out: list[list[int | None]], a: list[list[int | None]],
                   b: list[list[int | None]], terms) -> None:
     """maxplus_into(out[r], a[r1], b[r2], shift, add) for every term
-    (r, r1, r2, shift, add), in one loop: each row of b has its defined
-    cells listed once, however many terms read it."""
+    (r, r1, r2, shift, add).  Operands whose first rows pair more than
+    _WIDE cells (every caller's rows of one operand have one length) run
+    on the array kernel, _maxplus_terms_wide; narrower ones in one loop,
+    in which each row of b has its defined cells listed once, however
+    many terms read it."""
+    if len(a[0]) * len(b[0]) > _WIDE:
+        _maxplus_terms_wide(out, a, b, terms)
+        return
     pb = [[(k2, v2) for k2, v2 in enumerate(row) if v2 is not None]
           for row in b]
     for r, r1, r2, shift, add in terms:
@@ -56,6 +73,50 @@ def maxplus_terms(out: list[list[int | None]], a: list[list[int | None]],
                 cur = row[kp]
                 if cur is None or val > cur:
                     row[kp] = val
+
+
+def _maxplus_terms_wide(out, a, b, terms) -> None:
+    """maxplus_terms on maxplus_rows: an int32 column per term in each
+    operand, NEG for None.  A term's add goes on its b column, and its a
+    column starts shift - lo rows down, lo the least shift, so kernel
+    row j is size j + lo of every result row.  The terms of one result
+    row are the kernel's runs of columns (a NEG column fills a short
+    run), reduced to their cellwise max; cells that stay below NEG // 2
+    leave the row's old cell."""
+    import numpy as np  # deferred: see the module docstring
+
+    shifts = [t[3] for t in terms]
+    lo = min(shifts)
+    slots: dict[int, list] = {}           # result row -> its terms
+    for t in terms:
+        slots.setdefault(t[0], []).append(t)
+    group = max(map(len, slots.values()))
+    la = max(map(len, a)) + max(shifts) - lo
+    lb = max(map(len, b))
+    ca, cb = [], []
+    for run in range(group):
+        for ts in slots.values():
+            col_a = col_b = []
+            if run < len(ts):
+                _, r1, r2, shift, add = ts[run]
+                col_a = [NEG] * (shift - lo) + [NEG if c is None else c
+                                                for c in a[r1]]
+                col_b = [NEG if c is None else c + add for c in b[r2]]
+            ca.append(col_a + [NEG] * (la - len(col_a)))
+            cb.append(col_b + [NEG] * (lb - len(col_b)))
+    width = min(la + lb - 1, max(len(out[r]) for r in slots) - lo)
+    if width <= 0:
+        return
+    res = maxplus_rows(np.array(ca, np.int32).T, np.array(cb, np.int32).T,
+                       np.empty((width, len(ca)), np.int32),
+                       np.empty((max(la, lb), len(ca)), np.int32), group)
+    j = max(0, -lo)                   # the first row that lands in out
+    for r, col in zip(slots, res.T.tolist()):
+        row = out[r]
+        new = col[j:len(row) - lo]
+        row[j + lo:j + lo + len(new)] = [
+            old if v < NEG // 2 or (old is not None and old >= v) else v
+            for old, v in zip(row[j + lo:], new)]
 
 
 def maxplus_into(out: list[int | None], a: list[int | None],
@@ -95,7 +156,7 @@ def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):
     (len(out) - lift, columns // group) result, a view of `out` when
     group is 1; a cell is NEG exactly when no pair of defined cells
     lands on it."""
-    import numpy as np  # deferred: only leveled tables need numpy
+    import numpy as np  # deferred: see the module docstring
 
     if len(a) < len(b):
         a, b = b, a           # the combine is symmetric: loop the narrower

@@ -183,7 +183,9 @@ def materialize_slice(forest, node, memo: dict) -> tuple[frozenset, frozenset]:
                 edges.add(norm(v.x, v.y))
         elif lev == 1:
             if v.countable:
-                assert g.has_edge(v.x, v.y)
+                if not g.has_edge(v.x, v.y):
+                    raise AssertionError(f"countable leaf ({v.x}, {v.y}) "
+                                         f"is not an edge")
                 edges.add(norm(v.x, v.y))
         else:
             tree = forest.trees[v.comp]

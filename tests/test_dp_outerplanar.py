@@ -6,17 +6,22 @@ checked bit-for-bit against those tables, None (= no subgraph of that
 size with that endpoint trace) included.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dks
 from dks.errors import DksError, NotOuterplanar
 from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k
-from dks import dp_outerplanar
+from dks import dp_outerplanar, tables
 from dks.dp_outerplanar import (
     EdgeTable,
     block_outer_cycle,
@@ -26,7 +31,7 @@ from dks.dp_outerplanar import (
     merge_tables,
     solve_outerplanar_values,
 )
-from dks.solve import solve_outerplanar
+from dks.solve import solve, solve_outerplanar
 from helpers import (brute_force_slice_table, flat_merge_reference,
                      shaped_outerplanar)
 
@@ -416,3 +421,50 @@ def test_matches_oracle_on_random_outerplanar(g, data):
         assert len(chosen) == k
         assert sum(u in chosen and v in chosen for u, v in g.edges) \
             == expected[k]
+
+
+def test_edge_limit_of_int32_tables_raises_under_python_O():
+    # a wide combine runs on int32 cells, exact only below MAX_EDGES
+    # edges: the flat solver refuses before any table is built, under -O
+    # too (a stub stands in for a graph that large)
+    script = """
+import sys
+from dks.dp_outerplanar import solve_outerplanar_values
+from dks.errors import InternalError, TooManyEdges
+from dks.tables import MAX_EDGES
+class Huge:
+    n, m = 3, MAX_EDGES
+try:
+    solve_outerplanar_values(Huge(), 2)
+except TooManyEdges as e:
+    print("TooManyEdges", isinstance(e, InternalError), sys.flags.optimize)
+"""
+    src = Path(dks.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "TooManyEdges False 1\n", out.stderr
+
+
+@pytest.mark.parametrize("n, seed", [(100, 1), (180, 2), (300, 3)])
+def test_wide_combines_leave_all_k_values_and_witnesses_unchanged(
+        n, seed, monkeypatch):
+    # combines wider than _WIDE cells a pair run on the array kernel; with
+    # _WIDE out of reach the Python loop runs them all, and the values and
+    # witnesses (at k = n, as `dks solve --all-k --witness` asks, and at
+    # n // 2) must come out the same
+    g = gen_outerplanar(GenSpec(n=n, rho=0.5, seed=seed))
+    calls = []
+    kernel = tables.maxplus_rows
+    monkeypatch.setattr(tables, "maxplus_rows",
+                        lambda *args: calls.append(1) or kernel(*args))
+
+    def reports():
+        return [(r.values, r.witness) for r in
+                (solve(g, kp, witness=True) for kp in (g.n, g.n // 2))]
+
+    wide = reports()
+    ran = len(calls)
+    monkeypatch.setattr(tables, "_WIDE", 1 << 62)
+    assert reports() == wide
+    assert ran > 0 and len(calls) == ran

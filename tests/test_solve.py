@@ -260,8 +260,10 @@ def test_leveled_table_stats_are_pinned(which, k):
 
 def test_import_and_flat_solve_leave_numpy_unloaded():
     # numpy and networkx cost a noticeable share of a short run's
-    # start-up; only the leveled tables need numpy, and only a
-    # rotation-less input that is not outerplanar needs networkx
+    # start-up; only the leveled tables and the flat solver's combines
+    # wider than tables._WIDE cells a pair (as an all-k solve of a
+    # hundred vertices builds) need numpy, and only a rotation-less
+    # input that is not outerplanar needs networkx
     script = ("import sys, dks, dks.cli\n"
               "from dks import Graph, solve\n"
               "from dks.generators import GenSpec, gen_bouterplanar\n"
@@ -283,6 +285,18 @@ def test_import_and_flat_solve_leave_numpy_unloaded():
                          timeout=120)
     assert out.stdout == ("False False 4\nbouterplanar True False\n"
                           "True True\n"), out.stderr
+    script = ("import sys\n"
+              "from dks import solve\n"
+              "from dks.generators import GenSpec, gen_outerplanar\n"
+              "g = gen_outerplanar(GenSpec(n=100, seed=1))\n"
+              "solve(g, 5, witness=True)\n"
+              "print('numpy' in sys.modules)\n"
+              "solve(g, g.n)\n"
+              "print('numpy' in sys.modules, 'networkx' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.stdout == "False\nTrue False\n", out.stderr
 
 
 def test_both_solvers_emit_one_event_shape():

@@ -4,8 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dks.tables import (MAX_EDGES, NEG, convolve_max_plus, maxplus_into,
-                        maxplus_pair, maxplus_rows)
+from dks.dp_outerplanar import _HANG_TERMS, _merge_terms
+from dks.tables import (_WIDE, MAX_EDGES, NEG, convolve_max_plus,
+                        maxplus_into, maxplus_pair, maxplus_rows,
+                        maxplus_terms)
 
 cells = st.lists(st.one_of(st.none(), st.integers(-3, 9)), max_size=7)
 
@@ -57,6 +59,64 @@ def test_maxplus_pair_inverts_every_cell(a, b, shift, add, width):
 def test_convolve_max_plus_is_the_unshifted_kernel(a, b, kmax):
     assert convolve_max_plus(a, b, kmax) == naive([None] * (kmax + 1), a, b,
                                                   0, 0)
+
+
+@st.composite
+def term_calls(draw):
+    """(out, a, b, terms, wide): operand rows of one length per operand,
+    whose product is above _WIDE when `wide` and at most _WIDE else, each
+    with None runs at both ends; the terms of a flat merge (closing or
+    not), of a hang attachment, or random ones with shifts -2..1 and adds
+    -1..1; and result rows that need not start empty."""
+    wide = draw(st.booleans())
+    kind = draw(st.sampled_from(["merge", "hang", "random"]))
+    if kind == "merge":
+        terms = _merge_terms(*(draw(st.booleans()) for _ in range(4)))
+    elif kind == "hang":
+        terms = _HANG_TERMS[draw(st.integers(0, 1))]
+    else:
+        terms = draw(st.lists(st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 3),
+            st.integers(-2, 1), st.integers(-1, 1)), min_size=1, max_size=8))
+    if wide:
+        la = draw(st.integers(8, 40))
+        lb = draw(st.integers(_WIDE // la + 1, _WIDE // la + 8))
+    else:
+        la = draw(st.integers(1, 24))
+        lb = draw(st.integers(1, min(24, _WIDE // la)))
+    if draw(st.booleans()):
+        la, lb = lb, la
+
+    def row(n):
+        lead = draw(st.integers(0, min(3, n)))
+        trail = draw(st.integers(0, min(3, n - lead)))
+        body = draw(st.lists(st.one_of(st.none(), st.integers(0, 30)),
+                             min_size=n - lead - trail,
+                             max_size=n - lead - trail))
+        return [None] * lead + body + [None] * trail
+
+    a = [row(la) for _ in range(4)]
+    b = [row(lb) for _ in range(2 if kind == "hang" else 4)]
+    width = draw(st.integers(0, la + lb + 1))
+    old = st.one_of(st.none(), st.none(), st.integers(0, 40))
+    out = [draw(st.lists(old, min_size=width, max_size=width))
+           for _ in range(4)]
+    return out, a, b, terms, wide
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_calls())
+def test_maxplus_terms_matches_triple_loop_on_both_sides_of_wide(case):
+    # above _WIDE cells a pair the call runs on the array kernel, at or
+    # below it on the Python loop; both must match the triple loop, term
+    # by term, old cells of out included
+    out, a, b, terms, wide = case
+    assert (len(a[0]) * len(b[0]) > _WIDE) == wide
+    want = [list(r) for r in out]
+    for r, r1, r2, shift, add in terms:
+        want[r] = naive(want[r], a[r1], b[r2], shift, add)
+    maxplus_terms(out, a, b, terms)
+    assert out == want
 
 
 @st.composite
