@@ -118,10 +118,10 @@ class BoundaryTable:
     @property
     def rows(self) -> dict:
         """Read-only view: boundary subset -> cells by size 0..K, ABSENT
-        for NEG."""
+        for a cell below NEG // 2."""
         verts = self.verts
         return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
-                [ABSENT if c == NEG else c for c in row]
+                [ABSENT if c < NEG // 2 else c for c in row]
                 for i, row in enumerate(_sized(self).tolist())}
 
 
@@ -609,7 +609,7 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
     rt, cells, max_rows = evaluate_tables(forest, cap, trace=trace,
                                           keep=witness)
     vals = _sized(rt).max(axis=0).tolist()
-    if len(vals) <= cap or NEG in vals:
+    if len(vals) <= cap or min(vals) < 0:
         raise InternalError("root table has holes")
     if stats is not None:
         stats["levels"] = le.depth

@@ -9,7 +9,12 @@ tables of the value solve, certified before it is returned.  Each
 component is recognised once, in place, by one block-cut pass over its
 own vertices: the flat solver folds an outerplanar component on the
 input's own vertex ids, with no copy, and only a component that is not
-flat is cut out as a Graph of its own for the leveled solver.
+flat is cut out as a Graph of its own for the leveled solver.  The
+component vectors are joined by max-plus convolution into one running
+vector: a list while each join pairs at most tables._WIDE cells, one
+int32 array from the first wider join on (k >= 20 only), so an all-k
+solve of many components costs Python work per component, not per
+cell of the running vector.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import operator
 import time
 
+from dks import tables
 from dks.dp_bouterplanar import solve_bouterplanar_values
 from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
@@ -49,7 +55,8 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     any other), else it is cut out of g for the leveled one.  With
     `witness`, pick(k') is a set of k' vertices that the tables of every
     component claim induces values[k'] edges: each join is split back
-    into the sizes its two vectors contribute.  Else pick is None.
+    into the sizes its two vectors contribute, against the running
+    vector kept as it was built.  Else pick is None.
     """
     if stats is None:
         stats = {}
@@ -98,25 +105,52 @@ def _values(g: Graph, k: int, *, force: str = "auto",
                     stats[key] = stats.get(key, 0) + val
         if witness:
             joins.append((acc, vec, keep, pick))
-        acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
-    if len(acc) != cap + 1 or None in acc:
+        width = min(cap, len(acc) - 1 + sk)
+        if type(acc) is list and len(acc) * len(vec) <= tables._WIDE:
+            acc = convolve_max_plus(acc, vec, width)
+        else:
+            acc = _join_wide(acc, vec, width)
+    values = acc if type(acc) is list else acc.tolist()
+    if len(values) != cap + 1 or None in values or min(values) < 0:
         raise InternalError("joined component vectors miss a size")
 
     def pick_joined(kp: int) -> set[int]:
         chosen: set[int] = set()
-        val = acc[kp]
+        val = values[kp]
         for prev, vec, keep, pick in reversed(joins):
-            pair = maxplus_pair(prev, vec, kp, val)
+            # no size of prev below lo pairs with a cell of vec, so the
+            # split walks at most len(vec) cells, not kp
+            lo = max(0, kp - len(vec) + 1)
+            pair = maxplus_pair(prev[lo:kp + 1], vec, kp - lo, val)
             if pair is None:
                 raise InternalError(f"traceback: no split of size {kp} "
                                     f"over the components reaches {val}")
-            kp, k2 = pair
+            kp, k2 = lo + pair[0], pair[1]
             chosen.update(keep[v] for v in pick(k2))
-            val = prev[kp]
+            val = int(prev[kp])
         return chosen
 
     name = "outerplanar" if names == {"outerplanar"} else "bouterplanar"
-    return name, acc, pick_joined if witness else None
+    return name, values, pick_joined if witness else None
+
+
+def _join_wide(acc, vec: list[int | None], kmax: int):
+    """acc ⊛ vec for sizes 0..kmax on tables.maxplus_rows, as an int32
+    array: acc is one already, or the list it was until this, its first
+    wide join.  After that join only vec is converted, so a join costs
+    Python work in len(vec) and numpy work in len(acc) * len(vec); a
+    cell below tables.NEG // 2 is absent."""
+    import numpy as np  # deferred: narrow joins never load it
+
+    def col(v):
+        return np.array([tables.NEG if c is None else c for c in v],
+                        np.int32)[:, None]
+
+    a = col(acc) if type(acc) is list else acc[:, None]
+    b = col(vec)
+    return tables.maxplus_rows(a, b, np.empty((kmax + 1, 1), np.int32),
+                               np.empty((max(len(a), len(b)), 1),
+                                        np.int32))[:, 0]
 
 
 def solve(g: Graph, k: int, *, force_solver: str = "auto",

@@ -5,22 +5,25 @@ value = best edge count or None when no selection of that size exists.
 `maxplus_terms` is the flat DP's cell combine: one call over a list of
 terms (result row, operand rows, `shift`, `add`), in which each caller
 keeps its own size, bonus and overlap arithmetic.  `maxplus_into` is its
-one-term case, the component join's combine.  (A flat merge whose second
-operand is a bare leaf needs no combine at all; see
-dp_outerplanar.merge_tables.)  `maxplus_rows` is the plain combine (no
-add, a shift only per run of pairs) on size-major int32 arrays, with the
-sentinel NEG for None: a row per size and a column per pair of vectors,
-so each numpy call runs along a row of every pair at once.  It serves
-both DPs.  The leveled DP keeps its tables in such arrays; it charges
-its shared edges to one operand beforehand, and has the kernel lift
-each pair by its middle subset's size as it keeps the best pair per
-result.  A `maxplus_terms` call on rows wider than _WIDE cells a pair
-turns its terms into such columns, so numpy is loaded the first time a
-leveled table is built or a flat combine (an all-k solve, say) grows
-that wide; narrower calls run in Python and never load it.  int32 is
-exact while the graph has fewer than 2^28 edges (see NEG).
-`maxplus_pair` inverts one cell of one term: every witness traceback
-step asks it which operand cells a result cell came from.
+one-term case, the component join's combine while the join is narrow.
+(A flat merge whose second operand is a bare leaf needs no combine at
+all; see dp_outerplanar.merge_tables.)  `maxplus_rows` is the plain
+combine (no add, a shift only per run of pairs) on size-major int32
+arrays, with the sentinel NEG for None and any cell below NEG // 2
+read as absent: a row per size and a column per pair of vectors, so
+each numpy call runs along a row of every pair at once.  It serves both
+DPs and the component join.  The leveled DP keeps its tables in such
+arrays; it charges its shared edges to one operand beforehand, and has
+the kernel lift each pair by its middle subset's size as it keeps the
+best pair per result.  A `maxplus_terms` call on rows wider than _WIDE
+cells a pair turns its terms into such columns, and solve's component
+join keeps its running vector as one such column from its first join
+that wide on.  So numpy is loaded the first time a leveled table is
+built or a flat combine or a join (an all-k solve, say) grows that
+wide; narrower calls run in Python and never load it.  int32 is exact
+while the graph has fewer than 2^28 edges (see NEG).  `maxplus_pair`
+inverts one cell of one term: each DP's witness traceback asks it
+which operand cells a result cell came from.
 """
 
 from __future__ import annotations
@@ -131,9 +134,11 @@ def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
                  val: int, shift: int = 0,
                  add: int = 0) -> tuple[int, int] | None:
     """A pair (k1, k2) with k1 + k2 + shift == kp and a[k1] + b[k2] + add
-    == val, both cells defined: a pair `maxplus_into` with the same a, b,
-    shift and add combines into out[kp] with value val.  None when no
-    pair reaches val."""
+    == val, both cells defined, k1 the least: a pair `maxplus_into` with
+    the same a, b, shift and add combines into out[kp] with value val.
+    None when no pair reaches val.  It walks a from its start, so the
+    component join, whose a is the long running vector (an int32 array
+    once wide), passes only the tail whose cells pair with b."""
     for k1, v1 in enumerate(a):
         k2 = kp - shift - k1
         if k2 < 0:
@@ -154,8 +159,9 @@ def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):
     C-contiguous, its first `lift` rows are room the kernel uses, and
     run g's results land popcount(g) rows further down.  Returns the
     (len(out) - lift, columns // group) result, a view of `out` when
-    group is 1; a cell is NEG exactly when no pair of defined cells
-    lands on it."""
+    group is 1.  An operand cell below NEG // 2 is absent, and so is a
+    result cell: it is below NEG // 2 exactly when no pair of defined
+    cells lands on it (see NEG for why no sum wraps)."""
     import numpy as np  # deferred: see the module docstring
 
     if len(a) < len(b):
@@ -180,13 +186,10 @@ def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):
             (width, *[2] * lift, out.shape[1] // group), out.dtype, out,
             lift * step, (step, *[(run << k) - step for k in range(lift)],
                           cell))
-        out = np.maximum.reduce(view, axis=tuple(range(1, lift + 1)))
-    elif group > 1:
-        out = np.maximum.reduce(rows.reshape(width, group, -1), axis=1)
-    else:
-        out = rows
-    out[out < NEG // 2] = NEG
-    return out
+        return np.maximum.reduce(view, axis=tuple(range(1, lift + 1)))
+    if group > 1:
+        return np.maximum.reduce(rows.reshape(width, group, -1), axis=1)
+    return rows
 
 
 def convolve_max_plus(a: list[int | None], b: list[int | None],

@@ -197,6 +197,24 @@ def test_flat_solve_memory_is_linear_with_a_small_constant():
     assert peak / g.n < 400, peak / g.n
 
 
+def test_all_k_witness_of_many_components_keeps_int32_prefixes():
+    """A 2,000-vertex matching, all k, with a witness: the tracemalloc
+    peak stays under 10 MiB.  The witness walk keeps the running vector
+    of every join; kept as int32 arrays once the joins are wide, the
+    1,000 prefixes take about 4 MiB, and as lists of Python ints about
+    25."""
+    g = Graph(2_000, [(2 * i, 2 * i + 1) for i in range(1_000)])
+    solve(Graph(40, [(2 * i, 2 * i + 1) for i in range(20)]), 40)
+    tracemalloc.start()
+    try:
+        rep = solve(g, g.n, witness=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.values[-1] == 1_000 and len(rep.witness) == g.n
+    assert peak < 10 * 2**20, peak / 2**20
+
+
 def test_flat_solver_time_on_many_blocks_grows_near_linearly():
     """Chains of 2,000 and 20,000 triangles (one block each): log-log
     slope <= 1.25 of the best of 5 runs at each size, so per-block work

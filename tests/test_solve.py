@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import dks
 import helpers
-from dks import dp_bouterplanar, dp_outerplanar
+from dks import dp_bouterplanar, dp_outerplanar, tables
 from dks.cli import _print_table
 from dks.embedding import embed_and_level
 from dks.errors import BadArgument, InternalError, KTooLarge, NotOuterplanar
@@ -163,6 +163,48 @@ def test_disconnected_input_solves_as_its_components_one_by_one(kinds, seed,
         assert edges_within(g, rep.witness) == rep.optimum
 
 
+def test_int32_joins_match_list_joins(monkeypatch):
+    # from the first join wider than tables._WIDE cells on, the running
+    # vector is one int32 array; with _WIDE out of reach every join (and
+    # every flat combine) stays on lists, and values, witness, stats and
+    # table events must come out the same.  Pieces of up to 40 vertices,
+    # up to 15 of them, so joins at large k cross _WIDE
+    wide = []
+    front = import_module("dks.solve")
+    real = front._join_wide
+    monkeypatch.setattr(front, "_join_wide",
+                        lambda *args: wide.append(1) or real(*args))
+    piece = st.one_of(
+        st.just(Graph(1, [])), st.just(Graph(2, [(0, 1)])),
+        st.builds(lambda n, seed: gen_outerplanar(
+            GenSpec(n=n, rho=0.6, seed=seed)),
+            st.integers(3, 40), st.integers(0, 10_000)),
+        st.builds(lambda n, seed: gen_bouterplanar(
+            GenSpec(n=n, b=2, rho=0.5, seed=seed)),
+            st.integers(7, 40), st.integers(0, 10_000)))
+
+    @given(st.lists(piece, min_size=2, max_size=15), st.data())
+    @settings(max_examples=40, deadline=None)
+    def check(parts, data):
+        g = _union(*parts)
+        k = data.draw(st.integers(0, g.n), label="k")
+        witness = data.draw(st.booleans(), label="witness")
+
+        def run():
+            events: list = []
+            rep = solve(g, k, witness=witness, trace=events)
+            return (rep.values, rep.witness, rep.stats,
+                    [_event(ev) for ev in events])
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(tables, "_WIDE", 1 << 62)
+            assert run() == got
+
+    check()
+    assert wide
+
+
 def test_disconnected_refusals_stay():
     # a pinned flat solve refuses a union with a non-outerplanar part, and
     # the flat solver alone, with no blocks given, refuses any union
@@ -297,6 +339,23 @@ def test_import_and_flat_solve_leave_numpy_unloaded():
                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
                          timeout=120)
     assert out.stdout == "False\nTrue False\n", out.stderr
+    # a union's component joins stay on lists at k < 20 and load numpy
+    # once an all-k join grows past tables._WIDE cells; a matching and
+    # 5-cycles, all flat and too small for a wide flat combine
+    script = ("import sys\n"
+              "from dks import Graph, solve\n"
+              "e = [(2 * i, 2 * i + 1) for i in range(100)]\n"
+              "e += [(200 + 5 * c + i, 200 + 5 * c + (i + 1) % 5) "
+              "for c in range(4) for i in range(5)]\n"
+              "g = Graph(220, e)\n"
+              "print(len(solve(g, 10, witness=True).witness), "
+              "'numpy' in sys.modules)\n"
+              "solve(g, g.n)\n"
+              "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.stdout == "10 False\nTrue\n", out.stderr
 
 
 def test_both_solvers_emit_one_event_shape():

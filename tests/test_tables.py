@@ -41,10 +41,13 @@ def test_maxplus_into_matches_triple_loop(a, b, shift, add, extra, start):
 @given(a=cells, b=cells, shift=st.integers(-2, 1), add=st.integers(-2, 2),
        width=st.integers(0, 12))
 def test_maxplus_pair_inverts_every_cell(a, b, shift, add, width):
-    # each defined cell of a fresh result splits into a pair that reaches
-    # it; an undefined cell, or a value above the cell's, splits into none
+    # each defined cell of a fresh result splits into the pair with the
+    # least k1 that reaches it, from a list a or, with no None, from an
+    # int32 array a (the component join's running vector); an undefined
+    # cell, or a value above the cell's, splits into none
     out = [None] * width
     maxplus_into(out, a, b, shift, add)
+    as_array = np.array(a, np.int32) if None not in a else None
     for kp, val in enumerate(out):
         if val is None:
             assert all(maxplus_pair(a, b, kp, v, shift, add) is None
@@ -52,7 +55,12 @@ def test_maxplus_pair_inverts_every_cell(a, b, shift, add, width):
             continue
         k1, k2 = maxplus_pair(a, b, kp, val, shift, add)
         assert k1 + k2 + shift == kp and a[k1] + b[k2] + add == val
+        assert all(a[j] is None or b[kp - shift - j] is None
+                   or a[j] + b[kp - shift - j] + add != val
+                   for j in range(max(0, kp - shift - len(b) + 1), k1))
         assert maxplus_pair(a, b, kp, val + 1, shift, add) is None
+        if as_array is not None:
+            assert maxplus_pair(as_array, b, kp, val, shift, add) == (k1, k2)
 
 
 @given(a=cells, b=cells, kmax=st.integers(0, 14))
@@ -152,7 +160,7 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
     want = [[None] * width for _ in range(pairs // group)]
     for p in range(pairs):
         maxplus_into(want[p % len(want)], a[p], b[p])
-    assert [[None if c == NEG else c for c in col]
+    assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
 
@@ -178,20 +186,23 @@ def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
     want = [[None] * width for _ in range(cols)]
     for p in range(group * cols):
         maxplus_into(want[p % cols], a[p], b[p], (p // cols).bit_count())
-    assert [[None if c == NEG else c for c in col]
+    assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
 
-def test_maxplus_rows_clamps_discounted_absent_cells_to_neg():
+def test_maxplus_rows_keeps_absent_sums_below_the_line_inside_int32():
     # a merge charges up to a few shared edges to its second operand, so
     # an absent cell arrives as NEG - drop; each sum it enters, with a
     # real cell as large as int32 tables allow or with another absent
-    # cell, is absent again and reads exactly NEG, without wrapping
+    # cell, is exact, inside int32 and below NEG // 2: absent again
     top = MAX_EDGES - 1
-    a = size_major([[top, NEG - 2]])
-    b = size_major([[NEG - 3, 5]])
-    out = np.empty((3, 1), dtype=np.int32)
-    scratch = np.empty((2, 1), dtype=np.int32)
+    a = size_major([[top, NEG - 2], [NEG - 2, top]])
+    b = size_major([[NEG - 3, 5], [NEG - 3, NEG - 3]])
+    out = np.empty((3, 2), dtype=np.int32)
+    scratch = np.empty((2, 2), dtype=np.int32)
     got = maxplus_rows(a, b, out, scratch)
     assert got.dtype == np.int32
-    assert got[:, 0].tolist() == [NEG, top + 5, NEG]
+    assert got.T.tolist() == [[top + NEG - 3, top + 5, NEG + 3],
+                              [NEG + NEG - 5, top + NEG - 3, top + NEG - 3]]
+    absent = [c for c in got.reshape(-1).tolist() if c != top + 5]
+    assert all(np.iinfo(np.int32).min <= c < NEG // 2 for c in absent)
