@@ -37,9 +37,11 @@ stored cell is a real, exact value, and a cell past size K (a row of
 many boundary vertices) is the optimum of a larger subgraph, which no
 cell at size K or below reads and the size view hides (``_sized``).
 
-What a merge derives from its operands' boundary shape, not from their
-cells (which operand cells meet, and what the overlap costs), is its
-plan, built once per shape and kept across solves (``_by_shape``).
+A table's row bits follow its own vertex order (``verts``), which the
+step that built it chose: a merge transposes each operand once into
+runs of vertices and broadcasts the two against each other, so no
+operand row is copied per pair and nothing outlives the merge.  Only
+the ``rows`` view reorders, by the sorted boundary.
 
 When a witness is asked for, every table keeps the operands it was built
 from, and ``_traceback`` walks a root cell back down them.
@@ -59,22 +61,15 @@ from .trees import Forest, TreeNode, build_forest, window_path
 
 ABSENT = None
 
-# Pairs per merge block: big enough to amortise numpy's per-call cost,
-# small enough that a block's buffers stay small (1,024 pairs ran the
-# leveled benchmark's solve pass about 6% faster, but raised its
-# tracemalloc peak by over a third).
+# Pairs per merge block, at least: big enough to amortise numpy's
+# per-call cost, small enough that a block's buffers stay small beside
+# the leveled benchmark's tables.  A block pairs whole rows of t1's own
+# outer bits with all of t2, so it holds at least t2's rows, and it may
+# grow to t1's: the buffers stay within a few times the operands, and
+# the b = 7 rung of gen_bouterplanar(n=200), whose largest merges have
+# 16,384 rows a side, took 0.85 s with blocks that size against 1.2 s
+# with blocks of one row of t1.
 _BLOCK = 512
-
-# Merge plans by shape key (see _by_shape).  Shapes repeat across graphs
-# far more than within one solve, so the memo outlives solves: a merge
-# that builds its plan is slower than a merge without a memo, and only
-# a later merge of the shape wins that back (README).  A plan
-# whose arrays hold more than _SHAPE_BYTES is used once and dropped, and
-# a full memo drops its oldest plan, so the kept arrays never exceed
-# _SHAPES_MAX * _SHAPE_BYTES = 32 MiB.
-_SHAPE_BYTES = 1 << 15
-_SHAPES_MAX = 1024
-_SHAPES: dict[tuple, tuple] = {}
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:
@@ -86,43 +81,56 @@ class BoundaryTable:
     """Optimum edge count per (touched boundary subset, subgraph size).
 
     L and R list the boundary paths innermost vertex first; bset, their
-    union, and verts, bset ascending, are set once at construction.
-    cells is an int32 array of shape (2^|boundary|, min(I, K) + 1), for
-    the I = |vset| - |bset| vertices inside the region: row i holds the
-    subset whose bit j is set when verts[j], the j-th smallest boundary
-    vertex, is in it; column d holds subgraph size popcount(i) + d.
+    union, is set once at construction.  verts lists bset in the order
+    of the row bits, chosen by the step that built the table: ascending
+    for an enumerated table, the new vertex on top for extend, the runs
+    of merge_tables for a merge.  cells is an int32 array of shape
+    (2^|boundary|, min(I, K) + 1), for the I = |vset| - |bset| vertices
+    inside the region: row i holds the subset whose bit j is set when
+    verts[j] is in it; column d holds subgraph size popcount(i) + d.
     Every cell is real and exact, a cell past size K too; rows hides
     those, and NEG marks only the sizes off a row's band.  int32 holds
     every cell exactly while the graph has fewer than 2^28 edges, which
     solve_bouterplanar_values checks (tables.NEG gives the argument).
     made is () for a table enumerated from its boundary and, when kept
     for a traceback, (step, operands...) for the extend, contract,
-    adjust or merge_tables call that built it; a merge also keeps its
-    plan (see merge_tables).  A table lives only as long as something
-    points to it: evaluate_tables drops each one once it is consumed."""
+    adjust or merge_tables call that built it.  A table lives only as
+    long as something points to it: evaluate_tables drops each one once
+    it is consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
     vset: frozenset
     eset: frozenset
     K: int
+    verts: tuple[int, ...]
     cells: object
     made: tuple = ()
     bset: frozenset = field(init=False, compare=False, repr=False)
-    verts: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.bset = frozenset(self.L) | frozenset(self.R)
-        self.verts = tuple(sorted(self.bset))
+        self.bset = frozenset(self.verts)
 
     @property
     def rows(self) -> dict:
         """Read-only view: boundary subset -> cells by size 0..K, ABSENT
-        for a cell below NEG // 2."""
-        verts = self.verts
+        for a cell below NEG // 2, the subsets in the order of their
+        bitmasks over the sorted boundary."""
+        verts = sorted(self.verts)
         return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
                 [ABSENT if c < NEG // 2 else c for c in row]
-                for i, row in enumerate(_sized(self).tolist())}
+                for i, row in enumerate(
+                    _sized(self)[_sorted_rows(self)].tolist())}
+
+
+def _sorted_rows(t: BoundaryTable) -> list[int]:
+    """t's row of each boundary subset, the subsets in the order of their
+    bitmasks over the sorted boundary."""
+    at = {v: 1 << j for j, v in enumerate(t.verts)}
+    out = [0]
+    for v in sorted(t.verts):
+        out += [r + at[v] for r in out]
+    return out
 
 
 def _sized(t: BoundaryTable):
@@ -141,31 +149,6 @@ def _cell(t: BoundaryTable, r: int, kp: int) -> int:
     """t's cell of row r at size kp, NEG off the row's band."""
     d = kp - r.bit_count()
     return int(t.cells[r, d]) if 0 <= d < t.cells.shape[1] else NEG
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of mask's set bits, ascending."""
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
-def _by_shape(*key) -> tuple:
-    """_merge_plan(*key), its arrays made read-only and kept in _SHAPES
-    for the next merge of the same shape."""
-    plan = _SHAPES.get(key)
-    if plan is None:
-        plan = _merge_plan(*key)
-        arrays = [a for a in plan if hasattr(a, "flags")]
-        for a in arrays:
-            a.flags.writeable = False
-        if sum(a.nbytes for a in arrays) <= _SHAPE_BYTES:
-            if len(_SHAPES) >= _SHAPES_MAX:
-                del _SHAPES[next(iter(_SHAPES))]
-            _SHAPES[key] = plan
-    return plan
 
 
 def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
@@ -190,7 +173,7 @@ def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
     # no interior vertex, so one column
     cells = np.array(count, dtype=np.int32).reshape(-1, 1)
     return BoundaryTable(tuple(L), tuple(R), frozenset(core),
-                         frozenset(es), K, cells)
+                         frozenset(es), K, tuple(core), cells)
 
 
 def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
@@ -208,31 +191,25 @@ def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
 
 
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
-    """Push vertex z onto both boundary paths; rows that include z pay
-    one vertex and collect z's real edges into the selected boundary.
-    The interior is unchanged, and so is each cell's column; every cell
-    stays real, so a z-in row is its z-out row plus z's edges into it."""
+    """Push vertex z onto both boundary paths, as the top bit of the rows:
+    a z-in row pays one vertex and collects z's real edges into the
+    selected boundary.  The interior is unchanged, and so is each cell's
+    column; every cell stays real, so a z-in row is its z-out row plus
+    z's edges into it."""
     import numpy as np
 
     if z in t.vset:
         raise BoundaryMismatch(f"extension vertex {z} is already inside "
                                "the region")
     vset = t.vset | {z}
-    K = min(k, len(vset))
     verts = t.verts
     zn = [j for j, w in enumerate(verts) if g.has_edge(z, w)]
-    # z's bit goes just above the bits of the boundary vertices below it,
-    # so each run of `lo` old rows is followed by its copy with z selected
-    lo = 1 << sum(1 for w in verts if w < z)
     old = t.cells
-    hi, w = len(old) // lo, old.shape[1]
-    cells = np.empty((hi, 2, lo, w), dtype=np.int32)
-    cells[:, 0] = old.reshape(hi, lo, w)
     inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
-    cells[:, 1] = (old + inc[:, None]).reshape(hi, lo, w)
     eset = t.eset | {_norm(z, verts[j]) for j in zn}
-    return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset, K,
-                         cells.reshape(2 * len(old), w))
+    return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset,
+                         min(k, len(vset)), verts + (z,),
+                         np.concatenate((old, old + inc[:, None])))
 
 
 def contract(t: BoundaryTable) -> BoundaryTable:
@@ -257,7 +234,9 @@ def contract(t: BoundaryTable) -> BoundaryTable:
     cells[..., :w] = pair[:, 0]
     np.maximum(cells[..., 1:], pair[:, 1, :, :width - 1], out=cells[..., 1:])
     eset = frozenset(e for e in t.eset if z not in e)
-    return BoundaryTable(L, R, t.vset, eset, t.K, cells.reshape(-1, width))
+    return BoundaryTable(L, R, t.vset, eset, t.K,
+                         tuple(v for v in t.verts if v != z),
+                         cells.reshape(-1, width))
 
 
 def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
@@ -276,41 +255,22 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     sel = (np.arange(len(t.cells)) & both) == both
     cells = t.cells.copy()
     cells[sel] += 1
-    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, cells)
+    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, verts, cells)
 
 
-def _merge_plan(m1: int, m2: int, mo: int, mf: int, eb: int) -> tuple:
-    """(low, high, pen) of a merge whose masks over the sorted union of
-    both boundaries select t1's boundary (m1), t2's (m2), the outer one
-    (mo) and the middle vertices off it (mf), and whose shared counted
-    edges are the bits i * u + j of eb (of the i-th and j-th of u union
-    vertices): the operand rows of every middle and outer subset, a row
-    per operand, and each t2 row's shared edges (None without any)."""
-    import numpy as np
-
-    u = (m1 | m2).bit_length()
-    b1, b2 = [0] * u, [0] * u   # a union vertex's row bit in t1, in t2
-    for b, m in ((b1, m1), (b2, m2)):
-        for i, j in enumerate(_bits(m)):
-            b[j] = 1 << i
-
-    def rows(mask: int):    # both operands' rows of each subset of mask
-        r1, r2 = [0], [0]
-        for j in _bits(mask):
-            r1 += [r + b1[j] for r in r1]
-            r2 += [r + b2[j] for r in r2]
-        return np.array((r1, r2), dtype=np.int32)
-
-    r2 = np.arange(1 << m2.bit_count(), dtype=np.int32)
-    pen = None
-    for b in _bits(eb):
-        e = b2[b // u] | b2[b % u]
-        hit = (r2 & e) == e
-        if pen is None:
-            pen = hit.astype(np.int32)
-        else:
-            pen += hit
-    return rows(mf), rows(mo), pen
+def _runs(cells, verts: tuple[int, ...], runs) -> object:
+    """cells, a row per subset of verts, as a size-major array with an
+    axis per run of vertices after the size axis: bit j of the axis's
+    index selects the run's j-th vertex, and a run of no vertices gives
+    an axis of length 1.  A contiguous copy, or cells' own memory when
+    that is already in this order."""
+    n = len(verts)
+    order = [n]         # the size axis, then each run's bits, highest first
+    for run in runs:
+        for v in reversed(run):
+            order.append(n - 1 - verts.index(v))
+    return cells.reshape((2,) * n + (-1,)).transpose(order).reshape(
+        (-1, *[1 << len(run) for run in runs]))
 
 
 def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
@@ -332,74 +292,93 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     size K or below reads no operand cell past that operand's K: an
     operand's part of a subgraph is no larger than the subgraph.
 
-    What depends on the boundary shape alone, the operand rows and the
-    shared edges, is the shape's _merge_plan, built once per shape.  A
-    block of n result rows holds pair (Bx, A) in column Bx * n + A; an
-    operand's row for S is the sum of its rows for A and for Bx.  Both
-    operands are gathered size-major, at their own widths, into buffers
-    that every block reuses, and the kernel lifts each pair by |Bx| as
-    it keeps the best pair per result row.  With `keep`, made is
-    ("merge", t1, t2, (low, high, pen)): the plan, which a traceback
-    reads."""
+    Each operand is transposed once (_runs) into a size axis and an
+    axis per run of its boundary: the outer vertices only it has, a
+    length-1 axis for the other operand's own ones, and the middle
+    vertices below the outer ones both have (those two runs in t1's
+    order).  The two broadcast against each other in maxplus_rows, a
+    column per pair (A, Bx), so no operand row is copied per pair, and
+    the kernel lifts each pair by |Bx| as it keeps the best pair per
+    result row.  A block pairs n rows of t1's own outer vertices with
+    every row of t2: _BLOCK pairs, or as many as t1 has rows, and never
+    fewer than t2's rows.  The result's rows come out indexed by (t1's
+    own, t2's own, shared) outer bits, so its verts list the shared
+    vertices, then t2's own, then t1's own.  With `keep`, made is
+    ("merge", t1, t2)."""
     import numpy as np
 
-    if list(t1.R) != list(t2.L):
+    if t1.R != t2.L:
         raise BoundaryMismatch(
             f"cannot merge: {t1.R} does not meet {t2.L}")
     L, R = t1.L, t2.R
     outset = frozenset(L) | frozenset(R)
-    middle = frozenset(t1.R) - outset
     if not t1.vset & t2.vset <= (t1.bset & t2.bset):
         raise InternalError("regions overlap off the boundary")
     vset = t1.vset | t2.vset
     K = min(k, len(vset))
-    at = {v: 1 << j for j, v in enumerate(sorted(t1.bset | t2.bset))}
-    u = len(at)
-    low, high, pen = _by_shape(
-        *[sum(map(at.__getitem__, vs)) for vs in (
-            t1.bset, t2.bset, outset, middle)],
-        # (1 << i) ** u * (1 << j) is bit i * u + j
-        sum(at[a] ** u * at[b] for a, b in t1.eset & t2.eset))
-    w1, w2 = t1.cells.shape[1], t2.cells.shape[1]
-    c2 = t2.cells.T if pen is None else t2.cells.T - pen
+    own1, shared, middle = [], [], []
+    for v in t1.verts:
+        (middle if v not in outset else shared if v in t2.bset
+         else own1).append(v)
+    own2 = [v for v in t2.verts if v not in t1.bset]
+    c2 = t2.cells
+    for u, v in t1.eset & t2.eset:  # each t2 row less its shared edges
+        e = (1 << t2.verts.index(u)) | (1 << t2.verts.index(v))
+        c2 = c2 - ((np.arange(len(c2)) & e) == e)[:, None]
+    a = _runs(t1.cells, t1.verts, (own1, (), middle + shared))
+    b = _runs(c2, t2.verts, ((), own2, middle + shared))
+    x1, group = a.shape[1], 1 << len(middle)
+    rows2 = len(t2.cells) // group      # result rows per row of t1's own
     width = min(len(vset) - len(outset), K) + 1
-    cells = np.empty((high.shape[1], width), dtype=np.int32)
-    # powers of two, so the blocks of n result rows tile the result
-    group = low.shape[1]
-    n = min(len(cells), max(1, _BLOCK // group))
-    a = np.empty((w1, group, n), dtype=np.int32)
-    b = np.empty((w2, group, n), dtype=np.int32)
-    out = np.empty((len(middle) + width, group * n), dtype=np.int32)
+    cells = np.empty((x1 * rows2, width), dtype=np.int32)
+    # a block pairs n rows of t1's own bits with every row of t2
+    n = min(x1, max(1, max(_BLOCK, len(t1.cells)) // len(t2.cells)))
+    out = np.empty((width, n, *b.shape[2:]), dtype=np.int32)
     # a one-row operand leaves the kernel no partial sums to hold
-    scratch = np.empty(((min(w1, w2) > 1) * min(max(w1, w2), width),
-                        group * n), dtype=np.int32)
-    for s in range(0, len(cells), n):
-        idx = low[:, :, None] + high[:, None, s:s + n]
-        t1.cells.T.take(idx[0], axis=1, out=a, mode="clip")
-        c2.take(idx[1], axis=1, out=b, mode="clip")
-        cells[s:s + n] = maxplus_rows(a.reshape(w1, -1), b.reshape(w2, -1),
-                                      out, scratch, group, len(middle)).T
+    scratch = np.empty(((min(len(a), len(b)) > 1)
+                        * min(max(len(a), len(b)), width), *out.shape[1:]),
+                       dtype=np.int32)
+    for i in range(0, x1, n):
+        cells[i * rows2:(i + n) * rows2] = maxplus_rows(
+            a[:, i:i + n], b, out, scratch, group, len(middle)).T
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    return BoundaryTable(L, R, vset, eset, K, cells,
-                         ("merge", t1, t2, (low, high, pen)) if keep else ())
+    return BoundaryTable(L, R, vset, eset, K, (*shared, *own2, *own1), cells,
+                         ("merge", t1, t2) if keep else ())
 
 
 def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     """The operand cells (table, row, size) of a kept merge_tables result
-    t that reach its cell (r, kp): the first Bx, in pair order, whose
-    t1 row and discounted t2 row for S = r | Bx, lifted by |Bx|, combine
-    to the cell's value.  The operand rows and the discount come from
-    the plan the merge kept."""
-    t1, t2, (low, high, pen) = t.made[1:]
+    t that reach its cell (r, kp): the first Bx, in the order of its
+    bitmask over the sorted middle vertices, whose t1 row and discounted
+    t2 row for S = r | Bx, lifted by |Bx|, combine to the cell's value.
+    Each operand row, and its discount, is worked out from the bit
+    positions of S's vertices in that operand, each time."""
+    t1, t2 = t.made[1:]
     val = _cell(t, r, kp)
-    h1, h2 = high[:, r].tolist()
-    for x1, x2 in low.T.tolist():
-        r1, r2 = h1 + x1, h2 + x2
-        less = 0 if pen is None else int(pen[r2])
-        pair = maxplus_pair(t1.cells[r1].tolist(),
-                            [c - less for c in t2.cells[r2].tolist()],
-                            kp - r.bit_count(), val, x1.bit_count())
+    v1, v2 = t1.verts, t2.verts
+    h1 = h2 = 0
+    for j, v in enumerate(t.verts):
+        if r >> j & 1:
+            if v in t1.bset:
+                h1 |= 1 << v1.index(v)
+            if v in t2.bset:
+                h2 |= 1 << v2.index(v)
+    low = [(0, 0)]
+    for v in sorted(t1.bset - t.bset):
+        b1, b2 = 1 << v1.index(v), 1 << v2.index(v)
+        low += [(x1 | b1, x2 | b2) for x1, x2 in low]
+    common = [(1 << v2.index(u)) | (1 << v2.index(v))
+              for u, v in t1.eset & t2.eset]
+    size = kp - r.bit_count()
+    for x1, x2 in low:
+        r1, r2 = h1 | x1, h2 | x2
+        less = 0
+        for e in common:
+            if r2 & e == e:
+                less += 1
+        pair = maxplus_pair(t1.cells[r1].tolist(), t2.cells[r2].tolist(),
+                            size, val, x1.bit_count(), -less)
         if pair is not None:
             return [(t1, r1, pair[0] + r1.bit_count()),
                     (t2, r2, pair[1] + r2.bit_count())]
@@ -409,13 +388,15 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
 
 def _traceback(t: BoundaryTable, kp: int) -> set[int]:
     """Vertices of a kp-subset that reaches the best cell at size kp of
-    the kept table t.  Each cell is walked back to operand cells that
-    reach it: adjust keeps the row; extend drops z's bit, and one unit of
+    the kept table t, the first such subset by the sorted boundary.
+    Each cell is walked back to operand cells that reach it: adjust
+    keeps the row; extend drops z's bit, its top one, and one unit of
     size when z is selected; contract takes the z-out or the z-in row,
     whichever reaches the cell; merge_tables searches the Bx of the row.
     The walk ends at enumerated tables, whose rows are the selections."""
     chosen: set[int] = set()
-    todo = [(t, int(_sized(t)[:, kp].argmax()), kp)]
+    order = _sorted_rows(t)
+    todo = [(t, order[int(_sized(t)[order, kp].argmax())], kp)]
     while todo:
         t, r, kp = todo.pop()
         if kp == 0:
@@ -427,13 +408,12 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
         if step == "merge":
             todo += _merge_split(t, r, kp)
             continue
-        if step == "extend":                # drop z's bit j
-            z = t.L[0]
-            j = t.verts.index(z)
-            if r >> j & 1:
-                chosen.add(z)
+        if step == "extend":                # drop z's bit, the top one
+            top = 1 << len(src.verts)
+            if r & top:
+                chosen.add(t.L[0])
                 kp -= 1
-            r = ((r >> (j + 1)) << j) | (r & ((1 << j) - 1))
+                r ^= top
         elif step == "contract":            # put z's bit j back
             j = src.verts.index(src.L[0])
             out = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))

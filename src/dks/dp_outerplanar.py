@@ -29,7 +29,8 @@ import heapq
 from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
+from itertools import product
 from typing import NamedTuple
 
 from dks.errors import (BadArgument, BoundaryMismatch, InternalError,
@@ -122,12 +123,11 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
             rows.append(z_in)
     else:
         rows = [[None] * (cap + 1) for _ in range(4)]
-        maxplus_terms(rows, t1.rows, t2.rows, _merge_terms(
-            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge))
+        maxplus_terms(rows, t1.rows, t2.rows, _MERGE_TERMS[
+            closing, chord_real, t1.counts_label_edge, t2.counts_label_edge])
     return EdgeTable(x, z, vcount, rows, chord_real)
 
 
-@cache
 def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
                  counted2: bool) -> tuple[tuple[int, int, int, int, int], ...]:
     """(result row, t1 row, t2 row, shift, add) of every row pair that
@@ -149,6 +149,10 @@ def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
                               -by - shared, bonus))
     return tuple(terms)
 
+
+# _merge_terms of every flag combination, built once at import
+_MERGE_TERMS = {flags: _merge_terms(*flags)
+                for flags in product((False, True), repeat=4)}
 
 # The terms, as in _merge_terms, of attach_hang at side 0 (x) and side 1
 # (y): row (bx, by) of the table with the hang's vector for the bit of
@@ -426,8 +430,8 @@ def _traceback(t: EdgeTable, group: tuple[int, ...], kp: int,
             continue
         if made[0] == "merge":
             o1, o2 = made[1:]
-            terms = _merge_terms(o1.x == o2.y, item.counts_label_edge,
-                                 o1.counts_label_edge, o2.counts_label_edge)
+            terms = _MERGE_TERMS[o1.x == o2.y, item.counts_label_edge,
+                                 o1.counts_label_edge, o2.counts_label_edge]
         else:
             o1, side, o2 = made[1:]
             terms = _HANG_TERMS[side]

@@ -13,17 +13,18 @@ arrays, with the sentinel NEG for None and any cell below NEG // 2
 read as absent: a row per size and a column per pair of vectors, so
 each numpy call runs along a row of every pair at once.  It serves both
 DPs and the component join.  The leveled DP keeps its tables in such
-arrays; it charges its shared edges to one operand beforehand, and has
-the kernel lift each pair by its middle subset's size as it keeps the
-best pair per result.  A `maxplus_terms` call on rows wider than _WIDE
-cells a pair turns its terms into such columns, and solve's component
-join keeps its running vector as one such column from its first join
-that wide on.  So numpy is loaded the first time a leveled table is
-built or a flat combine or a join (an all-k solve, say) grows that
-wide; narrower calls run in Python and never load it.  int32 is exact
-while the graph has fewer than 2^28 edges (see NEG).  `maxplus_pair`
-inverts one cell of one term: each DP's witness traceback asks it
-which operand cells a result cell came from.
+arrays; it charges its shared edges to one operand beforehand, lays
+both operands' pairs out on axes that broadcast against each other's,
+and has the kernel lift each pair by its middle subset's size as it
+keeps the best pair per result.  A `maxplus_terms` call on rows wider
+than _WIDE cells a pair turns its terms into such columns, and solve's
+component join keeps its running vector as one such column from its
+first join that wide on.  So numpy is loaded the first time a leveled
+table is built or a flat combine or a join (an all-k solve, say) grows
+that wide; narrower calls run in Python and never load it.  int32 is
+exact while the graph has fewer than 2^28 edges (see NEG).
+`maxplus_pair` inverts one cell of one term: each DP's witness
+traceback asks it which operand cells a result cell came from.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _maxplus_terms_wide(out, a, b, terms) -> None:
     la = max(map(len, a)) + max(shifts) - lo
     lb = max(map(len, b))
     ca, cb = [], []
-    for run in range(group):
-        for ts in slots.values():
+    for ts in slots.values():
+        for run in range(group):
             col_a = col_b = []
             if run < len(ts):
                 _, r1, r2, shift, add = ts[run]
@@ -151,45 +152,42 @@ def maxplus_pair(a: list[int | None], b: list[int | None], kp: int,
 
 def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):
     """`maxplus_into` down every column of the size-major int32 arrays a
-    and b (a row per size, a column per pair, at least one row each) into
-    the same column of out[lift:] (a row per result size), whose old
-    cells are ignored; `scratch` has out's columns and at least a's and
-    b's rows.  Then the columns, read as `group` equal runs, are reduced
-    to their cellwise max.  With `lift`, group is 2^lift, out is
-    C-contiguous, its first `lift` rows are room the kernel uses, and
-    run g's results land popcount(g) rows further down.  Returns the
-    (len(out) - lift, columns // group) result, a view of `out` when
-    group is 1.  An operand cell below NEG // 2 is absent, and so is a
+    and b (a row per size, at least one, then axes of columns that
+    broadcast against each other's) into the same column of the
+    C-contiguous out (a row per result size, then the broadcast axes),
+    whose old cells are ignored; `scratch` has out's column axes and at
+    least a's and b's rows.  Then the columns, read in runs of `group`
+    consecutive ones, are reduced to their cellwise max; with `lift`,
+    group is 2^lift, and column g of each run first moves popcount(g)
+    rows down.  Returns the (len(out), columns // group) result, a view
+    of `out`.  An operand cell below NEG // 2 is absent, and so is a
     result cell: it is below NEG // 2 exactly when no pair of defined
     cells lands on it (see NEG for why no sum wraps)."""
     import numpy as np  # deferred: see the module docstring
 
     if len(a) < len(b):
         a, b = b, a           # the combine is symmetric: loop the narrower
-    rows = out[lift:]
-    width = len(rows)
+    width = len(out)
     n = min(len(a), width)
-    np.add(a[:n], b[0], out=rows[:n])
+    np.add(a[:n], b[0], out=out[:n])
     if n < width:
-        rows[n:] = NEG
+        out[n:] = NEG
     for j in range(1, min(len(b), width)):
         n = min(len(a), width - j)
         np.add(a[:n], b[j], out=scratch[:n])
-        np.maximum(rows[j:j + n], scratch[:n], out=rows[j:j + n])
+        np.maximum(out[j:j + n], scratch[:n], out=out[j:j + n])
+    cols = out.reshape(width, -1)
     if lift:
-        # result row d of run g is out[lift + d - popcount(g), g]: a view
-        # with an axis per bit k of g, stepping 2^k runs on and one row
-        # back, over room that reads NEG
-        out[:lift] = NEG
-        step, run, cell = out.reshape(len(out), group, -1).strides
-        view = np.ndarray(
-            (width, *[2] * lift, out.shape[1] // group), out.dtype, out,
-            lift * step, (step, *[(run << k) - step for k in range(lift)],
-                          cell))
-        return np.maximum.reduce(view, axis=tuple(range(1, lift + 1)))
-    if group > 1:
-        return np.maximum.reduce(rows.reshape(width, group, -1), axis=1)
-    return rows
+        # fold the runs one bit at a time, lowest first: each column that
+        # selects bit k lands one row down on its partner 2^k columns back
+        for k in range(lift):
+            keep = cols[1:, ::2 << k]
+            np.maximum(keep, cols[:-1, 1 << k::2 << k], out=keep)
+    else:
+        for g in range(1, group):
+            np.maximum(cols[:, ::group], cols[:, g::group],
+                       out=cols[:, ::group])
+    return cols[:, ::group]
 
 
 def convolve_max_plus(a: list[int | None], b: list[int | None],

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import weakref
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dks
@@ -397,77 +398,34 @@ def kept_merges(root: BoundaryTable) -> list:
     return out
 
 
-@given(b=st.integers(2, 4), extra=st.integers(0, 6),
+@given(b=st.integers(2, 5), extra=st.integers(0, 6),
        seed=st.integers(0, 10**6),
        variant=st.sampled_from(["zigzag", "zigzag_alt"]))
+@example(b=5, extra=6, seed=0, variant="zigzag")    # merges of 8 blocks
 @settings(max_examples=30, deadline=None)
 def test_merge_tables_matches_the_per_pair_reference(b, extra, seed, variant):
     # the overlap charged once to t2's rows gives what charging it to
     # every (result row, middle subset) pair gives, on every merge of a
-    # generated graph's tables
+    # generated graph's tables, block by block, and a merge writes into
+    # neither operand (a transposed operand may be the operand's memory)
     k = 5
     g = gen_bouterplanar(GenSpec(n=3 * b - 2 + extra, b=b, rho=0.6,
                                  seed=seed))
     forest = build_forest(embed_and_level(g, variant=variant))
     merges = kept_merges(evaluate_tables(forest, k, keep=True)[0])
     assert merges
-    for t1, t2 in merges:
-        want = merge_reference(t1, t2, k)
-        dp_bouterplanar._SHAPES.clear()         # the plan built afresh,
-        assert merge_tables(t1, t2, k).rows == want
-        assert merge_tables(t1, t2, k).rows == want   # then reused
-
-
-def test_one_plan_per_merge_shape_with_read_only_arrays():
-    g = figure_graph()
-    forest = build_forest(embed_and_level(g))
-    t1, t2 = kept_merges(evaluate_tables(forest, 4, keep=True)[0])[0]
-    dp_bouterplanar._SHAPES.clear()
-    first = merge_tables(t1, t2, 4, keep=True)
-    kept = dict(dp_bouterplanar._SHAPES)
-    again = merge_tables(t1, t2, 4, keep=True)
-    assert len(kept) == 1 and dp_bouterplanar._SHAPES == kept
-    plan, = kept.values()
-    assert first.made[3][0] is plan[0] and again.made[3][0] is plan[0]
-    arrays = [a for a in plan if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 2         # both operands' rows, and the discount
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0
-
-
-def test_shape_memo_keeps_at_most_its_stated_size(monkeypatch):
-    # a plan over the byte cap is built, used and not kept; a full memo
-    # drops its oldest plan, so it never holds more than _SHAPES_MAX
-    # plans of at most _SHAPE_BYTES each: 32 MiB of arrays
-    assert dp_bouterplanar._SHAPES_MAX * dp_bouterplanar._SHAPE_BYTES == 1 << 25
-    g = gen_bouterplanar(GenSpec(n=30, b=3, rho=0.6, seed=3))
-    forest = build_forest(embed_and_level(g))
-    want = evaluate_tables(forest, 6)[0].rows
-    memo = dp_bouterplanar._SHAPES
-    monkeypatch.setattr(dp_bouterplanar, "_SHAPE_BYTES", 0)
-    memo.clear()
-    assert evaluate_tables(forest, 6)[0].rows == want
-    assert not memo
-    monkeypatch.setattr(dp_bouterplanar, "_SHAPE_BYTES", 1 << 12)
-    monkeypatch.setattr(dp_bouterplanar, "_SHAPES_MAX", 5)
-    kept = []
-    real = dp_bouterplanar._by_shape
-
-    def watched(*key):
-        had = key in memo
-        out = real(*key)
-        if key in memo and not had:
-            kept.append(key)
-        assert all(sum(a.nbytes for a in v if isinstance(a, np.ndarray))
-                   <= 1 << 12 for v in memo.values())
-        assert list(memo) == kept[-5:]      # the newest five kept
-        return out
-
-    monkeypatch.setattr(dp_bouterplanar, "_by_shape", watched)
-    assert evaluate_tables(forest, 6)[0].rows == want
-    assert len(kept) > 5
+    blocks = []
+    with mock.patch.object(dp_bouterplanar, "maxplus_rows",
+                           wraps=dp_bouterplanar.maxplus_rows) as kernel:
+        for t1, t2 in merges:
+            want = merge_reference(t1, t2, k)
+            before = t1.cells.tobytes(), t2.cells.tobytes()
+            kernel.reset_mock()
+            assert merge_tables(t1, t2, k).rows == want
+            blocks.append(kernel.call_count)
+            assert (t1.cells.tobytes(), t2.cells.tobytes()) == before
+    if (b, extra, seed) == (5, 6, 0):
+        assert max(blocks) > 1
 
 
 def test_trace_names_branch_and_pivot():

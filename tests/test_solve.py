@@ -358,6 +358,50 @@ def test_import_and_flat_solve_leave_numpy_unloaded():
     assert out.stdout == "10 False\nTrue\n", out.stderr
 
 
+def test_solves_leave_every_module_level_container_and_cache_as_found():
+    # a solve keeps no state at module level: in a fresh process, every
+    # dict, list and set global and every function cache of each dks
+    # module reads the same after a flat, a forced-leveled and a witness
+    # solve as it did after import
+    script = """
+import importlib, pkgutil, sys
+import dks
+for m in pkgutil.iter_modules(dks.__path__):
+    importlib.import_module("dks." + m.name)
+
+def state():
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name != "dks" and not name.startswith("dks."):
+            continue
+        for attr, val in vars(mod).items():
+            if attr.startswith("__"):
+                continue
+            if isinstance(val, (dict, list, set)):
+                out[name, attr] = repr(val)
+            elif hasattr(val, "cache_info"):
+                out[name, attr] = val.cache_info().currsize
+    return out
+
+before = state()
+from dks import solve
+from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
+solve(gen_outerplanar(GenSpec(n=60, seed=1)), 60)
+g = gen_bouterplanar(GenSpec(n=30, b=3, rho=0.6, seed=2))
+solve(g, 8, force_solver="bouterplanar")
+solve(g, 8, witness=True)
+after = state()
+print(len(before) > 0,
+      sorted(k for k in before.keys() | after.keys()
+             if before.get(k) != after.get(k)))
+"""
+    src = Path(dks.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                         timeout=120)
+    assert out.stdout == "True []\n", out.stderr
+
+
 def test_both_solvers_emit_one_event_shape():
     # a triangle (flat solver) beside K4 (leveled solver)
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6), (4, 5),

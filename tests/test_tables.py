@@ -150,8 +150,8 @@ def size_major(vectors):
 @settings(max_examples=200, deadline=None)
 @given(stacked())
 def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
-    # pair p lands in result column p % (pairs // group): the groups are
-    # consecutive runs of columns, and out's old cells must not leak in
+    # pair p lands in result column p // group: the groups are runs of
+    # consecutive columns, and out's old cells must not leak in
     a, b, width, group = case
     pairs = len(a)
     out = np.full((width, pairs), 5, dtype=np.int32)
@@ -159,7 +159,7 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
     got = maxplus_rows(size_major(a), size_major(b), out, scratch, group)
     want = [[None] * width for _ in range(pairs // group)]
     for p in range(pairs):
-        maxplus_into(want[p % len(want)], a[p], b[p])
+        maxplus_into(want[p // group], a[p], b[p])
     assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
@@ -170,8 +170,8 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
        data=st.data())
 def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
                                                      extra, data):
-    # run g of 2^lift lands popcount(g) rows down before the runs are
-    # reduced; the lift rows of out are the kernel's own room
+    # column g of each run of 2^lift lands popcount(g) rows down before
+    # the runs are reduced
     group = 1 << lift
     cell = st.one_of(st.none(), st.integers(-3, 9))
     a = [data.draw(st.lists(cell, min_size=wa, max_size=wa))
@@ -179,13 +179,13 @@ def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
     b = [data.draw(st.lists(cell, min_size=wb, max_size=wb))
          for _ in range(group * cols)]
     width = max(1, wa + wb - 1 + extra)
-    out = np.full((lift + width, group * cols), 5, dtype=np.int32)
+    out = np.full((width, group * cols), 5, dtype=np.int32)
     scratch = np.full((max(wa, wb), group * cols), 5, dtype=np.int32)
     got = maxplus_rows(size_major(a), size_major(b), out, scratch, group,
                        lift)
     want = [[None] * width for _ in range(cols)]
     for p in range(group * cols):
-        maxplus_into(want[p % cols], a[p], b[p], (p // cols).bit_count())
+        maxplus_into(want[p // group], a[p], b[p], (p % group).bit_count())
     assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
