@@ -157,8 +157,8 @@ def cmd_probe(ns: argparse.Namespace) -> int:
 # --------------------------------------------------------- dump-tables
 
 
-def _fmt(cell) -> str:
-    return ABSENT_MARK if cell is None else str(cell)
+def _fmt(cell: int) -> str:
+    return ABSENT_MARK if cell < 0 else str(cell)
 
 
 def _ends(ev: dict) -> str:

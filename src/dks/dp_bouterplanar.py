@@ -59,8 +59,6 @@ from .graph import Graph
 from .tables import MAX_EDGES, NEG, maxplus_pair, maxplus_rows
 from .trees import Forest, TreeNode, build_forest, window_path
 
-ABSENT = None
-
 # Pairs per merge block, at least: big enough to amortise numpy's
 # per-call cost, small enough that a block's buffers stay small beside
 # the leveled benchmark's tables.  A block pairs whole rows of t1's own
@@ -113,12 +111,11 @@ class BoundaryTable:
 
     @property
     def rows(self) -> dict:
-        """Read-only view: boundary subset -> cells by size 0..K, ABSENT
-        for a cell below NEG // 2, the subsets in the order of their
-        bitmasks over the sorted boundary."""
+        """Read-only view: boundary subset -> cells by size 0..K, NEG
+        for a size off the subset's band, the subsets in the order of
+        their bitmasks over the sorted boundary."""
         verts = sorted(self.verts)
-        return {frozenset(v for j, v in enumerate(verts) if i >> j & 1):
-                [ABSENT if c < NEG // 2 else c for c in row]
+        return {frozenset(v for j, v in enumerate(verts) if i >> j & 1): row
                 for i, row in enumerate(
                     _sized(self)[_sorted_rows(self)].tolist())}
 

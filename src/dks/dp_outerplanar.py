@@ -37,7 +37,8 @@ from dks.errors import (BadArgument, BoundaryMismatch, InternalError,
                         NotOuterplanar, TooManyEdges)
 from dks.graph import Graph
 from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
-from dks.tables import MAX_EDGES, maxplus_pair, maxplus_terms, vector_max
+from dks.tables import (MAX_EDGES, NEG, maxplus_pair, maxplus_terms,
+                        vector_max)
 
 
 @dataclass
@@ -46,7 +47,8 @@ class EdgeTable:
 
     rows[(bx << 1) | by][kp] is the best real-edge count over subsets of
     the span's vertices with exactly kp vertices where bx/by fix whether
-    the two span endpoints are included; None marks impossible cells.
+    the two span endpoints are included; an impossible cell is
+    tables.NEG.
     counts_label_edge is True when row values already include the edge
     (x, y) itself.  made is () for a leaf and, when kept for a traceback,
     ("merge", t1, t2) or ("hang", t, side, hang) for the call that built
@@ -56,7 +58,7 @@ class EdgeTable:
     x: int
     y: int
     vcount: int
-    rows: list[list[int | None]]
+    rows: list[list[int]]
     counts_label_edge: bool
     made: tuple = ()
 
@@ -69,15 +71,15 @@ class Hang(NamedTuple):
     groups[0] and groups[1] of the block's final table t.
     """
 
-    d0: list[int | None]
-    d1: list[int | None]
+    d0: list[int]
+    d1: list[int]
     count: int
     made: tuple = ()
 
 
 def leaf_table(x: int, y: int, k: int) -> EdgeTable:
     cap = min(k, 2)
-    rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
+    rows = [[NEG] * (cap + 1) for _ in range(4)]
     rows[0][0] = 0
     if cap >= 1:
         rows[1][1] = 0
@@ -110,19 +112,19 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
         for bx in (0, 1):
             out_y, in_y = t1.rows[bx << 1], t1.rows[(bx << 1) | 1]
             # z out: the best with y out or in; z in: one vertex more,
-            # plus the edge y-z when y is in and the chord when x is in
-            rows.append([o if i is None or (o is not None and o >= i) else i
-                         for o, i in zip(out_y, in_y)]
-                        + [None] * (cap + 1 - len(out_y)))
-            z_in = [o if i is None or (o is not None and o > i) else i + 1
+            # plus the edge y-z when y is in and the chord when x is in,
+            # each only on a real cell, so an absent one stays NEG
+            rows.append([o if o >= i else i for o, i in zip(out_y, in_y)]
+                        + [NEG] * (cap + 1 - len(out_y)))
+            z_in = [o if o > i or i < 0 else i + 1
                     for o, i in zip(out_y, in_y)]
             if chord_real and bx:
-                z_in = [None if v is None else v + 1 for v in z_in]
-            z_in.insert(0, None)    # one size up, in place: no second copy
+                z_in = [v + 1 if v >= 0 else v for v in z_in]
+            z_in.insert(0, NEG)     # one size up, in place: no second copy
             del z_in[cap + 1:]
             rows.append(z_in)
     else:
-        rows = [[None] * (cap + 1) for _ in range(4)]
+        rows = [[NEG] * (cap + 1) for _ in range(4)]
         maxplus_terms(rows, t1.rows, t2.rows, _MERGE_TERMS[
             closing, chord_real, t1.counts_label_edge, t2.counts_label_edge])
     return EdgeTable(x, z, vcount, rows, chord_real)
@@ -168,7 +170,7 @@ def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
     once.  With `keep`, made is ("hang", t, side, hang)."""
     vcount = t.vcount + hang.count - 1
     cap = min(k, vcount)
-    rows: list[list[int | None]] = [[None] * (cap + 1) for _ in range(4)]
+    rows = [[NEG] * (cap + 1) for _ in range(4)]
     maxplus_terms(rows, t.rows, hang[:2], _HANG_TERMS[side])
     return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge,
                      ("hang", t, side, hang) if keep else ())
@@ -401,7 +403,7 @@ def _row_reaching(t: EdgeTable, group: tuple[int, ...], kp: int,
                         f"{val} at size {kp}")
 
 
-def _cells(item: EdgeTable | Hang, r: int) -> list[int | None]:
+def _cells(item: EdgeTable | Hang, r: int) -> list[int]:
     """Row r of a table, or the vector with cutpoint bit r of a hang."""
     return item[r] if isinstance(item, Hang) else item.rows[r]
 

@@ -10,11 +10,8 @@ component is recognised once, in place, by one block-cut pass over its
 own vertices: the flat solver folds an outerplanar component on the
 input's own vertex ids, with no copy, and only a component that is not
 flat is cut out as a Graph of its own for the leveled solver.  The
-component vectors are joined by max-plus convolution into one running
-vector: a list while each join pairs at most tables._WIDE cells, one
-int32 array from the first wider join on (k >= 20 only), so an all-k
-solve of many components costs Python work per component, not per
-cell of the running vector.
+component vectors are joined into one running vector by
+tables.convolve_max_plus, one call a component.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import operator
 import time
 
-from dks import tables
 from dks.dp_bouterplanar import solve_bouterplanar_values
 from dks.dp_outerplanar import (is_outerplanar, outerplanar_blocks,
                                 solve_outerplanar_values)
@@ -64,7 +60,7 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     comps = g.connected_components()
     if len(comps) > 1:
         stats["pieces"] = len(comps)
-    acc: list[int | None] = [0]
+    acc = [0]
     joins = []
     cut = None          # component_subgraphs(g, comps), once a part needs it
     ids = range(g.n)    # a flat part's pick is in g's own ids
@@ -105,13 +101,9 @@ def _values(g: Graph, k: int, *, force: str = "auto",
                     stats[key] = stats.get(key, 0) + val
         if witness:
             joins.append((acc, vec, keep, pick))
-        width = min(cap, len(acc) - 1 + sk)
-        if type(acc) is list and len(acc) * len(vec) <= tables._WIDE:
-            acc = convolve_max_plus(acc, vec, width)
-        else:
-            acc = _join_wide(acc, vec, width)
+        acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
     values = acc if type(acc) is list else acc.tolist()
-    if len(values) != cap + 1 or None in values or min(values) < 0:
+    if len(values) != cap + 1 or min(values) < 0:
         raise InternalError("joined component vectors miss a size")
 
     def pick_joined(kp: int) -> set[int]:
@@ -132,25 +124,6 @@ def _values(g: Graph, k: int, *, force: str = "auto",
 
     name = "outerplanar" if names == {"outerplanar"} else "bouterplanar"
     return name, values, pick_joined if witness else None
-
-
-def _join_wide(acc, vec: list[int | None], kmax: int):
-    """acc ⊛ vec for sizes 0..kmax on tables.maxplus_rows, as an int32
-    array: acc is one already, or the list it was until this, its first
-    wide join.  After that join only vec is converted, so a join costs
-    Python work in len(vec) and numpy work in len(acc) * len(vec); a
-    cell below tables.NEG // 2 is absent."""
-    import numpy as np  # deferred: narrow joins never load it
-
-    def col(v):
-        return np.array([tables.NEG if c is None else c for c in v],
-                        np.int32)[:, None]
-
-    a = col(acc) if type(acc) is list else acc[:, None]
-    b = col(vec)
-    return tables.maxplus_rows(a, b, np.empty((kmax + 1, 1), np.int32),
-                               np.empty((max(len(a), len(b)), 1),
-                                        np.int32))[:, 0]
 
 
 def solve(g: Graph, k: int, *, force_solver: str = "auto",

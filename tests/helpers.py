@@ -20,7 +20,7 @@ from dks.errors import CapExceeded, InternalError
 from dks.graph import Graph, induced_subgraph
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
-from dks.tables import convolve_max_plus, maxplus_into
+from dks.tables import NEG, convolve_max_plus, maxplus_into
 
 FIG_NAMES = ["A", "B", "C", "D", "E", "a", "b", "c", "d", "1"]
 FIG_ID = {s: i for i, s in enumerate(FIG_NAMES)}
@@ -223,6 +223,13 @@ def subsets(vs) -> list[frozenset]:
         combinations(vs, r) for r in range(len(vs) + 1))]
 
 
+def as_none(cells) -> list:
+    """A vector of a table, with each absent cell (exactly tables.NEG)
+    as None, as the hand-computed and brute-force tables mark it.  Any
+    other cell stays, a negative one too, so it shows as a mismatch."""
+    return [None if c == NEG else c for c in cells]
+
+
 def merge_reference(t1, t2, k: int) -> dict:
     """merge_tables by its definition, pair by pair over the `rows` views:
     each result subset A is the best, over the middle subsets Bx, of the
@@ -236,7 +243,7 @@ def merge_reference(t1, t2, k: int) -> dict:
     rows1, rows2 = t1.rows, t2.rows
     out = {}
     for a in subsets(outer):
-        row = out[a] = [None] * (K + 1)
+        row = out[a] = [NEG] * (K + 1)
         for bx in subsets(middle):
             s = a | bx
             maxplus_into(row, rows1[s & t1.bset], rows2[s & t2.bset],
@@ -253,7 +260,7 @@ def flat_merge_reference(t1, t2, g: Graph, k: int):
     closing = x == z
     vcount = t1.vcount + t2.vcount - 1 - (1 if closing else 0)
     cap = min(k, vcount)
-    rows = [[None] * (cap + 1) for _ in range(4)]
+    rows = [[NEG] * (cap + 1) for _ in range(4)]
     chord_real = (not closing) and g.has_edge(x, z)
     for r, r1, r2, shift, add in _merge_terms(
             closing, chord_real, t1.counts_label_edge, t2.counts_label_edge):
@@ -278,7 +285,7 @@ def self_reduction_witness(g: Graph, k: int, **opts) -> list[int]:
     deletion made: each component's value vector is kept, keyed by its
     vertices, and the vectors are joined by max-plus convolution.
     """
-    memo: dict[tuple[int, ...], list[int | None]] = {}
+    memo: dict[tuple[int, ...], list[int]] = {}
 
     def optimum(keep: list[int]) -> int:
         if not keep:

@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 import dks
 from dks import dp_bouterplanar
-from dks.dp_bouterplanar import (ABSENT, BoundaryTable, create,
-                                 evaluate_tables, merge_tables,
-                                 solve_bouterplanar_values)
+from dks.dp_bouterplanar import (BoundaryTable, create, evaluate_tables,
+                                 merge_tables, solve_bouterplanar_values)
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar
@@ -24,9 +23,10 @@ from dks.oracle import brute_force_all_k
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
+from dks.tables import NEG
 from dks.trees import build_forest
 
-from helpers import (FIG_ID, brute_force_slice_table, figure_graph,
+from helpers import (FIG_ID, as_none, brute_force_slice_table, figure_graph,
                      hex_two_pendants, materialize_slice, merge_reference,
                      node_tables, wheel)
 from test_dp_outerplanar import outerplanar_graphs
@@ -158,7 +158,7 @@ def assert_node_tables_match_slice_oracle(g):
         want = brute_force_slice_table(g, sorted(verts), set(edges),
                                        boundary, t.K)
         for a, cells in t.rows.items():
-            for kp, got in enumerate(cells):
+            for kp, got in enumerate(as_none(cells)):
                 assert got == want[(a, kp)], (
                     f"node {node.uid} row {sorted(a)} k'={kp}: "
                     f"{got} != {want[(a, kp)]}")
@@ -250,7 +250,7 @@ def test_table_shape_invariants():
         assert t.rows[frozenset()][0] == 0
         for a, cells in t.rows.items():
             for kp, v in enumerate(cells):
-                if v is not ABSENT:
+                if v != NEG:
                     assert kp >= len(a)
                     assert v >= 0
 
@@ -279,7 +279,7 @@ def test_every_table_stores_exactly_the_sizes_its_rows_reach(
         inner = len(t.vset) - len(t.bset)
         assert t.cells.shape[1] == min(inner, t.K) + 1
         for a, cells in t.rows.items():
-            assert [kp for kp, c in enumerate(cells) if c is not ABSENT] \
+            assert [kp for kp, c in enumerate(cells) if c != NEG] \
                 == list(range(len(a), min(len(a) + inner, t.K) + 1))
 
 
@@ -360,7 +360,7 @@ def test_leaf_template_shape():
                            frozenset({first.y}),
                            frozenset({first.x, first.y})}
     assert t.rows[frozenset({first.x, first.y})][2] == 1
-    assert t.rows[frozenset()] == [0, ABSENT, ABSENT]
+    assert t.rows[frozenset()] == [0, NEG, NEG]
 
 
 def test_doubled_walk_edge_scores_once():

@@ -3,7 +3,8 @@
 The seven-vertex fixture below (outer cycle c-b-a-e-f-g-d plus chords
 b-e, b-g, c-g) has every intermediate table hand-computed; the fold is
 checked bit-for-bit against those tables, None (= no subgraph of that
-size with that endpoint trace) included.
+size with that endpoint trace) included: a table marks such a cell
+tables.NEG, which the comparisons read as None (helpers.as_none).
 """
 
 import os
@@ -22,6 +23,7 @@ from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k
 from dks import dp_outerplanar, tables
+from dks.tables import NEG
 from dks.dp_outerplanar import (
     EdgeTable,
     block_outer_cycle,
@@ -32,7 +34,7 @@ from dks.dp_outerplanar import (
     solve_outerplanar_values,
 )
 from dks.solve import solve, solve_outerplanar
-from helpers import (brute_force_slice_table, flat_merge_reference,
+from helpers import (as_none, brute_force_slice_table, flat_merge_reference,
                      shaped_outerplanar)
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
@@ -69,7 +71,7 @@ def run_fixture():
         t = ev["table"]
         assert ev["graph"] is g
         key = (g.names[t.x], g.names[t.y])
-        rows = [list(r) for r in t.rows]
+        rows = [as_none(r) for r in t.rows]
         if ev["branch"] == "leaf":
             leaves[key] = rows
         elif ev["branch"] == "merge":
@@ -139,28 +141,32 @@ def test_fixture_explicit_root_orientation():
 
 def test_leaf_table_shape():
     t = leaf_table(4, 9, k=5)
-    assert t.rows == [[0, N, N], [N, 0, N], [N, 0, N], [N, N, 1]]
+    assert [as_none(r) for r in t.rows] == [[0, N, N], [N, 0, N], [N, 0, N],
+                                            [N, N, 1]]
     assert t.vcount == 2 and t.counts_label_edge
 
 
 def test_merge_empty_cells_are_reset_per_k():
     # two disjoint path edges sharing the middle vertex: row (0,0) has no
-    # size-2 subset avoiding both endpoints, so that cell must stay None
+    # size-2 subset avoiding both endpoints, so that cell must stay absent
     g = Graph(n=3, edges=[(0, 1), (1, 2)])
     t = merge_tables(leaf_table(0, 1, 3), leaf_table(1, 2, 3), g, 3)
-    assert t.rows[0] == [0, 0, N, N]
+    assert as_none(t.rows[0]) == [0, 0, N, N]
 
 
 @st.composite
 def span_tables(draw, x: int, y: int, k: int, vcounts):
     """A span table T_(x,y) with one of `vcounts` vertices and min(k,
-    vcount) + 1 cells a row: random cells, None where the row's set bits
-    alone outnumber the size, as in every table the fold builds."""
+    vcount) + 1 cells a row: random cells, NEG where the row's set bits
+    alone outnumber the size, as in every table the fold builds, and at
+    least 1 in row (1, 1) when the table counts its label edge."""
     vcount = draw(vcounts)
-    rows = [[None if kp < bin(r).count("1")
-             else draw(st.none() | st.integers(0, 12))
+    counted = draw(st.booleans())
+    rows = [[NEG if kp < bin(r).count("1")
+             else draw(st.just(NEG) | st.integers(int(r == 3 and counted),
+                                                  12))
              for kp in range(min(k, vcount) + 1)] for r in range(4)]
-    return EdgeTable(x, y, vcount, rows, draw(st.booleans()))
+    return EdgeTable(x, y, vcount, rows, counted)
 
 
 @given(st.data())
@@ -450,9 +456,10 @@ except TooManyEdges as e:
 def test_wide_combines_leave_all_k_values_and_witnesses_unchanged(
         n, seed, monkeypatch):
     # combines wider than _WIDE cells a pair run on the array kernel; with
-    # _WIDE out of reach the Python loop runs them all, and the values and
-    # witnesses (at k = n, as `dks solve --all-k --witness` asks, and at
-    # n // 2) must come out the same
+    # _WIDE out of reach the Python loop runs them all, and the values,
+    # the witnesses (at k = n, as `dks solve --all-k --witness` asks, and
+    # at n // 2) and every traced table, cell for cell, must come out the
+    # same
     g = gen_outerplanar(GenSpec(n=n, rho=0.5, seed=seed))
     calls = []
     kernel = tables.maxplus_rows
@@ -460,8 +467,13 @@ def test_wide_combines_leave_all_k_values_and_witnesses_unchanged(
                         lambda *args: calls.append(1) or kernel(*args))
 
     def reports():
-        return [(r.values, r.witness) for r in
-                (solve(g, kp, witness=True) for kp in (g.n, g.n // 2))]
+        out = []
+        for kp in (g.n, g.n // 2):
+            events: list = []
+            r = solve(g, kp, witness=True, trace=events)
+            out.append((r.values, r.witness,
+                        [ev["table"].rows for ev in events]))
+        return out
 
     wide = reports()
     ran = len(calls)

@@ -10,7 +10,7 @@ from importlib import import_module
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dks
@@ -165,15 +165,21 @@ def test_disconnected_input_solves_as_its_components_one_by_one(kinds, seed,
 
 def test_int32_joins_match_list_joins(monkeypatch):
     # from the first join wider than tables._WIDE cells on, the running
-    # vector is one int32 array; with _WIDE out of reach every join (and
-    # every flat combine) stays on lists, and values, witness, stats and
-    # table events must come out the same.  Pieces of up to 40 vertices,
-    # up to 15 of them, so joins at large k cross _WIDE
+    # vector is one int32 array, which tables.convolve_max_plus returns;
+    # with _WIDE out of reach every join (and every flat combine) stays
+    # on lists, and values, witness, stats and table events must come out
+    # the same.  Pieces of up to 40 vertices, up to 15 of them, so joins
+    # at large k cross _WIDE
     wide = []
     front = import_module("dks.solve")
-    real = front._join_wide
-    monkeypatch.setattr(front, "_join_wide",
-                        lambda *args: wide.append(1) or real(*args))
+    real = front.convolve_max_plus
+
+    def join(*args):
+        out = real(*args)
+        wide.append(type(out) is not list)
+        return out
+
+    monkeypatch.setattr(front, "convolve_max_plus", join)
     piece = st.one_of(
         st.just(Graph(1, [])), st.just(Graph(2, [(0, 1)])),
         st.builds(lambda n, seed: gen_outerplanar(
@@ -202,7 +208,74 @@ def test_int32_joins_match_list_joins(monkeypatch):
             assert run() == got
 
     check()
-    assert wide
+    assert any(wide)
+
+
+def test_every_absent_flat_cell_is_neg_and_no_join_cell_is_half_absent(
+        monkeypatch):
+    # one encoding of an absent cell: every negative cell of every traced
+    # flat table, of every table or hang vector a witness keeps behind
+    # one, and of every hang vector attached is exactly NEG, and no
+    # vector joined holds a cell between NEG // 2 and 0.  A piece of up
+    # to 300 vertices at k = 10 and at k = n, so combines and joins land
+    # on both sides of tables._WIDE, plus up to two small pieces to join
+    hangs, joined = [], []
+    front = import_module("dks.solve")
+    real_attach = dp_outerplanar.attach_hang
+    real_join = front.convolve_max_plus
+
+    def attach(t, side, hang, *args):
+        hangs.append(hang)
+        return real_attach(t, side, hang, *args)
+
+    def join(a, b, kmax):
+        joined.append((list(a), b))
+        return real_join(a, b, kmax)
+
+    monkeypatch.setattr(dp_outerplanar, "attach_hang", attach)
+    monkeypatch.setattr(front, "convolve_max_plus", join)
+
+    def vectors(t, seen):
+        """t's rows and every vector of what it was built from."""
+        todo = [t]
+        while todo:
+            item = todo.pop()
+            if id(item) in seen:
+                continue
+            seen.add(id(item))
+            if isinstance(item, dp_outerplanar.Hang):
+                yield from item[:2]
+            else:
+                yield from item.rows
+            todo += [x for x in item.made[1:]
+                     if isinstance(x, (dp_outerplanar.EdgeTable,
+                                       dp_outerplanar.Hang))]
+
+    @given(n=st.integers(3, 300),
+           extra=st.lists(st.integers(2, 12), max_size=2),
+           seed=st.integers(0, 10_000), all_k=st.booleans(),
+           witness=st.booleans())
+    @example(n=300, extra=[12], seed=1, all_k=True, witness=True)
+    @example(n=300, extra=[5, 2], seed=2, all_k=False, witness=False)
+    @settings(max_examples=25, deadline=None)
+    def check(n, extra, seed, all_k, witness):
+        g = _union(gen_outerplanar(GenSpec(n=n, rho=0.6, seed=seed)),
+                   *(gen_outerplanar(GenSpec(n=m, rho=0.6, seed=seed + m))
+                     for m in extra))
+        hangs.clear()
+        joined.clear()
+        events: list = []
+        solve(g, g.n if all_k else min(10, g.n), witness=witness,
+              trace=events)
+        seen: set = set()
+        cells = [c for ev in events for v in vectors(ev["table"], seen)
+                 for c in v]
+        cells += [c for h in hangs for v in h[:2] for c in v]
+        assert all(c == tables.NEG for c in cells if c < 0)
+        assert not [c for a, b in joined for c in a + b
+                    if tables.NEG // 2 <= c < 0]
+
+    check()
 
 
 def test_disconnected_refusals_stay():

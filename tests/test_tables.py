@@ -1,4 +1,8 @@
-"""The max-plus cell kernels the DPs combine their vectors with."""
+"""The max-plus cell kernels the DPs combine their vectors with.
+
+The references here are triple loops on vectors that mark an absent
+cell None; the kernels get and give NEG for it (see tables.NEG).
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,7 +13,22 @@ from dks.tables import (_WIDE, MAX_EDGES, NEG, convolve_max_plus,
                         maxplus_into, maxplus_pair, maxplus_rows,
                         maxplus_terms)
 
-cells = st.lists(st.one_of(st.none(), st.integers(-3, 9)), max_size=7)
+from helpers import as_none
+
+
+def neg(v):
+    """v in the kernels' encoding: NEG for each None."""
+    return [NEG if c is None else c for c in v]
+
+
+@st.composite
+def term(draw):
+    """(a, b, add): two vectors with None cells, and an add that keeps
+    every sum of two real cells at 0 or above, as the DPs keep it."""
+    add = draw(st.integers(-2, 2))
+    cells = st.lists(st.one_of(st.none(), st.integers(max(0, -add), 9)),
+                     max_size=7)
+    return draw(cells), draw(cells), add
 
 
 def naive(out, a, b, shift, add):
@@ -25,48 +44,64 @@ def naive(out, a, b, shift, add):
 
 
 @settings(max_examples=400, deadline=None)
-@given(a=cells, b=cells, shift=st.integers(-2, 1), add=st.integers(-2, 2),
-       extra=st.integers(-6, 3), start=cells)
-def test_maxplus_into_matches_triple_loop(a, b, shift, add, extra, start):
+@given(t=term(), shift=st.integers(-2, 1), extra=st.integers(-6, 3),
+       start=st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=7))
+def test_maxplus_into_matches_triple_loop(t, shift, extra, start):
     # out may be shorter or longer than len(a) + len(b), and need not
-    # start empty: the kernel keeps the larger of old and new cells
+    # start empty: the kernel keeps the larger of old and new cells, and
+    # an absent cell it leaves or writes is exactly NEG
+    a, b, add = t
     n = max(0, len(a) + len(b) + extra)
     out = (start + [None] * n)[:n]
     want = naive(out, a, b, shift, add)
-    maxplus_into(out, a, b, shift, add)
-    assert out == want
+    out = neg(out)
+    maxplus_into(out, neg(a), neg(b), shift, add)
+    assert as_none(out) == want
 
 
 @settings(max_examples=300, deadline=None)
-@given(a=cells, b=cells, shift=st.integers(-2, 1), add=st.integers(-2, 2),
-       width=st.integers(0, 12))
-def test_maxplus_pair_inverts_every_cell(a, b, shift, add, width):
-    # each defined cell of a fresh result splits into the pair with the
-    # least k1 that reaches it, from a list a or, with no None, from an
-    # int32 array a (the component join's running vector); an undefined
-    # cell, or a value above the cell's, splits into none
-    out = [None] * width
-    maxplus_into(out, a, b, shift, add)
-    as_array = np.array(a, np.int32) if None not in a else None
+@given(t=term(), shift=st.integers(-2, 1), width=st.integers(0, 12))
+def test_maxplus_pair_inverts_every_cell(t, shift, width):
+    # each real cell of a fresh result splits into the pair with the
+    # least k1 that reaches it, from a list a or from an int32 array a
+    # (the component join's running vector); an absent cell, or a value
+    # above the cell's, splits into none
+    a, b, add = t
+    out = naive([None] * width, a, b, shift, add)
+    a, b = neg(a), neg(b)
+    as_array = np.array(a, np.int32)
     for kp, val in enumerate(out):
         if val is None:
             assert all(maxplus_pair(a, b, kp, v, shift, add) is None
-                       for v in range(-10, 22))
+                       and maxplus_pair(as_array, b, kp, v, shift, add)
+                       is None for v in range(-10, 22))
             continue
         k1, k2 = maxplus_pair(a, b, kp, val, shift, add)
         assert k1 + k2 + shift == kp and a[k1] + b[k2] + add == val
-        assert all(a[j] is None or b[kp - shift - j] is None
+        assert min(a[k1], b[k2]) >= 0
+        assert all(min(a[j], b[kp - shift - j]) < 0
                    or a[j] + b[kp - shift - j] + add != val
                    for j in range(max(0, kp - shift - len(b) + 1), k1))
         assert maxplus_pair(a, b, kp, val + 1, shift, add) is None
-        if as_array is not None:
-            assert maxplus_pair(as_array, b, kp, val, shift, add) == (k1, k2)
+        assert maxplus_pair(as_array, b, kp, val, shift, add) == (k1, k2)
 
 
-@given(a=cells, b=cells, kmax=st.integers(0, 14))
-def test_convolve_max_plus_is_the_unshifted_kernel(a, b, kmax):
-    assert convolve_max_plus(a, b, kmax) == naive([None] * (kmax + 1), a, b,
-                                                  0, 0)
+@settings(max_examples=300, deadline=None)
+@given(wide=st.booleans(), array=st.booleans(), data=st.data())
+def test_convolve_max_plus_is_the_unshifted_kernel(wide, array, data):
+    # a list while a is one and the pair is at most _WIDE cells, an int32
+    # array else, whichever a is; an absent cell is exactly NEG in both
+    la = data.draw(st.integers(1, 40), label="la")
+    lb = data.draw(st.integers(_WIDE // la + 1, _WIDE // la + 8) if wide
+                   else st.integers(1, max(1, _WIDE // la)), label="lb")
+    cell = st.one_of(st.none(), st.integers(0, 9))
+    a = data.draw(st.lists(cell, min_size=la, max_size=la), label="a")
+    b = data.draw(st.lists(cell, min_size=lb, max_size=lb), label="b")
+    kmax = data.draw(st.integers(0, la + lb), label="kmax")
+    got = convolve_max_plus(np.array(neg(a), np.int32) if array else neg(a),
+                            neg(b), kmax)
+    assert (type(got) is list) == (not array and la * lb <= _WIDE)
+    assert as_none(list(got)) == naive([None] * (kmax + 1), a, b, 0, 0)
 
 
 @st.composite
@@ -75,7 +110,8 @@ def term_calls(draw):
     whose product is above _WIDE when `wide` and at most _WIDE else, each
     with None runs at both ends; the terms of a flat merge (closing or
     not), of a hang attachment, or random ones with shifts -2..1 and adds
-    -1..1; and result rows that need not start empty."""
+    -1..1; and result rows that need not start empty.  Real cells are
+    at least 1 when some add is -1, so no sum of real cells is below 0."""
     wide = draw(st.booleans())
     kind = draw(st.sampled_from(["merge", "hang", "random"]))
     if kind == "merge":
@@ -95,10 +131,12 @@ def term_calls(draw):
     if draw(st.booleans()):
         la, lb = lb, la
 
+    least = 1 if min(t[4] for t in terms) < 0 else 0
+
     def row(n):
         lead = draw(st.integers(0, min(3, n)))
         trail = draw(st.integers(0, min(3, n - lead)))
-        body = draw(st.lists(st.one_of(st.none(), st.integers(0, 30)),
+        body = draw(st.lists(st.one_of(st.none(), st.integers(least, 30)),
                              min_size=n - lead - trail,
                              max_size=n - lead - trail))
         return [None] * lead + body + [None] * trail
@@ -117,14 +155,15 @@ def term_calls(draw):
 def test_maxplus_terms_matches_triple_loop_on_both_sides_of_wide(case):
     # above _WIDE cells a pair the call runs on the array kernel, at or
     # below it on the Python loop; both must match the triple loop, term
-    # by term, old cells of out included
+    # by term, old cells of out included, with every absent cell NEG
     out, a, b, terms, wide = case
     assert (len(a[0]) * len(b[0]) > _WIDE) == wide
     want = [list(r) for r in out]
     for r, r1, r2, shift, add in terms:
         want[r] = naive(want[r], a[r1], b[r2], shift, add)
-    maxplus_terms(out, a, b, terms)
-    assert out == want
+    out = [neg(r) for r in out]
+    maxplus_terms(out, [neg(r) for r in a], [neg(r) for r in b], terms)
+    assert [as_none(r) for r in out] == want
 
 
 @st.composite
@@ -134,7 +173,7 @@ def stacked(draw):
     group = draw(st.sampled_from([1, 2, 3]))
     pairs = group * draw(st.integers(1, 4))
     wa, wb = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    cell = st.one_of(st.none(), st.integers(-3, 9))
+    cell = st.one_of(st.none(), st.integers(0, 9))
     a = [draw(st.lists(cell, min_size=wa, max_size=wa)) for _ in range(pairs)]
     b = [draw(st.lists(cell, min_size=wb, max_size=wb)) for _ in range(pairs)]
     width = draw(st.integers(1, wa + wb + 2))
@@ -143,8 +182,7 @@ def stacked(draw):
 
 def size_major(vectors):
     """A row per size, a column per pair vector; NEG for None."""
-    return np.array([[NEG if c is None else c for c in v] for v in vectors],
-                    dtype=np.int32).T.copy()
+    return np.array([neg(v) for v in vectors], dtype=np.int32).T.copy()
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,7 +197,7 @@ def test_maxplus_rows_matches_maxplus_into_row_by_row(case):
     got = maxplus_rows(size_major(a), size_major(b), out, scratch, group)
     want = [[None] * width for _ in range(pairs // group)]
     for p in range(pairs):
-        maxplus_into(want[p // group], a[p], b[p])
+        want[p // group] = naive(want[p // group], a[p], b[p], 0, 0)
     assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
@@ -173,7 +211,7 @@ def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
     # column g of each run of 2^lift lands popcount(g) rows down before
     # the runs are reduced
     group = 1 << lift
-    cell = st.one_of(st.none(), st.integers(-3, 9))
+    cell = st.one_of(st.none(), st.integers(0, 9))
     a = [data.draw(st.lists(cell, min_size=wa, max_size=wa))
          for _ in range(group * cols)]
     b = [data.draw(st.lists(cell, min_size=wb, max_size=wb))
@@ -185,7 +223,8 @@ def test_maxplus_rows_lifts_each_run_by_its_popcount(lift, cols, wa, wb,
                        lift)
     want = [[None] * width for _ in range(cols)]
     for p in range(group * cols):
-        maxplus_into(want[p // group], a[p], b[p], (p % group).bit_count())
+        want[p // group] = naive(want[p // group], a[p], b[p],
+                                 (p % group).bit_count(), 0)
     assert [[None if c < NEG // 2 else c for c in col]
             for col in got.T.tolist()] == want
 
