@@ -11,8 +11,9 @@ tables.maxplus_terms loop.
 Each block hanging off a cutpoint is collapsed into a pair of vectors
 and attached, one block at a time, to the leaf table where the cutpoint
 sits.
-When a witness is asked for, every table and vector keeps the operands
-it was built from, and `_traceback` walks a root cell back down them.
+When a witness is asked for, every table and vector records the terms
+and operands that built it, and `_traceback` replays a root cell back
+down them.
 
 A note on the closing merge (the one that reunites the two ends of the
 cycle, producing a table whose two labels coincide): the size arithmetic
@@ -51,8 +52,8 @@ class EdgeTable:
     tables.NEG.
     counts_label_edge is True when row values already include the edge
     (x, y) itself.  made is () for a leaf and, when kept for a traceback,
-    ("merge", t1, t2) or ("hang", t, side, hang) for the call that built
-    the table.
+    (terms, o1, o2): rows are the maxplus_terms combine of o1's rows and
+    o2's under those terms.
     """
 
     x: int
@@ -66,15 +67,22 @@ class EdgeTable:
 class Hang(NamedTuple):
     """Best-value vectors over one block and the subtree below it,
     without (d0) and with (d1) the cutpoint it hangs from, and their
-    vertex count.  made is (), or, when kept for a traceback,
-    ("block", t, groups): the vectors are the cellwise max over the rows
-    groups[0] and groups[1] of the block's final table t.
+    vertex count.  made is as EdgeTable's, its terms over the block's
+    final table and _EMPTY (see _MAX_TERMS).
     """
 
     d0: list[int]
     d1: list[int]
     count: int
     made: tuple = ()
+
+    @property
+    def rows(self) -> tuple[list[int], list[int]]:
+        return self[:2]
+
+
+# The hang of no vertices: its one cell is the unit of maxplus_terms
+_EMPTY = Hang((0,), (), 0)
 
 
 def leaf_table(x: int, y: int, k: int) -> EdgeTable:
@@ -89,7 +97,8 @@ def leaf_table(x: int, y: int, k: int) -> EdgeTable:
     return EdgeTable(x, y, 2, rows, True)
 
 
-def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
+def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int,
+                 keep: bool = False) -> EdgeTable:
     """Combine span tables T_(x,y) and T_(y,z) into T_(x,z).
 
     The spans share vertex y; when x == z the cycle has closed and they
@@ -98,7 +107,8 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
     leaf_table makes 2-vertex tables) and the cycle stays open, the
     merge pushes z onto the span: each result row is one pass over
     t1's rows without and with y.  Every other merge combines the row
-    pairs _merge_terms lists in one maxplus_terms loop.
+    pairs _merge_terms lists in one maxplus_terms loop.  With `keep`,
+    made holds those terms, which the push matches.
     """
     if t1.y != t2.x:
         raise BoundaryMismatch(f"cannot merge T_({t1.x},{t1.y}) with T_({t2.x},{t2.y})")
@@ -127,7 +137,9 @@ def merge_tables(t1: EdgeTable, t2: EdgeTable, g: Graph, k: int) -> EdgeTable:
         rows = [[NEG] * (cap + 1) for _ in range(4)]
         maxplus_terms(rows, t1.rows, t2.rows, _MERGE_TERMS[
             closing, chord_real, t1.counts_label_edge, t2.counts_label_edge])
-    return EdgeTable(x, z, vcount, rows, chord_real)
+    return EdgeTable(x, z, vcount, rows, chord_real, (_MERGE_TERMS[
+        closing, chord_real, t1.counts_label_edge, t2.counts_label_edge],
+        t1, t2) if keep else ())
 
 
 def _merge_terms(closing: bool, chord_real: bool, counted1: bool,
@@ -162,18 +174,27 @@ _MERGE_TERMS = {flags: _merge_terms(*flags)
 _HANG_TERMS = tuple(tuple((r, r, b, -b, 0) for r, b in enumerate(bits))
                     for bits in ((0, 0, 1, 1), (0, 1, 0, 1)))
 
+# The terms of a cellwise max: row b is the max of the rows groups[b],
+# each paired with _EMPTY's cell.  A block's hang takes its final table's
+# rows without and with its key vertex (a bridge's x, a cycle's both
+# labels); the root takes all of them into one row.
+_MAX_TERMS = {groups: tuple((b, r, 0, 0, 0) for b, rows in enumerate(groups)
+                            for r in rows)
+              for groups in (((0, 1), (2, 3)), ((0,), (3,)),
+                             ((0, 1, 2, 3),), ((0, 3),))}
+
 
 def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
                 keep: bool = False) -> EdgeTable:
     """Fold one hanging block's vector pair into a leaf table; side 0
     attaches at label x, side 1 at label y, and the cutpoint counts
-    once.  With `keep`, made is ("hang", t, side, hang)."""
+    once.  With `keep`, made holds _HANG_TERMS[side]."""
     vcount = t.vcount + hang.count - 1
     cap = min(k, vcount)
     rows = [[NEG] * (cap + 1) for _ in range(4)]
-    maxplus_terms(rows, t.rows, hang[:2], _HANG_TERMS[side])
+    maxplus_terms(rows, t.rows, hang.rows, _HANG_TERMS[side])
     return EdgeTable(t.x, t.y, vcount, rows, t.counts_label_edge,
-                     ("hang", t, side, hang) if keep else ())
+                     (_HANG_TERMS[side], t, hang) if keep else ())
 
 
 # ------------------------------------------------------------ outer cycle
@@ -340,8 +361,8 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     one, goes onto the innermost open span; a leaf that only a push will
     read, unless traced or kept, goes on without rows.  A span closes
     after its last edge: its pieces are merged left to right, and the
-    result goes onto the enclosing span.  `keep` records each table's
-    operands in its `made`."""
+    result goes onto the enclosing span.  With `keep`, every table
+    records its `made`."""
     attach = attach or {}
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
@@ -361,9 +382,7 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
         while stack[-1][0] <= i:       # close the spans ending at edge i-1
             t, *rest = stack.pop()[1]
             for t2 in rest:
-                t1, t = t, merge_tables(t, t2, g, k)
-                if keep:
-                    t.made = ("merge", t1, t2)
+                t = merge_tables(t, t2, g, k, keep)
                 cells += 4 * len(t.rows[0])
                 _emit(trace, g, "merge", t)
             if not stack:              # the cycle's own span, at i == m
@@ -394,54 +413,27 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
 # ------------------------------------------------------------- block-cut
 
 
-def _row_reaching(t: EdgeTable, group: tuple[int, ...], kp: int,
-                  val: int) -> int:
-    for r in group:
-        if t.rows[r][kp] == val:
-            return r
-    raise InternalError(f"traceback: no row of T_({t.x},{t.y}) reaches "
-                        f"{val} at size {kp}")
-
-
-def _cells(item: EdgeTable | Hang, r: int) -> list[int]:
-    """Row r of a table, or the vector with cutpoint bit r of a hang."""
-    return item[r] if isinstance(item, Hang) else item.rows[r]
-
-
-def _traceback(t: EdgeTable, group: tuple[int, ...], kp: int,
-               val: int) -> set[int]:
-    """Vertices of a kp-subset that reaches val in one of the rows
-    `group` of the kept table t.  Each cell is walked back to operand
-    cells that reach it, down to the leaves, whose rows select their
-    endpoints.  A cell of size 0 selects nothing."""
+def _traceback(top: Hang, kp: int) -> set[int]:
+    """Vertices of a kp-subset that reaches cell kp of top's row 0.  A
+    cell is replayed by the first term of its row whose operand cells
+    reach it, down to the leaves, whose rows select their endpoints.  A
+    cell of size 0 selects nothing."""
     chosen: set[int] = set()
-    todo: list[tuple] = [(t, _row_reaching(t, group, kp, val), kp)]
+    todo: list[tuple] = [(top, 0, kp)]
     while todo:
         item, r, kp = todo.pop()
         if kp == 0:
             continue
-        made = item.made
-        if not made:                        # a leaf
+        if not item.made:                   # a leaf
             chosen.update(v for v, bit in ((item.x, 2), (item.y, 1))
                           if r & bit)
             continue
-        val = _cells(item, r)[kp]
-        if made[0] == "block":              # r is the cutpoint's bit
-            todo.append((made[1], _row_reaching(made[1], made[2][r], kp,
-                                                val), kp))
-            continue
-        if made[0] == "merge":
-            o1, o2 = made[1:]
-            terms = _MERGE_TERMS[o1.x == o2.y, item.counts_label_edge,
-                                 o1.counts_label_edge, o2.counts_label_edge]
-        else:
-            o1, side, o2 = made[1:]
-            terms = _HANG_TERMS[side]
+        terms, o1, o2 = item.made
+        val = item.rows[r][kp]
         for out, r1, r2, shift, add in terms:
             if out != r:
                 continue
-            pair = maxplus_pair(_cells(o1, r1), _cells(o2, r2), kp, val,
-                                shift, add)
+            pair = maxplus_pair(o1.rows[r1], o2.rows[r2], kp, val, shift, add)
             if pair is not None:
                 todo += [(o1, r1, pair[0]), (o2, r2, pair[1])]
                 break
@@ -487,9 +479,6 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 home[v] = i
             else:
                 at_cut.setdefault(v, [home[v]]).append(i)
-    # distinct vertices: each cutpoint is listed once per block it is in
-    placed = (sum(map(len, bverts)) - sum(map(len, at_cut.values()))
-              + len(at_cut))
 
     rootv = root if root is not None else part[0] if part else 0
     if rootv not in part or home[rootv] < 0:
@@ -497,17 +486,20 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     root_bid = home[rootv]
 
     # BFS the block-cut tree from the root block; a block's key vertex is
-    # the cutpoint it hangs from
+    # the cutpoint it hangs from.  The first block to reach a cutpoint
+    # takes all of its blocks, so each list is read once.
     key_of = [-1] * len(bverts)
     key_of[root_bid] = rootv
     order = [root_bid]
     for bid in order:
         for v in bverts[bid]:
-            for nb in at_cut.get(v, ()):
+            for nb in at_cut.pop(v, ()):
                 if key_of[nb] < 0:
                     key_of[nb] = v
                     order.append(nb)
-    if len(order) < len(bverts) or placed < len(part):
+    # a connected block-cut tree has sum |B| - #B + 1 distinct vertices
+    if (len(order) < len(bverts)
+            or sum(map(len, bverts)) - len(bverts) + 1 < len(part)):
         raise BadArgument("graph is disconnected; solve() splits components")
 
     if stats is not None:
@@ -546,8 +538,10 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         if bid == root_bid:
             values = vector_max(u0, u1)
         else:
-            waiting[key].append(Hang(u0, u1, t.vcount,
-                                     ("block", t, groups) if witness else ()))
+            waiting[key].append(Hang(u0, u1, t.vcount, (
+                _MAX_TERMS[groups], t, _EMPTY) if witness else ()))
     if not witness:
         return values, None
-    return values, lambda kp: _traceback(t, sum(groups, ()), kp, values[kp])
+    top = Hang(values, (), t.vcount,
+               (_MAX_TERMS[sum(groups, ()),], t, _EMPTY))
+    return values, lambda kp: _traceback(top, kp)

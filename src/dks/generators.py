@@ -1,11 +1,15 @@
 """Seeded random instance generators.
 
-Every construction here is geometric: vertices get coordinates, the
-rotation system is read off the straight-line drawing, so planarity holds
-by construction instead of by post-hoc embedding search.  Randomness comes
-exclusively from ``random.Random(seed)`` -- CPython's Mersenne Twister,
-whose sequences are reproducible across platforms -- never from the
-process -global generator.
+Every construction here is geometric: vertices get coordinates, so
+planarity holds by construction instead of by post-hoc embedding search,
+and every generator but gen_planar returns the rotation system read off
+its straight-line drawing.  gen_planar returns none, so its graphs are
+embedded again when solved: its drawing's rotation would change the
+outer face the leveled solver peels from, and with it the depth and the
+leveled table dumps of the planar inputs it already made.  Randomness
+comes exclusively from ``random.Random(seed)`` -- CPython's Mersenne
+Twister, whose sequences are reproducible across platforms -- never from
+the process-global generator.
 """
 
 from __future__ import annotations

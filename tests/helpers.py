@@ -100,6 +100,18 @@ def triangle_chain(t: int) -> Graph:
                                        (2 * i, 2 * i + 2))])
 
 
+def triangle_hub(t: int) -> Graph:
+    """t triangles sharing vertex 0: 2t+1 vertices, t blocks, one
+    cutpoint in all of them."""
+    return Graph(2 * t + 1, [e for i in range(1, 2 * t, 2)
+                             for e in ((0, i), (i, i + 1), (0, i + 1))])
+
+
+def star(t: int) -> Graph:
+    """Hub 0 with t leaves: t bridges at one cutpoint."""
+    return Graph(t + 1, [(0, i) for i in range(1, t + 1)])
+
+
 def shaped_outerplanar(n: int) -> list[Graph]:
     """A path, star, fan (hub 0 on the path 1..n-1) and cycle on n >= 3
     vertices, and a chain of n triangles."""

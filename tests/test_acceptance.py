@@ -30,7 +30,7 @@ from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from dks.trees import build_forest
 from helpers import (as_none, brute_force_slice_table, induced_edge_count,
                      materialize_slice, node_tables, parse_tables, run_cli,
-                     triangle_chain)
+                     star, triangle_chain, triangle_hub)
 from test_dp_outerplanar import EXPECTED_MERGES, EXPECTED_VALUES, FIXTURE, LEAF
 
 
@@ -216,25 +216,31 @@ def test_all_k_witness_of_many_components_keeps_int32_prefixes():
 
 
 def test_flat_solver_time_on_many_blocks_grows_near_linearly():
-    """Chains of 2,000 and 20,000 triangles (one block each): log-log
-    slope <= 1.25 of the best of 5 runs at each size, so per-block work
-    done at Python speed does not grow with the whole graph.  The clock-free
-    half: each triangle costs exactly 2 merges and 5 tables (3 leaves and
-    2 merges), give or take 0, so 10x the triangles is exactly 10x both
-    counts."""
+    """2,000 and 20,000 blocks of each shape: a chain of triangles, and
+    two one-hub inputs, triangles sharing one vertex and a star, whose
+    blocks all meet at one cutpoint.  Log-log slope <= 1.25 of the best
+    of 5 runs at each size, so per-block work done at Python speed does
+    not grow with the whole graph or with a cutpoint's block count.  The
+    clock-free half: each triangle costs exactly 2 merges and 5 tables
+    (3 leaves and 2 merges) and each star leaf 0 merges and 1 table,
+    give or take 0, so 10x the blocks is exactly 10x both counts."""
     sizes = (2_000, 20_000)
-    times, counts = [], []
-    for t in sizes:
-        g = triangle_chain(t)
-        reps: list = []
-        times.append(min(_timed(lambda: reps.append(solve_outerplanar(g, 10)))
-                         for _ in range(5)))
-        counts.append((reps[-1].stats["merges"], reps[-1].stats["tables"]))
-        del reps
-    assert counts == [(2 * t, 5 * t) for t in sizes], counts
-    assert counts[1] == (10 * counts[0][0], 10 * counts[0][1])
-    slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
-    assert slope <= 1.25, (slope, times)
+    for shape, merges, tables in ((triangle_chain, 2, 5),
+                                  (triangle_hub, 2, 5), (star, 0, 1)):
+        times, counts = [], []
+        for t in sizes:
+            g = shape(t)
+            reps: list = []
+            times.append(min(_timed(lambda: reps.append(
+                solve_outerplanar(g, 10))) for _ in range(5)))
+            counts.append((reps[-1].stats["merges"],
+                           reps[-1].stats["tables"]))
+            del reps
+        assert counts == [(merges * t, tables * t) for t in sizes], \
+            (shape.__name__, counts)
+        assert counts[1] == (10 * counts[0][0], 10 * counts[0][1])
+        slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+        assert slope <= 1.25, (shape.__name__, slope, times)
 
 
 def test_leveled_solver_depth_overhead_within_budget():

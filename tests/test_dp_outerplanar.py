@@ -12,6 +12,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,12 @@ from dks.oracle import brute_force_all_k
 from dks import dp_outerplanar, tables
 from dks.tables import NEG
 from dks.dp_outerplanar import (
+    _EMPTY,
+    _HANG_TERMS,
+    _MAX_TERMS,
+    _MERGE_TERMS,
     EdgeTable,
+    Hang,
     block_outer_cycle,
     fold_block,
     is_outerplanar,
@@ -286,31 +292,49 @@ def test_two_triangles_joined_by_bridge():
     check_against_oracle(g)
 
 
+def kept_records(top):
+    """top and every flat record its made reaches, each once."""
+    seen, todo = {}, [top]
+    while todo:
+        item = todo.pop()
+        if id(item) not in seen:
+            seen[id(item)] = item
+            todo += item.made[1:]
+    return list(seen.values())
+
+
 def test_traceback_reads_each_sibling_hang(monkeypatch):
     # two triangles and a pendant edge hang off cutpoint 2 of the root
     # block (0, 1, 2); each is attached to the leaf at 2 on its own, so
-    # the traceback must walk one "hang" step per sibling block
+    # at k = n the walk must step through each sibling's Hang, by its
+    # recorded block terms, into that block's table
     g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 5),
                   (5, 6), (2, 6), (2, 7)])
-    read = []
-    real = dp_outerplanar._cells
-    monkeypatch.setattr(dp_outerplanar, "_cells",
-                        lambda item, r: read.append(item) or real(item, r))
+    pairs, tops = [], []
+    pair, walk = dp_outerplanar.maxplus_pair, dp_outerplanar._traceback
+    monkeypatch.setattr(dp_outerplanar, "maxplus_pair", lambda a, b, *rest:
+                        pairs.append((id(a), id(b))) or pair(a, b, *rest))
+    monkeypatch.setattr(dp_outerplanar, "_traceback", lambda top, kp:
+                        tops.append(top) or walk(top, kp))
     want = brute_force_all_k(g)
     for k in range(g.n + 1):
-        read.clear()
+        pairs.clear()
         rep = solve_outerplanar(g, k, root=0, witness=True)
         chosen = set(rep.witness)
         assert rep.values == want[:k + 1]
         assert len(chosen) == k
         assert sum(u in chosen and v in chosen for u, v in g.edges) == want[k]
-    # at k = n every vertex is picked, so every sibling block is reached
-    hangs = list({id(t.made[3]): t.made[3] for t in read
-                  if isinstance(t, EdgeTable) and t.made
-                  and t.made[0] == "hang"}.values())
+    top = tops[-1]
+    hangs = [h for h in kept_records(top)
+             if isinstance(h, Hang) and h is not top and h is not _EMPTY]
     assert sorted(h.count for h in hangs) == [2, 3, 3]
-    assert all(h.made[0] == "block" and any(h is x for x in read)
-               for h in hangs)
+    for h in hangs:
+        terms, t, unit = h.made
+        assert terms in _MAX_TERMS.values() and unit is _EMPTY
+        # the attachment read one of h's vectors, and h's step one of
+        # its block's rows
+        assert any(id(v) == b for v in h.rows for _, b in pairs)
+        assert any((id(row), id(_EMPTY.d0)) in pairs for row in t.rows)
 
 
 @pytest.mark.parametrize("chords", [[(0, 2), (1, 3)], [(0, 3), (1, 4)],
@@ -420,13 +444,26 @@ def test_matches_oracle_on_random_outerplanar(g, data):
     root = data.draw(st.integers(0, g.n - 1))
     expected = brute_force_all_k(g)
     assert solve_outerplanar_values(g, g.n, root=root)[0] == expected
-    for k in range(g.n + 1):
-        rep = solve_outerplanar(g, k, root=root, witness=True)
-        chosen = set(rep.witness)
-        assert rep.values == expected[:k + 1]
-        assert len(chosen) == k
-        assert sum(u in chosen and v in chosen for u, v in g.edges) \
-            == expected[k]
+    tops = []
+    walk = dp_outerplanar._traceback
+    with mock.patch.object(dp_outerplanar, "_traceback", lambda top, kp:
+                           tops.append(top) or walk(top, kp)):
+        for k in range(g.n + 1):
+            rep = solve_outerplanar(g, k, root=root, witness=True)
+            chosen = set(rep.witness)
+            assert rep.values == expected[:k + 1]
+            assert len(chosen) == k
+            assert sum(u in chosen and v in chosen for u, v in g.edges) \
+                == expected[k]
+    # every kept record states how to step back from it: a leaf, or
+    # terms from the module's own tables and two operands
+    terms = {id(t) for t in (*_MERGE_TERMS.values(), *_HANG_TERMS,
+                             *_MAX_TERMS.values())}
+    assert tops
+    for top in tops:
+        for rec in kept_records(top):
+            assert rec.made == () or (len(rec.made) == 3
+                                      and id(rec.made[0]) in terms), rec
 
 
 def test_edge_limit_of_int32_tables_raises_under_python_O():
