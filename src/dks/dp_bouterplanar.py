@@ -12,6 +12,14 @@ subset.  Four ways to build one, picked per node:
   window, then fold the parent windows in, each extended by the node's
   endpoint on its side (S4).
 
+A table whose region has no interior vertex (I = 0 below) holds in
+each row just the number of its counted edges inside the row's subset.
+Every step knows that before any cell exists, from its vertex sets: a
+seed, and any extend, adjust or merge whose result has no interior,
+builds no cells and reads none of its operands'.  The table's cells are
+enumerated from its ``verts`` and ``eset`` when something first reads
+them: a step with interior, the root, a dump or a witness walk.
+
 A fold starts at a pivot, S4's seed or else the hungriest operand, and
 merges the others outward from it as each is built: one running table
 per node, however many operands (three live on a 2,000-vertex cycle).
@@ -43,8 +51,9 @@ runs of vertices and broadcasts the two against each other, so no
 operand row is copied per pair and nothing outlives the merge.  Only
 the ``rows`` view reorders, by the sorted boundary.
 
-When a witness is asked for, every table keeps the operands it was built
-from, and ``_traceback`` walks a root cell back down them.
+When a witness is asked for, every table with interior keeps the
+operands it was built from, and ``_traceback`` walks a root cell back
+down them to the tables with none.
 """
 
 from __future__ import annotations
@@ -69,6 +78,13 @@ from .trees import Forest, TreeNode, build_forest, window_path
 # with blocks of one row of t1.
 _BLOCK = 512
 
+# Vertices an enumeration doubles a plain list for, before it doubles an
+# array: up to 6 the list's comprehension costs less than the array's
+# three numpy calls a vertex, and past that it grows twice as fast (a
+# 14-vertex table of the b = 7 rung took 1.8 ms on lists alone and
+# 0.09 ms this way).
+_LIST_BITS = 6
+
 
 def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
@@ -81,8 +97,8 @@ class BoundaryTable:
     L and R list the boundary paths innermost vertex first; bset, their
     union, is set once at construction.  verts lists bset in the order
     of the row bits, chosen by the step that built the table: ascending
-    for an enumerated table, the new vertex on top for extend, the runs
-    of merge_tables for a merge.  cells is an int32 array of shape
+    for a seed, the new vertex on top for extend, the runs of
+    merge_tables for a merge.  cells is an int32 array of shape
     (2^|boundary|, min(I, K) + 1), for the I = |vset| - |bset| vertices
     inside the region: row i holds the subset whose bit j is set when
     verts[j] is in it; column d holds subgraph size popcount(i) + d.
@@ -90,11 +106,15 @@ class BoundaryTable:
     those, and NEG marks only the sizes off a row's band.  int32 holds
     every cell exactly while the graph has fewer than 2^28 edges, which
     solve_bouterplanar_values checks (tables.NEG gives the argument).
-    made is () for a table enumerated from its boundary and, when kept
-    for a traceback, (step, operands...) for the extend, contract,
-    adjust or merge_tables call that built it.  A table lives only as
-    long as something points to it: evaluate_tables drops each one once
-    it is consumed."""
+    A table with no interior vertex (|vset| = |verts|) is built with
+    _cells None, and cells enumerates its one column from verts and eset
+    on the first read; any other is built with its cells.  made is ()
+    for a table with no interior vertex, whose rows are the selections,
+    and, when kept for a traceback, (step, operands...) for the extend,
+    contract, adjust or merge_tables call that built any other (a
+    merge's also holds its shared-edge discount).  A
+    table lives only as long as something points to it:
+    evaluate_tables drops each one once it is consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -102,12 +122,20 @@ class BoundaryTable:
     eset: frozenset
     K: int
     verts: tuple[int, ...]
-    cells: object
+    _cells: object = field(default=None, repr=False)
     made: tuple = ()
     bset: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.bset = frozenset(self.verts)
+
+    @property
+    def cells(self):
+        """The int32 cells array, enumerated from verts and eset on the
+        first read when the step that built the table left it None."""
+        if self._cells is None:
+            self._cells = _edge_counts(self.verts, self.eset).reshape(-1, 1)
+        return self._cells
 
     @property
     def rows(self) -> dict:
@@ -148,29 +176,30 @@ def _cell(t: BoundaryTable, r: int, kp: int) -> int:
     return int(t.cells[r, d]) if 0 <= d < t.cells.shape[1] else NEG
 
 
-def _enum_table(L, R, verts, edges, k: int) -> BoundaryTable:
-    """Brute-force table for a region whose vertices all lie on the
-    boundary; the workhorse behind create."""
+def _edge_counts(verts, edges):
+    """int32 array: the number of edges inside each subset of verts, by
+    its bitmask over verts.  The subsets with vertex j on top are those
+    below it, each plus j's edges into it: the first _LIST_BITS vertices
+    double a list, the rest an array."""
     import numpy as np  # deferred: `import dks` stays numpy-free
 
-    core = sorted(set(verts))
-    K = min(k, len(core))
-    es = sorted(edges)
-    at = {v: j for j, v in enumerate(core)}
-    nbr = [0] * len(core)       # each vertex's neighbours, as a row mask
-    for u, v in es:
-        nbr[at[u]] |= 1 << at[v]
-        nbr[at[v]] |= 1 << at[u]
-    # a row's edges are those of the row less its lowest vertex, plus
-    # that vertex's edges into the rest; a few dozen rows: plain Python
-    count = [0] * (1 << len(core))
-    for a in range(1, len(count)):
-        low = a & -a
-        count[a] = count[a ^ low] + (nbr[low.bit_length() - 1] & a).bit_count()
-    # no interior vertex, so one column
-    cells = np.array(count, dtype=np.int32).reshape(-1, 1)
-    return BoundaryTable(tuple(L), tuple(R), frozenset(core),
-                         frozenset(es), K, tuple(core), cells)
+    at = {v: j for j, v in enumerate(verts)}
+    lower = [0] * len(verts)    # each vertex's neighbours below it, a mask
+    for u, v in edges:
+        i, j = at[u], at[v]
+        if i < j:
+            lower[j] |= 1 << i
+        else:
+            lower[i] |= 1 << j
+    count = [0]
+    for m in lower[:_LIST_BITS]:
+        count += [c + (i & m).bit_count()
+                  for i, c in enumerate(count)] if m else count
+    count = np.array(count, dtype=np.int32)
+    for m in lower[_LIST_BITS:]:
+        count = np.concatenate(
+            (count, count + np.bitwise_count(np.arange(len(count)) & m)))
+    return count
 
 
 def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
@@ -179,12 +208,15 @@ def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
     path bnd, with all real edges among them (the doubled copy of a
     repeated walk edge scores zero).  bnd is () for an outermost walk
     edge or isolated vertex (S3) and the path at the pivot window for a
-    deeper node (S4)."""
+    deeper node (S4).  The vertices go in ascending order; the region
+    has no interior, so its cells are enumerated when first read."""
     x, y = v.x, v.y
-    verts = {x, y, *bnd}
-    edges = [(a, b) for a, b in combinations(sorted(verts), 2)
-             if g.has_edge(a, b) and (v.countable or {a, b} != {x, y})]
-    return _enum_table((x,) + bnd, (y,) + bnd, verts, edges, k)
+    verts = tuple(sorted({x, y, *bnd}))
+    edges = frozenset((a, b) for a, b in combinations(verts, 2)
+                      if g.has_edge(a, b)
+                      and (v.countable or {a, b} != {x, y}))
+    return BoundaryTable((x,) + bnd, (y,) + bnd, frozenset(verts), edges,
+                         min(k, len(verts)), verts)
 
 
 def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
@@ -192,21 +224,24 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     a z-in row pays one vertex and collects z's real edges into the
     selected boundary.  The interior is unchanged, and so is each cell's
     column; every cell stays real, so a z-in row is its z-out row plus
-    z's edges into it."""
-    import numpy as np
-
+    z's edges into it.  With no interior, neither table's cells are
+    built: the result's are enumerated when first read."""
     if z in t.vset:
         raise BoundaryMismatch(f"extension vertex {z} is already inside "
                                "the region")
     vset = t.vset | {z}
     verts = t.verts
     zn = [j for j, w in enumerate(verts) if g.has_edge(z, w)]
-    old = t.cells
-    inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
     eset = t.eset | {_norm(z, verts[j]) for j in zn}
+    cells = None
+    if len(t.vset) > len(verts):
+        import numpy as np
+
+        old = t.cells
+        inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
+        cells = np.concatenate((old, old + inc[:, None]))
     return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset,
-                         min(k, len(vset)), verts + (z,),
-                         np.concatenate((old, old + inc[:, None])))
+                         min(k, len(vset)), verts + (z,), cells)
 
 
 def contract(t: BoundaryTable) -> BoundaryTable:
@@ -238,9 +273,9 @@ def contract(t: BoundaryTable) -> BoundaryTable:
 
 def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     """Score the closing edge between the two boundary tops, if real:
-    every cell is real, so each row selecting both gains exactly 1."""
-    import numpy as np
-
+    every cell is real, so each row selecting both gains exactly 1.
+    With no interior, neither table's cells are built: the result's are
+    enumerated, the edge among them, when first read."""
     x, y = t.L[0], t.R[0]
     if x == y or not g.has_edge(x, y):
         return t
@@ -248,10 +283,14 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     if e in t.eset:
         raise InternalError(f"closing edge {e} was already counted")
     verts = t.verts
-    both = (1 << verts.index(x)) | (1 << verts.index(y))
-    sel = (np.arange(len(t.cells)) & both) == both
-    cells = t.cells.copy()
-    cells[sel] += 1
+    cells = None
+    if len(t.vset) > len(verts):
+        import numpy as np
+
+        both = (1 << verts.index(x)) | (1 << verts.index(y))
+        sel = (np.arange(len(t.cells)) & both) == both
+        cells = t.cells.copy()
+        cells[sel] += 1
     return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, verts, cells)
 
 
@@ -277,9 +316,10 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     A result row A (a subset of the outer boundary L + R) is the best,
     over the subsets Bx of the middle vertices off that boundary, of
     the operand rows S = A | Bx cut down to each operand's boundary.
-    Every vertex and counted edge both operands claim lies on t2's
-    boundary, so the shared edges are charged to t2's rows once, and a
-    plain max-plus of the operand rows then counts every edge once.
+    Every vertex and counted edge both operands claim lies on both
+    boundaries, so the shared edges are charged to t2's rows once, by
+    one vector over those vertices, and a plain max-plus of the operand
+    rows then counts every edge once.
     Sound only while the regions overlap nowhere off their shared
     boundaries, which the construction guarantees (checked).  The
     vertices too count once: the operand rows' subsets together are S,
@@ -301,9 +341,13 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     fewer than t2's rows.  The result's rows come out indexed by (t1's
     own, t2's own, shared) outer bits, so its verts list the shared
     vertices, then t2's own, then t1's own.  With `keep`, made is
-    ("merge", t1, t2)."""
-    import numpy as np
+    ("merge", t1, t2, both, less): the vertices both boundaries hold, in
+    the discount's bit order, and the discount (None with no shared
+    edge).
 
+    A result with no interior has no middle vertex either, so each of
+    its rows is one pair of operand rows: it reads neither operand's
+    cells, and its own are enumerated when first read (made stays ())."""
     if t1.R != t2.L:
         raise BoundaryMismatch(
             f"cannot merge: {t1.R} does not meet {t2.L}")
@@ -318,12 +362,19 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
         (middle if v not in outset else shared if v in t2.bset
          else own1).append(v)
     own2 = [v for v in t2.verts if v not in t1.bset]
-    c2 = t2.cells
-    for u, v in t1.eset & t2.eset:  # each t2 row less its shared edges
-        e = (1 << t2.verts.index(u)) | (1 << t2.verts.index(v))
-        c2 = c2 - ((np.arange(len(c2)) & e) == e)[:, None]
-    a = _runs(t1.cells, t1.verts, (own1, (), middle + shared))
-    b = _runs(c2, t2.verts, ((), own2, middle + shared))
+    verts = (*shared, *own2, *own1)
+    if len(vset) == len(verts):     # no interior: no middle vertex, and
+        # every edge either operand counts lies on the outer boundary
+        return BoundaryTable(L, R, vset, t1.eset | t2.eset, K, verts)
+    import numpy as np
+
+    both = middle + shared      # every vertex both boundaries hold
+    a = _runs(t1.cells, t1.verts, (own1, (), both))
+    b = _runs(t2.cells, t2.verts, ((), own2, both))
+    common = t1.eset & t2.eset
+    less = _edge_counts(both, common) if common else None
+    if less is not None:    # each t2 row less the shared edges inside it
+        b = b - less
     x1, group = a.shape[1], 1 << len(middle)
     rows2 = len(t2.cells) // group      # result rows per row of t1's own
     width = min(len(vset) - len(outset), K) + 1
@@ -340,8 +391,8 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
             a[:, i:i + n], b, out, scratch, group, len(middle)).T
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    return BoundaryTable(L, R, vset, eset, K, (*shared, *own2, *own1), cells,
-                         ("merge", t1, t2) if keep else ())
+    return BoundaryTable(L, R, vset, eset, K, verts, cells,
+                         ("merge", t1, t2, both, less) if keep else ())
 
 
 def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
@@ -349,33 +400,31 @@ def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
     t that reach its cell (r, kp): the first Bx, in the order of its
     bitmask over the sorted middle vertices, whose t1 row and discounted
     t2 row for S = r | Bx, lifted by |Bx|, combine to the cell's value.
-    Each operand row, and its discount, is worked out from the bit
-    positions of S's vertices in that operand, each time."""
-    t1, t2 = t.made[1:]
+    Each operand row, and its index into the discount merge_tables
+    kept, is worked out from the bit positions of S's vertices in that
+    operand and in the discount's vertices, each time."""
+    t1, t2, both, less = t.made[1:]
     val = _cell(t, r, kp)
     v1, v2 = t1.verts, t2.verts
-    h1 = h2 = 0
+    h1 = h2 = hd = 0
     for j, v in enumerate(t.verts):
         if r >> j & 1:
             if v in t1.bset:
                 h1 |= 1 << v1.index(v)
             if v in t2.bset:
                 h2 |= 1 << v2.index(v)
-    low = [(0, 0)]
+                if v in t1.bset:
+                    hd |= 1 << both.index(v)
+    low = [(0, 0, 0)]
     for v in sorted(t1.bset - t.bset):
-        b1, b2 = 1 << v1.index(v), 1 << v2.index(v)
-        low += [(x1 | b1, x2 | b2) for x1, x2 in low]
-    common = [(1 << v2.index(u)) | (1 << v2.index(v))
-              for u, v in t1.eset & t2.eset]
+        b1, b2, bd = 1 << v1.index(v), 1 << v2.index(v), 1 << both.index(v)
+        low += [(x1 | b1, x2 | b2, xd | bd) for x1, x2, xd in low]
     size = kp - r.bit_count()
-    for x1, x2 in low:
+    for x1, x2, xd in low:
         r1, r2 = h1 | x1, h2 | x2
-        less = 0
-        for e in common:
-            if r2 & e == e:
-                less += 1
+        add = 0 if less is None else -int(less[hd | xd])
         pair = maxplus_pair(t1.cells[r1].tolist(), t2.cells[r2].tolist(),
-                            size, val, x1.bit_count(), -less)
+                            size, val, x1.bit_count(), add)
         if pair is not None:
             return [(t1, r1, pair[0] + r1.bit_count()),
                     (t2, r2, pair[1] + r2.bit_count())]
@@ -390,7 +439,8 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
     keeps the row; extend drops z's bit, its top one, and one unit of
     size when z is selected; contract takes the z-out or the z-in row,
     whichever reaches the cell; merge_tables searches the Bx of the row.
-    The walk ends at enumerated tables, whose rows are the selections."""
+    The walk ends at the tables with no interior vertex, kept with made
+    (), whose rows are the selections."""
     chosen: set[int] = set()
     order = _sorted_rows(t)
     todo = [(t, order[int(_sized(t)[order, kp].argmax())], kp)]
@@ -423,7 +473,10 @@ def _traceback(t: BoundaryTable, kp: int) -> set[int]:
 
 def _kept(out: BoundaryTable, step: str, src: BoundaryTable,
           keep: bool) -> BoundaryTable:
-    if keep and out is not src:     # adjust may return its operand
+    """out, with made (step, src) when kept, unless it has no interior
+    vertex (its rows are then the selections) or is src itself, which
+    adjust may return."""
+    if keep and out is not src and len(out.vset) > len(out.verts):
         out.made = (step, src)
     return out
 
@@ -525,11 +578,13 @@ def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
                     keep: bool = False) -> tuple[BoundaryTable, int, int]:
     """(root table, cells, max rows): the outermost root's table, and the
     cells of every tree node's table summed, K + 1 a row (one per size,
-    however few the row stores), and the most rows of any.
-    `keep` records in each table's `made` the operands it was built
-    from, intermediate tables included.  One event per node table,
-    naming the node, is appended to `trace`, in `_schedule`'s
-    post-order.
+    however few the row stores), and the most rows of any.  Both come
+    from each table's shape, 2^|verts| rows, so they read no cells and
+    enumerate no table.
+    `keep` records in the `made` of each table with interior the
+    operands it was built from, intermediate tables included.  One
+    event per node table, naming the node, is appended to `trace`, in
+    `_schedule`'s post-order.
 
     The walk keeps a stack of folds: the operand a fold yields is built
     next and sent back, so a table lives on only where a running fold, a
@@ -547,8 +602,8 @@ def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
         except StopIteration as done:
             t = done.value
             stack.pop()
-            cells += len(t.cells) * (t.K + 1)
-            rows = max(rows, len(t.cells))
+            cells += (1 << len(t.verts)) * (t.K + 1)
+            rows = max(rows, 1 << len(t.verts))
             if trace is not None:
                 br = plan[v.uid][1]
                 events[v.uid] = {"branch": br,

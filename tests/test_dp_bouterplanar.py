@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import os
 import subprocess
 import sys
 import weakref
+from itertools import combinations
 from unittest import mock
 from pathlib import Path
 
@@ -426,6 +428,102 @@ def test_merge_tables_matches_the_per_pair_reference(b, extra, seed, variant):
             assert (t1.cells.tobytes(), t2.cells.tobytes()) == before
     if (b, extra, seed) == (5, 6, 0):
         assert max(blocks) > 1
+
+
+def no_interior(t: BoundaryTable) -> bool:
+    return len(t.vset) == len(t.bset)
+
+
+def edge_count_rows(t: BoundaryTable) -> dict:
+    """t's rows view by brute force, for a table with no interior vertex:
+    each boundary subset reaches its own size only, with the eset edges
+    inside it."""
+    out = {}
+    for r in range(len(t.verts) + 1):
+        for a in map(frozenset, combinations(t.verts, r)):
+            row = out[a] = [NEG] * (t.K + 1)
+            if r <= t.K:
+                row[r] = sum(1 for e in t.eset if a.issuperset(e))
+    return out
+
+
+def unread(step, *args) -> BoundaryTable:
+    """step(*args) while any read of a cell that is not built yet, and
+    the merge kernel, raise."""
+    with mock.patch.object(dp_bouterplanar, "_edge_counts",
+                           side_effect=AssertionError("cells read")), \
+            mock.patch.object(dp_bouterplanar, "maxplus_rows",
+                              side_effect=AssertionError("kernel called")):
+        return step(*args)
+
+
+@pytest.mark.parametrize("step", ["merge_tables", "extend"])
+@pytest.mark.parametrize("variant", ["zigzag", "zigzag_alt"])
+def test_steps_without_interior_read_no_cells(step, variant):
+    # every call of the step, in a 3- and a 4-level solve, whose result has
+    # no interior vertex is made again from copies of its operands whose
+    # cells are not built: it reads none of them, and its rows are the
+    # eset edges inside each boundary subset
+    real = getattr(dp_bouterplanar, step)
+    calls = []
+
+    def spy(*args):
+        out = real(*args)
+        if no_interior(out):
+            calls.append(args)
+        return out
+
+    for b, n in ((3, 20), (4, 36)):
+        g = gen_bouterplanar(GenSpec(n=n, b=b, seed=1))
+        forest = build_forest(embed_and_level(g, variant=variant))
+        with mock.patch.object(dp_bouterplanar, step, spy):
+            evaluate_tables(forest, 5)
+    assert len(calls) > 10
+    for args in calls:
+        out = unread(real, *(dataclasses.replace(a, _cells=None)
+                             if isinstance(a, BoundaryTable) else a
+                             for a in args))
+        assert no_interior(out) and out.made == ()
+        assert out.rows == edge_count_rows(out)
+
+
+def test_adjust_without_interior_reads_no_cells():
+    # the spike triangle's doubled walk edge (1, 3) is left out of its
+    # back copy's seed; adjust scores it without reading the seed's cells
+    le = embed_and_level(spike_triangle())
+    back = build_forest(le).trees[0].root.children[1].children[1]
+    t = unread(dp_bouterplanar.adjust, le.graph, create(le.graph, back, (), 2))
+    assert no_interior(t) and (1, 3) in t.eset
+    assert t.rows == edge_count_rows(t)
+    assert t.rows[frozenset({1, 3})] == [NEG, NEG, 1]
+
+
+@pytest.mark.parametrize("b, n", [(2, 16), (3, 20), (4, 20)])
+def test_kept_tables_without_interior_end_the_walk(b, n):
+    # with a witness, a table with no interior vertex keeps no operands:
+    # the traceback reads its rows as the selections; every other kept
+    # table names the step that built it
+    g = gen_bouterplanar(GenSpec(n=n, b=b, seed=1))
+    trace: list = []
+    rep = solve(g, n // 2, force_solver="bouterplanar", witness=True,
+                trace=trace)
+    assert rep.values == brute_force_all_k(g)[:n // 2 + 1]
+    seen, todo = set(), [ev["table"] for ev in trace]
+    free = kept = 0
+    while todo:
+        t = todo.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if no_interior(t):
+            assert t.made == ()
+            free += 1
+        else:
+            assert t.made and t.made[0] in ("extend", "contract", "adjust",
+                                            "merge")
+            kept += 1
+        todo += t.made[1:3]
+    assert free and kept
 
 
 def test_trace_names_branch_and_pivot():

@@ -30,6 +30,14 @@ FIG7 = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 W5 = "".join(f"{i} {(i + 1) % 5}\n{i} 5\n" for i in range(5))
 # three triangles at vertex 2, plus a pendant edge at the same vertex
 FLOWER = "0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n2 5\n5 6\n2 6\n2 7\n"
+# the edges of gen_bouterplanar(GenSpec(n=20, b=3, seed=1)), without its
+# rotation: three levels under either triangulation, tables of up to 6
+# boundary vertices
+B3 = "".join(f"{e}\n" for e in (
+    "0 1", "0 7", "0 10", "1 2", "1 11", "2 3", "2 12", "3 4", "3 13",
+    "4 5", "4 14", "5 6", "5 15", "6 7", "6 8", "6 16", "7 9", "8 9",
+    "8 16", "9 10", "10 11", "10 19", "11 12", "12 13", "13 14",
+    "13 17", "14 15", "15 16", "16 18", "17 18", "17 19", "18 19"))
 
 LEVELED = ("--force-solver", "bouterplanar")
 
@@ -48,6 +56,10 @@ CASES = {
     "w5_zigzag_alt": (W5, ("--triangulation", "zigzag_alt"), (),
                       ("--all-k",)),
     "flower": (FLOWER, (), (), ("--all-k",)),
+    "b3_zigzag": (B3, LEVELED + ("--triangulation", "zigzag"), (),
+                  ("--all-k",)),
+    "b3_zigzag_alt": (B3, LEVELED + ("--triangulation", "zigzag_alt"), (),
+                      ("--all-k",)),
 }
 
 
