@@ -200,14 +200,17 @@ def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
 # ------------------------------------------------------------ outer cycle
 
 
-def block_outer_cycle(g: Graph, vertices: list[int],
-                      edges: list[tuple[int, int]]) -> list[int]:
+def block_outer_cycle(g: Graph, vertices: list[int], top: int) -> list[int]:
     """Hamiltonian outer cycle of a 2-connected outerplanar block of g,
     starting at its smallest vertex.
 
-    `vertices` and `edges` are the block's, as outerplanar_blocks lists
-    them: every edge of g between two of the vertices is in `edges`, so
-    g.adj, read through the live mark below, is the block's adjacency.
+    `vertices` and `top` are the block's, as outerplanar_blocks lists
+    them: every edge of g between two of the vertices is a block edge,
+    so g.adj, read through the live mark below, is the block's
+    adjacency.  It is read only through the vertices other than `top`
+    (a vertex in many blocks is the top of all but at most one of
+    them); the top's neighbours are the vertices whose adjacency holds
+    it, and stripping the top reads only those.
     Repeatedly strips the smallest degree-2 vertex (patching its two
     neighbours with a virtual edge when they are not adjacent), then
     rebuilds the cycle by reinserting vertices in reverse; a reinsertion
@@ -218,14 +221,14 @@ def block_outer_cycle(g: Graph, vertices: list[int],
     stripped (v, a, b) triples in one flat list, and the cycle as a
     successor map.
     """
-    n = len(vertices)
-    if len(edges) > 2 * n - 3:
-        raise NotOuterplanar(f"block has {len(edges)} edges on {n} vertices")
     adj = g.adj
     deg = dict.fromkeys(vertices, 0)
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    ups = [v for v in vertices if top in adj[v]]    # the top's neighbours
+    for v in vertices:
+        deg[v] = len(ups) if v == top else sum(w in deg for w in adj[v])
+    n, m = len(vertices), sum(deg.values()) // 2
+    if m > 2 * n - 3:
+        raise NotOuterplanar(f"block has {m} edges on {n} vertices")
     heap = [v for v in vertices if deg[v] == 2]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -238,7 +241,7 @@ def block_outer_cycle(g: Graph, vertices: list[int],
             raise NotOuterplanar("no degree-2 vertex to strip")
         v = pop(heap)
         del deg[v]
-        ns = adj[v]
+        ns = adj[v] if v != top else ups
         if v in virt:
             ab = [w for w in ns if w in deg]
             for w in virt.pop(v):
@@ -294,29 +297,31 @@ class Blocks:
     """The block decomposition the flat DP folds: one
     Graph.blocks_and_cutpoints pass, then block_outer_cycle per block.
 
-    part is the vertices decomposed (range(g.n) for all of g), edges[i]
-    is block i's edge list, in the order the depth-first search pops it
-    off its edge stack, vertices[i] its ascending vertex list, and
-    cycles[i] its outer cycle from its smallest vertex (None for a
-    bridge).  These
-    lists are all that recognition keeps: its per-vertex working data
-    (the CSR adjacency, degree maps, rings) is dropped before it returns.
+    part is the vertices decomposed (range(g.n) for all of g),
+    vertices[i] is block i's ascending vertex list (two vertices: a
+    bridge), tops[i] the vertex it shares towards the depth-first
+    search's root, and cycles[i] its outer cycle from its smallest
+    vertex (None for a bridge).  A block's edges are the ones g.adj
+    holds between its vertices, read through all of them but the top.
+    These lists are all that recognition keeps: its per-vertex working
+    data (the CSR adjacency, degree maps, rings) is dropped before it
+    returns.
     """
 
-    edges: list[list[tuple[int, int]]]
     vertices: list[list[int]]
+    tops: list[int]
     cycles: list[list[int] | None]
     part: Sequence[int]
 
 
 def outerplanar_blocks(g: Graph, part: Sequence[int] | None = None) -> Blocks:
     """Blocks of g, or of its `part` (see Graph.blocks_and_cutpoints),
-    with their outer cycles; raises NotOuterplanar."""
-    blocks, _ = g.blocks_and_cutpoints(part)
-    verts = [sorted({u for e in b for u in e}) for b in blocks]
-    cycles = [block_outer_cycle(g, vs, b) if len(b) > 1 else None
-              for vs, b in zip(verts, blocks)]
-    return Blocks(blocks, verts, cycles, range(g.n) if part is None else part)
+    as vertex lists with their tops and outer cycles; raises
+    NotOuterplanar."""
+    blocks, tops, _ = g.blocks_and_cutpoints(part)
+    cycles = [block_outer_cycle(g, vs, top) if len(vs) > 2 else None
+              for vs, top in zip(blocks, tops)]
+    return Blocks(blocks, tops, cycles, range(g.n) if part is None else part)
 
 
 def is_outerplanar(g: Graph, part: Sequence[int] | None = None
@@ -347,15 +352,18 @@ def _emit(trace: list | None, g: Graph, branch: str, t: EdgeTable) -> None:
                       "table": t, "graph": g})
 
 
-def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
-               k: int, attach: dict[int, list[Hang]] | None = None,
+def fold_block(g: Graph, cycle: list[int], k: int,
+               attach: dict[int, list[Hang]] | None = None,
                trace: list | None = None, stats: dict | None = None,
                keep: bool = False) -> EdgeTable:
     """Fold a whole block (outer cycle + chords) into T_(cycle[0], cycle[0]).
 
-    One sweep over the cycle edges 0..m-1 keeps a stack of open spans,
-    the whole cycle at the bottom.  A chord spans the edges s..e-1 between
-    its endpoints (one through position 0 spans the complementary arc);
+    The chords are the edges g.adj holds between the cycle's vertices
+    that are not cycle edges, read through every vertex but cycle[0]: a
+    chord at cycle[0] is taken from its other end.  One sweep over the
+    cycle edges 0..m-1 keeps a stack of open spans, the whole cycle at
+    the bottom.  A chord spans the edges s..e-1 between its endpoints
+    (one through position 0 spans the complementary arc, to edge m-1);
     its span opens at edge s, outermost first.  Each edge's leaf table,
     with the hangs that attach lists at its first vertex attached one by
     one, goes onto the innermost open span; a leaf that only a push will
@@ -367,13 +375,14 @@ def fold_block(g: Graph, cycle: list[int], edges: list[tuple[int, int]],
     m = len(cycle)
     pos = {v: i for i, v in enumerate(cycle)}
     # chord spans [s, e) as s * (m + 1) + m - e, sorted so that the last
-    # is the one to open first: by start, outermost first at each start
+    # is the one to open first: by start, outermost first at each start;
+    # each chord is read once, at its start s (never 0 or m-1)
     spans = []
-    for u, v in edges:
-        pa, pb = sorted((pos[u], pos[v]))
-        if 1 < pb - pa < m - 1:                 # a chord, not a cycle edge
-            s, e = (pa, pb) if pa > 0 else (pb, m)
-            spans.append(s * (m + 1) + m - e)
+    for s in range(1, m - 1):
+        for w in g.adj[cycle[s]]:
+            e = pos.get(w, -1)
+            if e > s + 1 or (e == 0 and s > 1):
+                spans.append(s * (m + 1) + (m - e if e else 0))
     spans.sort(reverse=True)
     del pos                             # not held while tables are built
     stack: list[tuple[int, list[EdgeTable]]] = [(m, [])]  # (end, pieces)
@@ -503,7 +512,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         raise BadArgument("graph is disconnected; solve() splits components")
 
     if stats is not None:
-        stats["blocks"] = len(blocks.edges)
+        stats["blocks"] = len(bverts)
 
     # each block's Hang waits at its key vertex until the block it hangs
     # from is folded; the root block also takes those at the root vertex
@@ -512,9 +521,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
         key = key_of[bid]
         attach = {v: waiting.pop(v) for v in bverts[bid]
                   if v in waiting and (v != key or bid == root_bid)}
-        b_edges = blocks.edges[bid]
-        if len(b_edges) == 1:
-            (u, v) = b_edges[0]
+        if len(bverts[bid]) == 2:             # a bridge
+            u, v = bverts[bid]
             x, y = (u, v) if u == key else (v, u)
             t = leaf_table(x, y, k)
             _count(stats, 1, 4 * len(t.rows[0]), 0)
@@ -529,8 +537,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             cycle = cycle[i:] + cycle[:i]
             if cycle[-1] < cycle[1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
-            t = fold_block(g, cycle, b_edges, k, attach, trace, stats,
-                           witness)
+            t = fold_block(g, cycle, k, attach, trace, stats, witness)
             groups = ((0,), (3,))
         # the best over the rows without (u0) and with (u1) the key vertex
         u0, u1 = (reduce(vector_max, [t.rows[r] for r in group])

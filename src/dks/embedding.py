@@ -55,21 +55,22 @@ def _outerplanar_rotation(g: Graph, blocks: Blocks) -> list[list[int]]:
     vertex's neighbours in a block are ordered by cycle offset (walking
     the cycle backwards, which keeps the worked example's orientation);
     at a cutpoint each block's neighbours stay in one run, and a bridge
-    is a single entry.
+    is a single entry.  A block's neighbours are read from g.adj through
+    its vertices other than its top; the top's are the vertices whose
+    adjacency holds it.
     """
     rot: list[list[int]] = [[] for _ in range(g.n)]
-    for edges, cycle in zip(blocks.edges, blocks.cycles):
+    adj = g.adj
+    for vs, top, cycle in zip(blocks.vertices, blocks.tops, blocks.cycles):
         if cycle is None:
-            (u, v), = edges
+            u, v = vs
             rot[u].append(v)
             rot[v].append(u)
             continue
         pos = {v: i for i, v in enumerate(cycle)}
-        nbrs: dict[int, list[int]] = {v: [] for v in cycle}
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for v, ws in nbrs.items():
+        for v in cycle:
+            ws = ([w for w in cycle if v in adj[w]] if v == top
+                  else [w for w in adj[v] if w in pos])
             ws.sort(key=lambda w: (pos[v] - pos[w]) % len(cycle))
             rot[v] += ws
     return rot

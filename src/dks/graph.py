@@ -3,7 +3,9 @@
 The solvers never mutate a Graph after construction; all heavy lifting
 happens on embedding-side structures.  Vertices are 0..n-1 internally,
 with optional human-readable names kept for I/O round-trips.  Every
-subgraph is cut by one routine, `component_subgraphs`.
+subgraph is cut by one routine, `component_subgraphs`.  Blocks are
+vertex lists (`Graph.blocks_and_cutpoints`): a block's edges are the
+ones `adj` holds between its vertices, so none is copied.
 """
 
 from __future__ import annotations
@@ -96,16 +98,23 @@ class Graph:
     # ------------------------------------------------ blocks / cutpoints
 
     def blocks_and_cutpoints(self, part: Sequence[int] | None = None
-                             ) -> tuple[list[list[tuple[int, int]]], set[int]]:
-        """Biconnected components (as edge lists) and cut vertices of g,
-        or of `part`, ascending vertices that no edge leaves.
+                             ) -> tuple[list[list[int]], list[int], set[int]]:
+        """(blocks, tops, cutpoints) of g, or of `part`, ascending
+        vertices that no edge leaves: each biconnected component as its
+        ascending vertex list, the vertex each block shares towards the
+        depth-first search's root (its top), and the cut vertices.
 
-        Iterative Hopcroft–Tarjan, visiting neighbours in ascending order;
-        safe on 10^5-vertex paths.  The adjacency is read from one CSR
-        list, every vertex's sorted neighbours followed by -1, through one
-        read cursor per vertex, so a DFS frame is just its vertex (its
-        parent is the frame below it).  Per-vertex arrays are dicts over
-        a part smaller than g.
+        Every edge of g between two vertices of a block is one of its
+        edges, so g.adj holds each block's edges; and every vertex is a
+        non-top member of at most one block, so a reader that scans only
+        those vertices' adjacency reads each one at most once.
+
+        Iterative Hopcroft–Tarjan on a vertex stack, visiting neighbours
+        in ascending order; safe on 10^5-vertex paths.  The adjacency is
+        read from one CSR list, every vertex's sorted neighbours followed
+        by -1, through one read cursor per vertex, so a DFS frame is just
+        its vertex (its parent is the frame below it).  Per-vertex arrays
+        are dicts over a part smaller than g.
         """
         verts = range(self.n) if part is None else part
         whole = len(verts) == self.n
@@ -120,9 +129,9 @@ class Graph:
         disc = [-1] * self.n if whole else dict.fromkeys(verts, -1)
         low = [0] * self.n if whole else dict.fromkeys(verts, 0)
         cutpoints: set[int] = set()
-        blocks: list[list[tuple[int, int]]] = []
-        edge_stack: list[tuple[int, int]] = []
-        push = edge_stack.append
+        blocks: list[list[int]] = []
+        tops: list[int] = []
+        below: list[int] = []       # visited vertices not yet in a block
         timer = 0
 
         for root in verts:
@@ -134,7 +143,6 @@ class Graph:
             timer += 1
             while len(stack) > 1:
                 v, up = stack[-1], stack[-2]
-                dv = disc[v]
                 i = cur[v]
                 w = nbr[i]
                 while w >= 0:
@@ -142,36 +150,34 @@ class Graph:
                     dw = disc[w]
                     if dw == -1:
                         break
-                    if dw < dv and w != up:
-                        push((v, w))
-                        if dw < low[v]:
-                            low[v] = dw
+                    if dw < low[v] and w != up:
+                        low[v] = dw
                     w = nbr[i]
                 cur[v] = i
                 if w >= 0:                      # descend the tree edge v-w
-                    push((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
                     if up < 0:
                         root_children += 1
                     stack.append(w)
+                    below.append(w)
                     continue
                 stack.pop()
                 if up >= 0:
                     if low[v] < low[up]:
                         low[up] = low[v]
                     if low[v] >= disc[up]:
-                        # up separates v's subtree: pop one block.
-                        block: list[tuple[int, int]] = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            block.append(e)
-                            if e[0] == up and e[1] == v:
-                                break
+                        # up separates v's subtree: up, v and the
+                        # vertices found after v form one block
+                        block = [up]
+                        while block[-1] != v:
+                            block.append(below.pop())
+                        block.sort()
                         blocks.append(block)
+                        tops.append(up)
                         if up != root or root_children > 1:
                             cutpoints.add(up)
-        return blocks, cutpoints
+        return blocks, tops, cutpoints
 
 
 def induced_subgraph(g: Graph, keep: Sequence[int]) -> Graph:

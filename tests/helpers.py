@@ -107,6 +107,15 @@ def triangle_hub(t: int) -> Graph:
                              for e in ((0, i), (i, i + 1), (0, i + 1))])
 
 
+def square_hub(t: int) -> Graph:
+    """t 4-cycles sharing vertex 0: 3t+1 vertices, t blocks, one
+    cutpoint in all of them, and 0 is each block's smallest vertex of
+    degree 2."""
+    return Graph(3 * t + 1, [e for i in range(1, 3 * t, 3)
+                             for e in ((0, i), (i, i + 1), (i + 1, i + 2),
+                                       (i + 2, 0))])
+
+
 def star(t: int) -> Graph:
     """Hub 0 with t leaves: t bridges at one cutpoint."""
     return Graph(t + 1, [(0, i) for i in range(1, t + 1)])

@@ -21,6 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
+from dks.dp_outerplanar import is_outerplanar
 from dks.embedding import embed_and_level
 from dks.generators import GenSpec, gen_bouterplanar, gen_outerplanar, gen_planar
 from dks.graph import Graph, parse_edge_list
@@ -30,7 +31,7 @@ from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from dks.trees import build_forest
 from helpers import (as_none, brute_force_slice_table, induced_edge_count,
                      materialize_slice, node_tables, parse_tables, run_cli,
-                     star, triangle_chain, triangle_hub)
+                     square_hub, star, triangle_chain, triangle_hub)
 from test_dp_outerplanar import EXPECTED_MERGES, EXPECTED_VALUES, FIXTURE, LEAF
 
 
@@ -197,6 +198,23 @@ def test_flat_solve_memory_is_linear_with_a_small_constant():
     assert peak / g.n < 400, peak / g.n
 
 
+def test_flat_blocks_are_vertex_lists_with_a_small_constant():
+    """n = 3,000: the Blocks recognition hands the fold hold ascending
+    int lists, and retain under 40 bytes per vertex.  A block's edges
+    are read from g.adj, not kept: edge lists kept beside the vertex
+    lists cost about 76."""
+    g = gen_outerplanar(GenSpec(n=3_000, seed=1))
+    tracemalloc.start()
+    try:
+        blocks = is_outerplanar(g)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    for vs in blocks.vertices:
+        assert all(type(v) is int for v in vs) and vs == sorted(set(vs))
+    assert kept / g.n < 40, kept / g.n
+
+
 def test_all_k_witness_of_many_components_keeps_int32_prefixes():
     """A 2,000-vertex matching, all k, with a witness: the tracemalloc
     peak stays under 10 MiB.  The witness walk keeps the running vector
@@ -217,16 +235,19 @@ def test_all_k_witness_of_many_components_keeps_int32_prefixes():
 
 def test_flat_solver_time_on_many_blocks_grows_near_linearly():
     """2,000 and 20,000 blocks of each shape: a chain of triangles, and
-    two one-hub inputs, triangles sharing one vertex and a star, whose
-    blocks all meet at one cutpoint.  Log-log slope <= 1.25 of the best
-    of 5 runs at each size, so per-block work done at Python speed does
-    not grow with the whole graph or with a cutpoint's block count.  The
+    three one-hub inputs, triangles or 4-cycles sharing one vertex and a
+    star, whose blocks all meet at one cutpoint.  Log-log slope <= 1.25
+    of the best of 5 runs at each size, so per-block work done at Python
+    speed does not grow with the whole graph or with a cutpoint's block
+    count (a block that scanned the hub's adjacency would).  The
     clock-free half: each triangle costs exactly 2 merges and 5 tables
-    (3 leaves and 2 merges) and each star leaf 0 merges and 1 table,
-    give or take 0, so 10x the blocks is exactly 10x both counts."""
+    (3 leaves and 2 merges), each 4-cycle 3 merges and 7 tables, and
+    each star leaf 0 merges and 1 table, give or take 0, so 10x the
+    blocks is exactly 10x both counts."""
     sizes = (2_000, 20_000)
     for shape, merges, tables in ((triangle_chain, 2, 5),
-                                  (triangle_hub, 2, 5), (star, 0, 1)):
+                                  (triangle_hub, 2, 5), (square_hub, 3, 7),
+                                  (star, 0, 1)):
         times, counts = [], []
         for t in sizes:
             g = shape(t)

@@ -39,9 +39,9 @@ from dks.dp_outerplanar import (
     merge_tables,
     solve_outerplanar_values,
 )
-from dks.solve import solve, solve_outerplanar
+from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from helpers import (as_none, brute_force_slice_table, flat_merge_reference,
-                     shaped_outerplanar)
+                     shaped_outerplanar, square_hub)
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
 
@@ -203,10 +203,9 @@ def test_merge_tables_matches_the_eight_call_reference(data):
 
 def test_block_outer_cycle_on_fixture():
     g = parse_edge_list(FIXTURE)
-    blocks, _ = g.blocks_and_cutpoints()
-    assert len(blocks) == 1
-    vs = sorted({u for e in blocks[0] for u in e})
-    cycle = block_outer_cycle(g, vs, blocks[0])
+    blocks, tops, _ = g.blocks_and_cutpoints()
+    assert blocks == [list(range(7))]
+    cycle = block_outer_cycle(g, blocks[0], tops[0])
     names = [g.names[v] for v in cycle]
     assert names[0] == "c"
     assert names in (["c", "b", "a", "e", "f", "g", "d"],
@@ -216,17 +215,16 @@ def test_block_outer_cycle_on_fixture():
 def test_block_outer_cycle_rejects_k4():
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     with pytest.raises(NotOuterplanar):
-        block_outer_cycle(Graph(4, edges), [0, 1, 2, 3], edges)
+        block_outer_cycle(Graph(4, edges), [0, 1, 2, 3], 0)
 
 
 def test_rejects_k23():
     # K_{2,3} is planar but not outerplanar
     g = Graph(n=5, edges=[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert not is_outerplanar(g)
-    blocks, _ = g.blocks_and_cutpoints()
-    vs = sorted({u for e in blocks[0] for u in e})
+    blocks, tops, _ = g.blocks_and_cutpoints()
     with pytest.raises(NotOuterplanar):
-        block_outer_cycle(g, vs, blocks[0])
+        block_outer_cycle(g, blocks[0], tops[0])
 
 
 def _outer_cycle_corpus():
@@ -239,21 +237,61 @@ def _outer_cycle_corpus():
 @pytest.mark.parametrize("g", list(_outer_cycle_corpus()),
                          ids=lambda g: f"n{g.n}m{g.m}")
 def test_block_outer_cycle_is_hamiltonian_with_noncrossing_chords(g):
-    for b in g.blocks_and_cutpoints()[0]:
-        if len(b) == 1:
+    # a block's edges are the ones g.adj holds between its vertices
+    blocks, tops, _ = g.blocks_and_cutpoints()
+    for vs, top in zip(blocks, tops):
+        if len(vs) == 2:
             continue
-        vs = sorted({u for e in b for u in e})
-        cycle = block_outer_cycle(g, vs, b)
+        cycle = block_outer_cycle(g, vs, top)
         m = len(cycle)
         assert cycle[0] == vs[0] and sorted(cycle) == vs
+        edges = {frozenset((u, v)) for u, v in combinations(vs, 2)
+                 if v in g.adj[u]}
         ring = {frozenset((cycle[i], cycle[(i + 1) % m])) for i in range(m)}
-        assert ring <= {frozenset(e) for e in b}
+        assert ring <= edges
         pos = {v: i for i, v in enumerate(cycle)}
-        chords = [sorted((pos[u], pos[v])) for u, v in b
-                  if frozenset((u, v)) not in ring]
-        assert len(chords) == len(b) - m
+        chords = [sorted(pos[v] for v in e) for e in edges - ring]
         for (a, z), (c, d) in combinations(chords, 2):
             assert not (a < c < z < d or c < a < d < z), (a, z, c, d)
+
+
+class _CountedSet(set):
+    """An adjacency set that counts the scans of it."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("hub_last", [False, True])
+def test_a_hub_adjacency_is_read_a_constant_number_of_times(hub_last):
+    # 100 4-cycles at one vertex, which is 0 (every block's top and its
+    # smallest degree-2 vertex) or n-1 (not the top of the root block).
+    # Each block reads g.adj only through its vertices other than its
+    # top (the fold: other than its key), so the hub's adjacency is read
+    # once by the CSR copy, and at most twice more by the one block that
+    # it is not the top of, and once by the fold: never once per block
+    g = square_hub(100)
+    hub = g.n - 1 if hub_last else 0
+    if hub_last:
+        swap = {0: hub, hub: 0}
+        g = Graph(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
+    g.adj[hub] = counted = _CountedSet(g.adj[hub])
+    blocks = is_outerplanar(g)
+    assert len(blocks.vertices) == 100 and counted.reads <= 3
+    for root in (None, hub, 1, g.n - 2):
+        counted.reads = 0
+        values, pick = solve_outerplanar_values(g, 10, root=root,
+                                                blocks=blocks, witness=True)
+        pick(10)
+        assert counted.reads <= 1, root
+    for solver in (solve, solve_bouterplanar):
+        # components, recognition, and (leveled) the convex drawing
+        counted.reads = 0
+        assert solver(g, 10, witness=True).values == values
+        assert counted.reads <= 5, solver
 
 
 def test_is_outerplanar_accepts_trees_and_cycles():
@@ -346,7 +384,7 @@ def test_fold_block_rejects_crossing_chords(chords):
     cycle = list(range(6))
     edges = [(i, (i + 1) % 6) for i in range(6)] + chords
     with pytest.raises(NotOuterplanar, match="crossing chords"):
-        fold_block(Graph(6, edges), cycle, edges, 6)
+        fold_block(Graph(6, edges), cycle, 6)
 
 
 def test_root_outside_the_vertex_range_raises():

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -174,23 +175,23 @@ def test_component_subgraphs_hand_back_only_a_range_part_uncopied():
 def test_blocks_and_cutpoints_on_two_triangles_sharing_a_vertex():
     # bowtie: triangles 0-1-2 and 2-3-4 share vertex 2
     g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    blocks, cuts = g.blocks_and_cutpoints()
+    blocks, tops, cuts = g.blocks_and_cutpoints()
     assert cuts == {2}
-    assert sorted(len(b) for b in blocks) == [3, 3]
+    assert blocks == [[2, 3, 4], [0, 1, 2]] and tops == [2, 0]
 
 
 def test_blocks_on_path_are_single_edges():
     g = Graph(n=4, edges=[(0, 1), (1, 2), (2, 3)])
-    blocks, cuts = g.blocks_and_cutpoints()
+    blocks, tops, cuts = g.blocks_and_cutpoints()
     assert cuts == {1, 2}
-    assert sorted(len(b) for b in blocks) == [1, 1, 1]
+    assert blocks == [[2, 3], [1, 2], [0, 1]] and tops == [2, 1, 0]
 
 
 def test_blocks_on_long_path_iterative():
     n = 30000
     g = Graph(n=n, edges=[(i, i + 1) for i in range(n - 1)])
-    blocks, cuts = g.blocks_and_cutpoints()
-    assert len(blocks) == n - 1
+    blocks, tops, cuts = g.blocks_and_cutpoints()
+    assert len(blocks) == n - 1 and all(len(b) == 2 for b in blocks)
     assert len(cuts) == n - 2
 
 
@@ -210,16 +211,22 @@ def _recognition_corpus():
 @pytest.mark.parametrize("g", list(_recognition_corpus()),
                          ids=lambda g: f"n{g.n}m{g.m}")
 def test_blocks_and_cutpoints_match_networkx(g):
-    # the CSR Hopcroft-Tarjan pass against networkx, as sets: same blocks
-    # (edge sets, each edge in exactly one block), same cut vertices
+    # the CSR Hopcroft-Tarjan pass against networkx: the same blocks, as
+    # ascending vertex lists, and the same cut vertices.  The edges g
+    # induces inside the blocks are g's edges, each once (what the
+    # readers of g.adj rely on); each block's top is one of its
+    # vertices, and every vertex is a non-top member of at most one
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
-    blocks, cuts = g.blocks_and_cutpoints()
-
-    def edge_sets(comps):
-        return {frozenset(frozenset(e) for e in c) for c in comps}
-
-    assert edge_sets(blocks) == edge_sets(nx.biconnected_component_edges(ref))
-    assert sum(map(len, blocks)) == g.m
+    blocks, tops, cuts = g.blocks_and_cutpoints()
+    assert all(b == sorted(set(b)) and len(b) >= 2 for b in blocks)
+    assert ({frozenset(b) for b in blocks}
+            == {frozenset(c) for c in nx.biconnected_components(ref)})
+    inside = [frozenset((u, v)) for b in blocks for u, v in combinations(b, 2)
+              if g.has_edge(u, v)]
+    assert sorted(map(sorted, inside)) == sorted(map(list, g.edges))
     assert cuts == set(nx.articulation_points(ref))
+    assert len(tops) == len(blocks) and all(t in b for b, t in zip(blocks, tops))
+    below = [v for b, t in zip(blocks, tops) for v in b if v != t]
+    assert len(below) == len(set(below))
