@@ -51,21 +51,24 @@ runs of vertices and broadcasts the two against each other, so no
 operand row is copied per pair and nothing outlives the merge.  Only
 the ``rows`` view reorders, by the sorted boundary.
 
-When a witness is asked for, every table with interior keeps the
-operands it was built from, and ``_traceback`` walks a root cell back
-down them to the tables with none.
+When a witness is asked for, every table with interior keeps the terms
+and operands it was built from, in the form ``tables.replay`` walks: a
+function of the result row that yields its (row, operand rows, column
+shift, add) terms, over columns, not sizes.  The tables with none are
+the walk's leaves, and so is each vertex an extend adds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .dp_outerplanar import Blocks
 from .embedding import embed_and_level
 from .errors import BoundaryMismatch, InternalError, TooManyEdges
 from .graph import Graph
-from .tables import MAX_EDGES, NEG, maxplus_pair, maxplus_rows
+from .tables import MAX_EDGES, NEG, UNIT, Record, maxplus_rows
 from .trees import Forest, TreeNode, build_forest, window_path
 
 # Pairs per merge block, at least: big enough to amortise numpy's
@@ -110,11 +113,10 @@ class BoundaryTable:
     _cells None, and cells enumerates its one column from verts and eset
     on the first read; any other is built with its cells.  made is ()
     for a table with no interior vertex, whose rows are the selections,
-    and, when kept for a traceback, (step, operands...) for the extend,
-    contract, adjust or merge_tables call that built any other (a
-    merge's also holds its shared-edge discount).  A
-    table lives only as long as something points to it:
-    evaluate_tables drops each one once it is consumed."""
+    and, when kept for a traceback, the (terms, o1, o2) of the extend,
+    contract, adjust or merge_tables call that built any other (see
+    tables.replay).  A table lives only as long as something points to
+    it: evaluate_tables drops each one once it is consumed."""
 
     L: tuple[int, ...]
     R: tuple[int, ...]
@@ -136,6 +138,9 @@ class BoundaryTable:
         if self._cells is None:
             self._cells = _edge_counts(self.verts, self.eset).reshape(-1, 1)
         return self._cells
+
+    def row(self, r: int) -> list[int]:
+        return self.cells[r].tolist()
 
     @property
     def rows(self) -> dict:
@@ -168,12 +173,6 @@ def _sized(t: BoundaryTable):
     first = np.arange(n) * span + np.bitwise_count(np.arange(n))
     out.reshape(-1)[first[:, None] + np.arange(w)] = t.cells
     return out[:, :t.K + 1]
-
-
-def _cell(t: BoundaryTable, r: int, kp: int) -> int:
-    """t's cell of row r at size kp, NEG off the row's band."""
-    d = kp - r.bit_count()
-    return int(t.cells[r, d]) if 0 <= d < t.cells.shape[1] else NEG
 
 
 def _edge_counts(verts, edges):
@@ -219,13 +218,15 @@ def create(g: Graph, v: TreeNode, bnd: tuple[int, ...],
                          min(k, len(verts)), verts)
 
 
-def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
+def extend(g: Graph, z: int, t: BoundaryTable, k: int,
+           keep: bool = False) -> BoundaryTable:
     """Push vertex z onto both boundary paths, as the top bit of the rows:
     a z-in row pays one vertex and collects z's real edges into the
     selected boundary.  The interior is unchanged, and so is each cell's
     column; every cell stays real, so a z-in row is its z-out row plus
     z's edges into it.  With no interior, neither table's cells are
-    built: the result's are enumerated when first read."""
+    built: the result's are enumerated when first read.  Else, with
+    `keep`, made pairs each row's z-out row with a leaf of z alone."""
     if z in t.vset:
         raise BoundaryMismatch(f"extension vertex {z} is already inside "
                                "the region")
@@ -233,23 +234,30 @@ def extend(g: Graph, z: int, t: BoundaryTable, k: int) -> BoundaryTable:
     verts = t.verts
     zn = [j for j, w in enumerate(verts) if g.has_edge(z, w)]
     eset = t.eset | {_norm(z, verts[j]) for j in zn}
-    cells = None
+    cells, made = None, ()
     if len(t.vset) > len(verts):
         import numpy as np
 
         old = t.cells
-        inc = np.bitwise_count(np.arange(len(old)) & sum(1 << j for j in zn))
+        mask = sum(1 << j for j in zn)
+        inc = np.bitwise_count(np.arange(len(old)) & mask)
         cells = np.concatenate((old, old + inc[:, None]))
+        if keep:    # z's bit, the top one, selects z's row of its leaf
+            top = 1 << len(verts)
+            made = (lambda r: ((r, r & ~top, r >> len(verts), 0,
+                                (r & mask).bit_count() if r & top else 0),),
+                    t, Record(((0,), (0,)), (), (z,)))
     return BoundaryTable((z,) + t.L, (z,) + t.R, vset, eset,
-                         min(k, len(vset)), verts + (z,), cells)
+                         min(k, len(vset)), verts + (z,), cells, made)
 
 
-def contract(t: BoundaryTable) -> BoundaryTable:
+def contract(t: BoundaryTable, keep: bool = False) -> BoundaryTable:
     """Drop the shared innermost vertex from both boundaries; each cell
     keeps the better of the vertex-in / vertex-out alternatives.  z joins
     the interior, so the band gains a column (up to K + 1), and a z-in
     row, one boundary vertex more for the same size, lands one column
-    to the right."""
+    to the right.  With `keep`, made takes the z-out row, then the z-in
+    row at shift 1, z's bit put back at j."""
     import numpy as np
 
     z = t.L[0]
@@ -258,7 +266,8 @@ def contract(t: BoundaryTable) -> BoundaryTable:
     if t.R[0] != z or z in newb:
         raise BoundaryMismatch(f"contract needs a closed table whose top "
                                f"{z} leaves the boundary: {t.L}/{t.R}")
-    lo = 1 << t.verts.index(z)
+    j = t.verts.index(z)
+    lo = 1 << j
     w = t.cells.shape[1]
     width = min(len(t.vset) - len(newb), t.K) + 1
     pair = t.cells.reshape(-1, 2, lo, w)
@@ -268,14 +277,18 @@ def contract(t: BoundaryTable) -> BoundaryTable:
     eset = frozenset(e for e in t.eset if z not in e)
     return BoundaryTable(L, R, t.vset, eset, t.K,
                          tuple(v for v in t.verts if v != z),
-                         cells.reshape(-1, width))
+                         cells.reshape(-1, width), (lambda r: (
+                             (r, r + (r >> j << j), 0, 0, 0),
+                             (r, r + (r >> j << j) + lo, 0, 1, 0)),
+                             t, UNIT) if keep else ())
 
 
-def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
+def adjust(g: Graph, t: BoundaryTable, keep: bool = False) -> BoundaryTable:
     """Score the closing edge between the two boundary tops, if real:
     every cell is real, so each row selecting both gains exactly 1.
     With no interior, neither table's cells are built: the result's are
-    enumerated, the edge among them, when first read."""
+    enumerated, the edge among them, when first read.  Else, with
+    `keep`, made adds that 1 to the same row."""
     x, y = t.L[0], t.R[0]
     if x == y or not g.has_edge(x, y):
         return t
@@ -283,7 +296,7 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
     if e in t.eset:
         raise InternalError(f"closing edge {e} was already counted")
     verts = t.verts
-    cells = None
+    cells, made = None, ()
     if len(t.vset) > len(verts):
         import numpy as np
 
@@ -291,7 +304,11 @@ def adjust(g: Graph, t: BoundaryTable) -> BoundaryTable:
         sel = (np.arange(len(t.cells)) & both) == both
         cells = t.cells.copy()
         cells[sel] += 1
-    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, verts, cells)
+        if keep:
+            made = (lambda r: ((r, r, 0, 0, int(r & both == both)),), t,
+                    UNIT)
+    return BoundaryTable(t.L, t.R, t.vset, t.eset | {e}, t.K, verts, cells,
+                         made)
 
 
 def _runs(cells, verts: tuple[int, ...], runs) -> object:
@@ -340,10 +357,8 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
     every row of t2: _BLOCK pairs, or as many as t1 has rows, and never
     fewer than t2's rows.  The result's rows come out indexed by (t1's
     own, t2's own, shared) outer bits, so its verts list the shared
-    vertices, then t2's own, then t1's own.  With `keep`, made is
-    ("merge", t1, t2, both, less): the vertices both boundaries hold, in
-    the discount's bit order, and the discount (None with no shared
-    edge).
+    vertices, then t2's own, then t1's own.  With `keep`, made's terms
+    are _merge_terms over this merge's vertex orders and discount.
 
     A result with no interior has no middle vertex either, so each of
     its rows is one pair of operand rows: it reads neither operand's
@@ -391,99 +406,38 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
             a[:, i:i + n], b, out, scratch, group, len(middle)).T
     eset = frozenset(e for e in (t1.eset | t2.eset)
                      if e[0] in outset and e[1] in outset)
-    return BoundaryTable(L, R, vset, eset, K, verts, cells,
-                         ("merge", t1, t2, both, less) if keep else ())
+    return BoundaryTable(L, R, vset, eset, K, verts, cells, (partial(
+        _merge_terms, verts, t1.verts, t2.verts, both, sorted(middle), less),
+        t1, t2) if keep else ())
 
 
-def _merge_split(t: BoundaryTable, r: int, kp: int) -> list[tuple]:
-    """The operand cells (table, row, size) of a kept merge_tables result
-    t that reach its cell (r, kp): the first Bx, in the order of its
-    bitmask over the sorted middle vertices, whose t1 row and discounted
-    t2 row for S = r | Bx, lifted by |Bx|, combine to the cell's value.
-    Each operand row, and its index into the discount merge_tables
-    kept, is worked out from the bit positions of S's vertices in that
-    operand and in the discount's vertices, each time."""
-    t1, t2, both, less = t.made[1:]
-    val = _cell(t, r, kp)
-    v1, v2 = t1.verts, t2.verts
+def _merge_terms(verts, v1, v2, both, middle, less, r: int):
+    """Yields the terms of a kept merge's row r, over verts, one per
+    subset Bx of the middle vertices, in the order of its bitmask over
+    them sorted: the t1 row and t2 row (bits over v1 and v2) of S = r |
+    Bx, at shift |Bx|, less the shared edges inside S (less indexed by
+    bits over both, None with no shared edge)."""
     h1 = h2 = hd = 0
-    for j, v in enumerate(t.verts):
+    for j, v in enumerate(verts):
         if r >> j & 1:
-            if v in t1.bset:
+            if v in v1:
                 h1 |= 1 << v1.index(v)
-            if v in t2.bset:
+            if v in v2:
                 h2 |= 1 << v2.index(v)
-                if v in t1.bset:
+                if v in v1:
                     hd |= 1 << both.index(v)
     low = [(0, 0, 0)]
-    for v in sorted(t1.bset - t.bset):
+    for v in middle:
         b1, b2, bd = 1 << v1.index(v), 1 << v2.index(v), 1 << both.index(v)
         low += [(x1 | b1, x2 | b2, xd | bd) for x1, x2, xd in low]
-    size = kp - r.bit_count()
     for x1, x2, xd in low:
-        r1, r2 = h1 | x1, h2 | x2
-        add = 0 if less is None else -int(less[hd | xd])
-        pair = maxplus_pair(t1.cells[r1].tolist(), t2.cells[r2].tolist(),
-                            size, val, x1.bit_count(), add)
-        if pair is not None:
-            return [(t1, r1, pair[0] + r1.bit_count()),
-                    (t2, r2, pair[1] + r2.bit_count())]
-    raise InternalError(f"traceback: no middle subset reaches {val} at "
-                        f"size {kp}")
-
-
-def _traceback(t: BoundaryTable, kp: int) -> set[int]:
-    """Vertices of a kp-subset that reaches the best cell at size kp of
-    the kept table t, the first such subset by the sorted boundary.
-    Each cell is walked back to operand cells that reach it: adjust
-    keeps the row; extend drops z's bit, its top one, and one unit of
-    size when z is selected; contract takes the z-out or the z-in row,
-    whichever reaches the cell; merge_tables searches the Bx of the row.
-    The walk ends at the tables with no interior vertex, kept with made
-    (), whose rows are the selections."""
-    chosen: set[int] = set()
-    order = _sorted_rows(t)
-    todo = [(t, order[int(_sized(t)[order, kp].argmax())], kp)]
-    while todo:
-        t, r, kp = todo.pop()
-        if kp == 0:
-            continue
-        if not t.made:
-            chosen.update(v for j, v in enumerate(t.verts) if r >> j & 1)
-            continue
-        step, src = t.made[0], t.made[1]
-        if step == "merge":
-            todo += _merge_split(t, r, kp)
-            continue
-        if step == "extend":                # drop z's bit, the top one
-            top = 1 << len(src.verts)
-            if r & top:
-                chosen.add(t.L[0])
-                kp -= 1
-                r ^= top
-        elif step == "contract":            # put z's bit j back
-            j = src.verts.index(src.L[0])
-            out = ((r >> j) << (j + 1)) | (r & ((1 << j) - 1))
-            if _cell(src, out, kp) != _cell(t, r, kp):
-                out |= 1 << j
-            r = out
-        todo.append((src, r, kp))
-    return chosen
-
-
-def _kept(out: BoundaryTable, step: str, src: BoundaryTable,
-          keep: bool) -> BoundaryTable:
-    """out, with made (step, src) when kept, unless it has no interior
-    vertex (its rows are then the selections) or is src itself, which
-    adjust may return."""
-    if keep and out is not src and len(out.vset) > len(out.verts):
-        out.made = (step, src)
-    return out
+        yield (r, h1 | x1, h2 | x2, x1.bit_count(),
+               0 if less is None else -int(less[hd | xd]))
 
 
 def _extended(g: Graph, z: int | None, t: BoundaryTable, k: int,
               keep: bool) -> BoundaryTable:
-    return t if z is None else _kept(extend(g, z, t, k), "extend", t, keep)
+    return t if z is None else extend(g, z, t, k, keep)
 
 
 def _fold(forest: Forest, v: TreeNode, br: str, deps: list, pivot: int,
@@ -510,9 +464,9 @@ def _fold(forest: Forest, v: TreeNode, br: str, deps: list, pivot: int,
         t = merge_tables(t, _extended(g, y, (yield deps[i]), k, keep), k,
                          keep)
     if br == "S2":
-        t = _kept(contract(t), "contract", t, keep)
+        t = contract(t, keep)
     if br in ("S1", "S2"):
-        t = _kept(adjust(g, t), "adjust", t, keep)
+        t = adjust(g, t, keep)
     if t.L != v.lbound or t.R != v.rbound:
         raise BoundaryMismatch(f"table boundaries {t.L}/{t.R} drifted from "
                                f"{v.lbound}/{v.rbound} at node {v.uid}")
@@ -581,8 +535,8 @@ def evaluate_tables(forest: Forest, k: int, trace: list | None = None,
     however few the row stores), and the most rows of any.  Both come
     from each table's shape, 2^|verts| rows, so they read no cells and
     enumerate no table.
-    `keep` records in the `made` of each table with interior the
-    operands it was built from, intermediate tables included.  One
+    `keep` records in the `made` of each table with interior the terms
+    and operands it was built from, intermediate tables included.  One
     event per node table, naming the node, is appended to `trace`, in
     `_schedule`'s post-order.
 
@@ -624,13 +578,15 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
                               stats: dict | None = None,
                               witness: bool = False,
                               blocks: Blocks | None = None):
-    """(values, pick): optimum edge counts for every k' = 0..min(k, n) on
+    """(values, top): optimum edge counts for every k' = 0..min(k, n) on
     a connected planar graph with n >= 2, via peeling, component trees,
     and the table fold.  `blocks`, g's decomposition when g is
     outerplanar, lets the embedding draw a rotation-less g on one face.
     Appends one event per table built to `trace`.  With `witness`, every
-    table is kept and pick(k') walks them back to a set of k' vertices
-    that induces values[k'] edges; else pick is None.  TooManyEdges when
+    table is kept, and tables.replay(top, k') walks them back to a set
+    of k' vertices that induces values[k'] edges, from the first row, by
+    the sorted boundary, that reaches values[k'] in the root table; else
+    top is None.  TooManyEdges when
     g has too many edges for int32 tables (see tables.NEG)."""
     if g.m >= MAX_EDGES:
         raise TooManyEdges(f"{g.m} edges: int32 tables count exactly only "
@@ -650,4 +606,6 @@ def solve_bouterplanar_values(g: Graph, k: int, *, root: int | None = None,
         stats["max_rows"] = max_rows
         stats["cells"] = cells
         stats["fake_edges"] = len(le.fake_edges)
-    return vals, (lambda kp: _traceback(rt, kp)) if witness else None
+    return vals, Record((vals,), (tuple(
+        (0, r, 0, r.bit_count(), 0) for r in _sorted_rows(rt)), rt,
+        UNIT)) if witness else None

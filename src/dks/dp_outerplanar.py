@@ -12,8 +12,8 @@ Each block hanging off a cutpoint is collapsed into a pair of vectors
 and attached, one block at a time, to the leaf table where the cutpoint
 sits.
 When a witness is asked for, every table and vector records the terms
-and operands that built it, and `_traceback` replays a root cell back
-down them.
+and operands that built it, in the form tables.replay walks: a table's
+columns are sizes, and a leaf's row selects its endpoints.
 
 A note on the closing merge (the one that reunites the two ends of the
 cycle, producing a table whose two labels coincide): the size arithmetic
@@ -34,12 +34,11 @@ from functools import reduce
 from itertools import product
 from typing import NamedTuple
 
-from dks.errors import (BadArgument, BoundaryMismatch, InternalError,
-                        NotOuterplanar, TooManyEdges)
+from dks.errors import (BadArgument, BoundaryMismatch, NotOuterplanar,
+                        TooManyEdges)
 from dks.graph import Graph
 from dks.tables import convolve_max_plus  # noqa: F401  (perfbench hooks it here)
-from dks.tables import (MAX_EDGES, NEG, maxplus_pair, maxplus_terms,
-                        vector_max)
+from dks.tables import MAX_EDGES, NEG, UNIT, maxplus_terms, vector_max
 
 
 @dataclass
@@ -53,7 +52,7 @@ class EdgeTable:
     counts_label_edge is True when row values already include the edge
     (x, y) itself.  made is () for a leaf and, when kept for a traceback,
     (terms, o1, o2): rows are the maxplus_terms combine of o1's rows and
-    o2's under those terms.
+    o2's under those terms (see tables.replay).
     """
 
     x: int
@@ -63,12 +62,19 @@ class EdgeTable:
     counts_label_edge: bool
     made: tuple = ()
 
+    def row(self, r: int) -> list[int]:
+        return self.rows[r]
+
+    @property
+    def verts(self) -> tuple[int, int]:     # a leaf's row bits: y, then x
+        return self.y, self.x
+
 
 class Hang(NamedTuple):
     """Best-value vectors over one block and the subtree below it,
     without (d0) and with (d1) the cutpoint it hangs from, and their
     vertex count.  made is as EdgeTable's, its terms over the block's
-    final table and _EMPTY (see _MAX_TERMS).
+    final table and tables.UNIT (see _MAX_TERMS).
     """
 
     d0: list[int]
@@ -76,13 +82,11 @@ class Hang(NamedTuple):
     count: int
     made: tuple = ()
 
+    row = tuple.__getitem__         # row 0 is d0, row 1 d1
+
     @property
     def rows(self) -> tuple[list[int], list[int]]:
         return self[:2]
-
-
-# The hang of no vertices: its one cell is the unit of maxplus_terms
-_EMPTY = Hang((0,), (), 0)
 
 
 def leaf_table(x: int, y: int, k: int) -> EdgeTable:
@@ -175,9 +179,9 @@ _HANG_TERMS = tuple(tuple((r, r, b, -b, 0) for r, b in enumerate(bits))
                     for bits in ((0, 0, 1, 1), (0, 1, 0, 1)))
 
 # The terms of a cellwise max: row b is the max of the rows groups[b],
-# each paired with _EMPTY's cell.  A block's hang takes its final table's
-# rows without and with its key vertex (a bridge's x, a cycle's both
-# labels); the root takes all of them into one row.
+# each paired with tables.UNIT's cell.  A block's hang takes its final
+# table's rows without and with its key vertex (a bridge's x, a cycle's
+# both labels); the root takes all of them into one row.
 _MAX_TERMS = {groups: tuple((b, r, 0, 0, 0) for b, rows in enumerate(groups)
                             for r in rows)
               for groups in (((0, 1), (2, 3)), ((0,), (3,)),
@@ -422,42 +426,12 @@ def fold_block(g: Graph, cycle: list[int], k: int,
 # ------------------------------------------------------------- block-cut
 
 
-def _traceback(top: Hang, kp: int) -> set[int]:
-    """Vertices of a kp-subset that reaches cell kp of top's row 0.  A
-    cell is replayed by the first term of its row whose operand cells
-    reach it, down to the leaves, whose rows select their endpoints.  A
-    cell of size 0 selects nothing."""
-    chosen: set[int] = set()
-    todo: list[tuple] = [(top, 0, kp)]
-    while todo:
-        item, r, kp = todo.pop()
-        if kp == 0:
-            continue
-        if not item.made:                   # a leaf
-            chosen.update(v for v, bit in ((item.x, 2), (item.y, 1))
-                          if r & bit)
-            continue
-        terms, o1, o2 = item.made
-        val = item.rows[r][kp]
-        for out, r1, r2, shift, add in terms:
-            if out != r:
-                continue
-            pair = maxplus_pair(o1.rows[r1], o2.rows[r2], kp, val, shift, add)
-            if pair is not None:
-                todo += [(o1, r1, pair[0]), (o2, r2, pair[1])]
-                break
-        else:
-            raise InternalError(f"traceback: no operand cells reach {val} "
-                                f"at size {kp}")
-    return chosen
-
-
 def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                              trace: list | None = None,
                              stats: dict | None = None,
                              blocks: Blocks | None = None,
                              witness: bool = False):
-    """(values, pick): optimum edge counts for every k' = 0..min(k, n) on
+    """(values, top): optimum edge counts for every k' = 0..min(k, n) on
     a connected outerplanar graph with n >= 2: g, or the part of g that
     `blocks` decomposes, in g's own vertex ids.
 
@@ -467,10 +441,11 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     (by default the part's first vertex) outside the part or with no
     incident edge, raise BadArgument.  Adds the number of blocks, tables,
     table cells and merges to `stats`, and one event per table built to
-    `trace`.  With `witness`, every table is kept and pick(k') walks them
-    back to a set of k' vertices that induces values[k'] edges; else pick
-    is None.  TooManyEdges when g has too many edges for the int32 cells
-    of a wide combine (see tables.NEG).
+    `trace`.  With `witness`, every table is kept, and
+    tables.replay(top, k') walks them back to a set of k' vertices that
+    induces values[k'] edges; else top is None.  TooManyEdges when g has
+    too many edges for the int32 cells of a wide combine (see
+    tables.NEG).
     """
     if g.m >= MAX_EDGES:
         raise TooManyEdges(f"{g.m} edges: int32 tables count exactly only "
@@ -546,9 +521,6 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
             values = vector_max(u0, u1)
         else:
             waiting[key].append(Hang(u0, u1, t.vcount, (
-                _MAX_TERMS[groups], t, _EMPTY) if witness else ()))
-    if not witness:
-        return values, None
-    top = Hang(values, (), t.vcount,
-               (_MAX_TERMS[sum(groups, ()),], t, _EMPTY))
-    return values, lambda kp: _traceback(top, kp)
+                _MAX_TERMS[groups], t, UNIT) if witness else ()))
+    return values, Hang(values, (), t.vcount, (
+        _MAX_TERMS[sum(groups, ()),], t, UNIT)) if witness else None

@@ -4,14 +4,14 @@ The two dynamic programs are written for connected inputs of their own
 class with at least two vertices.  This module owns the boring reality
 around them, on one path for every input: one loop over the components
 (a connected graph is its own one component), one-vertex components,
-size guards, timing, and the optional witness: a traceback through the
-tables of the value solve, certified before it is returned.  Each
-component is recognised once, in place, by one block-cut pass over its
-own vertices: the flat solver folds an outerplanar component on the
-input's own vertex ids, with no copy, and only a component that is not
-flat is cut out as a Graph of its own for the leveled solver.  The
-component vectors are joined into one running vector by
-tables.convolve_max_plus, one call a component.
+size guards, timing, and the optional witness: tables.replay through
+the records of the value solve, each join's included, certified before
+it is returned.  Each component is recognised once, in place, by one
+block-cut pass over its own vertices: the flat solver folds an
+outerplanar component on the input's own vertex ids, with no copy, and
+only a component that is not flat is cut out as a Graph of its own for
+the leveled solver.  The component vectors are joined into one running
+vector by tables.convolve_max_plus, one call a component.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dks.errors import BadArgument, InternalError, KTooLarge
 from dks.graph import Graph, component_subgraphs
 from dks.graph import induced_subgraph  # noqa: F401  (perfbench hooks it here)
 from dks.report import SolveReport
-from dks.tables import convolve_max_plus, maxplus_pair
+from dks.tables import UNIT, Record, convolve_max_plus, replay
 
 __all__ = ["SOLVERS", "solve", "solve_outerplanar", "solve_bouterplanar"]
 
@@ -35,6 +35,12 @@ SOLVERS = ("auto", "outerplanar", "bouterplanar")     # force_solver's names
 
 # Per-component stats that describe the deepest piece, not a total.
 _DEEPEST = ("levels", "max_rows")
+
+# The terms of a one-vertex component's record, over its vertex's leaf
+# and tables.UNIT: by size, the vertex in first, then out; and the one
+# term of a component join
+_ONE = ((0, 1, 0, 1, 0), (0, 0, 0, 0, 0))
+_JOIN = ((0, 0, 0, 0, 0),)
 
 
 def _values(g: Graph, k: int, *, force: str = "auto",
@@ -50,9 +56,10 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     when it is outerplanar (pinning that solver raises NotOuterplanar on
     any other), else it is cut out of g for the leveled one.  With
     `witness`, pick(k') is a set of k' vertices that the tables of every
-    component claim induces values[k'] edges: each join is split back
-    into the sizes its two vectors contribute, against the running
-    vector kept as it was built.  Else pick is None.
+    component claim induces values[k'] edges: tables.replay from a
+    record of each join, the running vector as it was built, over the
+    one before and the component's top record (a cut-out component's
+    with its vertex ids, to rename its leaves).  Else pick is None.
     """
     if stats is None:
         stats = {}
@@ -61,15 +68,17 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     if len(comps) > 1:
         stats["pieces"] = len(comps)
     acc = [0]
-    joins = []
+    top = UNIT          # the record of acc, with a witness
     cut = None          # component_subgraphs(g, comps), once a part needs it
-    ids = range(g.n)    # a flat part's pick is in g's own ids
     # an edgeless input counts as solved by the pinned solver, or the flat one
     names = {"outerplanar" if force == "auto" else force}
     for c, keep in enumerate(comps):
         sk = min(cap, len(keep))
+        rename = ()     # a part's leaves are in g's ids, unless it is cut out
         if len(keep) == 1:
-            vec, pick = [0, 0][:sk + 1], range
+            vec = [0, 0][:sk + 1]
+            part = Record((vec,), (_ONE, Record(((0,), (0,)), (), keep),
+                                   UNIT)) if witness else None
         else:
             part_root = root if root is not None and root in keep else None
             info: dict = {}
@@ -78,52 +87,35 @@ def _values(g: Graph, k: int, *, force: str = "auto",
                       else is_outerplanar(g, keep))
             if blocks is not None:
                 names.add("outerplanar")
-                vec, pick = solve_outerplanar_values(
+                vec, part = solve_outerplanar_values(
                     g, sk, root=part_root, trace=trace, stats=info,
                     blocks=blocks, witness=witness)
                 del blocks  # gone before the next component is recognised
-                keep = ids
             else:
                 names.add("bouterplanar")
                 cut = cut or component_subgraphs(g, comps)
                 sub = cut(c)
-                vec, pick = solve_bouterplanar_values(
+                vec, part = solve_bouterplanar_values(
                     sub, sk, triangulation=triangulation, trace=trace,
                     stats=info, witness=witness,
                     root=None if part_root is None else keep.index(part_root),
                     blocks=(is_outerplanar(sub) if force == "bouterplanar"
                             else None))
                 del sub     # so the next component is built with this one gone
+                rename = (keep,)
             for key, val in info.items():
                 if key in _DEEPEST:
                     stats[key] = max(stats.get(key, 0), val)
                 elif isinstance(val, int):
                     stats[key] = stats.get(key, 0) + val
-        if witness:
-            joins.append((acc, vec, keep, pick))
         acc = convolve_max_plus(acc, vec, min(cap, len(acc) - 1 + sk))
+        if witness:
+            top = Record((acc,), (_JOIN, top, part) + rename)
     values = acc if type(acc) is list else acc.tolist()
     if len(values) != cap + 1 or min(values) < 0:
         raise InternalError("joined component vectors miss a size")
-
-    def pick_joined(kp: int) -> set[int]:
-        chosen: set[int] = set()
-        val = values[kp]
-        for prev, vec, keep, pick in reversed(joins):
-            # no size of prev below lo pairs with a cell of vec, so the
-            # split walks at most len(vec) cells, not kp
-            lo = max(0, kp - len(vec) + 1)
-            pair = maxplus_pair(prev[lo:kp + 1], vec, kp - lo, val)
-            if pair is None:
-                raise InternalError(f"traceback: no split of size {kp} "
-                                    f"over the components reaches {val}")
-            kp, k2 = lo + pair[0], pair[1]
-            chosen.update(keep[v] for v in pick(k2))
-            val = int(prev[kp])
-        return chosen
-
     name = "outerplanar" if names == {"outerplanar"} else "bouterplanar"
-    return name, values, pick_joined if witness else None
+    return name, values, (lambda kp: replay(top, kp)) if witness else None
 
 
 def solve(g: Graph, k: int, *, force_solver: str = "auto",
@@ -145,10 +137,11 @@ def solve(g: Graph, k: int, *, force_solver: str = "auto",
     cut graph (g, when g is connected).
 
     With `witness`, the value solve keeps its tables, and the witness, k
-    vertices in ascending order, is found by walking the optimum's cell
-    back down them: through both DPs' merges and the component join.  It
-    is checked before it is returned: k distinct vertices that induce
-    exactly values[k] edges, or InternalError.
+    vertices in ascending order, is found by replaying the optimum's
+    cell back down them (tables.replay): through the component joins and
+    every combine of both DPs.  It is checked before it is returned: k
+    distinct vertices that induce exactly values[k] edges, or
+    InternalError.
     """
     try:
         k = operator.index(k)

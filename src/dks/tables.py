@@ -25,12 +25,17 @@ components costs Python work per component, not per cell of its
 running vector.  So numpy is loaded the first time a leveled table is
 built or a flat combine or a join (an all-k solve, say) grows that
 wide; narrower calls run in Python and never load it.  int32 is exact
-while the graph has fewer than 2^28 edges (see NEG).  `maxplus_pair`
-inverts one cell of one term: each DP's witness traceback asks it
-which operand cells a result cell came from.
+while the graph has fewer than 2^28 edges (see NEG).  `replay` is the
+one witness walk, over the kept records of both DPs and of the join:
+`maxplus_pair`, which inverts one cell of one term, tells it which
+operand cells each cell came from.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
+
+from dks.errors import InternalError
 
 # The absent cell.  A real cell counts edges, so it lies in 0..m, and a
 # combine adds two real cells and a term's add, which each caller keeps
@@ -140,22 +145,83 @@ def maxplus_into(out: list[int], a: list[int], b: list[int], shift: int = 0,
     maxplus_terms((out,), (a,), (b,), ((0, 0, 0, shift, add),))
 
 
-def maxplus_pair(a: list[int], b: list[int], kp: int, val: int,
-                 shift: int = 0, add: int = 0) -> tuple[int, int] | None:
+def maxplus_pair(a, b, kp: int, val: int, shift: int = 0,
+                 add: int = 0) -> tuple[int, int] | None:
     """A pair (k1, k2) with k1 + k2 + shift == kp and a[k1] + b[k2] + add
     == val, k1 the least: a pair `maxplus_into` with the same a, b,
     shift and add combines into out[kp] with value val.  None when no
     pair reaches val.  val is a real cell, which no pair with an absent
-    cell reaches (see NEG).  It walks a from its start, so the component
-    join, whose a is the long running vector (an int32 array once
-    wide), passes only the tail whose cells pair with b."""
-    for k1, v1 in enumerate(a):
-        k2 = kp - shift - k1
-        if k2 < 0:
-            break
-        if k2 < len(b) and v1 + b[k2] + add == val:
-            return k1, k2
+    cell reaches (see NEG).  Only the cells of a that pair with a cell
+    of b are read: at most len(b), however long a is."""
+    kp -= shift
+    lo = kp - len(b) + 1        # the least k1 whose k2 lies in b
+    if lo < 0:
+        if kp < 0:
+            return None
+        lo = 0
+    for k1, v1 in enumerate(a[lo:kp + 1], lo):
+        if v1 + b[kp - k1] + add == val:
+            return k1, kp - k1
     return None
+
+
+class Record(NamedTuple):
+    """A kept record that is no DP table (see replay): a component join,
+    the leveled root, a one-vertex component, a one-vertex leaf, the
+    unit."""
+
+    rows: tuple
+    made: tuple = ()
+    verts: tuple = ()
+
+    def row(self, r: int):
+        return self.rows[r]
+
+
+# The record of no vertices: its one cell is the unit of maxplus_terms
+UNIT = Record(((0,),))
+
+
+def replay(top, kp: int) -> set[int]:
+    """The vertices of a selection that reaches cell kp of top's row 0.
+
+    Every kept record has row(r), its row r by column, and made: () for
+    a leaf, whose row r selects its verts at the bits set in r, else
+    (terms, o1, o2): its rows are the maxplus_terms combine of o1's and
+    o2's under terms, a tuple of (r, r1, r2, shift, add) or a function
+    of r that yields the ones of r.  A cell is replayed by the first
+    term of its row whose operand cells reach it, down to the leaves.
+    A 4th element of made, the vertex ids of a part cut out of the graph,
+    renames o2's leaves.  A cell of row 0 at column 0 selects nothing."""
+    chosen: set[int] = set()
+    todo: list[tuple] = [(top, 0, kp)]
+    while todo:
+        rec, r, kp = todo.pop()
+        if not (kp or r):
+            continue
+        made = rec.made
+        if not made:
+            chosen.update(v for j, v in enumerate(rec.verts) if r >> j & 1)
+            continue
+        terms, o1, o2 = made[:3]
+        val = rec.row(r)[kp]
+        for out, r1, r2, shift, add in (terms(r) if callable(terms)
+                                        else terms):
+            if out == r:
+                pair = maxplus_pair(o1.row(r1), o2.row(r2), kp, val, shift,
+                                    add)
+                if pair is not None:
+                    break
+        else:
+            raise InternalError(f"traceback: no operand cells reach {val} "
+                                f"at row {r}, column {kp}")
+        todo.append((o1, r1, pair[0]))
+        if len(made) == 3:
+            todo.append((o2, r2, pair[1]))
+        else:               # o2 is a cut-out part, in its own ids
+            ids = made[3]
+            chosen.update([ids[v] for v in replay(o2, pair[1])])
+    return chosen
 
 
 def maxplus_rows(a, b, out, scratch, group: int = 1, lift: int = 0):

@@ -25,7 +25,7 @@ from dks.oracle import brute_force_all_k
 from dks.dp_outerplanar import is_outerplanar, solve_outerplanar_values
 from dks.plane import rotations_from_coordinates
 from dks.solve import solve
-from dks.tables import NEG
+from dks.tables import NEG, UNIT
 from dks.trees import build_forest
 
 from helpers import (FIG_ID, as_none, brute_force_slice_table, figure_graph,
@@ -311,7 +311,7 @@ def test_every_stored_cell_is_the_all_k_tables_value(
     while todo:
         t = todo.pop()
         assert (t.cells != dp_bouterplanar.NEG).all()
-        todo += [s for s in t.made[1:3] if isinstance(s, BoundaryTable)]
+        todo += kept_operands(t)
 
 
 # ------------------------------------------------------------- equivalences
@@ -383,20 +383,26 @@ def test_merge_rejects_gap():
                      3)
 
 
+def kept_operands(t: BoundaryTable) -> list:
+    """The tables among t's kept operands: both of a merge's, one of
+    any other step's (the other is a tables.Record)."""
+    return [s for s in t.made[1:3] if isinstance(s, BoundaryTable)]
+
+
 def kept_merges(root: BoundaryTable) -> list:
     """(t1, t2) of every merge_tables call behind a table kept for a
-    traceback, intermediate tables included."""
+    traceback, intermediate tables included: the kept tables whose two
+    operands are both tables."""
     seen, todo, out = set(), [root], []
     while todo:
         t = todo.pop()
         if id(t) in seen or not t.made:
             continue
         seen.add(id(t))
-        if t.made[0] == "merge":
-            out.append(t.made[1:3])
-            todo += t.made[1:3]
-        else:
-            todo.append(t.made[1])
+        ops = kept_operands(t)
+        if len(ops) == 2:
+            out.append(tuple(ops))
+        todo += ops
     return out
 
 
@@ -501,15 +507,16 @@ def test_adjust_without_interior_reads_no_cells():
 @pytest.mark.parametrize("b, n", [(2, 16), (3, 20), (4, 20)])
 def test_kept_tables_without_interior_end_the_walk(b, n):
     # with a witness, a table with no interior vertex keeps no operands:
-    # the traceback reads its rows as the selections; every other kept
-    # table names the step that built it
+    # the replay reads its rows as the selections; every other kept
+    # table holds the terms of the step that built it, over the table
+    # it was built from
     g = gen_bouterplanar(GenSpec(n=n, b=b, seed=1))
     trace: list = []
     rep = solve(g, n // 2, force_solver="bouterplanar", witness=True,
                 trace=trace)
     assert rep.values == brute_force_all_k(g)[:n // 2 + 1]
     seen, todo = set(), [ev["table"] for ev in trace]
-    free = kept = 0
+    free, kinds = 0, set()
     while todo:
         t = todo.pop()
         if id(t) in seen:
@@ -519,11 +526,15 @@ def test_kept_tables_without_interior_end_the_walk(b, n):
             assert t.made == ()
             free += 1
         else:
-            assert t.made and t.made[0] in ("extend", "contract", "adjust",
-                                            "merge")
-            kept += 1
-        todo += t.made[1:3]
-    assert free and kept
+            # a merge's second operand is a table, an extend's a leaf of
+            # its vertex, a contract's or adjust's the unit
+            terms, o1, o2 = t.made
+            assert callable(terms) and isinstance(o1, BoundaryTable)
+            kinds.add("merge" if isinstance(o2, BoundaryTable)
+                      else "unit" if o2 is UNIT
+                      else "extend" if o2.verts == (t.L[0],) else o2)
+        todo += kept_operands(t)
+    assert free and {"merge", "unit"} <= kinds <= {"merge", "extend", "unit"}
 
 
 def test_trace_names_branch_and_pivot():
@@ -641,7 +652,7 @@ def test_merge_guards_raise_under_python_O():
     # under -O too; each fixture is printed, so it is checked under -O
     script = """
 import dataclasses, sys
-from dks.dp_bouterplanar import evaluate_tables, merge_tables
+from dks.dp_bouterplanar import BoundaryTable, evaluate_tables, merge_tables
 from dks.embedding import embed_and_level
 from dks.errors import BoundaryMismatch, InternalError
 from dks.graph import Graph
@@ -651,7 +662,8 @@ g = Graph(6, rim)
 trace = []
 evaluate_tables(build_forest(embed_and_level(g)), 2, trace=trace, keep=True)
 t1, t2 = next(ev["table"].made[1:3] for ev in trace
-              if ev["table"].made and ev["table"].made[0] == "merge")
+              if ev["table"].made and all(isinstance(s, BoundaryTable)
+                                          for s in ev["table"].made[1:3]))
 merge_tables(t1, t2, 2)
 print("meet", t1.R == t1.L)
 try:

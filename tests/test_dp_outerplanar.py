@@ -12,7 +12,7 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
-from unittest import mock
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +23,9 @@ from dks.errors import DksError, NotOuterplanar
 from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k
-from dks import dp_outerplanar, tables
-from dks.tables import NEG
+from dks import tables
+from dks.tables import NEG, UNIT
 from dks.dp_outerplanar import (
-    _EMPTY,
     _HANG_TERMS,
     _MAX_TERMS,
     _MERGE_TERMS,
@@ -283,9 +282,9 @@ def test_a_hub_adjacency_is_read_a_constant_number_of_times(hub_last):
     assert len(blocks.vertices) == 100 and counted.reads <= 3
     for root in (None, hub, 1, g.n - 2):
         counted.reads = 0
-        values, pick = solve_outerplanar_values(g, 10, root=root,
-                                                blocks=blocks, witness=True)
-        pick(10)
+        values, top = solve_outerplanar_values(g, 10, root=root,
+                                               blocks=blocks, witness=True)
+        tables.replay(top, 10)
         assert counted.reads <= 1, root
     for solver in (solve, solve_bouterplanar):
         # components, recognition, and (leveled) the convex drawing
@@ -341,6 +340,21 @@ def kept_records(top):
     return list(seen.values())
 
 
+def collect_tops(monkeypatch) -> list:
+    """The top record of every flat solve the front door makes from now
+    on, appended as it is returned."""
+    front, tops = import_module("dks.solve"), []
+    real = front.solve_outerplanar_values
+
+    def spy(*args, **kwargs):
+        values, top = real(*args, **kwargs)
+        tops.append(top)
+        return values, top
+
+    monkeypatch.setattr(front, "solve_outerplanar_values", spy)
+    return tops
+
+
 def test_traceback_reads_each_sibling_hang(monkeypatch):
     # two triangles and a pendant edge hang off cutpoint 2 of the root
     # block (0, 1, 2); each is attached to the leaf at 2 on its own, so
@@ -348,12 +362,10 @@ def test_traceback_reads_each_sibling_hang(monkeypatch):
     # recorded block terms, into that block's table
     g = Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (2, 5),
                   (5, 6), (2, 6), (2, 7)])
-    pairs, tops = [], []
-    pair, walk = dp_outerplanar.maxplus_pair, dp_outerplanar._traceback
-    monkeypatch.setattr(dp_outerplanar, "maxplus_pair", lambda a, b, *rest:
+    pairs, pair = [], tables.maxplus_pair
+    monkeypatch.setattr(tables, "maxplus_pair", lambda a, b, *rest:
                         pairs.append((id(a), id(b))) or pair(a, b, *rest))
-    monkeypatch.setattr(dp_outerplanar, "_traceback", lambda top, kp:
-                        tops.append(top) or walk(top, kp))
+    tops = collect_tops(monkeypatch)
     want = brute_force_all_k(g)
     for k in range(g.n + 1):
         pairs.clear()
@@ -364,15 +376,15 @@ def test_traceback_reads_each_sibling_hang(monkeypatch):
         assert sum(u in chosen and v in chosen for u, v in g.edges) == want[k]
     top = tops[-1]
     hangs = [h for h in kept_records(top)
-             if isinstance(h, Hang) and h is not top and h is not _EMPTY]
+             if isinstance(h, Hang) and h is not top]
     assert sorted(h.count for h in hangs) == [2, 3, 3]
     for h in hangs:
         terms, t, unit = h.made
-        assert terms in _MAX_TERMS.values() and unit is _EMPTY
+        assert terms in _MAX_TERMS.values() and unit is UNIT
         # the attachment read one of h's vectors, and h's step one of
         # its block's rows
         assert any(id(v) == b for v in h.rows for _, b in pairs)
-        assert any((id(row), id(_EMPTY.d0)) in pairs for row in t.rows)
+        assert any((id(row), id(UNIT.row(0))) in pairs for row in t.rows)
 
 
 @pytest.mark.parametrize("chords", [[(0, 2), (1, 3)], [(0, 3), (1, 4)],
@@ -482,10 +494,8 @@ def test_matches_oracle_on_random_outerplanar(g, data):
     root = data.draw(st.integers(0, g.n - 1))
     expected = brute_force_all_k(g)
     assert solve_outerplanar_values(g, g.n, root=root)[0] == expected
-    tops = []
-    walk = dp_outerplanar._traceback
-    with mock.patch.object(dp_outerplanar, "_traceback", lambda top, kp:
-                           tops.append(top) or walk(top, kp)):
+    with pytest.MonkeyPatch.context() as patch:
+        tops = collect_tops(patch)
         for k in range(g.n + 1):
             rep = solve_outerplanar(g, k, root=root, witness=True)
             chosen = set(rep.witness)

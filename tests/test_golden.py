@@ -6,6 +6,12 @@ order in which tables are built and printed, repeated headers (the
 flower's two `merge (2,2)` tables), the trace lines on stderr and the
 witness.
 
+`witness_every_k.txt` pins the witness `dks solve --k k --witness`
+prints at every k = 0..n of a few inputs.  A witness at k = n is every
+vertex, so only the smaller ones pin the traceback's tie-breaks: which
+term, middle subset, boundary row or component split it takes first
+when several reach a cell.
+
 The files under tests/golden/ were written by running this module as a
 script, `PYTHONPATH=src python tests/test_golden.py`, which rewrites
 them from the code in the checkout; do that only when an output change
@@ -23,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from dks.cli import main
+from dks.graph import load_graph
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +47,12 @@ B3 = "".join(f"{e}\n" for e in (
     "13 17", "14 15", "15 16", "16 18", "17 18", "17 19", "18 19"))
 
 LEVELED = ("--force-solver", "bouterplanar")
+
+# the CI's mixed.json: a triangle, an edge, a K4 and an isolated vertex
+MIXED = ('{"vertices": ["a", "b", "c", "d", "e", "f", "g", "h", "i", "j"], '
+         '"edges": [["a", "b"], ["b", "c"], ["c", "a"], ["d", "e"], '
+         '["f", "g"], ["f", "h"], ["f", "i"], ["g", "h"], ["g", "i"], '
+         '["h", "i"]]}')
 
 # name -> (graph text, options shared by both commands, k options of
 # dump-tables, k options of solve)
@@ -60,6 +73,21 @@ CASES = {
                   ("--all-k",)),
     "b3_zigzag_alt": (B3, LEVELED + ("--triangulation", "zigzag_alt"), (),
                       ("--all-k",)),
+}
+
+# name -> (graph text, solve options) of the witness at every k
+WITNESS_CASES = {
+    "fig7": (FIG7, ()),
+    "fig7_root_c": (FIG7, ("--root", "c")),
+    "fig7_leveled_zigzag": (FIG7, LEVELED + ("--triangulation", "zigzag")),
+    "fig7_leveled_zigzag_alt": (FIG7, LEVELED + ("--triangulation",
+                                                 "zigzag_alt")),
+    "w5_zigzag": (W5, ("--triangulation", "zigzag")),
+    "w5_zigzag_alt": (W5, ("--triangulation", "zigzag_alt")),
+    "flower": (FLOWER, ()),
+    "b3_zigzag": (B3, LEVELED + ("--triangulation", "zigzag")),
+    "b3_zigzag_alt": (B3, LEVELED + ("--triangulation", "zigzag_alt")),
+    "mixed": (MIXED, ()),
 }
 
 
@@ -87,14 +115,38 @@ def render(name: str) -> str:
     return "".join(parts)
 
 
+def render_witnesses() -> str:
+    """One line per case and k: `case k: ` and the witness's names, from
+    one `dks solve --k k --witness` each."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (text, opts) in WITNESS_CASES.items():
+            path = Path(tmp) / f"{name}.graph"
+            path.write_text(text)
+            for kp in range(load_graph(str(path)).n + 1):
+                code, out, _ = _run("solve", "--graph", str(path), *opts,
+                                    "--k", str(kp), "--witness")
+                picked = [ln for ln in out.splitlines()
+                          if ln.startswith("# witness:")]
+                lines.append(f"{name} {kp} exit {code}:"
+                             f"{''.join(ln[10:] for ln in picked)}\n")
+    return "".join(lines)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_byte_for_byte(name):
     want = (GOLDEN / f"{name}.txt").read_text()
     assert render(name) == want
 
 
+def test_witness_at_every_k_matches_golden():
+    want = (GOLDEN / "witness_every_k.txt").read_text()
+    assert render_witnesses() == want
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         (GOLDEN / f"{case}.txt").write_text(render(case))
-    print(f"wrote {len(CASES)} files to {GOLDEN}", file=sys.stderr)
+    (GOLDEN / "witness_every_k.txt").write_text(render_witnesses())
+    print(f"wrote {len(CASES) + 1} files to {GOLDEN}", file=sys.stderr)

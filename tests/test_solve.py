@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import dks
 import helpers
-from dks import dp_bouterplanar, dp_outerplanar, tables
+from dks import dp_outerplanar, tables
 from dks.cli import _print_table
 from dks.embedding import embed_and_level
 from dks.errors import BadArgument, InternalError, KTooLarge, NotOuterplanar
@@ -761,26 +761,43 @@ def test_witness_is_certified_and_as_dense_as_the_oracle(family, seed,
 
 @pytest.mark.parametrize("case", range(3))
 def test_corrupted_traceback_raises(case, monkeypatch):
-    # an inverse kernel that settles for one edge less wherever it can
-    # walks to a set that misses the optimum: the certificate refuses it.
+    # an inverse kernel (the one tables.replay calls, for every record)
+    # that settles for one edge less wherever it can walks to a set that
+    # misses the optimum: the certificate refuses it.
     # The third input is a wheel, a triangle and a path at k = 3, where the
     # last component join can settle for the path's two edges
     wheel_tri_path = _union(wheel(4), Graph(3, [(0, 1), (1, 2), (0, 2)]),
                             Graph(3, [(0, 1), (1, 2)]))
     g, k = witness_graphs()[case] if case < 2 else (wheel_tri_path, 3)
     want = solve(g, k).values
-    real = dp_outerplanar.maxplus_pair
+    real = tables.maxplus_pair
 
     def short(a, b, kp, val, shift=0, add=0):
         return (real(a, b, kp, val - 1, shift, add)
                 or real(a, b, kp, val, shift, add))
 
-    front = import_module("dks.solve")
-    for mod in (dp_outerplanar, dp_bouterplanar, front):
-        monkeypatch.setattr(mod, "maxplus_pair", short)
+    monkeypatch.setattr(tables, "maxplus_pair", short)
     with pytest.raises(InternalError):
         solve(g, k, witness=True)
     assert solve(g, k).values == want     # no witness, no traceback
+
+
+def test_only_a_witness_solve_keeps_records(monkeypatch):
+    # a solve without a witness builds no tables.Record (no join, leveled
+    # root, one-vertex component or vertex leaf) and leaves every traced
+    # table of either solver with made (); a witness solve does both
+    g = _union(wheel(5), Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(1, []),
+               gen_bouterplanar(GenSpec(n=12, b=2, seed=1)))
+    built, new = [], tables.Record.__new__
+    monkeypatch.setattr(tables.Record, "__new__", lambda cls, *args:
+                        built.append(args) or new(cls, *args))
+    for witness in (False, True):
+        built.clear()
+        events: list = []
+        rep = solve(g, 6, witness=witness, trace=events)
+        assert rep.solver == "bouterplanar"
+        kept = [ev["table"] for ev in events if ev["table"].made]
+        assert (bool(built), bool(kept)) == (witness, witness)
 
 
 def test_auto_path_recognises_once(monkeypatch):

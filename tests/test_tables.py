@@ -86,6 +86,31 @@ def test_maxplus_pair_inverts_every_cell(t, shift, width):
         assert maxplus_pair(as_array, b, kp, val, shift, add) == (k1, k2)
 
 
+class Counted(list):
+    """A list that counts the cells its slices hand out."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+def test_maxplus_pair_reads_only_the_cells_that_pair_with_b():
+    # the component join splits its long running vector against a short
+    # component vector: each split reads len(b) cells of a, not kp
+    a = Counted(range(10**5))
+    for kp, shift in ((10**5 - 1, 0), (50_000, 0), (60_000, 7), (2, 0)):
+        val = a[kp - shift - 2] + 5
+        a.reads = 0
+        assert maxplus_pair(a, [1, 3, 5], kp, val, shift) == (
+            kp - shift - 2, 2)
+        assert a.reads <= 3
+    a.reads = 0
+    assert maxplus_pair(a, [1, 3, 5], 4, 0, 5) is None and a.reads == 0
+
+
 @settings(max_examples=300, deadline=None)
 @given(wide=st.booleans(), array=st.booleans(), data=st.data())
 def test_convolve_max_plus_is_the_unshifted_kernel(wide, array, data):
