@@ -414,9 +414,10 @@ def merge_tables(t1: BoundaryTable, t2: BoundaryTable, k: int,
 def _merge_terms(verts, v1, v2, both, middle, less, r: int):
     """Yields the terms of a kept merge's row r, over verts, one per
     subset Bx of the middle vertices, in the order of its bitmask over
-    them sorted: the t1 row and t2 row (bits over v1 and v2) of S = r |
-    Bx, at shift |Bx|, less the shared edges inside S (less indexed by
-    bits over both, None with no shared edge)."""
+    them sorted, each as the doubling makes it: the t1 row and t2 row
+    (bits over v1 and v2) of S = r | Bx, at shift |Bx|, less the shared
+    edges inside S (less indexed by bits over both, None with no shared
+    edge)."""
     h1 = h2 = hd = 0
     for j, v in enumerate(verts):
         if r >> j & 1:
@@ -426,13 +427,14 @@ def _merge_terms(verts, v1, v2, both, middle, less, r: int):
                 h2 |= 1 << v2.index(v)
                 if v in v1:
                     hd |= 1 << both.index(v)
-    low = [(0, 0, 0)]
+    low = [(h1, h2, hd, 0)]     # S's t1 row, t2 row, shared bits, |Bx|
+    yield r, h1, h2, 0, 0 if less is None else -int(less[hd])
     for v in middle:
         b1, b2, bd = 1 << v1.index(v), 1 << v2.index(v), 1 << both.index(v)
-        low += [(x1 | b1, x2 | b2, xd | bd) for x1, x2, xd in low]
-    for x1, x2, xd in low:
-        yield (r, h1 | x1, h2 | x2, x1.bit_count(),
-               0 if less is None else -int(less[hd | xd]))
+        for x1, x2, xd, size in low[:]:
+            x1, x2, xd, size = x1 | b1, x2 | b2, xd | bd, size + 1
+            low.append((x1, x2, xd, size))
+            yield r, x1, x2, size, 0 if less is None else -int(less[xd])
 
 
 def _extended(g: Graph, z: int | None, t: BoundaryTable, k: int,

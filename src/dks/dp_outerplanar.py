@@ -206,7 +206,7 @@ def attach_hang(t: EdgeTable, side: int, hang: Hang, k: int,
 
 def block_outer_cycle(g: Graph, vertices: list[int], top: int) -> list[int]:
     """Hamiltonian outer cycle of a 2-connected outerplanar block of g,
-    starting at its smallest vertex.
+    starting at its top.
 
     `vertices` and `top` are the block's, as outerplanar_blocks lists
     them: every edge of g between two of the vertices is a block edge,
@@ -285,10 +285,9 @@ def block_outer_cycle(g: Graph, vertices: list[int], top: int) -> list[int]:
         nxt[a] = v
         nxt[v] = b
 
-    start = min(vertices)
-    cycle = [start]
-    cur = nxt[start]
-    while cur != start:
+    cycle = [top]
+    cur = nxt[top]
+    while cur != top:
         cycle.append(cur)
         cur = nxt[cur]
     if len(cycle) != n:
@@ -304,9 +303,12 @@ class Blocks:
     part is the vertices decomposed (range(g.n) for all of g),
     vertices[i] is block i's ascending vertex list (two vertices: a
     bridge), tops[i] the vertex it shares towards the depth-first
-    search's root, and cycles[i] its outer cycle from its smallest
-    vertex (None for a bridge).  A block's edges are the ones g.adj
-    holds between its vertices, read through all of them but the top.
+    search's root, which is the key vertex the fold hangs it from, and
+    cycles[i] its outer cycle from its top (None for a bridge).  The
+    blocks come in the search's order, each after every block below
+    it, so the last block's top is the search's root: the fold's root.
+    A block's edges are the ones g.adj holds between its vertices, read
+    through all of them but the top.
     These lists are all that recognition keeps: its per-vertex working
     data (the CSR adjacency, degree maps, rings) is dropped before it
     returns.
@@ -318,24 +320,25 @@ class Blocks:
     part: Sequence[int]
 
 
-def outerplanar_blocks(g: Graph, part: Sequence[int] | None = None) -> Blocks:
-    """Blocks of g, or of its `part` (see Graph.blocks_and_cutpoints),
-    as vertex lists with their tops and outer cycles; raises
-    NotOuterplanar."""
-    blocks, tops, _ = g.blocks_and_cutpoints(part)
+def outerplanar_blocks(g: Graph, part: Sequence[int] | None = None,
+                       root: int | None = None) -> Blocks:
+    """Blocks of g, or of its `part`, searched from `root` (see
+    Graph.blocks_and_cutpoints), as vertex lists with their tops and
+    outer cycles; raises NotOuterplanar."""
+    blocks, tops = g.blocks_and_cutpoints(part, root)
     cycles = [block_outer_cycle(g, vs, top) if len(vs) > 2 else None
               for vs, top in zip(blocks, tops)]
     return Blocks(blocks, tops, cycles, range(g.n) if part is None else part)
 
 
-def is_outerplanar(g: Graph, part: Sequence[int] | None = None
-                   ) -> Blocks | None:
-    """outerplanar_blocks(g, part) when that part of g is outerplanar,
-    else None."""
+def is_outerplanar(g: Graph, part: Sequence[int] | None = None,
+                   root: int | None = None) -> Blocks | None:
+    """outerplanar_blocks(g, part, root) when that part of g is
+    outerplanar, else None."""
     if len(part or range(g.n)) == g.n and g.m > max(0, 2 * g.n - 3):
         return None
     try:
-        return outerplanar_blocks(g, part)
+        return outerplanar_blocks(g, part, root)
     except NotOuterplanar:
         return None
 
@@ -435,56 +438,47 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     a connected outerplanar graph with n >= 2: g, or the part of g that
     `blocks` decomposes, in g's own vertex ids.
 
-    `blocks` comes from is_outerplanar(g, part); without it, all of g is
-    decomposed here, which raises NotOuterplanar on other graphs.  Blocks
-    that miss a vertex of their part or do not hang together, or a root
-    (by default the part's first vertex) outside the part or with no
-    incident edge, raise BadArgument.  Adds the number of blocks, tables,
-    table cells and merges to `stats`, and one event per table built to
-    `trace`.  With `witness`, every table is kept, and
-    tables.replay(top, k') walks them back to a set of k' vertices that
-    induces values[k'] edges; else top is None.  TooManyEdges when g has
-    too many edges for the int32 cells of a wide combine (see
-    tables.NEG).
+    `blocks` comes from is_outerplanar(g, part, root), and the fold
+    starts where their search did, at the last block's top; every block
+    hangs from its own top.  Without `blocks`, all of g is decomposed
+    here, searched from `root` (by default vertex 0), which raises
+    NotOuterplanar on other graphs.  A root with no incident edge,
+    blocks searched from another root than a given `root`, and blocks
+    that miss a vertex of their part or do not hang together raise
+    BadArgument.  Adds the number of blocks, tables, table cells and
+    merges to `stats`, and one event per table built to `trace`.  With
+    `witness`, every table is kept, and tables.replay(top, k') walks
+    them back to a set of k' vertices that induces values[k'] edges;
+    else top is None.  TooManyEdges when g has too many edges for the
+    int32 cells of a wide combine (see tables.NEG).
     """
     if g.m >= MAX_EDGES:
         raise TooManyEdges(f"{g.m} edges: int32 tables count exactly only "
                            f"below {MAX_EDGES}")
     if blocks is None:
-        blocks = outerplanar_blocks(g)
-    bverts, part = blocks.vertices, blocks.part
-    # each vertex's first block (over all of g, a list), and every block
-    # of each cutpoint
-    home = [-1] * g.n if len(part) == g.n else dict.fromkeys(part, -1)
-    at_cut: dict[int, list[int]] = {}
-    for i, vs in enumerate(bverts):
-        for v in vs:
-            if home[v] < 0:
-                home[v] = i
-            else:
-                at_cut.setdefault(v, [home[v]]).append(i)
-
-    rootv = root if root is not None else part[0] if part else 0
-    if rootv not in part or home[rootv] < 0:
-        raise BadArgument(f"root vertex {rootv} has no incident edge")
-    root_bid = home[rootv]
-
-    # BFS the block-cut tree from the root block; a block's key vertex is
-    # the cutpoint it hangs from.  The first block to reach a cutpoint
-    # takes all of its blocks, so each list is read once.
-    key_of = [-1] * len(bverts)
-    key_of[root_bid] = rootv
-    order = [root_bid]
+        if root is not None and not (0 <= root < g.n and g.adj[root]):
+            raise BadArgument(f"root vertex {root} has no incident edge")
+        blocks = outerplanar_blocks(g, root=root)
+    bverts, tops = blocks.vertices, blocks.tops
+    # BFS the block-cut tree from the root block, the first block at the
+    # search's root (the last block's top), through the blocks below
+    # each vertex: the ones whose top it is
+    below: dict[int, list[int]] = defaultdict(list)
+    for bid, v in enumerate(tops):
+        below[v].append(bid)
+    order = [below[tops[-1]].pop(0)] if tops else []
     for bid in order:
         for v in bverts[bid]:
-            for nb in at_cut.pop(v, ()):
-                if key_of[nb] < 0:
-                    key_of[nb] = v
-                    order.append(nb)
+            order += below.pop(v, ())
     # a connected block-cut tree has sum |B| - #B + 1 distinct vertices
-    if (len(order) < len(bverts)
-            or sum(map(len, bverts)) - len(bverts) + 1 < len(part)):
-        raise BadArgument("graph is disconnected; solve() splits components")
+    if (not order or len(order) < len(bverts) or sum(map(len, bverts))
+            - len(bverts) + 1 < len(blocks.part)):
+        raise BadArgument("graph is disconnected or edgeless; solve() "
+                          "splits components")
+    if root is not None and tops[-1] != root:
+        raise BadArgument(f"blocks searched from root {tops[-1]} cannot "
+                          f"be folded from root {root}")
+    root_bid = order[0]
 
     if stats is not None:
         stats["blocks"] = len(bverts)
@@ -493,7 +487,7 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
     # from is folded; the root block also takes those at the root vertex
     waiting: dict[int, list[Hang]] = defaultdict(list)
     for bid in reversed(order):         # the root block comes last
-        key = key_of[bid]
+        key = tops[bid]
         attach = {v: waiting.pop(v) for v in bverts[bid]
                   if v in waiting and (v != key or bid == root_bid)}
         if len(bverts[bid]) == 2:             # a bridge
@@ -506,10 +500,8 @@ def solve_outerplanar_values(g: Graph, k: int, *, root: int | None = None,
                 for h in attach.get(v, ()):
                     t = attach_hang(t, side, h, k, witness)
             groups = ((0, 1), (2, 3))
-        else:
+        else:       # swept from the key on to its smaller neighbour
             cycle = blocks.cycles[bid]
-            i = cycle.index(key)
-            cycle = cycle[i:] + cycle[:i]
             if cycle[-1] < cycle[1]:
                 cycle = [cycle[0]] + cycle[:0:-1]
             t = fold_block(g, cycle, k, attach, trace, stats, witness)

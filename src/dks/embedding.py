@@ -143,7 +143,6 @@ class LeveledEmbedding:
     plane: PlaneGraph
     level: list[int]
     components: list[LevelComponent]
-    connector_edges: set[frozenset]
     fake_edges: set[frozenset] = field(default_factory=set)
 
     @property
@@ -155,7 +154,6 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
     """Peel a connected plane graph into levels and level components."""
     level = [0] * g.n
     comps: list[LevelComponent] = []
-    connectors: set[frozenset] = set()
 
     tasks = [(set(range(g.n)), ccw_walk_of(plane.faces[outer_fid]), 1, None)]
     while tasks:
@@ -186,7 +184,7 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
             continue
         side2sub = {h: i for i, o in enumerate(sub_faces) for h in o}
         found: dict[int, tuple] = {}
-        for blobset in _blobs(plane, deeper, connectors):
+        for blobset in _blobs(plane, deeper):
             w, d = next((w, d) for d in sorted(blobset)
                         for w in plane.rot[d] if w in lset)
             fi = side2sub.get((w, plane.first(w, d, CW, lset.__contains__)))
@@ -207,11 +205,10 @@ def compute_levels(g: Graph, plane: PlaneGraph, outer_fid: int) -> LeveledEmbedd
         if abs(level[u] - level[v]) > 1:
             raise EmbeddingInconsistent(
                 f"edge ({u},{v}) spans levels {level[u]},{level[v]}")
-    return LeveledEmbedding(g, plane, level, comps, connectors)
+    return LeveledEmbedding(g, plane, level, comps)
 
 
-def _blobs(plane: PlaneGraph, deeper: set[int],
-           connectors: set[frozenset]) -> list[set[int]]:
+def _blobs(plane: PlaneGraph, deeper: set[int]) -> list[set[int]]:
     """The pieces of `deeper`, stitched into one blob per enclosing face.
 
     A union-find labels the pieces, one sweep hanging each off its first
@@ -253,8 +250,6 @@ def _blobs(plane: PlaneGraph, deeper: set[int],
                   if join(orbit[a][0], orbit[b][0])]
         if chords:
             plane.insert_chords(orbit, chords)
-            connectors.update(frozenset((orbit[a][0], orbit[b][0]))
-                              for a, b in chords)
     blobs: dict[int, set[int]] = {}
     for v in deeper:
         blobs.setdefault(find(v), set()).add(v)

@@ -14,6 +14,7 @@ import json
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from dks.errors import FormatError
 
@@ -97,12 +98,17 @@ class Graph:
 
     # ------------------------------------------------ blocks / cutpoints
 
-    def blocks_and_cutpoints(self, part: Sequence[int] | None = None
-                             ) -> tuple[list[list[int]], list[int], set[int]]:
-        """(blocks, tops, cutpoints) of g, or of `part`, ascending
-        vertices that no edge leaves: each biconnected component as its
-        ascending vertex list, the vertex each block shares towards the
-        depth-first search's root (its top), and the cut vertices.
+    def blocks_and_cutpoints(self, part: Sequence[int] | None = None,
+                             root: int | None = None
+                             ) -> tuple[list[list[int]], list[int]]:
+        """(blocks, tops) of g, or of `part`, ascending vertices that no
+        edge leaves: each biconnected component as its ascending vertex
+        list, and the vertex it shares towards the depth-first search's
+        root (its top).  The search starts at `root` (by default the
+        first vertex), then at each vertex it has not reached, in order.
+        A block comes out after every block below it, so on a connected
+        graph the last block's top is the root.  The cut vertices are
+        the vertices in two or more blocks.
 
         Every edge of g between two vertices of a block is one of its
         edges, so g.adj holds each block's edges; and every vertex is a
@@ -128,18 +134,16 @@ class Graph:
             cur = dict(zip(verts, cur))
         disc = [-1] * self.n if whole else dict.fromkeys(verts, -1)
         low = [0] * self.n if whole else dict.fromkeys(verts, 0)
-        cutpoints: set[int] = set()
         blocks: list[list[int]] = []
         tops: list[int] = []
         below: list[int] = []       # visited vertices not yet in a block
         timer = 0
 
-        for root in verts:
-            if disc[root] != -1:
+        for start in chain(() if root is None else (root,), verts):
+            if disc[start] != -1:
                 continue
-            root_children = 0
-            stack = [-1, root]          # -1: the root's parent
-            disc[root] = low[root] = timer
+            stack = [-1, start]         # -1: the start's parent
+            disc[start] = low[start] = timer
             timer += 1
             while len(stack) > 1:
                 v, up = stack[-1], stack[-2]
@@ -157,8 +161,6 @@ class Graph:
                 if w >= 0:                      # descend the tree edge v-w
                     disc[w] = low[w] = timer
                     timer += 1
-                    if up < 0:
-                        root_children += 1
                     stack.append(w)
                     below.append(w)
                     continue
@@ -175,9 +177,7 @@ class Graph:
                         block.sort()
                         blocks.append(block)
                         tops.append(up)
-                        if up != root or root_children > 1:
-                            cutpoints.add(up)
-        return blocks, tops, cutpoints
+        return blocks, tops
 
 
 def induced_subgraph(g: Graph, keep: Sequence[int]) -> Graph:

@@ -52,7 +52,9 @@ def _values(g: Graph, k: int, *, force: str = "auto",
     Any vertex count, any number of components; per-component vectors are
     joined by max-plus convolution, which preserves exactness.  A
     one-vertex component is answered here, with no solver.  Each other
-    component is recognised once, in place: the flat solver folds it
+    component is recognised once, in place, searched from `root` when
+    it holds it (the flat fold starts where the search did): the flat
+    solver folds it
     when it is outerplanar (pinning that solver raises NotOuterplanar on
     any other), else it is cut out of g for the leveled one.  With
     `witness`, pick(k') is a set of k' vertices that the tables of every
@@ -83,13 +85,14 @@ def _values(g: Graph, k: int, *, force: str = "auto",
             part_root = root if root is not None and root in keep else None
             info: dict = {}
             blocks = (None if force == "bouterplanar"
-                      else outerplanar_blocks(g, keep) if force == "outerplanar"
-                      else is_outerplanar(g, keep))
+                      else outerplanar_blocks(g, keep, part_root)
+                      if force == "outerplanar"
+                      else is_outerplanar(g, keep, part_root))
             if blocks is not None:
                 names.add("outerplanar")
                 vec, part = solve_outerplanar_values(
-                    g, sk, root=part_root, trace=trace, stats=info,
-                    blocks=blocks, witness=witness)
+                    g, sk, trace=trace, stats=info, blocks=blocks,
+                    witness=witness)
                 del blocks  # gone before the next component is recognised
             else:
                 names.add("bouterplanar")

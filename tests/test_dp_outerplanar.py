@@ -8,6 +8,7 @@ tables.NEG, which the comparisons read as None (helpers.as_none).
 """
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dks
-from dks.errors import DksError, NotOuterplanar
+from dks.errors import BadArgument, DksError, NotOuterplanar
 from dks.generators import GenSpec, gen_outerplanar
 from dks.graph import Graph, parse_edge_list
 from dks.oracle import brute_force_all_k
@@ -40,9 +41,11 @@ from dks.dp_outerplanar import (
 )
 from dks.solve import solve, solve_bouterplanar, solve_outerplanar
 from helpers import (as_none, brute_force_slice_table, flat_merge_reference,
-                     shaped_outerplanar, square_hub)
+                     shaped_outerplanar, square_hub, triangle_hub)
 
 FIXTURE = "c b\nb a\na e\ne f\nf g\ng d\nd c\nb e\nb g\nc g\n"
+# two triangles and a pendant edge at cutpoint 2 of the triangle 0-1-2
+FLOWER = "0 1\n1 2\n0 2\n2 3\n3 4\n2 4\n2 5\n5 6\n2 6\n2 7\n"
 
 N = None
 LEAF = [[0, N, N], [N, 0, N], [N, 0, N], [N, N, 1]]
@@ -202,13 +205,21 @@ def test_merge_tables_matches_the_eight_call_reference(data):
 
 def test_block_outer_cycle_on_fixture():
     g = parse_edge_list(FIXTURE)
-    blocks, tops, _ = g.blocks_and_cutpoints()
+    blocks, tops = g.blocks_and_cutpoints()
     assert blocks == [list(range(7))]
     cycle = block_outer_cycle(g, blocks[0], tops[0])
     names = [g.names[v] for v in cycle]
     assert names[0] == "c"
     assert names in (["c", "b", "a", "e", "f", "g", "d"],
                      ["c", "d", "g", "f", "e", "a", "b"])
+    # searched from any vertex, the one block's cycle starts there
+    for root in range(g.n):
+        blocks, tops = g.blocks_and_cutpoints(root=root)
+        cycle = block_outer_cycle(g, blocks[0], tops[0])
+        assert cycle[0] == root
+        doubled = [g.names[v] for v in cycle * 2]
+        assert any(doubled[i:i + 7] in (names, names[::-1])
+                   for i in range(7))
 
 
 def test_block_outer_cycle_rejects_k4():
@@ -221,7 +232,7 @@ def test_rejects_k23():
     # K_{2,3} is planar but not outerplanar
     g = Graph(n=5, edges=[(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert not is_outerplanar(g)
-    blocks, tops, _ = g.blocks_and_cutpoints()
+    blocks, tops = g.blocks_and_cutpoints()
     with pytest.raises(NotOuterplanar):
         block_outer_cycle(g, blocks[0], tops[0])
 
@@ -236,14 +247,15 @@ def _outer_cycle_corpus():
 @pytest.mark.parametrize("g", list(_outer_cycle_corpus()),
                          ids=lambda g: f"n{g.n}m{g.m}")
 def test_block_outer_cycle_is_hamiltonian_with_noncrossing_chords(g):
-    # a block's edges are the ones g.adj holds between its vertices
-    blocks, tops, _ = g.blocks_and_cutpoints()
+    # a block's edges are the ones g.adj holds between its vertices, and
+    # its cycle starts at its top
+    blocks, tops = g.blocks_and_cutpoints()
     for vs, top in zip(blocks, tops):
         if len(vs) == 2:
             continue
         cycle = block_outer_cycle(g, vs, top)
         m = len(cycle)
-        assert cycle[0] == vs[0] and sorted(cycle) == vs
+        assert cycle[0] == top and sorted(cycle) == vs
         edges = {frozenset((u, v)) for u, v in combinations(vs, 2)
                  if v in g.adj[u]}
         ring = {frozenset((cycle[i], cycle[(i + 1) % m])) for i in range(m)}
@@ -269,18 +281,19 @@ def test_a_hub_adjacency_is_read_a_constant_number_of_times(hub_last):
     # 100 4-cycles at one vertex, which is 0 (every block's top and its
     # smallest degree-2 vertex) or n-1 (not the top of the root block).
     # Each block reads g.adj only through its vertices other than its
-    # top (the fold: other than its key), so the hub's adjacency is read
-    # once by the CSR copy, and at most twice more by the one block that
-    # it is not the top of, and once by the fold: never once per block
+    # top, so the hub's adjacency is read once by the CSR copy, and at
+    # most twice more by the one block that it is not the top of, and
+    # once by the fold: never once per block, from any root
     g = square_hub(100)
     hub = g.n - 1 if hub_last else 0
     if hub_last:
         swap = {0: hub, hub: 0}
         g = Graph(g.n, [(swap.get(u, u), swap.get(v, v)) for u, v in g.edges])
     g.adj[hub] = counted = _CountedSet(g.adj[hub])
-    blocks = is_outerplanar(g)
-    assert len(blocks.vertices) == 100 and counted.reads <= 3
     for root in (None, hub, 1, g.n - 2):
+        counted.reads = 0
+        blocks = is_outerplanar(g, root=root)
+        assert len(blocks.vertices) == 100 and counted.reads <= 3, root
         counted.reads = 0
         values, top = solve_outerplanar_values(g, 10, root=root,
                                                blocks=blocks, witness=True)
@@ -399,12 +412,35 @@ def test_fold_block_rejects_crossing_chords(chords):
         fold_block(Graph(6, edges), cycle, 6)
 
 
-def test_root_outside_the_vertex_range_raises():
-    # a root id is checked against 0..n-1 before it indexes anything
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    for root in (-1, g.n):
-        with pytest.raises(ValueError, match="root vertex"):
+def test_root_outside_the_vertex_range_raises(monkeypatch):
+    # a root id is checked against 0..n-1, and for an edge, before it
+    # indexes anything: the search never starts
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    def unsearched(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(Graph, "blocks_and_cutpoints", unsearched)
+    for root in (-1, g.n, 4):
+        with pytest.raises(BadArgument, match=f"root vertex {root} has no"):
             solve_outerplanar_values(g, 3, root=root)
+
+
+def test_blocks_searched_from_another_root_are_refused():
+    # the fold starts where the blocks' search did, so blocks searched
+    # from one root are refused for another, both roots named
+    g = parse_edge_list(FLOWER)
+    want = brute_force_all_k(g)
+    for searched in range(g.n):
+        blocks = is_outerplanar(g, root=searched)
+        assert blocks.tops[-1] == searched
+        for root in (None, searched):
+            assert solve_outerplanar_values(g, g.n, root=root,
+                                            blocks=blocks)[0] == want
+        other = (searched + 1) % g.n
+        with pytest.raises(BadArgument, match=f"from root {searched} cannot "
+                                              f"be folded from root {other}"):
+            solve_outerplanar_values(g, g.n, root=other, blocks=blocks)
 
 
 def test_disconnected_input_raises():
@@ -414,6 +450,70 @@ def test_disconnected_input_raises():
     for g in (two_triangles, triangle_and_vertex):
         with pytest.raises(DksError, match="disconnected"):
             solve_outerplanar_values(g, g.n)
+
+
+def pendant_cactus(rng: random.Random, n: int) -> Graph:
+    """A random cactus on n vertices: 3- to 5-cycles and pendant bridges,
+    each glued at a random earlier vertex, then randomly relabelled so
+    that a block's top is seldom its smallest vertex."""
+    edges, size = [], 1
+    while size < n:
+        at, ring = rng.randrange(size), min(rng.choice((2, 2, 3, 4, 5)),
+                                            n - size + 1)
+        cycle = [at, *range(size, size + ring - 1)]
+        edges += [(cycle[i], cycle[i + 1]) for i in range(ring - 1)]
+        if ring > 2:
+            edges.append((cycle[-1], at))
+        size += ring - 1
+    label = rng.sample(range(n), n)
+    return Graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def folded_blocks(top) -> list[tuple[int, frozenset]]:
+    """(key, vertices) of every block a kept flat solve folded: a Hang's
+    table is its block's final table, whose x is the key, and the leaves
+    below it, short of the next Hang, are the block's edges."""
+    out = []
+    for h in kept_records(top):
+        if isinstance(h, Hang):
+            t, verts, todo = h.made[1], set(), [h.made[1]]
+            while todo:
+                r = todo.pop()
+                if isinstance(r, EdgeTable):
+                    if not r.made:
+                        verts |= {r.x, r.y}
+                    todo += r.made[1:]
+            out.append((t.x, frozenset(verts)))
+    return out
+
+
+def _rooted_corpus():
+    rng = random.Random(34)
+    yield from (pendant_cactus(rng, n) for n in (5, 7, 9, 11, 12, 14, 16))
+    yield parse_edge_list(FLOWER)
+    yield from (triangle_hub(3), triangle_hub(5), square_hub(3),
+                square_hub(5))
+
+
+@pytest.mark.parametrize("g", list(_rooted_corpus()),
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_every_root_folds_each_block_from_its_top(g, monkeypatch):
+    # from every root and at every k, the values are the unrooted
+    # solve's and the oracle's, the witness is certified (solve checks
+    # it), and every block the fold kept hangs from its search top
+    want = brute_force_all_k(g)
+    assert solve_outerplanar(g, g.n).values == want
+    tops = collect_tops(monkeypatch)
+    for root in range(g.n):
+        blocks = is_outerplanar(g, root=root)
+        top_of = dict(zip(map(frozenset, blocks.vertices), blocks.tops))
+        for k in range(g.n + 1):
+            rep = solve_outerplanar(g, k, root=root, witness=True)
+            assert rep.values == want[:k + 1] and len(rep.witness) == k
+            folded = folded_blocks(tops[-1])
+            assert len(folded) == len(top_of)
+            assert all(top_of[vs] == key for key, vs in folded), (root, k)
+            assert tops[-1].made[1].x == root
 
 
 def test_star_and_paths():

@@ -19,6 +19,12 @@ def fz(a, b):
     return frozenset((a, b))
 
 
+def connectors(le) -> set[frozenset]:
+    """The plane's connector edges: those neither in g nor fake."""
+    plane = {fz(v, w) for v, ws in enumerate(le.plane.rot) for w in ws}
+    return plane - {fz(u, v) for u, v in le.graph.edges} - le.fake_edges
+
+
 def test_figure_levels_follow_rings():
     le = embed_and_level(figure_graph())
     by_level = {}
@@ -28,7 +34,7 @@ def test_figure_levels_follow_rings():
                         2: {"a", "b", "c", "d"},
                         3: {"1"}}
     assert le.depth == 3
-    assert le.connector_edges == set()
+    assert connectors(le) == set()
 
 
 def test_figure_components_and_walks():
@@ -70,7 +76,7 @@ def test_wheel_needs_no_fakes():
     le = embed_and_level(wheel(5))
     hub = 5
     assert le.level == [1, 1, 1, 1, 1, 2]
-    assert le.fake_edges == set() and le.connector_edges == set()
+    assert le.fake_edges == set() and connectors(le) == set()
     assert le.components[1].vertices == [hub]
     assert le.components[1].walk == []
 
@@ -89,17 +95,17 @@ def test_faces_are_traced_once_before_and_once_after_triangulation(
     for variant in ("zigzag", "zigzag_alt"):
         calls.clear()
         le = embed_and_level(wheel(5), variant=variant)
-        assert le.connector_edges == set() and len(calls) == 2
+        assert connectors(le) == set() and len(calls) == 2
         calls.clear()
         le = embed_and_level(figure_graph(), variant=variant)
-        assert le.connector_edges == set() and le.fake_edges
+        assert connectors(le) == set() and le.fake_edges
         assert len(calls) == 1 + 2 + 1
 
 
 def test_two_pendants_get_connected():
     le = embed_and_level(hex_two_pendants())
     assert le.level == [1, 1, 1, 1, 1, 1, 2, 2]
-    assert le.connector_edges == {fz(6, 7)}
+    assert connectors(le) == {fz(6, 7)}
     c1 = le.components[1]
     assert c1.vertices == [6, 7]
     assert len(c1.walk) == 2    # single tree edge, walked twice
@@ -139,7 +145,7 @@ def test_pendants_of_one_face_are_stitched_in_one_pass(monkeypatch):
         calls.clear()
         le = embed_and_level(g)
         traces.add(len(calls))
-        assert len(le.connector_edges) == c - 1
+        assert len(connectors(le)) == c - 1
         assert le.level == [1] * 8 + [2] * c
         assert [len(x.vertices) for x in le.components] == [8, c]
         want = brute_force_all_k(g)
@@ -168,7 +174,7 @@ def fan_of_triangles(rim: int) -> Graph:
 def test_fan_gives_each_inner_vertex_its_own_face():
     N = 50
     le = embed_and_level(fan_of_triangles(N))
-    assert le.connector_edges == set()
+    assert connectors(le) == set()
     top, *deep = le.components
     assert top.vertices == list(range(N + 1))
     assert len(deep) == N - 1
@@ -194,8 +200,10 @@ def test_figure_without_rotation_still_levels():
     assert all(lv >= 1 for lv in le.level)
     for u, v in le.graph.edges:
         assert abs(le.level[u] - le.level[v]) <= 1
-    for e in le.fake_edges | le.connector_edges:
-        assert not le.graph.has_edge(*sorted(e))
+    for e in le.fake_edges | connectors(le):
+        u, v = sorted(e)
+        assert not le.graph.has_edge(u, v)
+        assert abs(le.level[u] - le.level[v]) <= 1
 
 
 def test_bogus_outer_face_rejected():
@@ -236,7 +244,7 @@ def test_outerplanar_input_embeds_on_one_level():
         for variant in ("zigzag", "zigzag_alt"):
             le = embed_and_level(g, variant, blocks=is_outerplanar(g))
             assert le.depth == 1, g.edges
-            assert not le.fake_edges and not le.connector_edges, g.edges
+            assert not le.fake_edges and not connectors(le), g.edges
             got = solve_bouterplanar(g, g.n, triangulation=variant).values
             assert got == flat, (variant, g.edges)
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -172,27 +173,41 @@ def test_component_subgraphs_hand_back_only_a_range_part_uncopied():
     assert induced_subgraph(g, list(range(g.n))) is not g
 
 
+def _cut_vertices(blocks: list[list[int]]) -> set[int]:
+    """The vertices in two or more blocks."""
+    count = Counter(v for b in blocks for v in b)
+    return {v for v, c in count.items() if c >= 2}
+
+
 def test_blocks_and_cutpoints_on_two_triangles_sharing_a_vertex():
     # bowtie: triangles 0-1-2 and 2-3-4 share vertex 2
     g = Graph(n=5, edges=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    blocks, tops, cuts = g.blocks_and_cutpoints()
-    assert cuts == {2}
+    blocks, tops = g.blocks_and_cutpoints()
+    assert _cut_vertices(blocks) == {2}
     assert blocks == [[2, 3, 4], [0, 1, 2]] and tops == [2, 0]
+    # searched from 3, the search closes 0-1-2 first, below cutpoint 2
+    assert g.blocks_and_cutpoints(root=3) == ([[0, 1, 2], [2, 3, 4]], [2, 3])
 
 
 def test_blocks_on_path_are_single_edges():
     g = Graph(n=4, edges=[(0, 1), (1, 2), (2, 3)])
-    blocks, tops, cuts = g.blocks_and_cutpoints()
-    assert cuts == {1, 2}
+    blocks, tops = g.blocks_and_cutpoints()
+    assert _cut_vertices(blocks) == {1, 2}
     assert blocks == [[2, 3], [1, 2], [0, 1]] and tops == [2, 1, 0]
+    # from an inner vertex, each side is closed towards it, the larger
+    # neighbour's side last
+    assert g.blocks_and_cutpoints(root=1) == ([[0, 1], [2, 3], [1, 2]],
+                                              [1, 2, 1])
 
 
 def test_blocks_on_long_path_iterative():
     n = 30000
     g = Graph(n=n, edges=[(i, i + 1) for i in range(n - 1)])
-    blocks, tops, cuts = g.blocks_and_cutpoints()
-    assert len(blocks) == n - 1 and all(len(b) == 2 for b in blocks)
-    assert len(cuts) == n - 2
+    for root in (None, n // 2):
+        blocks, tops = g.blocks_and_cutpoints(root=root)
+        assert len(blocks) == n - 1 and all(len(b) == 2 for b in blocks)
+        assert len(_cut_vertices(blocks)) == n - 2
+        assert tops[-1] == (root or 0)
 
 
 def _recognition_corpus():
@@ -219,14 +234,19 @@ def test_blocks_and_cutpoints_match_networkx(g):
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges)
-    blocks, tops, cuts = g.blocks_and_cutpoints()
-    assert all(b == sorted(set(b)) and len(b) >= 2 for b in blocks)
-    assert ({frozenset(b) for b in blocks}
-            == {frozenset(c) for c in nx.biconnected_components(ref)})
-    inside = [frozenset((u, v)) for b in blocks for u, v in combinations(b, 2)
-              if g.has_edge(u, v)]
-    assert sorted(map(sorted, inside)) == sorted(map(list, g.edges))
-    assert cuts == set(nx.articulation_points(ref))
-    assert len(tops) == len(blocks) and all(t in b for b, t in zip(blocks, tops))
-    below = [v for b, t in zip(blocks, tops) for v in b if v != t]
-    assert len(below) == len(set(below))
+    for root in (None, g.n - 1):
+        blocks, tops = g.blocks_and_cutpoints(root=root)
+        assert all(b == sorted(set(b)) and len(b) >= 2 for b in blocks)
+        assert ({frozenset(b) for b in blocks}
+                == {frozenset(c) for c in nx.biconnected_components(ref)})
+        inside = [frozenset((u, v)) for b in blocks
+                  for u, v in combinations(b, 2) if g.has_edge(u, v)]
+        assert sorted(map(sorted, inside)) == sorted(map(list, g.edges))
+        assert _cut_vertices(blocks) == set(nx.articulation_points(ref))
+        assert len(tops) == len(blocks)
+        assert all(t in b for b, t in zip(blocks, tops))
+        below = [v for b, t in zip(blocks, tops) for v in b if v != t]
+        assert len(below) == len(set(below))
+        # a connected graph's last block closes at the search's start
+        if nx.is_connected(ref):
+            assert tops[-1] == (root or 0)

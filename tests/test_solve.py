@@ -293,9 +293,9 @@ def _counting_dfs(monkeypatch) -> list[list[int]]:
     calls: list[list[int]] = []
     real = Graph.blocks_and_cutpoints
 
-    def counted(self, part=None):
+    def counted(self, part=None, root=None):
         calls.append(list(range(self.n) if part is None else part))
-        return real(self, part)
+        return real(self, part, root)
 
     monkeypatch.setattr(Graph, "blocks_and_cutpoints", counted)
     return calls
